@@ -126,25 +126,26 @@ def _add_solver_flags(p, default_method="grbk"):
     p.add_argument("--trace-every", type=int, default=1)
     p.add_argument("--max-seconds", type=float, default=None,
                    help="advisory wall-clock cap on the iteration loop")
-    p.add_argument("--cache-pinv", action="store_true",
-                   help="reuse block pseudoinverses across iterations")
     p.add_argument("--unsafe-stepsize", action="store_true",
                    help="allow eta outside (0, 2); no convergence guarantee")
+
+
+def _first_given(*values):
+    return next(v for v in values if v is not None)
 
 
 def _config_from_args(args, method=None, eta=None, seed=None, tau1=None,
                       tau2=None):
     return SolverConfig(
-        method=CLI_METHODS[method if method is not None else args.method],
-        tau1=tau1 if tau1 is not None else (args.tau1 or 1),
-        tau2=tau2 if tau2 is not None else (args.tau2 or 1),
+        method=CLI_METHODS[_first_given(method, args.method)],
+        tau1=_first_given(tau1, args.tau1, 1),
+        tau2=_first_given(tau2, args.tau2, 1),
         eta=eta if eta is not None else args.eta,
         weight_scheme=args.weights,
         max_iters=args.max_iters,
         re_tolerance=args.tol,
-        seed=seed if seed is not None else args.seed,
+        seed=_first_given(seed, args.seed),
         trace_every=args.trace_every,
-        cache_block_pinv=args.cache_pinv,
         unsafe_stepsize=args.unsafe_stepsize,
         max_seconds=args.max_seconds,
     )
@@ -339,7 +340,7 @@ def cmd_benchmark(args):
         method_etas = etas if (etas and method in ETA_METHODS) else [None]
         for _ in method_etas:
             group = results[idx: idx + args.repeats]
-            eta_label = tasks[idx][3]
+            config, eta_label = tasks[idx][1], tasks[idx][3]
             idx += args.repeats
             done = [r for r in group if r is not None]
             converged = sum(1 for r in done if r.termination == "tolerance")
@@ -348,8 +349,8 @@ def cmd_benchmark(args):
             lines.append([
                 method,
                 _fmt(eta_label),
-                args.tau1 or 1,
-                args.tau2 or 1,
+                config.tau1,
+                config.tau2,
                 args.repeats,
                 converged,
                 _fmt(float(np.mean([r.iterations for r in done]))

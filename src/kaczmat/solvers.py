@@ -119,7 +119,6 @@ class SolverConfig:
     seed: int = 0
     trace_every: int = 1
     rank_tol: float | None = None
-    cache_block_pinv: bool = False
     unsafe_stepsize: bool = False
     max_seconds: float | None = None
 
@@ -188,15 +187,8 @@ def relative_error(X, X_star):
     return float(np.linalg.norm(X - X_star, "fro") ** 2 / denom)
 
 
-def _dense_rows(A, I):
-    block = A[I] if sp.issparse(A) else A[I, :]
-    if sp.issparse(block):
-        block = block.toarray()
-    return np.asarray(block, dtype=np.float64)
-
-
-def _dense_cols(B, J):
-    block = B[:, J]
+def _dense(block):
+    """A row block of A or column block of B as a float64 array."""
     if sp.issparse(block):
         block = block.toarray()
     return np.asarray(block, dtype=np.float64)
@@ -223,7 +215,8 @@ class IterationState:
     row_weights_hat: list = field(default_factory=list)  # u_i / ||A_i||^2
     col_weights_hat: list = field(default_factory=list)  # v_j / ||B_j||^2
     alpha_const: float | None = None
-    pinv_cache: dict = field(default_factory=dict)
+    row_blocks: list = field(default_factory=list)  # grbk: (A_I, pinv(A_I)) or None
+    col_blocks: list = field(default_factory=list)  # grbk: (B_J, pinv(B_J)) or None
     # rk_kron only
     kron_M: np.ndarray | None = None
     kron_c: np.ndarray | None = None
@@ -309,6 +302,9 @@ def prepare_state(problem, config):
     state.dist_rows = frobenius_block_probs(A, state.partition_rows, "rows")
     state.dist_cols = frobenius_block_probs(B, state.partition_cols, "cols")
 
+    if config.method == GRBK:
+        state.row_blocks = [None] * state.partition_rows.n_blocks
+        state.col_blocks = [None] * state.partition_cols.n_blocks
     if config.method in (GRABK_CONST, GRABK_ADAPTIVE):
         state.row_weights, state.row_weights_hat = _block_weight_arrays(
             rns, state.partition_rows, config.weight_scheme
@@ -343,33 +339,35 @@ def grk_step(state, i, j):
     nb2 = state.col_norms_sq[j]
     if na2 == 0.0 or nb2 == 0.0:
         raise ValueError(f"row {i} of A or column {j} of B is zero")
-    a = _dense_rows(state.problem.A, np.array([i])).ravel()
-    b = _dense_cols(state.problem.B, np.array([j])).ravel()
+    a = _dense(state.problem.A[np.array([i])]).ravel()
+    b = _dense(state.problem.B[:, np.array([j])]).ravel()
     r = state.problem.C[i, j] - a @ state.X @ b
     state.X += (r / (na2 * nb2)) * np.outer(a, b)
     return state.X
 
 
-def _block_pinvs(state, I, J, rank_tol):
-    A_I = _dense_rows(state.problem.A, I)
-    B_J = _dense_cols(state.problem.B, J)
-    return pinv(A_I, rank_tol), pinv(B_J, rank_tol), A_I, B_J
+def _block_with_pinv(block, rank_tol):
+    """(block, pinv(block)) for a sampled dense block of A or B."""
+    if not block.any():
+        raise ValueError("sampled block of A or B is zero")
+    return block, pinv(block, rank_tol)
 
 
-def grbk_step(state, I, J, rank_tol=None, _cached=None):
+def grbk_step(state, I, J, rank_tol=None, _blocks=None):
     """Project the iterate onto the solution set of the sampled sketched
     equation A_I X B_J = C_IJ; returns the iterate.
 
     X <- X + pinv(A_I) (C_IJ - A_I X B_J) pinv(B_J)
+
+    ``_blocks`` is ``(A_I, pinv(A_I), B_J, pinv(B_J))`` as ``solve`` keeps
+    them per block; without it both are computed here.
     """
     I = np.asarray(I)
     J = np.asarray(J)
-    if _cached is not None:
-        pa, pb, A_I, B_J = _cached
-    else:
-        pa, pb, A_I, B_J = _block_pinvs(state, I, J, rank_tol)
-    if not A_I.any() or not B_J.any():
-        raise ValueError("sampled block of A or B is zero")
+    if _blocks is None:
+        _blocks = (*_block_with_pinv(_dense(state.problem.A[I]), rank_tol),
+                   *_block_with_pinv(_dense(state.problem.B[:, J]), rank_tol))
+    A_I, pa, B_J, pb = _blocks
     R = state.problem.C[np.ix_(I, J)] - A_I @ state.X @ B_J
     state.X += pa @ R @ pb
     return state.X
@@ -395,8 +393,8 @@ def _hat_weights(u, norms_sq, label):
 
 def _averaged_update(state, I, J, u_hat, v_hat):
     """Residual block R and the weighted update direction U = A_I^T (u_hat R v_hat) B_J^T."""
-    A_I = _dense_rows(state.problem.A, I)
-    B_J = _dense_cols(state.problem.B, J)
+    A_I = _dense(state.problem.A[I])
+    B_J = _dense(state.problem.B[:, J])
     R = state.problem.C[np.ix_(I, J)] - A_I @ state.X @ B_J
     U = A_I.T @ (u_hat[:, None] * R * v_hat[None, :]) @ B_J.T
     return R, U
@@ -483,7 +481,8 @@ def solve(problem, config):
     problem provides a usable (nonzero) reference, otherwise the relative
     residual ||C - A X B||_F / ||C||_F. The check runs every iteration;
     trace records are kept every ``trace_every`` iterations plus the final
-    one. Wall-clock covers the iteration loop only.
+    one. Wall-clock covers the iteration loop only. GRBK densifies each row
+    block of A and column block of B and takes its pinv once, when first drawn.
     """
     state = prepare_state(problem, config)
     use_re = problem.X_star is not None and np.linalg.norm(problem.X_star, "fro") > 0.0
@@ -547,15 +546,14 @@ def solve(problem, config):
             if config.method == GRK:
                 grk_step(state, int(I[0]), int(J[0]))
             elif config.method == GRBK:
-                if config.cache_block_pinv:
-                    key = (bi, bj)
-                    if key not in state.pinv_cache:
-                        state.pinv_cache[key] = _block_pinvs(
-                            state, I, J, config.rank_tol
-                        )
-                    grbk_step(state, I, J, _cached=state.pinv_cache[key])
-                else:
-                    grbk_step(state, I, J, rank_tol=config.rank_tol)
+                if state.row_blocks[bi] is None:
+                    state.row_blocks[bi] = _block_with_pinv(
+                        _dense(problem.A[I]), config.rank_tol)
+                if state.col_blocks[bj] is None:
+                    state.col_blocks[bj] = _block_with_pinv(
+                        _dense(problem.B[:, J]), config.rank_tol)
+                grbk_step(state, I, J,
+                          _blocks=(*state.row_blocks[bi], *state.col_blocks[bj]))
             elif config.method == GRABK_CONST:
                 grabk_step(
                     state,

@@ -134,6 +134,16 @@ def test_solve_adaptive_converges(tmp_path, capsys):
     assert "method=grabk-a" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag", ["--tau1", "--tau2"])
+def test_solve_rejects_zero_block_size(tmp_path, capsys, flag):
+    out = tmp_path / "prob"
+    run(*gen_args(out))
+    code = run("solve", str(out), "--method", "grbk", flag, "0",
+               "--max-iters", "50")
+    assert code == 1
+    assert "block sizes must be at least 1" in capsys.readouterr().err
+
+
 def test_solve_missing_directory(tmp_path, capsys):
     assert run("solve", str(tmp_path / "nope")) == 1
     assert "error:" in capsys.readouterr().err
@@ -238,6 +248,15 @@ def test_benchmark_exit_two_on_unconverged_runs(capsys):
 def test_benchmark_rejects_unknown_method(capsys):
     assert run(*bench_args(["--methods", "sor"])) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--tau1", "--tau2"])
+def test_benchmark_rejects_zero_block_size(capsys, flag):
+    code = run(*bench_args(["--methods", "grbk", "--repeats", "1", flag, "0"]))
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "block sizes must be at least 1" in captured.err
+    assert captured.out == ""  # no CSV rows under a block size that never ran
 
 
 def test_benchmark_rejects_bad_eta_grid(capsys):

@@ -1,9 +1,12 @@
 """Solver steps, stepsizes, and the solve() driver."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from kaczmat import solvers
 from kaczmat.matrices import pinv, unvec, vec
 from kaczmat.problems import TypeISpec, gen_type1, gen_type2, make_problem
 from kaczmat.sampling import SeededRng, sample_block
@@ -462,11 +465,53 @@ def test_solve_adaptive_records_stepsizes():
     assert report_c.stepsizes is None
 
 
-def test_solve_pinv_cache_matches_uncached():
-    prob = small_problem(24)
-    base = SolverConfig(method=GRBK, tau1=3, tau2=3, seed=8, max_iters=60)
-    cached = SolverConfig(method=GRBK, tau1=3, tau2=3, seed=8, max_iters=60, cache_block_pinv=True)
-    np.testing.assert_array_equal(solve(prob, base).X, solve(prob, cached).X)
+def _sparsified(prob):
+    A, B = (np.where(np.abs(M) < 0.5, 0.0, M) for M in (prob.A, prob.B))
+    return make_problem(sp.csr_array(A), sp.csr_array(B), seed=1)
+
+
+GRBK_CACHE_CASES = {
+    "dense": (small_problem(24), 3, 3, None),
+    "csr": (_sparsified(small_problem(24)), 3, 3, None),
+    "short-last-block": (small_problem(24, m=10, n=11), 3, 4, None),
+    # blocks of rank 2 at tau 3: the truncation in pinv matters
+    "rank-deficient": (make_problem(*gen_type1(TypeISpec(12, 6, 2, 6, 12, 2, seed=5)), seed=6), 3, 3, 1e-10),
+}
+
+
+@pytest.mark.parametrize("case", GRBK_CACHE_CASES)
+def test_solve_grbk_cached_blocks_match_on_the_fly_steps(case):
+    # solve() keeps each block and its pinv for the run; a hand loop of
+    # on-the-fly grbk_step calls over the same draws must give the same bits
+    prob, tau1, tau2, rank_tol = GRBK_CACHE_CASES[case]
+    config = SolverConfig(method=GRBK, tau1=tau1, tau2=tau2, seed=8, max_iters=150,
+                          re_tolerance=1e-300, rank_tol=rank_tol)
+    report = solve(prob, config)
+    assert report.iterations == 150
+    state = prepare_state(prob, config)
+    rng = SeededRng(config.seed, stream=1)
+    for _ in range(report.iterations):
+        I = state.partition_rows.block(sample_block(state.dist_rows, rng))
+        J = state.partition_cols.block(sample_block(state.dist_cols, rng))
+        grbk_step(state, I, J, rank_tol=rank_tol)
+    np.testing.assert_array_equal(report.X, state.X)
+
+
+def test_solve_grbk_computes_each_block_pinv_once(monkeypatch):
+    calls = []
+
+    def counting_pinv(M, rank_tol=None):
+        calls.append(M.shape)
+        return pinv(M, rank_tol)
+
+    monkeypatch.setattr(solvers, "pinv", counting_pinv)
+    A, B = gen_type1(TypeISpec(40, 20, 20, 20, 42, 20, seed=9))
+    prob = make_problem(A, B, seed=10)
+    config = SolverConfig(method=GRBK, tau1=5, tau2=5, seed=3, max_iters=400,
+                          re_tolerance=1e-300)
+    report = solve(prob, config)
+    assert report.iterations == 400
+    assert 0 < len(calls) <= math.ceil(40 / 5) + math.ceil(42 / 5)
 
 
 def test_solve_block_size_exceeding_dims_raises():
