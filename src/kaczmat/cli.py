@@ -37,7 +37,6 @@ from .solvers import (
     GRABK_CONST,
     GRBK,
     GRK,
-    RK_KRON,
     Problem,
     SolverConfig,
     solve,
@@ -48,7 +47,6 @@ CLI_METHODS = {
     "grbk": GRBK,
     "grabk-c": GRABK_CONST,
     "grabk-a": GRABK_ADAPTIVE,
-    "rk-kron": RK_KRON,
 }
 # methods whose stepsize flag means anything
 ETA_METHODS = ("grabk-c", "grabk-a")
@@ -59,6 +57,8 @@ BENCH_HEADER = ("method", "eta", "tau1", "tau2", "repeats", "converged",
                 "mean_iterations", "mean_seconds", "mean_final_error")
 
 MATRIX_FILES = {"A": "A.mtx", "B": "B.mtx", "C": "C.mtx", "X_star": "X_star.mtx"}
+# generator flags each synthetic problem kind needs
+TYPED_FLAGS = {"type1": ("m", "p", "r1", "q", "n", "r2"), "type2": ("m", "p", "q", "n")}
 
 
 @dataclass
@@ -188,30 +188,34 @@ def load_problem_dir(path):
         os.path.normpath(path)))
 
 
+def _typed_problem(args):
+    """The type-1 or type-2 problem that the generator flags describe, plus
+    its manifest entries."""
+    if not (args.type1 or args.type2):
+        raise ValueError("pick one of --type1, --type2")
+    kind = "type1" if args.type1 else "type2"
+    dims = {}
+    for flag in TYPED_FLAGS[kind]:
+        if getattr(args, flag) is None:
+            raise ValueError(f"--{kind} needs --{flag}")
+        dims[flag] = getattr(args, flag)
+    if kind == "type1":
+        A, B = gen_type1(TypeISpec(**dims, seed=args.seed))
+        label = "type1-{m}x{p}r{r1}-{q}x{n}r{r2}".format(**dims)
+    else:
+        A, B = gen_type2(**dims, seed=args.seed)
+        label = "type2-{m}x{p}-{q}x{n}".format(**dims)
+    problem = make_problem(A, B, seed=args.seed + 1, name=label)
+    return problem, {"kind": kind, "seed": args.seed, "x_seed": args.seed + 1, **dims}
+
+
 def cmd_generate(args):
     kinds = [k for k in ("type1", "type2", "blur") if getattr(args, k)]
     if len(kinds) != 1:
         raise ValueError("pick exactly one of --type1, --type2, --blur")
     kind = kinds[0]
-    if kind == "type1":
-        for flag in ("m", "p", "r1", "q", "n", "r2"):
-            if getattr(args, flag) is None:
-                raise ValueError(f"--type1 needs --{flag}")
-        spec = TypeISpec(args.m, args.p, args.r1, args.q, args.n, args.r2,
-                         seed=args.seed)
-        A, B = gen_type1(spec)
-        problem = make_problem(A, B, seed=args.seed + 1)
-        extra = {"kind": "type1", "seed": args.seed, "x_seed": args.seed + 1,
-                 "m": args.m, "p": args.p, "r1": args.r1,
-                 "q": args.q, "n": args.n, "r2": args.r2}
-    elif kind == "type2":
-        for flag in ("m", "p", "q", "n"):
-            if getattr(args, flag) is None:
-                raise ValueError(f"--type2 needs --{flag}")
-        A, B = gen_type2(args.m, args.p, args.q, args.n, seed=args.seed)
-        problem = make_problem(A, B, seed=args.seed + 1)
-        extra = {"kind": "type2", "seed": args.seed, "x_seed": args.seed + 1,
-                 "m": args.m, "p": args.p, "q": args.q, "n": args.n}
+    if kind != "blur":
+        problem, extra = _typed_problem(args)
     else:
         if not args.image:
             raise ValueError("--blur needs --image")
@@ -270,30 +274,10 @@ def _parse_eta_grid(text):
     return [v for v in values if v <= stop + 1e-12]
 
 
-def _benchmark_problem(args):
-    if args.type1:
-        for flag in ("m", "p", "r1", "q", "n", "r2"):
-            if getattr(args, flag) is None:
-                raise ValueError(f"--type1 needs --{flag}")
-        spec = TypeISpec(args.m, args.p, args.r1, args.q, args.n, args.r2,
-                         seed=args.seed)
-        A, B = gen_type1(spec)
-        label = f"type1-{args.m}x{args.p}r{args.r1}-{args.q}x{args.n}r{args.r2}"
-    elif args.type2:
-        for flag in ("m", "p", "q", "n"):
-            if getattr(args, flag) is None:
-                raise ValueError(f"--type2 needs --{flag}")
-        A, B = gen_type2(args.m, args.p, args.q, args.n, seed=args.seed)
-        label = f"type2-{args.m}x{args.p}-{args.q}x{args.n}"
-    else:
-        raise ValueError("pick one of --type1, --type2")
-    return make_problem(A, B, seed=args.seed + 1, name=label)
-
-
 def cmd_benchmark(args):
     if args.repeats < 1:
         raise ValueError("--repeats must be at least 1")
-    problem = _benchmark_problem(args)
+    problem, _ = _typed_problem(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
         if m not in CLI_METHODS:

@@ -9,25 +9,26 @@ Four randomized methods share one driver:
                         updates with a constant stepsize.
 * ``grabk_adaptive`` -- same averaged update with a per-iteration stepsize
                         computed from the sampled residual.
-* ``rk_kron``        -- classical row-action iteration on the materialized
-                        Kronecker system; desk-scale oracle and baseline.
+
+``rk_kronecker_step``, classical row-action on the materialized Kronecker
+system, is kept as a desk-scale test oracle; ``solve`` does not run it.
 
 All methods start from X0 = 0 and converge to the minimal Frobenius norm
 solution pinv(A) C pinv(B). Sampling uses contiguous partitions with block
 probabilities proportional to squared Frobenius norms.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .matrices import as_dense, col_norms, kron, pinv, row_norms, vec, unvec
+from .matrices import as_dense, col_norms, pinv, row_norms
 from .rates import beta_max, gamma_max
 from .sampling import (
     SeededRng,
-    categorical,
     frobenius_block_probs,
     make_partition,
     sample_block,
@@ -37,9 +38,8 @@ GRK = "grk"
 GRBK = "grbk"
 GRABK_CONST = "grabk_const"
 GRABK_ADAPTIVE = "grabk_adaptive"
-RK_KRON = "rk_kron"
 
-METHODS = (GRK, GRBK, GRABK_CONST, GRABK_ADAPTIVE, RK_KRON)
+METHODS = (GRK, GRBK, GRABK_CONST, GRABK_ADAPTIVE)
 
 WEIGHT_FROBENIUS = "frobenius"
 WEIGHT_UNIFORM = "uniform"
@@ -127,6 +127,10 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r}; pick one of {METHODS}")
         if self.weight_scheme not in (WEIGHT_FROBENIUS, WEIGHT_UNIFORM):
             raise ValueError(f"unknown weight scheme {self.weight_scheme!r}")
+        for name in ("eta", "re_tolerance", "max_seconds"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.re_tolerance <= 0:
             raise ValueError("re_tolerance must be positive")
         if self.max_iters < 0:
@@ -201,7 +205,6 @@ class IterationState:
     problem: Problem
     config: SolverConfig
     X: np.ndarray
-    k: int
     rng: SeededRng
     eta: float
     row_norms_sq: np.ndarray
@@ -217,12 +220,6 @@ class IterationState:
     alpha_const: float | None = None
     row_blocks: list = field(default_factory=list)  # grbk: (A_I, pinv(A_I)) or None
     col_blocks: list = field(default_factory=list)  # grbk: (B_J, pinv(B_J)) or None
-    # rk_kron only
-    kron_M: np.ndarray | None = None
-    kron_c: np.ndarray | None = None
-    kron_x: np.ndarray | None = None
-    kron_row_norms_sq: np.ndarray | None = None
-    kron_dist: object = None
 
 
 def _block_weight_arrays(norms_sq, partition, scheme):
@@ -262,7 +259,7 @@ def uniform_constant_stepsize(gamma_max_a, gamma_max_b, tau1, tau2, eta):
 
 def prepare_state(problem, config):
     """Build the caches one run needs: norms, partitions, weights, stepsize."""
-    A, B, C = problem.A, problem.B, problem.C
+    A, B = problem.A, problem.B
     m, p = A.shape
     q, n = B.shape
     rns = row_norms(A) ** 2
@@ -271,25 +268,11 @@ def prepare_state(problem, config):
         problem=problem,
         config=config,
         X=np.zeros((p, q)),
-        k=0,
         rng=SeededRng(config.seed, stream=1),
         eta=config.resolved_eta(),
         row_norms_sq=rns,
         col_norms_sq=cns,
     )
-    if config.method == RK_KRON:
-        M = kron(B.toarray().T if sp.issparse(B) else B.T,
-                 A.toarray() if sp.issparse(A) else A)
-        state.kron_M = M
-        state.kron_c = vec(C).ravel()
-        state.kron_x = np.zeros(p * q)
-        state.kron_row_norms_sq = np.sum(M * M, axis=1)
-        total = state.kron_row_norms_sq.sum()
-        if total == 0.0:
-            raise ValueError("cannot solve with a zero matrix")
-        state.kron_dist = categorical(state.kron_row_norms_sq / total)
-        return state
-
     tau1 = 1 if config.method == GRK else config.tau1
     tau2 = 1 if config.method == GRK else config.tau2
     if tau1 > m or tau2 > n:
@@ -373,22 +356,26 @@ def grbk_step(state, I, J, rank_tol=None, _blocks=None):
     return state.X
 
 
-def _check_weights(u, size, label):
+def _hat_weights(u, norms_sq, label):
+    """u / norms_sq for caller-given weights u on one block, after checking
+    that u is nonnegative, sums to 1 and puts no weight on a zero row/column."""
     u = np.asarray(u, dtype=np.float64)
-    if u.shape != (size,):
-        raise ValueError(f"{label} has length {u.size}, expected {size}")
+    if u.shape != norms_sq.shape:
+        raise ValueError(f"{label} has length {u.size}, expected {norms_sq.size}")
     if np.any(u < 0):
         raise ValueError(f"{label} must be nonnegative")
     if abs(float(u.sum()) - 1.0) > 1e-10:
         raise ValueError(f"{label} must sum to 1, got {u.sum()!r}")
-    return u
-
-
-def _hat_weights(u, norms_sq, label):
     bad = (norms_sq == 0.0) & (u > 0.0)
     if np.any(bad):
         raise ValueError(f"{label}: positive weight on a zero row/column")
     return np.where(norms_sq > 0.0, u / np.where(norms_sq > 0.0, norms_sq, 1.0), 0.0)
+
+
+def _checked_hats(state, I, J, u, v):
+    """u_hat, v_hat for the row weights u on I and column weights v on J."""
+    return (_hat_weights(u, state.row_norms_sq[I], "row weights"),
+            _hat_weights(v, state.col_norms_sq[J], "column weights"))
 
 
 def _averaged_update(state, I, J, u_hat, v_hat):
@@ -409,13 +396,19 @@ def grabk_step(state, I, J, u, v, alpha):
     """
     I = np.asarray(I)
     J = np.asarray(J)
-    u = _check_weights(u, I.size, "row weights")
-    v = _check_weights(v, J.size, "column weights")
-    u_hat = _hat_weights(u, state.row_norms_sq[I], "row weights")
-    v_hat = _hat_weights(v, state.col_norms_sq[J], "column weights")
-    _, U = _averaged_update(state, I, J, u_hat, v_hat)
+    _, U = _averaged_update(state, I, J, *_checked_hats(state, I, J, u, v))
     state.X += alpha * U
     return state.X
+
+
+def _adaptive_ratio(state, I, J, u_hat, v_hat):
+    """(L, U): the weighted residual energy over ||U||_F^2, and the update
+    direction U. L is None when every sampled residual is zero."""
+    R, U = _averaged_update(state, I, J, u_hat, v_hat)
+    denom = float(np.sum(U * U))
+    if denom == 0.0:
+        return None, U
+    return float(u_hat @ (R * R) @ v_hat) / denom, U
 
 
 def adaptive_stepsize(state, I, J, u, v):
@@ -428,24 +421,23 @@ def adaptive_stepsize(state, I, J, u, v):
     """
     I = np.asarray(I)
     J = np.asarray(J)
-    u = _check_weights(u, I.size, "row weights")
-    v = _check_weights(v, J.size, "column weights")
-    u_hat = _hat_weights(u, state.row_norms_sq[I], "row weights")
-    v_hat = _hat_weights(v, state.col_norms_sq[J], "column weights")
-    R, U = _averaged_update(state, I, J, u_hat, v_hat)
-    denom = float(np.sum(U * U))
-    if denom == 0.0:
-        return None
-    num = float(u_hat @ (R * R) @ v_hat)
-    L = num / denom
-    return L, state.eta * L
+    L, _ = _adaptive_ratio(state, I, J, *_checked_hats(state, I, J, u, v))
+    return None if L is None else (L, state.eta * L)
+
+
+def _grabk_adaptive_apply(state, I, J, u_hat, v_hat):
+    """Fused adaptive step; returns L or None when the block is solved."""
+    L, U = _adaptive_ratio(state, I, J, u_hat, v_hat)
+    if L is not None:
+        state.X += (state.eta * L) * U
+    return L
 
 
 def rk_kronecker_step(xvec, M, cvec, row, row_norms_sq=None):
     """One classical row-action step on the vectorized system M x = c.
 
-    Desk-scale oracle: M is the materialized product system. Returns the
-    updated vector (modified in place when possible).
+    Desk-scale test oracle: M is the materialized product system. Returns
+    the updated vector (modified in place when possible).
     """
     x = np.asarray(xvec, dtype=np.float64)
     mrow = M[row]
@@ -463,136 +455,89 @@ def _relative_residual(problem, X):
     return float(resid / denom) if denom > 0.0 else float(resid)
 
 
-def _grabk_adaptive_apply(state, I, J, u_hat, v_hat):
-    """Fused adaptive step; returns L or None when the block is solved."""
-    R, U = _averaged_update(state, I, J, u_hat, v_hat)
-    denom = float(np.sum(U * U))
-    if denom == 0.0:
-        return None
-    L = float(u_hat @ (R * R) @ v_hat) / denom
-    state.X += (state.eta * L) * U
-    return L
-
-
 def solve(problem, config):
     """Run the configured method from X0 = 0 and trace convergence.
 
     Termination uses the squared relative error against ``X_star`` when the
     problem provides a usable (nonzero) reference, otherwise the relative
-    residual ||C - A X B||_F / ||C||_F. The check runs every iteration;
-    trace records are kept every ``trace_every`` iterations plus the final
-    one. Wall-clock covers the iteration loop only. GRBK densifies each row
-    block of A and column block of B and takes its pinv once, when first drawn.
+    residual ||C - A X B||_F / ||C||_F. The check runs every iteration, and
+    a trace record reuses its value; records are kept every ``trace_every``
+    iterations plus the final one. Wall-clock covers the iteration loop
+    only. GRBK densifies each row block of A and column block of B and
+    takes its pinv once, when first drawn.
     """
     state = prepare_state(problem, config)
     use_re = problem.X_star is not None and np.linalg.norm(problem.X_star, "fro") > 0.0
     xstar_sq = np.linalg.norm(problem.X_star, "fro") ** 2 if use_re else None
-    adaptive = config.method == GRABK_ADAPTIVE
-    l_values = [] if adaptive else None
+    l_values = [] if config.method == GRABK_ADAPTIVE else None
     records = []
 
-    def current_X():
-        if config.method == RK_KRON:
-            p, q = state.problem.A.shape[1], state.problem.B.shape[0]
-            return unvec(state.kron_x, p, q)
-        return state.X
-
     def stop_metric():
-        X = current_X()
         if use_re:
-            return float(np.linalg.norm(X - problem.X_star, "fro") ** 2 / xstar_sq)
-        return _relative_residual(problem, X)
-
-    def record(k, elapsed):
-        X = current_X()
-        re = (
-            float(np.linalg.norm(X - problem.X_star, "fro") ** 2 / xstar_sq)
-            if use_re
-            else None
-        )
-        records.append(
-            TraceRecord(
-                iteration=k,
-                relative_error=re,
-                relative_residual=_relative_residual(problem, X),
-                elapsed=elapsed,
-            )
-        )
+            return float(np.linalg.norm(state.X - problem.X_star, "fro") ** 2 / xstar_sq)
+        return _relative_residual(problem, state.X)
 
     t0 = time.perf_counter()
-    if stop_metric() < config.re_tolerance:
-        return ConvergenceReport(
-            records=[],
-            termination="tolerance",
-            X=current_X().copy(),
-            iterations=0,
-            stepsizes=l_values,
-        )
-
     k = 0
-    termination = "max_iters"
-    while k < config.max_iters:
-        if config.method == RK_KRON:
-            row = sample_block(state.kron_dist, state.rng)
-            rk_kronecker_step(
-                state.kron_x, state.kron_M, state.kron_c, row,
-                state.kron_row_norms_sq,
+    termination = "tolerance" if stop_metric() < config.re_tolerance else None
+    while termination is None and k < config.max_iters:
+        bi = sample_block(state.dist_rows, state.rng)
+        bj = sample_block(state.dist_cols, state.rng)
+        I = state.partition_rows.block(bi)
+        J = state.partition_cols.block(bj)
+        if config.method == GRK:
+            grk_step(state, int(I[0]), int(J[0]))
+        elif config.method == GRBK:
+            if state.row_blocks[bi] is None:
+                state.row_blocks[bi] = _block_with_pinv(
+                    _dense(problem.A[I]), config.rank_tol)
+            if state.col_blocks[bj] is None:
+                state.col_blocks[bj] = _block_with_pinv(
+                    _dense(problem.B[:, J]), config.rank_tol)
+            grbk_step(state, I, J,
+                      _blocks=(*state.row_blocks[bi], *state.col_blocks[bj]))
+        elif config.method == GRABK_CONST:
+            grabk_step(
+                state,
+                I,
+                J,
+                state.row_weights[bi],
+                state.col_weights[bj],
+                state.alpha_const,
             )
-        else:
-            bi = sample_block(state.dist_rows, state.rng)
-            bj = sample_block(state.dist_cols, state.rng)
-            I = state.partition_rows.block(bi)
-            J = state.partition_cols.block(bj)
-            if config.method == GRK:
-                grk_step(state, int(I[0]), int(J[0]))
-            elif config.method == GRBK:
-                if state.row_blocks[bi] is None:
-                    state.row_blocks[bi] = _block_with_pinv(
-                        _dense(problem.A[I]), config.rank_tol)
-                if state.col_blocks[bj] is None:
-                    state.col_blocks[bj] = _block_with_pinv(
-                        _dense(problem.B[:, J]), config.rank_tol)
-                grbk_step(state, I, J,
-                          _blocks=(*state.row_blocks[bi], *state.col_blocks[bj]))
-            elif config.method == GRABK_CONST:
-                grabk_step(
-                    state,
-                    I,
-                    J,
-                    state.row_weights[bi],
-                    state.col_weights[bj],
-                    state.alpha_const,
-                )
-            else:  # GRABK_ADAPTIVE
-                L = _grabk_adaptive_apply(
-                    state,
-                    I,
-                    J,
-                    state.row_weights_hat[bi],
-                    state.col_weights_hat[bj],
-                )
-                if L is not None:
-                    l_values.append(L)
+        else:  # GRABK_ADAPTIVE
+            L = _grabk_adaptive_apply(
+                state,
+                I,
+                J,
+                state.row_weights_hat[bi],
+                state.col_weights_hat[bj],
+            )
+            if L is not None:
+                l_values.append(L)
         k += 1
-        state.k = k
         metric = stop_metric()
         elapsed = time.perf_counter() - t0
-        hit_tol = metric < config.re_tolerance
-        hit_time = config.max_seconds is not None and elapsed > config.max_seconds
-        final = hit_tol or hit_time or k == config.max_iters
-        if final or k % config.trace_every == 0:
-            record(k, elapsed)
-        if hit_tol:
+        if metric < config.re_tolerance:
             termination = "tolerance"
-            break
-        if hit_time:
+        elif config.max_seconds is not None and elapsed > config.max_seconds:
             termination = "time_limit"
-            break
+        if termination or k == config.max_iters or k % config.trace_every == 0:
+            records.append(
+                TraceRecord(
+                    iteration=k,
+                    relative_error=metric if use_re else None,
+                    relative_residual=(
+                        _relative_residual(problem, state.X) if use_re else metric
+                    ),
+                    elapsed=elapsed,
+                )
+            )
 
     return ConvergenceReport(
         records=records,
-        termination=termination,
-        X=current_X().copy(),
+        termination=termination or "max_iters",
+        X=state.X.copy(),
         iterations=k,
         stepsizes=l_values,
     )

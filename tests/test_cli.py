@@ -144,6 +144,18 @@ def test_solve_rejects_zero_block_size(tmp_path, capsys, flag):
     assert "block sizes must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ("--method", "grabk-c", "--eta", "nan"),
+    ("--tol", "nan"),
+    ("--max-seconds", "nan"),
+])
+def test_solve_rejects_non_finite_settings(tmp_path, capsys, flags):
+    out = tmp_path / "prob"
+    run(*gen_args(out))
+    assert run("solve", str(out), *flags, "--max-iters", "50") == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_solve_missing_directory(tmp_path, capsys):
     assert run("solve", str(tmp_path / "nope")) == 1
     assert "error:" in capsys.readouterr().err
@@ -187,14 +199,14 @@ def test_benchmark_single_run_matches_solve(tmp_path, capsys):
     assert row["eta"] == ""  # projection methods have no stepsize knob
     assert row["converged"] == "1"
     # run seed is benchmark seed + run index = 4
-    from kaczmat.cli import _benchmark_problem  # reuse the instance builder
+    from kaczmat.cli import _typed_problem  # reuse the instance builder
 
     class Args:
         type1, type2 = True, False
         m, p, r1, q, n, r2 = 12, 6, 6, 6, 12, 6
         seed = 4
 
-    problem = _benchmark_problem(Args)
+    problem, _ = _typed_problem(Args)
     report = solve(problem, SolverConfig(method="grbk", tau1=3, tau2=3, seed=4))
     assert float(row["mean_iterations"]) == report.iterations
 

@@ -7,16 +7,15 @@ import pytest
 import scipy.sparse as sp
 
 from kaczmat import solvers
-from kaczmat.matrices import pinv, unvec, vec
+from kaczmat.matrices import kron, pinv, unvec, vec
 from kaczmat.problems import TypeISpec, gen_type1, gen_type2, make_problem
-from kaczmat.sampling import SeededRng, sample_block
+from kaczmat.sampling import SeededRng, categorical, sample_block
 from kaczmat.solvers import (
     GRABK_ADAPTIVE,
     GRABK_CONST,
     GRBK,
     GRK,
     METHODS,
-    RK_KRON,
     ConvergenceReport,
     Problem,
     SolverConfig,
@@ -85,6 +84,14 @@ def test_config_validation():
         SolverConfig(trace_every=0)
     with pytest.raises(ValueError):
         SolverConfig(tau1=0)
+    # non-finite settings would give a NaN iterate or never stop on tolerance
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SolverConfig(method=GRABK_CONST, eta=bad)
+        with pytest.raises(ValueError):
+            SolverConfig(re_tolerance=bad)
+        with pytest.raises(ValueError):
+            SolverConfig(max_seconds=bad)
 
 
 def test_config_eta_defaults_and_guard():
@@ -470,7 +477,7 @@ def _sparsified(prob):
     return make_problem(sp.csr_array(A), sp.csr_array(B), seed=1)
 
 
-GRBK_CACHE_CASES = {
+GOLDEN_CASES = {
     "dense": (small_problem(24), 3, 3, None),
     "csr": (_sparsified(small_problem(24)), 3, 3, None),
     "short-last-block": (small_problem(24, m=10, n=11), 3, 4, None),
@@ -478,23 +485,68 @@ GRBK_CACHE_CASES = {
     "rank-deficient": (make_problem(*gen_type1(TypeISpec(12, 6, 2, 6, 12, 2, seed=5)), seed=6), 3, 3, 1e-10),
 }
 
+# (trace_every, re_tolerance): every record over a full budget, or thinned
+# records with a tolerance some runs reach
+GOLDEN_SCHEDULES = {"every1-full": (1, 1e-300), "every7-tol": (7, 1e-6)}
 
-@pytest.mark.parametrize("case", GRBK_CACHE_CASES)
-def test_solve_grbk_cached_blocks_match_on_the_fly_steps(case):
-    # solve() keeps each block and its pinv for the run; a hand loop of
-    # on-the-fly grbk_step calls over the same draws must give the same bits
-    prob, tau1, tau2, rank_tol = GRBK_CACHE_CASES[case]
-    config = SolverConfig(method=GRBK, tau1=tau1, tau2=tau2, seed=8, max_iters=150,
-                          re_tolerance=1e-300, rank_tol=rank_tol)
-    report = solve(prob, config)
-    assert report.iterations == 150
+
+def _public_step_loop(prob, config):
+    """solve() spelled out with the public step functions: the same draws,
+    stop metric, trace schedule and stepsize log, with GRBK's pinvs taken
+    on the fly and GRABK-adaptive as adaptive_stepsize plus grabk_step."""
     state = prepare_state(prob, config)
     rng = SeededRng(config.seed, stream=1)
-    for _ in range(report.iterations):
-        I = state.partition_rows.block(sample_block(state.dist_rows, rng))
-        J = state.partition_cols.block(sample_block(state.dist_cols, rng))
-        grbk_step(state, I, J, rank_tol=rank_tol)
-    np.testing.assert_array_equal(report.X, state.X)
+    records = []
+    stepsizes = [] if config.method == GRABK_ADAPTIVE else None
+    for k in range(1, config.max_iters + 1):
+        bi = sample_block(state.dist_rows, rng)
+        bj = sample_block(state.dist_cols, rng)
+        I, J = state.partition_rows.block(bi), state.partition_cols.block(bj)
+        if config.method == GRK:
+            grk_step(state, int(I[0]), int(J[0]))
+        elif config.method == GRBK:
+            grbk_step(state, I, J, rank_tol=config.rank_tol)
+        elif config.method == GRABK_CONST:
+            grabk_step(state, I, J, state.row_weights[bi], state.col_weights[bj],
+                       state.alpha_const)
+        else:
+            u, v = state.row_weights[bi], state.col_weights[bj]
+            out = adaptive_stepsize(state, I, J, u, v)
+            if out is not None:
+                stepsizes.append(out[0])
+                grabk_step(state, I, J, u, v, out[1])
+        re = relative_error(state.X, prob.X_star) if prob.X_star is not None else None
+        res = float(np.linalg.norm(prob.C - (prob.A @ state.X) @ prob.B, "fro")
+                    / np.linalg.norm(prob.C, "fro"))
+        hit_tol = (res if re is None else re) < config.re_tolerance
+        if hit_tol or k == config.max_iters or k % config.trace_every == 0:
+            records.append((k, re, res))
+        if hit_tol:
+            return state.X, k, "tolerance", records, stepsizes
+    return state.X, config.max_iters, "max_iters", records, stepsizes
+
+
+@pytest.mark.parametrize("schedule", GOLDEN_SCHEDULES)
+@pytest.mark.parametrize("reference", ["xstar", "residual"])
+@pytest.mark.parametrize("case", GOLDEN_CASES)
+@pytest.mark.parametrize("method", (GRK, GRBK, GRABK_CONST, GRABK_ADAPTIVE))
+def test_solve_matches_public_step_loop(method, case, reference, schedule):
+    # golden trace: solve() (GRBK's per-block pinv cache, the fused adaptive
+    # kernel, one stop metric per iteration) must give the same bits as the
+    # public steps over the same draws
+    prob, tau1, tau2, rank_tol = GOLDEN_CASES[case]
+    if reference == "residual":
+        prob = Problem(A=prob.A, B=prob.B, C=prob.C)
+    trace_every, tol = GOLDEN_SCHEDULES[schedule]
+    config = SolverConfig(method=method, tau1=tau1, tau2=tau2, seed=8, max_iters=150,
+                          re_tolerance=tol, trace_every=trace_every, rank_tol=rank_tol)
+    report = solve(prob, config)
+    X, iterations, termination, records, stepsizes = _public_step_loop(prob, config)
+    np.testing.assert_array_equal(report.X, X)
+    assert (report.iterations, report.termination) == (iterations, termination)
+    assert [(r.iteration, r.relative_error, r.relative_residual)
+            for r in report.records] == records
+    assert report.stepsizes == stepsizes
 
 
 def test_solve_grbk_computes_each_block_pinv_once(monkeypatch):
@@ -546,13 +598,21 @@ def test_solve_rank_deficient_finds_min_norm_solution():
 
 
 def test_solve_kron_oracle_agrees_with_grk_on_vec_system():
-    # both act on the same vectorized system; check the product-system route
-    # reaches the same solution set
+    # classical row-action on the materialized kron(B^T, A) vec(X) = vec(C)
+    # reaches the same min-norm solution the matrix methods converge to
     A, B = gen_type1(TypeISpec(m=5, p=3, r1=3, q=3, n=5, r2=3, seed=29))
     prob = make_problem(A, B, seed=30)
-    report = solve(prob, SolverConfig(method=RK_KRON, seed=2, max_iters=20000))
-    assert report.termination == "tolerance"
-    assert relative_error(report.X, prob.X_star) < 1e-6
+    M = kron(prob.B.T, prob.A)
+    c = vec(prob.C).ravel()
+    row_sq = np.sum(M * M, axis=1)
+    dist = categorical(row_sq / row_sq.sum())
+    rng = SeededRng(2, stream=1)
+    x = np.zeros(M.shape[1])
+    for _ in range(20000):
+        rk_kronecker_step(x, M, c, sample_block(dist, rng), row_sq)
+        if relative_error(unvec(x, 3, 3), prob.X_star) < 1e-6:
+            break
+    assert relative_error(unvec(x, 3, 3), prob.X_star) < 1e-6
 
 
 def test_solve_type2_instances():
