@@ -2,6 +2,7 @@
 A X B = C, with problem generators, convergence-rate formulas, and an
 image-deblurring application."""
 
+from .images import GrayImage, read_pgm, write_pgm
 from .matrices import (
     KronSizeError,
     SvdFactors,
@@ -18,22 +19,18 @@ from .matrices import (
 )
 from .problems import (
     BlurSpec,
-    GrayImage,
     InconsistentSystemWarning,
     TypeISpec,
     blur_problem,
     gaussian_toeplitz,
     gen_type1,
     gen_type2,
-    load_matrix_market,
     make_problem,
     min_norm_solution,
     psnr,
-    read_pgm,
     uniform_toeplitz,
-    write_matrix_market,
-    write_pgm,
 )
+from .mmio import load_matrix_market, write_matrix_market
 from .rates import (
     RateBundle,
     beta_max,

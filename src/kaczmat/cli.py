@@ -14,7 +14,6 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,22 +60,6 @@ MATRIX_FILES = {"A": "A.mtx", "B": "B.mtx", "C": "C.mtx", "X_star": "X_star.mtx"
 TYPED_FLAGS = {"type1": ("m", "p", "r1", "q", "n", "r2"), "type2": ("m", "p", "q", "n")}
 
 
-@dataclass
-class RunRecord:
-    """One solver run flattened for CSV emission."""
-
-    method: str
-    problem: str
-    tau1: int
-    tau2: int
-    eta: float | None
-    seed: int
-    iterations: int
-    final_error: float | None
-    seconds: float
-    termination: str
-
-
 def _fmt(x):
     if x is None:
         return ""
@@ -85,6 +68,10 @@ def _fmt(x):
             return "inf"
         return f"{x:.12e}"
     return str(x)
+
+
+def _fmt_mean(values):
+    return _fmt(float(np.mean(values)) if values else None)
 
 
 def write_trace_csv(report, path):
@@ -110,8 +97,16 @@ def _elapsed(report):
     return report.records[-1].elapsed if report.records else 0.0
 
 
-def _add_solver_flags(p, default_method="grbk"):
-    p.add_argument("--method", choices=sorted(CLI_METHODS), default=default_method)
+def _add_typed_flags(p):
+    p.add_argument("--type1", action="store_true",
+                   help="rank-controlled factors, singular values in (1,2)")
+    p.add_argument("--type2", action="store_true", help="standard-normal factors")
+    for flag in TYPED_FLAGS["type1"]:
+        p.add_argument(f"--{flag}", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _add_solver_flags(p):
     p.add_argument("--tau1", type=int, default=None,
                    help="row block size (default 1, or side/2 for deblur)")
     p.add_argument("--tau2", type=int, default=None,
@@ -130,25 +125,21 @@ def _add_solver_flags(p, default_method="grbk"):
                    help="allow eta outside (0, 2); no convergence guarantee")
 
 
-def _first_given(*values):
-    return next(v for v in values if v is not None)
-
-
-def _config_from_args(args, method=None, eta=None, seed=None, tau1=None,
-                      tau2=None):
-    return SolverConfig(
-        method=CLI_METHODS[_first_given(method, args.method)],
-        tau1=_first_given(tau1, args.tau1, 1),
-        tau2=_first_given(tau2, args.tau2, 1),
-        eta=eta if eta is not None else args.eta,
+def _config_from_args(args, method, **overrides):
+    """The SolverConfig the solver flags describe; ``overrides`` win."""
+    settings = dict(
+        tau1=1 if args.tau1 is None else args.tau1,
+        tau2=1 if args.tau2 is None else args.tau2,
+        eta=args.eta,
         weight_scheme=args.weights,
         max_iters=args.max_iters,
         re_tolerance=args.tol,
-        seed=_first_given(seed, args.seed),
+        seed=args.seed,
         trace_every=args.trace_every,
         unsafe_stepsize=args.unsafe_stepsize,
         max_seconds=args.max_seconds,
     )
+    return SolverConfig(method=CLI_METHODS[method], **{**settings, **overrides})
 
 
 def _write_problem_dir(problem, out_dir, manifest_extra):
@@ -191,8 +182,8 @@ def load_problem_dir(path):
 def _typed_problem(args):
     """The type-1 or type-2 problem that the generator flags describe, plus
     its manifest entries."""
-    if not (args.type1 or args.type2):
-        raise ValueError("pick one of --type1, --type2")
+    if args.type1 == args.type2:
+        raise ValueError("pick exactly one of --type1, --type2")
     kind = "type1" if args.type1 else "type2"
     dims = {}
     for flag in TYPED_FLAGS[kind]:
@@ -232,7 +223,7 @@ def cmd_generate(args):
 
 def cmd_solve(args):
     problem = load_problem_dir(args.problem)
-    config = _config_from_args(args)
+    config = _config_from_args(args, args.method)
     report = solve(problem, config)
     if args.out:
         write_trace_csv(report, args.out)
@@ -246,20 +237,15 @@ def cmd_solve(args):
 
 
 def _run_single(task):
-    problem, config, method_name, eta_label = task
-    report = solve(problem, config)
-    return RunRecord(
-        method=method_name,
-        problem=problem.name,
-        tau1=config.tau1,
-        tau2=config.tau2,
-        eta=eta_label,
-        seed=config.seed,
-        iterations=report.iterations,
-        final_error=_final_error(report),
-        seconds=_elapsed(report),
-        termination=report.termination,
-    )
+    """One benchmark run: ``(iterations, final_error, seconds,
+    termination)``, or the exception the run raised."""
+    problem, config = task
+    try:
+        report = solve(problem, config)
+    except Exception as exc:  # flag the run, keep sweeping
+        return exc
+    return (report.iterations, _final_error(report), _elapsed(report),
+            report.termination)
 
 
 def _parse_eta_grid(text):
@@ -284,75 +270,59 @@ def cmd_benchmark(args):
             raise ValueError(f"unknown method {m!r}")
     etas = _parse_eta_grid(args.eta_grid) if args.eta_grid else None
 
-    tasks = []
+    # one (method, eta) group per output row, one config per repeat
+    groups = []
     for method in methods:
-        method_etas = etas if (etas and method in ETA_METHODS) else [None]
-        for eta in method_etas:
-            for run in range(args.repeats):
-                config = _config_from_args(
-                    args, method=method, eta=eta, seed=args.seed + run)
-                eta_label = (config.resolved_eta()
-                             if method in ETA_METHODS else None)
-                tasks.append((problem, config, method, eta_label))
-
-    results = []
+        for eta in (etas if etas and method in ETA_METHODS else [args.eta]):
+            groups.append((method, [
+                _config_from_args(args, method, eta=eta, seed=args.seed + run)
+                for run in range(args.repeats)]))
+    tasks = [(problem, config) for _, configs in groups for config in configs]
     if args.parallel_repeats and args.parallel_repeats > 1:
         with ProcessPoolExecutor(max_workers=args.parallel_repeats) as pool:
             futures = [pool.submit(_run_single, task) for task in tasks]
-            for task, fut in zip(tasks, futures):
-                try:
-                    results.append(fut.result())
-                except Exception as exc:  # flag the run, keep sweeping
-                    print(f"run failed ({task[2]}, seed {task[1].seed}): {exc}",
-                          file=sys.stderr)
-                    results.append(None)
+            # read each future on its own, so a lost worker's runs are
+            # reported as failed runs rather than raised
+            results = iter([f.exception() or f.result() for f in futures])
     else:
-        for task in tasks:
-            try:
-                results.append(_run_single(task))
-            except Exception as exc:
-                print(f"run failed ({task[2]}, seed {task[1].seed}): {exc}",
-                      file=sys.stderr)
-                results.append(None)
+        results = map(_run_single, tasks)
 
-    # aggregate per (method, eta) in task order
-    lines = []
-    had_error = False
-    had_unconverged = False
-    idx = 0
-    for method in methods:
-        method_etas = etas if (etas and method in ETA_METHODS) else [None]
-        for _ in method_etas:
-            group = results[idx: idx + args.repeats]
-            config, eta_label = tasks[idx][1], tasks[idx][3]
-            idx += args.repeats
-            done = [r for r in group if r is not None]
-            converged = sum(1 for r in done if r.termination == "tolerance")
-            had_error = had_error or len(done) < len(group)
-            had_unconverged = had_unconverged or converged < len(done)
-            lines.append([
-                method,
-                _fmt(eta_label),
-                config.tau1,
-                config.tau2,
-                args.repeats,
-                converged,
-                _fmt(float(np.mean([r.iterations for r in done]))
-                     if done else None),
-                _fmt(float(np.mean([r.seconds for r in done]))
-                     if done else None),
-                _fmt(float(np.mean([r.final_error for r in done]))
-                     if done else None),
-            ])
+    rows = []
+    had_error = had_unconverged = False
+    for method, configs in groups:
+        done = []
+        for config in configs:
+            result = next(results)
+            if isinstance(result, BaseException):
+                print(f"run failed ({method}, seed {config.seed}): {result}",
+                      file=sys.stderr)
+            else:
+                done.append(result)
+        iterations, errors, seconds, stops = zip(*done) if done else ((),) * 4
+        converged = stops.count("tolerance")
+        had_error = had_error or len(done) < len(configs)
+        had_unconverged = had_unconverged or converged < len(done)
+        config = configs[0]
+        rows.append([
+            method,
+            _fmt(config.resolved_eta() if method in ETA_METHODS else None),
+            config.tau1,
+            config.tau2,
+            args.repeats,
+            converged,
+            _fmt_mean(iterations),
+            _fmt_mean(seconds),
+            _fmt_mean(errors),
+        ])
 
     if args.out:
         with open(args.out, "wt", encoding="ascii", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(BENCH_HEADER)
-            writer.writerows(lines)
+            writer.writerows(rows)
     writer = csv.writer(sys.stdout)
     writer.writerow(BENCH_HEADER)
-    writer.writerows(lines)
+    writer.writerows(rows)
     if had_error:
         return 1
     if had_unconverged:
@@ -367,8 +337,6 @@ def cmd_deblur(args):
             f"image must be square, got {image.height}x{image.width}"
         )
     n = image.height
-    tau1 = args.tau1 if args.tau1 is not None else max(1, n // 2)
-    tau2 = args.tau2 if args.tau2 is not None else max(1, n // 2)
     if args.identity_blur:
         eye = np.eye(n)
         problem = Problem(A=eye, B=eye, C=image.pixels.copy(),
@@ -376,7 +344,11 @@ def cmd_deblur(args):
                           name="identity-blur")
     else:
         problem = blur_problem(image, BlurSpec(n=n, r=args.r, sigma=args.sigma))
-    config = _config_from_args(args, tau1=tau1, tau2=tau2)
+    half = max(1, n // 2)
+    config = _config_from_args(
+        args, args.method,
+        tau1=half if args.tau1 is None else args.tau1,
+        tau2=half if args.tau2 is None else args.tau2)
     report = solve(problem, config)
 
     os.makedirs(args.out, exist_ok=True)
@@ -407,32 +379,24 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write a problem directory")
-    g.add_argument("--type1", action="store_true",
-                   help="rank-controlled factors, singular values in (1,2)")
-    g.add_argument("--type2", action="store_true", help="standard-normal factors")
+    _add_typed_flags(g)
     g.add_argument("--blur", action="store_true", help="image blur system")
-    for flag in ("m", "p", "r1", "q", "n", "r2"):
-        g.add_argument(f"--{flag}", type=int, default=None)
     g.add_argument("--image", default=None, help="PGM image for --blur")
     g.add_argument("--r", type=int, default=3, help="blur bandwidth")
     g.add_argument("--sigma", type=float, default=7.0, help="blur width")
-    g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default="problem", help="output directory")
     g.set_defaults(func=cmd_generate)
 
     s = sub.add_parser("solve", help="run one solver on a problem directory")
     s.add_argument("problem", help="directory from 'generate'")
     s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--method", choices=sorted(CLI_METHODS), default="grbk")
     _add_solver_flags(s)
     s.add_argument("--out", default=None, help="trace CSV path")
     s.set_defaults(func=cmd_solve)
 
     b = sub.add_parser("benchmark", help="repeat runs, report mean iterations")
-    b.add_argument("--type1", action="store_true")
-    b.add_argument("--type2", action="store_true")
-    for flag in ("m", "p", "r1", "q", "n", "r2"):
-        b.add_argument(f"--{flag}", type=int, default=None)
-    b.add_argument("--seed", type=int, default=0)
+    _add_typed_flags(b)
     b.add_argument("--methods", default="grk,grbk,grabk-c,grabk-a",
                    help="comma-separated method list")
     b.add_argument("--repeats", type=int, default=10)
@@ -440,7 +404,7 @@ def build_parser():
                    help="start:step:stop stepsize sweep for the averaged methods")
     b.add_argument("--parallel-repeats", type=int, default=None,
                    help="worker processes for independent runs")
-    _add_solver_flags(b, default_method="grbk")
+    _add_solver_flags(b)
     b.add_argument("--out", default=None, help="summary CSV path")
     b.set_defaults(func=cmd_benchmark)
 
@@ -451,6 +415,7 @@ def build_parser():
     d.add_argument("--identity-blur", action="store_true",
                    help="A = B = I sanity mode")
     d.add_argument("--seed", type=int, default=0)
+    d.add_argument("--method", choices=sorted(CLI_METHODS), default="grbk")
     _add_solver_flags(d)
     d.add_argument("--out", default="deblur-out", help="output directory")
     d.set_defaults(func=cmd_deblur)

@@ -67,7 +67,7 @@ class _Scanner:
         data = self.data
         while self.pos < len(data):
             c = data[self.pos : self.pos + 1]
-            if c in (b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"):
+            if c in _WHITESPACE:
                 self.pos += 1
             elif c == b"#":
                 nl = data.find(b"\n", self.pos)
@@ -81,9 +81,7 @@ class _Scanner:
             raise PgmError(f"unexpected end of file, expected {what}", self.pos)
         start = self.pos
         data = self.data
-        while self.pos < len(data) and data[self.pos : self.pos + 1] not in (
-            b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c",
-        ):
+        while self.pos < len(data) and data[self.pos : self.pos + 1] not in _WHITESPACE:
             self.pos += 1
         return data[start : self.pos], start
 
@@ -133,9 +131,7 @@ def read_pgm(path):
         return GrayImage(values.reshape(height, width), float(maxval))
 
     # P5: exactly one whitespace byte separates the header from the raster
-    if scan.pos >= len(data) or data[scan.pos : scan.pos + 1] not in (
-        b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c",
-    ):
+    if scan.pos >= len(data) or data[scan.pos : scan.pos + 1] not in _WHITESPACE:
         raise PgmError("expected a whitespace byte before binary pixels", scan.pos)
     raster_start = scan.pos + 1
     bytes_per = 1 if maxval < 256 else 2

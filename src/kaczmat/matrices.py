@@ -152,8 +152,6 @@ def sigma_extremes(M, rank_tol=None):
     Values at or below ``rank_tol * sigma_max`` count as zero. Raises
     ValueError for a zero matrix.
     """
-    if sp.issparse(M):
-        M = M.toarray()
     A = as_dense(M)
     if rank_tol is None:
         rank_tol = default_rank_tol(A)

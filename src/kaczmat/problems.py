@@ -13,16 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .images import GrayImage, read_pgm, write_pgm
+from .images import GrayImage
 from .matrices import pinv
-from .mmio import load_matrix_market, write_matrix_market
 from .sampling import SeededRng
 from .solvers import Problem
 
 __all__ = [
     "TypeISpec",
     "BlurSpec",
-    "GrayImage",
     "gen_type1",
     "gen_type2",
     "make_problem",
@@ -31,10 +29,6 @@ __all__ = [
     "gaussian_toeplitz",
     "psnr",
     "blur_problem",
-    "load_matrix_market",
-    "write_matrix_market",
-    "read_pgm",
-    "write_pgm",
     "InconsistentSystemWarning",
 ]
 

@@ -271,6 +271,43 @@ def test_benchmark_rejects_zero_block_size(capsys, flag):
     assert captured.out == ""  # no CSV rows under a block size that never ran
 
 
+@pytest.mark.parametrize("mode", [(), ("--parallel-repeats", "2")],
+                         ids=["serial", "parallel"])
+def test_benchmark_reports_failed_runs(capsys, mode):
+    # tau1 = 20 exceeds m = 12, so every block run raises inside solve
+    code = run(*bench_args(["--methods", "grbk,grabk-a", "--repeats", "2",
+                            "--tau1", "20", *mode]))
+    assert code == 1
+    captured = capsys.readouterr()
+    failed = [line for line in captured.err.splitlines() if line.startswith("run failed")]
+    assert failed == [
+        f"run failed ({method}, seed {seed}): block sizes tau1=20, tau2=3 "
+        "exceed matrix dimensions m=12, n=12"
+        for method in ("grbk", "grabk-a") for seed in (4, 5)
+    ]
+    rows = list(csv.reader(captured.out.strip().splitlines()))
+    assert [r[0] for r in rows[1:]] == ["grbk", "grabk-a"]
+    for row in rows[1:]:
+        row = dict(zip(BENCH_HEADER, row))
+        assert row["converged"] == "0"
+        assert row["mean_iterations"] == row["mean_seconds"] == row["mean_final_error"] == ""
+
+
+def test_benchmark_method_flag_prefix_selects_methods(capsys):
+    # benchmark has no --method of its own; argparse reads it as --methods
+    assert run(*bench_args(["--method", "grk", "--repeats", "1"])) == 0
+    rows = list(csv.reader(capsys.readouterr().out.strip().splitlines()))
+    assert rows[0] == list(BENCH_HEADER)
+    assert [r[0] for r in rows[1:]] == ["grk"]
+
+
+def test_benchmark_rejects_both_type_flags(capsys):
+    assert run(*bench_args(["--type2", "--repeats", "1"])) == 1
+    captured = capsys.readouterr()
+    assert "pick exactly one of --type1, --type2" in captured.err
+    assert captured.out == ""
+
+
 def test_benchmark_rejects_bad_eta_grid(capsys):
     assert run(*bench_args(["--eta-grid", "1.0:0.5"])) == 1
     assert run(*bench_args(["--eta-grid", "2.0:0.5:1.0"])) == 1
