@@ -4,7 +4,7 @@ sweeps, and deblur images.
 Subcommands write machine-readable artifacts (Matrix Market matrices, JSON
 manifests, CSV traces) that regenerate byte-identically from the same seed,
 wall-clock columns aside. Exit status: 0 converged, 2 iteration or time
-budget exhausted, 1 error.
+budget exhausted, 3 diverged, 1 error.
 """
 
 import argparse
@@ -56,6 +56,9 @@ BENCH_HEADER = ("method", "eta", "tau1", "tau2", "repeats", "converged",
                 "mean_iterations", "mean_seconds", "mean_final_error")
 
 MATRIX_FILES = {"A": "A.mtx", "B": "B.mtx", "C": "C.mtx", "X_star": "X_star.mtx"}
+
+# exit status of solve and deblur per termination reason; any other is 2
+EXIT_CODES = {"tolerance": 0, "diverged": 3}
 # generator flags each synthetic problem kind needs
 TYPED_FLAGS = {"type1": ("m", "p", "r1", "q", "n", "r2"), "type2": ("m", "p", "q", "n")}
 
@@ -233,7 +236,7 @@ def cmd_solve(args):
         f"termination={report.termination} final_error={_fmt(err)} "
         f"elapsed={_elapsed(report):.3f}s"
     )
-    return 0 if report.termination == "tolerance" else 2
+    return EXIT_CODES.get(report.termination, 2)
 
 
 def _run_single(task):
@@ -352,23 +355,25 @@ def cmd_deblur(args):
     report = solve(problem, config)
 
     os.makedirs(args.out, exist_ok=True)
-    blurred = GrayImage(problem.C, image.max_value)
-    restored = GrayImage(report.X, image.max_value)
-    write_pgm(blurred, os.path.join(args.out, "blurred.pgm"))
-    write_pgm(restored, os.path.join(args.out, "restored.pgm"))
+    write_pgm(GrayImage(problem.C, image.max_value),
+              os.path.join(args.out, "blurred.pgm"))
     write_trace_csv(report, os.path.join(args.out, "trace.csv"))
-
     psnr_blurred = psnr(image.pixels, problem.C)
-    psnr_restored = psnr(image.pixels, report.X)
     print(f"PSNR blurred:  {psnr_blurred:.2f} dB"
           if math.isfinite(psnr_blurred) else "PSNR blurred:  inf (identical)")
-    print(f"PSNR restored: {psnr_restored:.2f} dB"
-          if math.isfinite(psnr_restored) else "PSNR restored: inf (identical)")
+    if report.termination == "diverged":  # no restored image to write or score
+        print("PSNR restored: none (diverged)")
+    else:
+        write_pgm(GrayImage(report.X, image.max_value),
+                  os.path.join(args.out, "restored.pgm"))
+        psnr_restored = psnr(image.pixels, report.X)
+        print(f"PSNR restored: {psnr_restored:.2f} dB"
+              if math.isfinite(psnr_restored) else "PSNR restored: inf (identical)")
     print(
         f"method={args.method} iterations={report.iterations} "
         f"termination={report.termination} elapsed={_elapsed(report):.3f}s"
     )
-    return 0 if report.termination == "tolerance" else 2
+    return EXIT_CODES.get(report.termination, 2)
 
 
 def build_parser():

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import blas
 
 from .matrices import as_dense, col_norms, pinv, row_norms
 from .rates import beta_max, gamma_max
@@ -47,6 +48,15 @@ WEIGHT_UNIFORM = "uniform"
 # Defaults: eta 1.95 for the constant stepsize (near the stability edge at 2),
 # 1.0 (alpha = L_k) for the adaptive one.
 DEFAULT_ETA = {GRABK_CONST: 1.95, GRABK_ADAPTIVE: 1.0}
+
+# When solve() keeps R = C - A X B up to date: it recomputes R in full every
+# RESYNC_EVERY steps, and confirms a tracked relative residual below
+# re_tolerance + CONFIRM_BAND with a full one before deciding on it. It keeps
+# R only while its factor cache (at most m^2 + n^2 floats) stays within
+# FACTOR_CACHE_MULTIPLE times the m n floats of C.
+RESYNC_EVERY = 1000
+CONFIRM_BAND = 1e-12
+FACTOR_CACHE_MULTIPLE = 4
 
 
 @dataclass
@@ -167,7 +177,7 @@ class ConvergenceReport:
     """Outcome of one solve: final iterate, trace, and termination reason."""
 
     records: list
-    termination: str  # "tolerance" | "max_iters" | "time_limit"
+    termination: str  # "tolerance" | "max_iters" | "time_limit" | "diverged"
     X: np.ndarray
     iterations: int
     stepsizes: list | None = None  # adaptive L_k per iteration, else None
@@ -314,7 +324,8 @@ def prepare_state(problem, config):
 
 
 def grk_step(state, i, j):
-    """Rank-1 update from row i of A and column j of B; returns the iterate.
+    """Rank-1 update from row i of A and column j of B; returns the sampled
+    residual r = C_ij - A_i X B_j it applied.
 
     X <- X + A_i^T (C_ij - A_i X B_j) B_j^T / (||A_i||^2 ||B_j||^2)
     """
@@ -326,7 +337,7 @@ def grk_step(state, i, j):
     b = _dense(state.problem.B[:, np.array([j])]).ravel()
     r = state.problem.C[i, j] - a @ state.X @ b
     state.X += (r / (na2 * nb2)) * np.outer(a, b)
-    return state.X
+    return r
 
 
 def _block_with_pinv(block, rank_tol):
@@ -338,7 +349,7 @@ def _block_with_pinv(block, rank_tol):
 
 def grbk_step(state, I, J, rank_tol=None, _blocks=None):
     """Project the iterate onto the solution set of the sampled sketched
-    equation A_I X B_J = C_IJ; returns the iterate.
+    equation A_I X B_J = C_IJ; returns the sampled residual block R_IJ.
 
     X <- X + pinv(A_I) (C_IJ - A_I X B_J) pinv(B_J)
 
@@ -353,7 +364,7 @@ def grbk_step(state, I, J, rank_tol=None, _blocks=None):
     A_I, pa, B_J, pb = _blocks
     R = state.problem.C[np.ix_(I, J)] - A_I @ state.X @ B_J
     state.X += pa @ R @ pb
-    return state.X
+    return R
 
 
 def _hat_weights(u, norms_sq, label):
@@ -392,23 +403,24 @@ def grabk_step(state, I, J, u, v, alpha):
 
     Equivalent to summing the rank-1 single-index updates scaled by
     u_i v_j, but computed in compact matrix form. Weights must each sum
-    to 1 over their block. Returns the iterate.
+    to 1 over their block. Returns the sampled residual block R_IJ.
     """
     I = np.asarray(I)
     J = np.asarray(J)
-    _, U = _averaged_update(state, I, J, *_checked_hats(state, I, J, u, v))
+    R, U = _averaged_update(state, I, J, *_checked_hats(state, I, J, u, v))
     state.X += alpha * U
-    return state.X
+    return R
 
 
 def _adaptive_ratio(state, I, J, u_hat, v_hat):
-    """(L, U): the weighted residual energy over ||U||_F^2, and the update
-    direction U. L is None when every sampled residual is zero."""
+    """(L, R, U): the weighted residual energy over ||U||_F^2, the sampled
+    residual block and the update direction U. L is None when every sampled
+    residual is zero."""
     R, U = _averaged_update(state, I, J, u_hat, v_hat)
     denom = float(np.sum(U * U))
     if denom == 0.0:
-        return None, U
-    return float(u_hat @ (R * R) @ v_hat) / denom, U
+        return None, R, U
+    return float(u_hat @ (R * R) @ v_hat) / denom, R, U
 
 
 def adaptive_stepsize(state, I, J, u, v):
@@ -421,16 +433,17 @@ def adaptive_stepsize(state, I, J, u, v):
     """
     I = np.asarray(I)
     J = np.asarray(J)
-    L, _ = _adaptive_ratio(state, I, J, *_checked_hats(state, I, J, u, v))
+    L, _, _ = _adaptive_ratio(state, I, J, *_checked_hats(state, I, J, u, v))
     return None if L is None else (L, state.eta * L)
 
 
 def _grabk_adaptive_apply(state, I, J, u_hat, v_hat):
-    """Fused adaptive step; returns L or None when the block is solved."""
-    L, U = _adaptive_ratio(state, I, J, u_hat, v_hat)
+    """Fused adaptive step; returns (L, R_IJ), with L None when the block is
+    solved and X left unchanged."""
+    L, R, U = _adaptive_ratio(state, I, J, u_hat, v_hat)
     if L is not None:
         state.X += (state.eta * L) * U
-    return L
+    return L, R
 
 
 def rk_kronecker_step(xvec, M, cvec, row, row_norms_sq=None):
@@ -450,9 +463,35 @@ def rk_kronecker_step(xvec, M, cvec, row, row_norms_sq=None):
 
 
 def _relative_residual(problem, X):
-    resid = np.linalg.norm(problem.C - (problem.A @ X) @ problem.B, "fro")
+    """||C - A X B||_F / ||C||_F (or ||C - A X B||_F when C = 0), and the
+    residual matrix C - A X B."""
+    R = problem.C - (problem.A @ X) @ problem.B
+    resid = np.linalg.norm(R, "fro")
     denom = np.linalg.norm(problem.C, "fro")
-    return float(resid / denom) if denom > 0.0 else float(resid)
+    return (float(resid / denom) if denom > 0.0 else float(resid)), R
+
+
+def _keeps_residual(problem, config, use_re):
+    """Whether ``solve`` keeps R = C - A X B up to date by a low-rank update
+    per step instead of recomputing it in full whenever it needs it.
+
+    It does when one update, ``m t1 t2 + m t2 n + m n`` flops with the norm,
+    costs less than one full residual, ``work(A) q + work(B) m`` flops with
+    work the dense size or the CSR nnz, spread over the steps between two
+    full residuals: every step without ``X_star``, else every
+    ``trace_every``. It never does when the factor cache, up to
+    ``m^2 + n^2`` floats, could exceed ``FACTOR_CACHE_MULTIPLE`` times C.
+    """
+    A, B = problem.A, problem.B
+    m, p = A.shape
+    q, n = B.shape
+    if m * m + n * n > FACTOR_CACHE_MULTIPLE * m * n:
+        return False
+    t1, t2 = (1, 1) if config.method == GRK else (config.tau1, config.tau2)
+    work_a = A.nnz if sp.issparse(A) else m * p
+    work_b = B.nnz if sp.issparse(B) else q * n
+    update = m * t1 * t2 + m * t2 * n + m * n
+    return update * (config.trace_every if use_re else 1) < work_a * q + work_b * m
 
 
 def solve(problem, config):
@@ -462,77 +501,153 @@ def solve(problem, config):
     problem provides a usable (nonzero) reference, otherwise the relative
     residual ||C - A X B||_F / ||C||_F. The check runs every iteration, and
     a trace record reuses its value; records are kept every ``trace_every``
-    iterations plus the final one. Wall-clock covers the iteration loop
-    only. GRBK densifies each row block of A and column block of B and
-    takes its pinv once, when first drawn.
+    iterations plus the final one. A run whose stop metric turns non-finite
+    ends as ``diverged``. Wall-clock covers the iteration loop only. GRBK
+    densifies each row block of A and column block of B and takes its pinv
+    once, when first drawn.
+
+    Where ``_keeps_residual`` says so, R = C - A X B is updated in place
+    after each step, ``R -= c (A G_I) M (H_J B)`` for a step that adds
+    ``c G_I M H_J`` to X, and the residual is read from ||R||_F. The
+    factors ``A G_I`` and ``H_J B`` are computed once per block, when first
+    drawn. R is recomputed in full every ``RESYNC_EVERY`` steps, and a
+    residual below ``re_tolerance + CONFIRM_BAND`` is confirmed by a full
+    recompute before it stops the run, so iterates, iteration counts and
+    termination are those of a full recompute on every step.
     """
     state = prepare_state(problem, config)
+    method = config.method
     use_re = problem.X_star is not None and np.linalg.norm(problem.X_star, "fro") > 0.0
     xstar_sq = np.linalg.norm(problem.X_star, "fro") ** 2 if use_re else None
-    l_values = [] if config.method == GRABK_ADAPTIVE else None
+    keep = _keeps_residual(problem, config, use_re)
+    c_norm = np.linalg.norm(problem.C, "fro")
+    lefts = [None] * state.partition_rows.n_blocks  # A G_I per row block
+    rights = [None] * state.partition_cols.n_blocks  # (H_J B)^T per col block
+    l_values = [] if method == GRABK_ADAPTIVE else None
     records = []
+    R = None  # the kept residual C - A X B
 
-    def stop_metric():
-        if use_re:
-            return float(np.linalg.norm(state.X - problem.X_star, "fro") ** 2 / xstar_sq)
-        return _relative_residual(problem, state.X)
+    def full_residual():
+        nonlocal R
+        value, full = _relative_residual(problem, state.X)
+        if keep:
+            R = np.ascontiguousarray(full)  # so R.T takes BLAS updates in place
+        return value
 
-    t0 = time.perf_counter()
-    k = 0
-    termination = "tolerance" if stop_metric() < config.re_tolerance else None
-    while termination is None and k < config.max_iters:
-        bi = sample_block(state.dist_rows, state.rng)
-        bj = sample_block(state.dist_cols, state.rng)
-        I = state.partition_rows.block(bi)
-        J = state.partition_cols.block(bj)
-        if config.method == GRK:
-            grk_step(state, int(I[0]), int(J[0]))
-        elif config.method == GRBK:
-            if state.row_blocks[bi] is None:
-                state.row_blocks[bi] = _block_with_pinv(
-                    _dense(problem.A[I]), config.rank_tol)
-            if state.col_blocks[bj] is None:
-                state.col_blocks[bj] = _block_with_pinv(
-                    _dense(problem.B[:, J]), config.rank_tol)
-            grbk_step(state, I, J,
-                      _blocks=(*state.row_blocks[bi], *state.col_blocks[bj]))
-        elif config.method == GRABK_CONST:
-            grabk_step(
-                state,
-                I,
-                J,
-                state.row_weights[bi],
-                state.col_weights[bj],
-                state.alpha_const,
-            )
-        else:  # GRABK_ADAPTIVE
-            L = _grabk_adaptive_apply(
-                state,
-                I,
-                J,
-                state.row_weights_hat[bi],
-                state.col_weights_hat[bj],
-            )
-            if L is not None:
-                l_values.append(L)
-        k += 1
-        metric = stop_metric()
-        elapsed = time.perf_counter() - t0
+    def factors(bi, bj, I, J):
+        if lefts[bi] is None:
+            if method == GRK:
+                g = _dense(problem.A[I]).ravel() / state.row_norms_sq[I[0]]
+            elif method == GRBK:
+                g = state.row_blocks[bi][1]
+            else:
+                g = _dense(problem.A[I]).T
+            lefts[bi] = problem.A @ g
+        if rights[bj] is None:
+            if method == GRK:
+                h = _dense(problem.B[:, J]).ravel() / state.col_norms_sq[J[0]]
+            elif method == GRBK:
+                h = state.col_blocks[bj][1].T
+            else:
+                h = _dense(problem.B[:, J])
+            rights[bj] = np.asfortranarray(problem.B.T @ h)
+        return lefts[bi], rights[bj]
+
+    def error():
+        return float(np.linalg.norm(state.X - problem.X_star, "fro") ** 2 / xstar_sq)
+
+    def verdict(metric, elapsed):
+        if not math.isfinite(metric):
+            return "diverged"
         if metric < config.re_tolerance:
-            termination = "tolerance"
-        elif config.max_seconds is not None and elapsed > config.max_seconds:
-            termination = "time_limit"
-        if termination or k == config.max_iters or k % config.trace_every == 0:
-            records.append(
-                TraceRecord(
-                    iteration=k,
-                    relative_error=metric if use_re else None,
-                    relative_residual=(
-                        _relative_residual(problem, state.X) if use_re else metric
-                    ),
-                    elapsed=elapsed,
+            return "tolerance"
+        if config.max_seconds is not None and elapsed > config.max_seconds:
+            return "time_limit"
+        return None
+
+    # A diverging run ends as "diverged"; the overflow on its way there is
+    # not also raised as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if keep:
+            R = np.array(problem.C, order="C")  # C - A X0 B with X0 = 0
+        t0 = time.perf_counter()
+        k = 0
+        metric = error() if use_re else full_residual()
+        termination = "tolerance" if metric < config.re_tolerance else None
+        while termination is None and k < config.max_iters:
+            bi = sample_block(state.dist_rows, state.rng)
+            bj = sample_block(state.dist_cols, state.rng)
+            I = state.partition_rows.block(bi)
+            J = state.partition_cols.block(bj)
+            # each step hands back the residual it sampled: M, up to weights
+            c = 1.0
+            if method == GRK:
+                sampled = grk_step(state, int(I[0]), int(J[0]))
+            elif method == GRBK:
+                if state.row_blocks[bi] is None:
+                    state.row_blocks[bi] = _block_with_pinv(
+                        _dense(problem.A[I]), config.rank_tol)
+                if state.col_blocks[bj] is None:
+                    state.col_blocks[bj] = _block_with_pinv(
+                        _dense(problem.B[:, J]), config.rank_tol)
+                sampled = grbk_step(state, I, J,
+                                    _blocks=(*state.row_blocks[bi], *state.col_blocks[bj]))
+            elif method == GRABK_CONST:
+                sampled = grabk_step(
+                    state,
+                    I,
+                    J,
+                    state.row_weights[bi],
+                    state.col_weights[bj],
+                    state.alpha_const,
                 )
-            )
+                c = state.alpha_const
+            else:  # GRABK_ADAPTIVE
+                L, sampled = _grabk_adaptive_apply(
+                    state,
+                    I,
+                    J,
+                    state.row_weights_hat[bi],
+                    state.col_weights_hat[bj],
+                )
+                if L is None:
+                    sampled = None  # solved block: X and R are unchanged
+                else:
+                    l_values.append(L)
+                    c = state.eta * L
+            k += 1
+            if keep:
+                if sampled is not None:
+                    left, right = factors(bi, bj, I, J)
+                    if method == GRK:
+                        blas.dger(-sampled, right, left, a=R.T, overwrite_a=True)
+                    else:
+                        if method != GRBK:  # u_hat R_IJ v_hat
+                            sampled = (state.row_weights_hat[bi][:, None] * sampled
+                                       * state.col_weights_hat[bj][None, :])
+                        blas.dgemm(-c, right, (left @ sampled).T, beta=1.0,
+                                   c=R.T, overwrite_c=True)
+                tracked = math.sqrt(np.vdot(R, R))
+                residual = float(tracked / c_norm) if c_norm > 0.0 else tracked
+                if k % RESYNC_EVERY == 0 or not (
+                        use_re or residual >= config.re_tolerance + CONFIRM_BAND):
+                    residual = full_residual()
+            elif not use_re:
+                residual = full_residual()
+            metric = error() if use_re else residual
+            elapsed = time.perf_counter() - t0
+            termination = verdict(metric, elapsed)
+            if termination or k == config.max_iters or k % config.trace_every == 0:
+                records.append(
+                    TraceRecord(
+                        iteration=k,
+                        relative_error=metric if use_re else None,
+                        relative_residual=(
+                            full_residual() if use_re and not keep else residual
+                        ),
+                        elapsed=elapsed,
+                    )
+                )
 
     return ConvergenceReport(
         records=records,

@@ -125,6 +125,35 @@ def test_solve_exit_two_when_budget_exhausted(tmp_path, capsys):
     assert "termination=max_iters" in capsys.readouterr().out
 
 
+def test_solve_exit_three_when_diverged(tmp_path, capsys):
+    # eta = 6 is far past the stable interval (0, 2): the run must stop as
+    # diverged well before its budget, not run on to max_iters
+    out = tmp_path / "prob"
+    run(*gen_args(out))
+    trace = tmp_path / "trace.csv"
+    code = run("solve", str(out), "--method", "grabk-c", "--eta", "6",
+               "--unsafe-stepsize", "--tau1", "3", "--tau2", "3",
+               "--max-iters", "20000", "--out", str(trace))
+    assert code == 3
+    assert "termination=diverged" in capsys.readouterr().out
+    last = read_csv(trace)[-1]
+    assert int(last[0]) < 20000
+    assert not np.isfinite(float(last[1]))
+
+
+def test_deblur_exit_three_when_diverged(tmp_path, capsys):
+    img = make_pgm(tmp_path, side=12)
+    out = tmp_path / "db"
+    code = run("deblur", str(img), "--method", "grabk-c", "--eta", "6",
+               "--unsafe-stepsize", "--max-iters", "20000", "--out", str(out))
+    assert code == 3
+    text = capsys.readouterr().out
+    assert "PSNR restored: none (diverged)" in text
+    assert "termination=diverged" in text
+    assert (out / "blurred.pgm").exists() and (out / "trace.csv").exists()
+    assert not (out / "restored.pgm").exists()
+
+
 def test_solve_adaptive_converges(tmp_path, capsys):
     out = tmp_path / "prob"
     run(*gen_args(out))

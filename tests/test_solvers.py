@@ -445,7 +445,8 @@ def test_grabk_adaptive_step_lowers_error_by_exact_amount():
         drops = {}
         for eta in grid:
             state.X, state.eta = X0.copy(), eta
-            L = _grabk_adaptive_apply(state, I, J, u_hat, v_hat)
+            L, R_IJ = _grabk_adaptive_apply(state, I, J, u_hat, v_hat)
+            np.testing.assert_array_equal(R_IJ, R)
             drops[eta] = err0 - np.linalg.norm(state.X - prob.X_star) ** 2
             assert drops[eta] == pytest.approx(eta * (2 - eta) * num * L, rel=1e-10)
         assert max(drops, key=drops.get) == 1.0
@@ -526,14 +527,18 @@ def _public_step_loop(prob, config):
     return state.X, config.max_iters, "max_iters", records, stepsizes
 
 
+@pytest.mark.parametrize("residual", ["kept", "recomputed"])
 @pytest.mark.parametrize("schedule", GOLDEN_SCHEDULES)
 @pytest.mark.parametrize("reference", ["xstar", "residual"])
 @pytest.mark.parametrize("case", GOLDEN_CASES)
 @pytest.mark.parametrize("method", (GRK, GRBK, GRABK_CONST, GRABK_ADAPTIVE))
-def test_solve_matches_public_step_loop(method, case, reference, schedule):
+def test_solve_matches_public_step_loop(method, case, reference, schedule, residual,
+                                        monkeypatch):
     # golden trace: solve() (GRBK's per-block pinv cache, the fused adaptive
     # kernel, one stop metric per iteration) must give the same bits as the
-    # public steps over the same draws
+    # public steps over the same draws, whether it keeps C - A X B up to
+    # date or recomputes it; a kept residual is within 1e-14 of the exact one
+    monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: residual == "kept")
     prob, tau1, tau2, rank_tol = GOLDEN_CASES[case]
     if reference == "residual":
         prob = Problem(A=prob.A, B=prob.B, C=prob.C)
@@ -544,9 +549,131 @@ def test_solve_matches_public_step_loop(method, case, reference, schedule):
     X, iterations, termination, records, stepsizes = _public_step_loop(prob, config)
     np.testing.assert_array_equal(report.X, X)
     assert (report.iterations, report.termination) == (iterations, termination)
-    assert [(r.iteration, r.relative_error, r.relative_residual)
-            for r in report.records] == records
+    assert [(r.iteration, r.relative_error) for r in report.records] == [
+        (k, re) for k, re, _ in records]
+    residuals = [r.relative_residual for r in report.records]
+    expected = [res for _, _, res in records]
+    if residual == "kept":
+        assert all(type(res) is float for res in residuals)
+        np.testing.assert_allclose(residuals, expected, rtol=0.0, atol=1e-14)
+    else:
+        assert residuals == expected
     assert report.stepsizes == stepsizes
+
+
+def test_solve_unsafe_stepsize_ends_as_diverged():
+    # a constant stepsize far past 2 blows up; the run must say so instead
+    # of running on to max_iters with non-finite iterates
+    prob = small_problem(30, m=12, p=6, q=6, n=12)
+    for reference in (prob, Problem(A=prob.A, B=prob.B, C=prob.C)):
+        config = SolverConfig(method=GRABK_CONST, tau1=3, tau2=3, eta=6.0,
+                              unsafe_stepsize=True, max_iters=20000, seed=2)
+        report = solve(reference, config)
+        assert report.termination == "diverged"
+        assert report.iterations < config.max_iters
+        last = report.records[-1]
+        assert last.iteration == report.iterations
+        metric = last.relative_error if reference.X_star is not None else last.relative_residual
+        assert not math.isfinite(metric)
+
+
+def _residual_cases():
+    yield "dense", make_problem(*gen_type1(TypeISpec(14, 7, 7, 7, 15, 7, seed=31)), seed=32)
+    A, B = gen_type1(TypeISpec(12, 6, 6, 6, 12, 6, seed=31))
+    A, B = (sp.csr_array(np.where(np.abs(M) < 0.1, 0.0, M)) for M in (A, B))
+    yield "csr", make_problem(A, B, seed=3)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_kept_residual_tracks_recomputed_residual(method, monkeypatch):
+    # the relative residual of every record, read from the kept R, is within
+    # 1e-14 of a full recompute at the same iterate, all the way to 1e-9
+    monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: True)
+    for name, prob in _residual_cases():
+        prob = Problem(A=prob.A, B=prob.B, C=prob.C)
+        exact = []
+        step_name = {GRK: "grk_step", GRBK: "grbk_step", GRABK_CONST: "grabk_step",
+                     GRABK_ADAPTIVE: "_grabk_adaptive_apply"}[method]
+        step = getattr(solvers, step_name)
+
+        def recording_step(state, *args, _step=step, **kwargs):
+            out = _step(state, *args, **kwargs)
+            R = prob.C - (prob.A @ state.X) @ prob.B
+            exact.append(float(np.linalg.norm(R, "fro") / np.linalg.norm(prob.C, "fro")))
+            return out
+
+        monkeypatch.setattr(solvers, step_name, recording_step)
+        config = SolverConfig(method=method, tau1=3, tau2=3, seed=4, max_iters=200000,
+                              re_tolerance=1e-9)
+        report = solve(prob, config)
+        assert report.termination == "tolerance", (method, name)
+        if method == GRK:  # long enough to cross a resync
+            assert report.iterations > solvers.RESYNC_EVERY
+        assert len(report.records) == report.iterations == len(exact)
+        gaps = [abs(r.relative_residual - exact[r.iteration - 1]) for r in report.records]
+        assert max(gaps) <= 1e-14, (method, name, max(gaps))
+        assert report.records[-1].relative_residual < 1e-9
+        monkeypatch.setattr(solvers, step_name, step)
+
+
+def _problem_of_shape(m, p, q, n, sparse=False):
+    rng = np.random.default_rng(34)
+    A, B = rng.standard_normal((m, p)), rng.standard_normal((q, n))
+    if sparse:
+        A, B = sp.csr_array(A), sp.csr_array(B)
+    return Problem(A=A, B=B, C=np.zeros((m, n)))
+
+
+@pytest.mark.parametrize("label, problem, config, use_re, keeps", [
+    # dense-kernels: X_star known, trace_every at or above the budget
+    ("X_star, quiet trace", _problem_of_shape(500, 200, 200, 500),
+     SolverConfig(method=GRBK, tau1=50, tau2=50, trace_every=10**6), True, False),
+    ("GRK, X_star, quiet trace", _problem_of_shape(100, 40, 40, 100),
+     SolverConfig(method=GRK, trace_every=10**6), True, False),
+    # residual-only dense runs: the residual is the stop metric on every step
+    ("residual-only GRK", _problem_of_shape(60, 20, 20, 60),
+     SolverConfig(method=GRK), False, True),
+    ("residual-only GRBK", _problem_of_shape(150, 40, 40, 150),
+     SolverConfig(method=GRBK, tau1=15, tau2=15), False, True),
+    ("X_star, trace every step", _problem_of_shape(64, 64, 64, 64),
+     SolverConfig(method=GRBK, tau1=32, tau2=32), True, True),
+    # a banded CSR blur operator: a full residual is cheap
+    ("CSR blur", Problem(A=sp.csr_array(sp.eye(64) + sp.eye(64, k=1) + sp.eye(64, k=-1)),
+                         B=sp.csr_array(sp.eye(64) + sp.eye(64, k=2) + sp.eye(64, k=-2)),
+                         C=np.ones((64, 64))),
+     SolverConfig(method=GRBK, tau1=32, tau2=32), False, False),
+    # a tall factor: the m^2 cache would dwarf C
+    ("tall factor", _problem_of_shape(400, 10, 10, 10),
+     SolverConfig(method=GRK), False, False),
+    ("tall CSR factor", _problem_of_shape(400, 10, 10, 10, sparse=True),
+     SolverConfig(method=GRK), False, False),
+])
+def test_keeps_residual_decision_table(label, problem, config, use_re, keeps):
+    assert solvers._keeps_residual(problem, config, use_re) is keeps, label
+
+
+def test_kept_residual_recomputes_only_to_resync_and_confirm(monkeypatch):
+    calls = []
+    full = solvers._relative_residual
+
+    def counting(problem, X):
+        calls.append(1)
+        return full(problem, X)
+
+    monkeypatch.setattr(solvers, "_relative_residual", counting)
+    A, B = gen_type1(TypeISpec(60, 20, 10, 20, 60, 20, seed=35))
+    base = make_problem(A, B, seed=36)
+    prob = Problem(A=base.A, B=base.B, C=base.C)
+    config = SolverConfig(method=GRK, seed=5, max_iters=5000, re_tolerance=1e-300)
+    assert solvers._keeps_residual(prob, config, False)
+    report = solve(prob, config)
+    assert report.iterations == 5000 and len(report.records) == 5000
+    assert len(calls) <= 5000 / solvers.RESYNC_EVERY + 2
+    # run to tolerance: the confirm adds at most a call or two
+    calls.clear()
+    report = solve(prob, SolverConfig(method=GRK, seed=5, max_iters=10**6))
+    assert report.termination == "tolerance"
+    assert len(calls) <= report.iterations / solvers.RESYNC_EVERY + 3
 
 
 def test_solve_grbk_computes_each_block_pinv_once(monkeypatch):
