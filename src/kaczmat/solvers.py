@@ -556,15 +556,6 @@ def solve(problem, config):
     def error():
         return float(np.linalg.norm(state.X - problem.X_star, "fro") ** 2 / xstar_sq)
 
-    def verdict(metric, elapsed):
-        if not math.isfinite(metric):
-            return "diverged"
-        if metric < config.re_tolerance:
-            return "tolerance"
-        if config.max_seconds is not None and elapsed > config.max_seconds:
-            return "time_limit"
-        return None
-
     # A diverging run ends as "diverged"; the overflow on its way there is
     # not also raised as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -636,7 +627,12 @@ def solve(problem, config):
                 residual = full_residual()
             metric = error() if use_re else residual
             elapsed = time.perf_counter() - t0
-            termination = verdict(metric, elapsed)
+            if not math.isfinite(metric):
+                termination = "diverged"
+            elif metric < config.re_tolerance:
+                termination = "tolerance"
+            elif config.max_seconds is not None and elapsed > config.max_seconds:
+                termination = "time_limit"
             if termination or k == config.max_iters or k % config.trace_every == 0:
                 records.append(
                     TraceRecord(
