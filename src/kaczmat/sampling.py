@@ -114,8 +114,15 @@ class CategoricalDistribution:
 
 
 def categorical(probabilities):
+    """Distribution over ``probabilities`` whose CDF reads exactly 1.0 from
+    the last block with positive mass on, so rounding in the sum cannot
+    leave a tail of uniforms that falls past it onto a zero-mass block."""
     p = np.asarray(probabilities, dtype=np.float64)
-    return CategoricalDistribution(probabilities=p, cumulative=np.cumsum(p))
+    cumulative = np.cumsum(p)
+    positive = np.flatnonzero(p > 0)
+    if positive.size:
+        cumulative[positive[-1]:] = 1.0
+    return CategoricalDistribution(probabilities=p, cumulative=cumulative)
 
 
 def frobenius_block_probs(M, partition, axis):
@@ -153,9 +160,9 @@ def frobenius_block_probs(M, partition, axis):
 def sample_block(dist, rng):
     """Draw one block index by inverse CDF using a single uniform draw.
 
-    Ties break toward the lower index (first cumulative >= u), so zero-mass
+    Ties break toward the lower index (first cumulative >= u), and the CDF
+    reaches 1.0 at the last positive-mass block, so for u > 0 zero-mass
     blocks are never returned.
     """
     u = rng.uniform()
-    idx = int(np.searchsorted(dist.cumulative, u, side="left"))
-    return min(idx, len(dist.cumulative) - 1)
+    return int(np.searchsorted(dist.cumulative, u, side="left"))

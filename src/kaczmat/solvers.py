@@ -128,7 +128,6 @@ class SolverConfig:
     re_tolerance: float = 1e-6
     seed: int = 0
     trace_every: int = 1
-    rank_tol: float | None = None
     unsafe_stepsize: bool = False
     max_seconds: float | None = None
 
@@ -228,8 +227,8 @@ class IterationState:
     row_weights_hat: list = field(default_factory=list)  # u_i / ||A_i||^2
     col_weights_hat: list = field(default_factory=list)  # v_j / ||B_j||^2
     alpha_const: float | None = None
-    row_blocks: list = field(default_factory=list)  # grbk: (A_I, pinv(A_I)) or None
-    col_blocks: list = field(default_factory=list)  # grbk: (B_J, pinv(B_J)) or None
+    row_blocks: list = field(default_factory=list)  # (A_I, G_I, A G_I) or None
+    col_blocks: list = field(default_factory=list)  # (B_J, H_J, (H_J B)^T) or None
 
 
 def _block_weight_arrays(norms_sq, partition, scheme):
@@ -294,10 +293,9 @@ def prepare_state(problem, config):
     state.partition_cols = make_partition(n, tau2)
     state.dist_rows = frobenius_block_probs(A, state.partition_rows, "rows")
     state.dist_cols = frobenius_block_probs(B, state.partition_cols, "cols")
+    state.row_blocks = [None] * state.partition_rows.n_blocks
+    state.col_blocks = [None] * state.partition_cols.n_blocks
 
-    if config.method == GRBK:
-        state.row_blocks = [None] * state.partition_rows.n_blocks
-        state.col_blocks = [None] * state.partition_cols.n_blocks
     if config.method in (GRABK_CONST, GRABK_ADAPTIVE):
         state.row_weights, state.row_weights_hat = _block_weight_arrays(
             rns, state.partition_rows, config.weight_scheme
@@ -323,31 +321,33 @@ def prepare_state(problem, config):
     return state
 
 
-def grk_step(state, i, j):
+def grk_step(state, i, j, _blocks=None):
     """Rank-1 update from row i of A and column j of B; returns the sampled
     residual r = C_ij - A_i X B_j it applied.
 
     X <- X + A_i^T (C_ij - A_i X B_j) B_j^T / (||A_i||^2 ||B_j||^2)
+
+    ``_blocks`` is ``(A_i, B_j)`` densified, as ``solve`` keeps them.
     """
     na2 = state.row_norms_sq[i]
     nb2 = state.col_norms_sq[j]
     if na2 == 0.0 or nb2 == 0.0:
         raise ValueError(f"row {i} of A or column {j} of B is zero")
-    a = _dense(state.problem.A[np.array([i])]).ravel()
-    b = _dense(state.problem.B[:, np.array([j])]).ravel()
+    a, b = _blocks or (_dense(state.problem.A[np.array([i])]).ravel(),
+                       _dense(state.problem.B[:, np.array([j])]).ravel())
     r = state.problem.C[i, j] - a @ state.X @ b
     state.X += (r / (na2 * nb2)) * np.outer(a, b)
     return r
 
 
-def _block_with_pinv(block, rank_tol):
-    """(block, pinv(block)) for a sampled dense block of A or B."""
+def _checked_pinv(block):
+    """pinv of a sampled dense block of A or B, which must not be zero."""
     if not block.any():
         raise ValueError("sampled block of A or B is zero")
-    return block, pinv(block, rank_tol)
+    return pinv(block)
 
 
-def grbk_step(state, I, J, rank_tol=None, _blocks=None):
+def grbk_step(state, I, J, _blocks=None):
     """Project the iterate onto the solution set of the sampled sketched
     equation A_I X B_J = C_IJ; returns the sampled residual block R_IJ.
 
@@ -359,8 +359,9 @@ def grbk_step(state, I, J, rank_tol=None, _blocks=None):
     I = np.asarray(I)
     J = np.asarray(J)
     if _blocks is None:
-        _blocks = (*_block_with_pinv(_dense(state.problem.A[I]), rank_tol),
-                   *_block_with_pinv(_dense(state.problem.B[:, J]), rank_tol))
+        A_I = _dense(state.problem.A[I])
+        B_J = _dense(state.problem.B[:, J])
+        _blocks = (A_I, _checked_pinv(A_I), B_J, _checked_pinv(B_J))
     A_I, pa, B_J, pb = _blocks
     R = state.problem.C[np.ix_(I, J)] - A_I @ state.X @ B_J
     state.X += pa @ R @ pb
@@ -389,34 +390,38 @@ def _checked_hats(state, I, J, u, v):
             _hat_weights(v, state.col_norms_sq[J], "column weights"))
 
 
-def _averaged_update(state, I, J, u_hat, v_hat):
-    """Residual block R and the weighted update direction U = A_I^T (u_hat R v_hat) B_J^T."""
-    A_I = _dense(state.problem.A[I])
-    B_J = _dense(state.problem.B[:, J])
+def _averaged_update(state, I, J, u_hat, v_hat, blocks=None):
+    """Residual block R and the weighted update direction U = A_I^T (u_hat R v_hat) B_J^T,
+    from the dense ``blocks`` (A_I, B_J) when the caller has them."""
+    A_I, B_J = blocks or (_dense(state.problem.A[I]), _dense(state.problem.B[:, J]))
     R = state.problem.C[np.ix_(I, J)] - A_I @ state.X @ B_J
     U = A_I.T @ (u_hat[:, None] * R * v_hat[None, :]) @ B_J.T
     return R, U
 
 
-def grabk_step(state, I, J, u, v, alpha):
+def grabk_step(state, I, J, u, v, alpha, _blocks=None, _hats=None):
     """Weighted-average update over all pairs (i, j) in the sampled blocks.
 
     Equivalent to summing the rank-1 single-index updates scaled by
     u_i v_j, but computed in compact matrix form. Weights must each sum
     to 1 over their block. Returns the sampled residual block R_IJ.
+
+    ``_blocks`` is ``(A_I, B_J)`` densified and ``_hats`` the checked
+    ``(u_hat, v_hat)``, as ``solve`` keeps them.
     """
     I = np.asarray(I)
     J = np.asarray(J)
-    R, U = _averaged_update(state, I, J, *_checked_hats(state, I, J, u, v))
+    u_hat, v_hat = _hats or _checked_hats(state, I, J, u, v)
+    R, U = _averaged_update(state, I, J, u_hat, v_hat, _blocks)
     state.X += alpha * U
     return R
 
 
-def _adaptive_ratio(state, I, J, u_hat, v_hat):
+def _adaptive_ratio(state, I, J, u_hat, v_hat, blocks=None):
     """(L, R, U): the weighted residual energy over ||U||_F^2, the sampled
     residual block and the update direction U. L is None when every sampled
     residual is zero."""
-    R, U = _averaged_update(state, I, J, u_hat, v_hat)
+    R, U = _averaged_update(state, I, J, u_hat, v_hat, blocks)
     denom = float(np.sum(U * U))
     if denom == 0.0:
         return None, R, U
@@ -437,10 +442,10 @@ def adaptive_stepsize(state, I, J, u, v):
     return None if L is None else (L, state.eta * L)
 
 
-def _grabk_adaptive_apply(state, I, J, u_hat, v_hat):
+def _grabk_adaptive_apply(state, I, J, u_hat, v_hat, _blocks=None):
     """Fused adaptive step; returns (L, R_IJ), with L None when the block is
-    solved and X left unchanged."""
-    L, R, U = _adaptive_ratio(state, I, J, u_hat, v_hat)
+    solved and X left unchanged. ``_blocks`` is as for ``grabk_step``."""
+    L, R, U = _adaptive_ratio(state, I, J, u_hat, v_hat, _blocks)
     if L is not None:
         state.X += (state.eta * L) * U
     return L, R
@@ -494,6 +499,29 @@ def _keeps_residual(problem, config, use_re):
     return update * (config.trace_every if use_re else 1) < work_a * q + work_b * m
 
 
+def _cache_block(state, axis, b, index, keep):
+    """Fill and return the entry of row block ``b`` (indices ``index``) of A
+    for axis "rows", or of column block ``b`` of B for "cols":
+    ``(A_I, G_I, A G_I)`` or ``(B_J, H_J, (H_J B)^T)``, the residual image
+    None unless ``keep``."""
+    problem, method, rows = state.problem, state.config.method, axis == "rows"
+    block = _dense(problem.A[index] if rows else problem.B[:, index])
+    if method == GRK:  # a / ||a||^2 and b^T / ||b||^2
+        block = block.ravel()
+        factor = block / (state.row_norms_sq if rows else state.col_norms_sq)[index[0]]
+    elif method == GRBK:
+        factor = _checked_pinv(block)
+    else:  # A_I^T and B_J^T
+        factor = block.T
+    if rows:
+        entry = (block, factor, problem.A @ factor if keep else None)
+        state.row_blocks[b] = entry
+    else:
+        entry = (block, factor, np.asfortranarray(problem.B.T @ factor.T) if keep else None)
+        state.col_blocks[b] = entry
+    return entry
+
+
 def solve(problem, config):
     """Run the configured method from X0 = 0 and trace convergence.
 
@@ -502,18 +530,19 @@ def solve(problem, config):
     residual ||C - A X B||_F / ||C||_F. The check runs every iteration, and
     a trace record reuses its value; records are kept every ``trace_every``
     iterations plus the final one. A run whose stop metric turns non-finite
-    ends as ``diverged``. Wall-clock covers the iteration loop only. GRBK
-    densifies each row block of A and column block of B and takes its pinv
-    once, when first drawn.
+    ends as ``diverged``. Wall-clock covers the iteration loop only.
 
-    Where ``_keeps_residual`` says so, R = C - A X B is updated in place
-    after each step, ``R -= c (A G_I) M (H_J B)`` for a step that adds
-    ``c G_I M H_J`` to X, and the residual is read from ||R||_F. The
-    factors ``A G_I`` and ``H_J B`` are computed once per block, when first
-    drawn. R is recomputed in full every ``RESYNC_EVERY`` steps, and a
-    residual below ``re_tolerance + CONFIRM_BAND`` is confirmed by a full
-    recompute before it stops the run, so iterates, iteration counts and
-    termination are those of a full recompute on every step.
+    Each step adds ``c G_I M H_J`` to X. ``_cache_block`` densifies each row
+    block of A and column block of B and computes its factor once, when
+    first drawn (at most ``2(mp + qn)`` floats), and every step reads them
+    from there. Where ``_keeps_residual`` says so, R = C - A X B is updated
+    in place after each step, ``R -= c (A G_I) M (H_J B)``, and the residual
+    is read from ||R||_F; the images ``A G_I`` and ``H_J B`` join the same
+    cache (at most ``m^2 + n^2`` more floats). R is recomputed in full every
+    ``RESYNC_EVERY`` steps, and a residual below ``re_tolerance +
+    CONFIRM_BAND`` is confirmed by a full recompute before it stops the run,
+    so iterates, iteration counts and termination are those of a full
+    recompute on every step.
     """
     state = prepare_state(problem, config)
     method = config.method
@@ -521,8 +550,6 @@ def solve(problem, config):
     xstar_sq = np.linalg.norm(problem.X_star, "fro") ** 2 if use_re else None
     keep = _keeps_residual(problem, config, use_re)
     c_norm = np.linalg.norm(problem.C, "fro")
-    lefts = [None] * state.partition_rows.n_blocks  # A G_I per row block
-    rights = [None] * state.partition_cols.n_blocks  # (H_J B)^T per col block
     l_values = [] if method == GRABK_ADAPTIVE else None
     records = []
     R = None  # the kept residual C - A X B
@@ -533,25 +560,6 @@ def solve(problem, config):
         if keep:
             R = np.ascontiguousarray(full)  # so R.T takes BLAS updates in place
         return value
-
-    def factors(bi, bj, I, J):
-        if lefts[bi] is None:
-            if method == GRK:
-                g = _dense(problem.A[I]).ravel() / state.row_norms_sq[I[0]]
-            elif method == GRBK:
-                g = state.row_blocks[bi][1]
-            else:
-                g = _dense(problem.A[I]).T
-            lefts[bi] = problem.A @ g
-        if rights[bj] is None:
-            if method == GRK:
-                h = _dense(problem.B[:, J]).ravel() / state.col_norms_sq[J[0]]
-            elif method == GRBK:
-                h = state.col_blocks[bj][1].T
-            else:
-                h = _dense(problem.B[:, J])
-            rights[bj] = np.asfortranarray(problem.B.T @ h)
-        return lefts[bi], rights[bj]
 
     def error():
         return float(np.linalg.norm(state.X - problem.X_star, "fro") ** 2 / xstar_sq)
@@ -570,52 +578,37 @@ def solve(problem, config):
             bj = sample_block(state.dist_cols, state.rng)
             I = state.partition_rows.block(bi)
             J = state.partition_cols.block(bj)
+            A_I, G_I, left = state.row_blocks[bi] or _cache_block(state, "rows", bi, I, keep)
+            B_J, H_J, right = state.col_blocks[bj] or _cache_block(state, "cols", bj, J, keep)
             # each step hands back the residual it sampled: M, up to weights
             c = 1.0
             if method == GRK:
-                sampled = grk_step(state, int(I[0]), int(J[0]))
+                sampled = grk_step(state, int(I[0]), int(J[0]), _blocks=(A_I, B_J))
             elif method == GRBK:
-                if state.row_blocks[bi] is None:
-                    state.row_blocks[bi] = _block_with_pinv(
-                        _dense(problem.A[I]), config.rank_tol)
-                if state.col_blocks[bj] is None:
-                    state.col_blocks[bj] = _block_with_pinv(
-                        _dense(problem.B[:, J]), config.rank_tol)
-                sampled = grbk_step(state, I, J,
-                                    _blocks=(*state.row_blocks[bi], *state.col_blocks[bj]))
-            elif method == GRABK_CONST:
-                sampled = grabk_step(
-                    state,
-                    I,
-                    J,
-                    state.row_weights[bi],
-                    state.col_weights[bj],
-                    state.alpha_const,
-                )
-                c = state.alpha_const
-            else:  # GRABK_ADAPTIVE
-                L, sampled = _grabk_adaptive_apply(
-                    state,
-                    I,
-                    J,
-                    state.row_weights_hat[bi],
-                    state.col_weights_hat[bj],
-                )
-                if L is None:
-                    sampled = None  # solved block: X and R are unchanged
-                else:
-                    l_values.append(L)
-                    c = state.eta * L
+                sampled = grbk_step(state, I, J, _blocks=(A_I, G_I, B_J, H_J))
+            else:
+                u_hat, v_hat = state.row_weights_hat[bi], state.col_weights_hat[bj]
+                if method == GRABK_CONST:
+                    sampled = grabk_step(state, I, J, state.row_weights[bi],
+                                         state.col_weights[bj], state.alpha_const,
+                                         _blocks=(A_I, B_J), _hats=(u_hat, v_hat))
+                    c = state.alpha_const
+                else:  # GRABK_ADAPTIVE
+                    L, sampled = _grabk_adaptive_apply(state, I, J, u_hat, v_hat,
+                                                       _blocks=(A_I, B_J))
+                    if L is None:
+                        sampled = None  # solved block: X and R are unchanged
+                    else:
+                        l_values.append(L)
+                        c = state.eta * L
             k += 1
             if keep:
                 if sampled is not None:
-                    left, right = factors(bi, bj, I, J)
                     if method == GRK:
                         blas.dger(-sampled, right, left, a=R.T, overwrite_a=True)
                     else:
                         if method != GRBK:  # u_hat R_IJ v_hat
-                            sampled = (state.row_weights_hat[bi][:, None] * sampled
-                                       * state.col_weights_hat[bj][None, :])
+                            sampled = u_hat[:, None] * sampled * v_hat[None, :]
                         blas.dgemm(-c, right, (left @ sampled).T, beta=1.0,
                                    c=R.T, overwrite_c=True)
                 tracked = math.sqrt(np.vdot(R, R))

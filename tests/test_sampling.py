@@ -186,6 +186,33 @@ def test_sample_block_degenerate_masses():
         assert sample_block(categorical([0.0, 1.0]), rng) == 1
 
 
+class _FixedUniform:
+    """Stub rng whose every draw is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self):
+        return self.u
+
+
+def test_sample_block_never_returns_zero_mass_tail():
+    # the largest uniform Philox gives is 1 - 2**-53; a CDF that rounds to
+    # less than that must not hand it to the zero-mass block past its end
+    top = _FixedUniform(1.0 - 2.0**-53)
+    d = categorical([0.5, 0.4999999999999, 0.0])
+    assert sample_block(d, top) == 1
+    # a 12x3 Gaussian A with a zero last row: its row CDF sums to 1 - 2**-52
+    A = np.random.default_rng(5).standard_normal((12, 3))
+    A[-1] = 0.0
+    rows = frobenius_block_probs(A, make_partition(12, 1), axis="rows")
+    assert np.cumsum(rows.probabilities)[-1] < top.u
+    assert sample_block(rows, top) == 10
+    # draws at or below the old tail still land where they did
+    assert sample_block(d, _FixedUniform(0.9999999999999)) == 1
+    assert sample_block(d, _FixedUniform(0.5)) == 0
+
+
 def test_sample_block_frequencies():
     d = categorical([0.2, 0.8])
     rng = SeededRng(77)

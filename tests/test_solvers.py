@@ -479,11 +479,11 @@ def _sparsified(prob):
 
 
 GOLDEN_CASES = {
-    "dense": (small_problem(24), 3, 3, None),
-    "csr": (_sparsified(small_problem(24)), 3, 3, None),
-    "short-last-block": (small_problem(24, m=10, n=11), 3, 4, None),
+    "dense": (small_problem(24), 3, 3),
+    "csr": (_sparsified(small_problem(24)), 3, 3),
+    "short-last-block": (small_problem(24, m=10, n=11), 3, 4),
     # blocks of rank 2 at tau 3: the truncation in pinv matters
-    "rank-deficient": (make_problem(*gen_type1(TypeISpec(12, 6, 2, 6, 12, 2, seed=5)), seed=6), 3, 3, 1e-10),
+    "rank-deficient": (make_problem(*gen_type1(TypeISpec(12, 6, 2, 6, 12, 2, seed=5)), seed=6), 3, 3),
 }
 
 # (trace_every, re_tolerance): every record over a full budget, or thinned
@@ -506,7 +506,7 @@ def _public_step_loop(prob, config):
         if config.method == GRK:
             grk_step(state, int(I[0]), int(J[0]))
         elif config.method == GRBK:
-            grbk_step(state, I, J, rank_tol=config.rank_tol)
+            grbk_step(state, I, J)
         elif config.method == GRABK_CONST:
             grabk_step(state, I, J, state.row_weights[bi], state.col_weights[bj],
                        state.alpha_const)
@@ -534,17 +534,17 @@ def _public_step_loop(prob, config):
 @pytest.mark.parametrize("method", (GRK, GRBK, GRABK_CONST, GRABK_ADAPTIVE))
 def test_solve_matches_public_step_loop(method, case, reference, schedule, residual,
                                         monkeypatch):
-    # golden trace: solve() (GRBK's per-block pinv cache, the fused adaptive
-    # kernel, one stop metric per iteration) must give the same bits as the
+    # golden trace: solve() (its per-block cache of dense blocks and factors,
+    # the fused adaptive kernel, one stop metric per iteration) must give the same bits as the
     # public steps over the same draws, whether it keeps C - A X B up to
     # date or recomputes it; a kept residual is within 1e-14 of the exact one
     monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: residual == "kept")
-    prob, tau1, tau2, rank_tol = GOLDEN_CASES[case]
+    prob, tau1, tau2 = GOLDEN_CASES[case]
     if reference == "residual":
         prob = Problem(A=prob.A, B=prob.B, C=prob.C)
     trace_every, tol = GOLDEN_SCHEDULES[schedule]
     config = SolverConfig(method=method, tau1=tau1, tau2=tau2, seed=8, max_iters=150,
-                          re_tolerance=tol, trace_every=trace_every, rank_tol=rank_tol)
+                          re_tolerance=tol, trace_every=trace_every)
     report = solve(prob, config)
     X, iterations, termination, records, stepsizes = _public_step_loop(prob, config)
     np.testing.assert_array_equal(report.X, X)
@@ -676,21 +676,42 @@ def test_kept_residual_recomputes_only_to_resync_and_confirm(monkeypatch):
     assert len(calls) <= report.iterations / solvers.RESYNC_EVERY + 3
 
 
-def test_solve_grbk_computes_each_block_pinv_once(monkeypatch):
-    calls = []
+@pytest.mark.parametrize("residual", ["kept", "recomputed"])
+@pytest.mark.parametrize("method", METHODS)
+def test_solve_prepares_each_block_once(method, residual, monkeypatch):
+    # every method densifies each row block of A and column block of B once
+    # per run, GRBK takes each block pinv once, and no step re-checks the
+    # prepared GRABK weights
+    monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: residual == "kept")
+    densified, pinvs = [], []
+    dense = solvers._dense
+
+    def counting_dense(block):
+        densified.append(block.shape)
+        return dense(block)
 
     def counting_pinv(M, rank_tol=None):
-        calls.append(M.shape)
+        pinvs.append(M.shape)
         return pinv(M, rank_tol)
 
+    def no_checked_hats(*args):
+        raise AssertionError("solve re-checked prepared weights")
+
+    monkeypatch.setattr(solvers, "_dense", counting_dense)
     monkeypatch.setattr(solvers, "pinv", counting_pinv)
+    monkeypatch.setattr(solvers, "_checked_hats", no_checked_hats)
     A, B = gen_type1(TypeISpec(40, 20, 20, 20, 42, 20, seed=9))
     prob = make_problem(A, B, seed=10)
-    config = SolverConfig(method=GRBK, tau1=5, tau2=5, seed=3, max_iters=400,
+    t1, t2 = (1, 1) if method == GRK else (5, 5)
+    config = SolverConfig(method=method, tau1=t1, tau2=t2, seed=3, max_iters=400,
                           re_tolerance=1e-300)
     report = solve(prob, config)
     assert report.iterations == 400
-    assert 0 < len(calls) <= math.ceil(40 / 5) + math.ceil(42 / 5)
+    n_blocks = math.ceil(40 / t1) + math.ceil(42 / t2)
+    assert 0 < len(densified) <= n_blocks
+    assert len(pinvs) <= n_blocks
+    if method == GRBK:
+        assert len(pinvs) == len(densified)
 
 
 def test_solve_block_size_exceeding_dims_raises():
