@@ -15,22 +15,16 @@ from .matrices import as_dense, col_norms, frobenius_norm, row_norms, sigma_extr
 from .sampling import frobenius_block_probs
 
 
-def _block_submatrix(M, partition, b, axis):
-    sl = partition.block_slice(b)
-    block = M[sl, :] if axis == "rows" else M[:, sl]
-    if sp.issparse(block):
-        block = block.toarray()
-    return np.asarray(block, dtype=np.float64)
-
-
-def _check_axis(M, partition, axis):
-    if axis not in ("rows", "cols"):
-        raise ValueError(f"axis must be 'rows' or 'cols', got {axis!r}")
-    length = M.shape[0] if axis == "rows" else M.shape[1]
-    if partition.dim != length:
-        raise ValueError(
-            f"partition covers {partition.dim} indices but matrix has {length}"
-        )
+def _dense_blocks(M, partition, axis):
+    """Yield (b, block b of M) with the partition over the rows (axis="rows")
+    or the columns (axis="cols") of M, each block a dense float64 array."""
+    partition.check_covers(M, axis)
+    for b in range(partition.n_blocks):
+        sl = partition.block_slice(b)
+        block = M[sl, :] if axis == "rows" else M[:, sl]
+        if sp.issparse(block):
+            block = block.toarray()
+        yield b, np.asarray(block, dtype=np.float64)
 
 
 def beta_max(M, partition, axis):
@@ -39,10 +33,8 @@ def beta_max(M, partition, axis):
     Always in (0, 1]; equals 1 when every block is a single row or column.
     Raises ValueError if some block is entirely zero.
     """
-    _check_axis(M, partition, axis)
     worst = 0.0
-    for b in range(partition.n_blocks):
-        block = _block_submatrix(M, partition, b, axis)
+    for b, block in _dense_blocks(M, partition, axis):
         fro = np.linalg.norm(block, "fro")
         if fro == 0.0:
             raise ValueError(f"block {b} of the partition is zero")
@@ -58,21 +50,13 @@ def gamma_max(M, partition, axis):
     partition each block column is. Raises ValueError on a zero row/column
     inside any block.
     """
-    _check_axis(M, partition, axis)
+    across = 1 if axis == "rows" else 0  # a row's norm sums across columns
     worst = 0.0
-    for b in range(partition.n_blocks):
-        block = _block_submatrix(M, partition, b, axis)
-        if axis == "rows":
-            norms = np.sqrt(np.sum(block * block, axis=1))
-            if np.any(norms == 0.0):
-                raise ValueError(f"zero row inside block {b}")
-            normalized = block / norms[:, None]
-        else:
-            norms = np.sqrt(np.sum(block * block, axis=0))
-            if np.any(norms == 0.0):
-                raise ValueError(f"zero column inside block {b}")
-            normalized = block / norms[None, :]
-        worst = max(worst, np.linalg.svd(normalized, compute_uv=False)[0])
+    for b, block in _dense_blocks(M, partition, axis):
+        norms = np.sqrt(np.sum(block * block, axis=across, keepdims=True))
+        if np.any(norms == 0.0):
+            raise ValueError(f"zero {axis[:-1]} inside block {b}")
+        worst = max(worst, np.linalg.svd(block / norms, compute_uv=False)[0])
     return float(worst)
 
 
@@ -84,39 +68,37 @@ def weighting_sigma_min(M, partition, axis):
     sqrt(P(block)) / (largest row or column norm inside the block).
     Zero-probability blocks are skipped.
     """
-    _check_axis(M, partition, axis)
     probs = frobenius_block_probs(M, partition, axis).probabilities
     norms = row_norms(M) if axis == "rows" else col_norms(M)
-    best = np.inf
-    for b in range(partition.n_blocks):
-        if probs[b] == 0.0:
-            continue
-        biggest = norms[partition.block_slice(b)].max()
-        best = min(best, np.sqrt(probs[b]) / biggest)
-    return float(best)
+    biggest = np.maximum.reduceat(norms, partition.bounds[:-1])
+    live = probs > 0.0
+    return float(np.min(np.sqrt(probs[live]) / biggest[live]))
+
+
+def _factor(M, partition=None, axis=None):
+    """sigma_min^2(M) / (||M||_F^2 beta^2), with beta the beta_max of the
+    partition of M along axis, or 1 without a partition."""
+    _, smin = sigma_extremes(M)
+    beta = 1.0 if partition is None else beta_max(M, partition, axis)
+    return smin**2 / (frobenius_norm(M) ** 2 * beta**2)
+
+
+def _damping(eta):
+    """eta (2 - eta) for a stepsize factor eta, which must lie in (0, 2)."""
+    if not 0.0 < eta < 2.0:
+        raise ValueError(f"eta must be in (0, 2), got {eta}")
+    return eta * (2.0 - eta)
 
 
 def grk_rate(A, B):
     """Expected decay factor of the single-index method:
     1 - sigma_min^2(A) sigma_min^2(B) / (||A||_F^2 ||B||_F^2)."""
-    _, smin_a = sigma_extremes(A)
-    _, smin_b = sigma_extremes(B)
-    fa = smin_a**2 / frobenius_norm(A) ** 2
-    fb = smin_b**2 / frobenius_norm(B) ** 2
-    return 1.0 - fa * fb
-
-
-def _block_factor(M, partition, axis):
-    _, smin = sigma_extremes(M)
-    beta = beta_max(M, partition, axis)
-    return smin**2 / (frobenius_norm(M) ** 2 * beta**2)
+    return 1.0 - _factor(A) * _factor(B)
 
 
 def grbk_rate(A, B, partition_a, partition_b):
     """Expected decay factor of block projection under partition sampling."""
-    return 1.0 - _block_factor(A, partition_a, "rows") * _block_factor(
-        B, partition_b, "cols"
-    )
+    return 1.0 - _factor(A, partition_a, "rows") * _factor(B, partition_b, "cols")
 
 
 def grabk_const_rate(A, B, partition_a, partition_b, eta):
@@ -125,10 +107,7 @@ def grabk_const_rate(A, B, partition_a, partition_b, eta):
     Equals the block-projection factor damped by eta*(2-eta); at eta=1 the
     two coincide.
     """
-    if not 0.0 < eta < 2.0:
-        raise ValueError(f"eta must be in (0, 2), got {eta}")
-    damp = eta * (2.0 - eta)
-    return 1.0 - damp * _block_factor(A, partition_a, "rows") * _block_factor(
+    return 1.0 - _damping(eta) * _factor(A, partition_a, "rows") * _factor(
         B, partition_b, "cols"
     )
 
@@ -151,8 +130,7 @@ def general_grabk_rate(
     u_min^2 v_min^2 / (u_max^2 v_max^2 gamma_max^2(A) gamma_max^2(B))
     with the spectra of the diagonal sampling operators and of A, B.
     """
-    if not 0.0 < eta < 2.0:
-        raise ValueError(f"eta must be in (0, 2), got {eta}")
+    damp = _damping(eta)
     if not (0.0 < u_min <= u_max < 1.0 and 0.0 < v_min <= v_max < 1.0):
         raise ValueError("weights must satisfy 0 < min <= max < 1")
     ga = gamma_max(A, partition_a, "rows")
@@ -162,7 +140,6 @@ def general_grabk_rate(
     db = weighting_sigma_min(B, partition_b, "cols")
     _, smin_a = sigma_extremes(A)
     _, smin_b = sigma_extremes(B)
-    damp = eta * (2.0 - eta)
     return 1.0 - damp * phi * da**2 * db**2 * smin_a**2 * smin_b**2
 
 

@@ -80,6 +80,18 @@ class BlockPartition:
     def blocks(self):
         return [self.block(b) for b in range(self.n_blocks)]
 
+    def check_covers(self, M, axis):
+        """Raise ValueError unless axis is "rows" or "cols" and this
+        partition covers that axis of the matrix M."""
+        if axis not in ("rows", "cols"):
+            raise ValueError(f"axis must be 'rows' or 'cols', got {axis!r}")
+        length = M.shape[0 if axis == "rows" else 1]
+        if self.dim != length:
+            raise ValueError(
+                f"partition covers {self.dim} indices but matrix has "
+                f"{length} along axis {axis!r}"
+            )
+
 
 def make_partition(dim, tau):
     """Partition range(dim) into ceil(dim/tau) contiguous blocks of size tau.
@@ -139,17 +151,8 @@ def frobenius_block_probs(M, partition, axis):
     get probability zero and are never sampled. Raises ValueError for a zero
     matrix or an axis-length mismatch.
     """
-    if axis == "rows":
-        per_index_sq = row_norms(M) ** 2
-    elif axis == "cols":
-        per_index_sq = col_norms(M) ** 2
-    else:
-        raise ValueError(f"axis must be 'rows' or 'cols', got {axis!r}")
-    if partition.dim != per_index_sq.size:
-        raise ValueError(
-            f"partition covers {partition.dim} indices but matrix has "
-            f"{per_index_sq.size} along axis {axis!r}"
-        )
+    partition.check_covers(M, axis)
+    per_index_sq = (row_norms(M) if axis == "rows" else col_norms(M)) ** 2
     total = float(per_index_sq.sum())
     if total == 0.0:
         raise ValueError("cannot build block probabilities for a zero matrix")
@@ -160,9 +163,9 @@ def frobenius_block_probs(M, partition, axis):
 def sample_block(dist, rng):
     """Draw one block index by inverse CDF using a single uniform draw.
 
-    Ties break toward the lower index (first cumulative >= u), and the CDF
-    reaches 1.0 at the last positive-mass block, so for u > 0 zero-mass
-    blocks are never returned.
+    Ties break toward the lower index (first cumulative >= u), except that
+    u = 0 takes the first cumulative > 0; with the CDF reaching 1.0 at the
+    last positive-mass block, zero-mass blocks are never returned.
     """
     u = rng.uniform()
-    return int(np.searchsorted(dist.cumulative, u, side="left"))
+    return int(np.searchsorted(dist.cumulative, u, side="left" if u else "right"))

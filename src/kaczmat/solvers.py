@@ -50,8 +50,8 @@ WEIGHT_UNIFORM = "uniform"
 DEFAULT_ETA = {GRABK_CONST: 1.95, GRABK_ADAPTIVE: 1.0}
 
 # When solve() keeps R = C - A X B up to date: it recomputes R in full every
-# RESYNC_EVERY steps, and confirms a tracked relative residual below
-# re_tolerance + CONFIRM_BAND with a full one before deciding on it. It keeps
+# RESYNC_EVERY steps, and once a tracked relative residual falls below
+# re_tolerance + CONFIRM_BAND it drops R and recomputes it in full. It keeps
 # R only while its factor cache (at most m^2 + n^2 floats) stays within
 # FACTOR_CACHE_MULTIPLE times the m n floats of C.
 RESYNC_EVERY = 1000
@@ -114,8 +114,8 @@ class SolverConfig:
     """Method selection plus sampling, stepsize, and termination settings.
 
     ``eta`` defaults per method (1.95 constant, 1.0 adaptive). ``tau1`` and
-    ``tau2`` are row/column block sizes; the single-index method ignores
-    them. ``unsafe_stepsize`` lifts the eta < 2 guard (no convergence
+    ``tau2`` are row/column block sizes; the single-index method sets both
+    to 1. ``unsafe_stepsize`` lifts the eta < 2 guard (no convergence
     guarantee). ``max_seconds`` is an optional advisory wall-clock cap.
     """
 
@@ -148,6 +148,8 @@ class SolverConfig:
             raise ValueError("trace_every must be at least 1")
         if self.tau1 < 1 or self.tau2 < 1:
             raise ValueError("block sizes must be at least 1")
+        if self.method == GRK:
+            self.tau1 = self.tau2 = 1
         eta = self.resolved_eta()
         if self.method in (GRABK_CONST, GRABK_ADAPTIVE):
             if eta <= 0:
@@ -282,8 +284,7 @@ def prepare_state(problem, config):
         row_norms_sq=rns,
         col_norms_sq=cns,
     )
-    tau1 = 1 if config.method == GRK else config.tau1
-    tau2 = 1 if config.method == GRK else config.tau2
+    tau1, tau2 = config.tau1, config.tau2
     if tau1 > m or tau2 > n:
         raise ValueError(
             f"block sizes tau1={tau1}, tau2={tau2} exceed matrix dimensions "
@@ -492,10 +493,9 @@ def _keeps_residual(problem, config, use_re):
     q, n = B.shape
     if m * m + n * n > FACTOR_CACHE_MULTIPLE * m * n:
         return False
-    t1, t2 = (1, 1) if config.method == GRK else (config.tau1, config.tau2)
     work_a = A.nnz if sp.issparse(A) else m * p
     work_b = B.nnz if sp.issparse(B) else q * n
-    update = m * t1 * t2 + m * t2 * n + m * n
+    update = m * config.tau1 * config.tau2 + m * config.tau2 * n + m * n
     return update * (config.trace_every if use_re else 1) < work_a * q + work_b * m
 
 
@@ -539,10 +539,11 @@ def solve(problem, config):
     in place after each step, ``R -= c (A G_I) M (H_J B)``, and the residual
     is read from ||R||_F; the images ``A G_I`` and ``H_J B`` join the same
     cache (at most ``m^2 + n^2`` more floats). R is recomputed in full every
-    ``RESYNC_EVERY`` steps, and a residual below ``re_tolerance +
-    CONFIRM_BAND`` is confirmed by a full recompute before it stops the run,
-    so iterates, iteration counts and termination are those of a full
-    recompute on every step.
+    ``RESYNC_EVERY`` steps. Once a tracked residual falls below
+    ``re_tolerance + CONFIRM_BAND`` (or turns NaN), the run drops R and
+    recomputes the residual in full on every later step, so iterates,
+    iteration counts and termination are those of a full recompute on
+    every step.
     """
     state = prepare_state(problem, config)
     method = config.method
@@ -613,10 +614,11 @@ def solve(problem, config):
                                    c=R.T, overwrite_c=True)
                 tracked = math.sqrt(np.vdot(R, R))
                 residual = float(tracked / c_norm) if c_norm > 0.0 else tracked
-                if k % RESYNC_EVERY == 0 or not (
-                        use_re or residual >= config.re_tolerance + CONFIRM_BAND):
+                # near the tolerance (or on NaN), recompute from here on
+                keep = use_re or residual >= config.re_tolerance + CONFIRM_BAND
+                if keep and k % RESYNC_EVERY == 0:
                     residual = full_residual()
-            elif not use_re:
+            if not (keep or use_re):
                 residual = full_residual()
             metric = error() if use_re else residual
             elapsed = time.perf_counter() - t0

@@ -330,6 +330,16 @@ def test_benchmark_method_flag_prefix_selects_methods(capsys):
     assert [r[0] for r in rows[1:]] == ["grk"]
 
 
+def test_benchmark_reports_grk_block_sizes_as_one(capsys):
+    # GRK always runs on 1x1 blocks; its row says so rather than echoing
+    # the block sizes that the block methods use
+    assert run(*bench_args(["--methods", "grk,grbk", "--repeats", "1",
+                            "--tau1", "5", "--tau2", "6"])) == 0
+    rows = list(csv.reader(capsys.readouterr().out.strip().splitlines()))
+    sizes = {row[0]: (row[2], row[3]) for row in rows[1:]}
+    assert sizes == {"grk": ("1", "1"), "grbk": ("5", "6")}
+
+
 def test_benchmark_rejects_both_type_flags(capsys):
     assert run(*bench_args(["--type2", "--repeats", "1"])) == 1
     captured = capsys.readouterr()

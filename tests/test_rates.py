@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from kaczmat.matrices import frobenius_norm, sigma_extremes
 from kaczmat.rates import (
@@ -16,7 +17,7 @@ from kaczmat.rates import (
     rate_bundle,
     weighting_sigma_min,
 )
-from kaczmat.sampling import make_partition
+from kaczmat.sampling import frobenius_block_probs, make_partition
 
 
 def row_normalized(rng, m, n):
@@ -253,3 +254,30 @@ def test_normalized_uniform_identity():
     lhs = 1 - (tau1 * tau2 / (ga**2 * gb**2)) * (sa**2 / 8) * (sb**2 / 8)
     rhs = grabk_const_rate(A, B, pa, pb, eta=1.0)
     assert lhs == pytest.approx(rhs, abs=1e-12)
+
+@pytest.mark.parametrize("fmt", ["dense", "csr"])
+@pytest.mark.parametrize(
+    "constant", [beta_max, gamma_max, weighting_sigma_min, frobenius_block_probs])
+def test_block_constants_check_partition_coverage(constant, fmt):
+    # every per-block constant checks the partition against its axis of M
+    M = np.random.default_rng(16).standard_normal((6, 4))
+    M = sp.csr_array(M) if fmt == "csr" else M
+    constant(M, make_partition(6, 2), "rows")
+    constant(M, make_partition(4, 3), "cols")
+    with pytest.raises(ValueError, match="axis"):
+        constant(M, make_partition(6, 2), "diag")
+    for partition, axis in ((make_partition(4, 2), "rows"), (make_partition(6, 2), "cols")):
+        with pytest.raises(ValueError, match="partition covers"):
+            constant(M, partition, axis)
+
+
+def test_gamma_max_columns_match_rows_of_transpose():
+    rng = np.random.default_rng(17)
+    for m, n, tau in ((9, 4, 2), (5, 11, 3), (7, 7, 7)):
+        M = rng.standard_normal((m, n))
+        part = make_partition(n, tau)
+        assert gamma_max(M, part, "cols") == pytest.approx(
+            gamma_max(M.T, part, "rows"), rel=0, abs=1e-12)
+    M[:, 1] = 0.0
+    with pytest.raises(ValueError, match="zero col"):
+        gamma_max(M, make_partition(7, 3), "cols")

@@ -213,6 +213,15 @@ def test_sample_block_never_returns_zero_mass_tail():
     assert sample_block(d, _FixedUniform(0.5)) == 0
 
 
+def test_sample_block_zero_draw_skips_leading_zero_mass():
+    # Philox can return u = 0.0 exactly; it takes the first positive-mass
+    # block, not the zero-mass blocks whose cumulative is also 0.0
+    zero = _FixedUniform(0.0)
+    assert sample_block(categorical([0.0, 1.0]), zero) == 1
+    assert sample_block(categorical([0.0, 0.0, 0.5, 0.5]), zero) == 2
+    assert sample_block(categorical([0.5, 0.5]), zero) == 0
+
+
 def test_sample_block_frequencies():
     d = categorical([0.2, 0.8])
     rng = SeededRng(77)

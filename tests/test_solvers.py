@@ -1,6 +1,7 @@
 """Solver steps, stepsizes, and the solve() driver."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -84,6 +85,11 @@ def test_config_validation():
         SolverConfig(trace_every=0)
     with pytest.raises(ValueError):
         SolverConfig(tau1=0)
+    with pytest.raises(ValueError):
+        SolverConfig(method=GRK, tau2=0)
+    # the single-index method owns its 1x1 blocks
+    config = SolverConfig(method=GRK, tau1=5, tau2=6)
+    assert (config.tau1, config.tau2) == (1, 1)
     # non-finite settings would give a NaN iterate or never stop on tolerance
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
@@ -676,6 +682,45 @@ def test_kept_residual_recomputes_only_to_resync_and_confirm(monkeypatch):
     assert len(calls) <= report.iterations / solvers.RESYNC_EVERY + 3
 
 
+def test_kept_residual_hands_off_to_recompute_near_tolerance(monkeypatch):
+    # re_tolerance = 1e-300 leaves the residual at machine precision, inside
+    # [re_tolerance, re_tolerance + CONFIRM_BAND), for most of the run: from
+    # the step whose tracked value enters that band on, solve recomputes
+    # instead of updating R and recomputing, so apart from resyncs only that
+    # hand-off step does both
+    events = []
+    full, step, blas = solvers._relative_residual, solvers.grbk_step, solvers.blas
+
+    def counted(event, fn):
+        def wrapper(*args, **kwargs):
+            events.append(event)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(solvers, "_relative_residual", counted("full", full))
+    monkeypatch.setattr(solvers, "grbk_step", counted("step", step))
+    monkeypatch.setattr(solvers, "blas", SimpleNamespace(
+        dgemm=counted("update", blas.dgemm), dger=counted("update", blas.dger)))
+    monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: True)
+    _, prob = next(_residual_cases())
+    prob = Problem(A=prob.A, B=prob.B, C=prob.C)
+    config = SolverConfig(method=GRBK, tau1=3, tau2=3, seed=4, max_iters=2000,
+                          re_tolerance=1e-300)
+    report = solve(prob, config)
+    assert report.iterations == 2000
+    per_step = [set()]  # the work after each step, the initial residual first
+    for event in events:
+        if event == "step":
+            per_step.append(set())
+        else:
+            per_step[-1].add(event)
+    updated = [k for k, work in enumerate(per_step) if "update" in work]
+    both = [k for k in updated if "full" in per_step[k] and k % solvers.RESYNC_EVERY]
+    assert both == [updated[-1]]  # the hand-off step
+    assert all("full" in work for work in per_step[updated[-1]:])
+    assert sum("full" in work for work in per_step) > 1000
+
+
 @pytest.mark.parametrize("residual", ["kept", "recomputed"])
 @pytest.mark.parametrize("method", METHODS)
 def test_solve_prepares_each_block_once(method, residual, monkeypatch):
@@ -702,12 +747,11 @@ def test_solve_prepares_each_block_once(method, residual, monkeypatch):
     monkeypatch.setattr(solvers, "_checked_hats", no_checked_hats)
     A, B = gen_type1(TypeISpec(40, 20, 20, 20, 42, 20, seed=9))
     prob = make_problem(A, B, seed=10)
-    t1, t2 = (1, 1) if method == GRK else (5, 5)
-    config = SolverConfig(method=method, tau1=t1, tau2=t2, seed=3, max_iters=400,
+    config = SolverConfig(method=method, tau1=5, tau2=5, seed=3, max_iters=400,
                           re_tolerance=1e-300)
     report = solve(prob, config)
     assert report.iterations == 400
-    n_blocks = math.ceil(40 / t1) + math.ceil(42 / t2)
+    n_blocks = math.ceil(40 / config.tau1) + math.ceil(42 / config.tau2)
     assert 0 < len(densified) <= n_blocks
     assert len(pinvs) <= n_blocks
     if method == GRBK:
