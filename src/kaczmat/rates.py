@@ -75,12 +75,17 @@ def weighting_sigma_min(M, partition, axis):
     return float(np.min(np.sqrt(probs[live]) / biggest[live]))
 
 
-def _factor(M, partition=None, axis=None):
-    """sigma_min^2(M) / (||M||_F^2 beta^2), with beta the beta_max of the
+def _constants(M, partition=None, axis=None):
+    """(sigma_min(M), ||M||_F, beta), with beta the beta_max of the
     partition of M along axis, or 1 without a partition."""
     _, smin = sigma_extremes(M)
     beta = 1.0 if partition is None else beta_max(M, partition, axis)
-    return smin**2 / (frobenius_norm(M) ** 2 * beta**2)
+    return smin, frobenius_norm(M), beta
+
+
+def _factor(smin, frob, beta=1.0):
+    """sigma_min^2(M) / (||M||_F^2 beta^2) from the constants of M."""
+    return smin**2 / (frob**2 * beta**2)
 
 
 def _damping(eta):
@@ -93,12 +98,12 @@ def _damping(eta):
 def grk_rate(A, B):
     """Expected decay factor of the single-index method:
     1 - sigma_min^2(A) sigma_min^2(B) / (||A||_F^2 ||B||_F^2)."""
-    return 1.0 - _factor(A) * _factor(B)
+    return 1.0 - _factor(*_constants(A)) * _factor(*_constants(B))
 
 
 def grbk_rate(A, B, partition_a, partition_b):
     """Expected decay factor of block projection under partition sampling."""
-    return 1.0 - _factor(A, partition_a, "rows") * _factor(B, partition_b, "cols")
+    return grabk_const_rate(A, B, partition_a, partition_b, 1.0)
 
 
 def grabk_const_rate(A, B, partition_a, partition_b, eta):
@@ -107,9 +112,9 @@ def grabk_const_rate(A, B, partition_a, partition_b, eta):
     Equals the block-projection factor damped by eta*(2-eta); at eta=1 the
     two coincide.
     """
-    return 1.0 - _damping(eta) * _factor(A, partition_a, "rows") * _factor(
-        B, partition_b, "cols"
-    )
+    damp = _damping(eta)
+    fa = _factor(*_constants(A, partition_a, "rows"))
+    return 1.0 - damp * fa * _factor(*_constants(B, partition_b, "cols"))
 
 
 def grabk_adaptive_rate(A, B, partition_a, partition_b, eta):
@@ -162,24 +167,24 @@ class RateBundle:
 
 
 def rate_bundle(A, B, partition_a, partition_b, eta_const=1.95, eta_adaptive=1.0):
-    """Evaluate every spectral constant and decay factor for one instance."""
+    """Evaluate every spectral constant and decay factor for one instance,
+    with one SVD and one ``beta_max`` per factor."""
     A = A if sp.issparse(A) else as_dense(A)
     B = B if sp.issparse(B) else as_dense(B)
-    _, smin_a = sigma_extremes(A)
-    _, smin_b = sigma_extremes(B)
+    smin_a, frob_a, beta_a = _constants(A, partition_a, "rows")
+    smin_b, frob_b, beta_b = _constants(B, partition_b, "cols")
+    fa, fb = _factor(smin_a, frob_a, beta_a), _factor(smin_b, frob_b, beta_b)
     return RateBundle(
         sigma_min_a=smin_a,
         sigma_min_b=smin_b,
-        frob_a=frobenius_norm(A),
-        frob_b=frobenius_norm(B),
-        beta_max_a=beta_max(A, partition_a, "rows"),
-        beta_max_b=beta_max(B, partition_b, "cols"),
+        frob_a=frob_a,
+        frob_b=frob_b,
+        beta_max_a=beta_a,
+        beta_max_b=beta_b,
         gamma_max_a=gamma_max(A, partition_a, "rows"),
         gamma_max_b=gamma_max(B, partition_b, "cols"),
-        grk=grk_rate(A, B),
-        grbk=grbk_rate(A, B, partition_a, partition_b),
-        grabk_const=grabk_const_rate(A, B, partition_a, partition_b, eta_const),
-        grabk_adaptive=grabk_adaptive_rate(
-            A, B, partition_a, partition_b, eta_adaptive
-        ),
+        grk=1.0 - _factor(smin_a, frob_a) * _factor(smin_b, frob_b),
+        grbk=1.0 - fa * fb,
+        grabk_const=1.0 - _damping(eta_const) * fa * fb,
+        grabk_adaptive=1.0 - _damping(eta_adaptive) * fa * fb,
     )

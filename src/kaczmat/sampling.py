@@ -1,5 +1,6 @@
 """Contiguous block partitions and reproducible Frobenius-weighted block sampling."""
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -7,6 +8,8 @@ import numpy as np
 from .matrices import col_norms, row_norms
 
 RNG_ALGORITHM = "philox4x64"
+
+UNIFORM_CHUNK = 1024  # uniforms that SeededRng.uniform() reads ahead
 
 
 class SeededRng:
@@ -20,6 +23,11 @@ class SeededRng:
     occupies the low 64 bits of the Philox key, the stream the next 64), so
     problem generation and solver sampling can share one user-facing seed
     without replaying each other's draws.
+
+    ``uniform()`` reads ahead ``UNIFORM_CHUNK`` draws at a time, which
+    Philox makes bitwise the values of as many scalar draws. The array draws
+    first put the generator back where scalar draws would have left it, so
+    every interleaving of calls yields the scalar-draw stream.
     """
 
     algorithm = RNG_ALGORITHM
@@ -32,18 +40,32 @@ class SeededRng:
         key = (self.seed & 0xFFFFFFFFFFFFFFFF) | (self.stream << 64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
         self.position = 0  # scalars drawn so far
+        self._ahead = []  # unserved read-ahead uniforms, next one last
+        self._before = None  # generator state before they were drawn
 
     def uniform(self):
         """One uniform draw in [0, 1)."""
+        if not self._ahead:
+            self._before = self._gen.bit_generator.state
+            self._ahead = self._gen.random(size=UNIFORM_CHUNK)[::-1].tolist()
         self.position += 1
-        return float(self._gen.random())
+        return self._ahead.pop()
+
+    def _rewind(self):
+        """Put the generator where scalar draws would have left it."""
+        if self._ahead:
+            self._gen.bit_generator.state = self._before
+            self._gen.random(size=UNIFORM_CHUNK - len(self._ahead))
+            self._ahead = []
 
     def standard_normal(self, shape):
+        self._rewind()
         out = self._gen.standard_normal(size=shape)
         self.position += int(np.prod(shape))
         return out
 
     def uniform_array(self, n):
+        self._rewind()
         out = self._gen.random(size=n)
         self.position += int(n)
         return out
@@ -112,10 +134,12 @@ def make_partition(dim, tau):
 
 @dataclass(frozen=True)
 class CategoricalDistribution:
-    """Finite distribution over block indices with precomputed CDF."""
+    """Finite distribution over block indices with precomputed CDF, also
+    held as a list of floats for bisection."""
 
     probabilities: np.ndarray
     cumulative: np.ndarray
+    cdf: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = self.probabilities
@@ -123,6 +147,7 @@ class CategoricalDistribution:
             raise ValueError("probabilities must be nonnegative")
         if abs(float(p.sum()) - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {p.sum()}, expected 1")
+        object.__setattr__(self, "cdf", self.cumulative.tolist())
 
 
 def categorical(probabilities):
@@ -168,4 +193,4 @@ def sample_block(dist, rng):
     last positive-mass block, zero-mass blocks are never returned.
     """
     u = rng.uniform()
-    return int(np.searchsorted(dist.cumulative, u, side="left" if u else "right"))
+    return (bisect_left if u else bisect_right)(dist.cdf, u)

@@ -229,8 +229,8 @@ class IterationState:
     row_weights_hat: list = field(default_factory=list)  # u_i / ||A_i||^2
     col_weights_hat: list = field(default_factory=list)  # v_j / ||B_j||^2
     alpha_const: float | None = None
-    row_blocks: list = field(default_factory=list)  # (A_I, G_I, A G_I) or None
-    col_blocks: list = field(default_factory=list)  # (B_J, H_J, (H_J B)^T) or None
+    row_blocks: list = field(default_factory=list)  # (I, slice, A_I, G_I, A G_I) or None
+    col_blocks: list = field(default_factory=list)  # (J, slice, B_J, H_J, (H_J B)^T) or None
 
 
 def _block_weight_arrays(norms_sq, partition, scheme):
@@ -337,7 +337,7 @@ def grk_step(state, i, j, _blocks=None):
     a, b = _blocks or (_dense(state.problem.A[np.array([i])]).ravel(),
                        _dense(state.problem.B[:, np.array([j])]).ravel())
     r = state.problem.C[i, j] - a @ state.X @ b
-    state.X += (r / (na2 * nb2)) * np.outer(a, b)
+    state.X += (r / (na2 * nb2)) * (a[:, None] * b)
     return r
 
 
@@ -354,17 +354,18 @@ def grbk_step(state, I, J, _blocks=None):
 
     X <- X + pinv(A_I) (C_IJ - A_I X B_J) pinv(B_J)
 
-    ``_blocks`` is ``(A_I, pinv(A_I), B_J, pinv(B_J))`` as ``solve`` keeps
-    them per block; without it both are computed here.
+    ``_blocks`` is ``(A_I, pinv(A_I), B_J, pinv(B_J), C_IJ)`` as ``solve``
+    keeps them per block; without it they are computed here.
     """
     I = np.asarray(I)
     J = np.asarray(J)
     if _blocks is None:
         A_I = _dense(state.problem.A[I])
         B_J = _dense(state.problem.B[:, J])
-        _blocks = (A_I, _checked_pinv(A_I), B_J, _checked_pinv(B_J))
-    A_I, pa, B_J, pb = _blocks
-    R = state.problem.C[np.ix_(I, J)] - A_I @ state.X @ B_J
+        _blocks = (A_I, _checked_pinv(A_I), B_J, _checked_pinv(B_J),
+                   state.problem.C[np.ix_(I, J)])
+    A_I, pa, B_J, pb, C_IJ = _blocks
+    R = C_IJ - A_I @ state.X @ B_J
     state.X += pa @ R @ pb
     return R
 
@@ -393,9 +394,11 @@ def _checked_hats(state, I, J, u, v):
 
 def _averaged_update(state, I, J, u_hat, v_hat, blocks=None):
     """Residual block R and the weighted update direction U = A_I^T (u_hat R v_hat) B_J^T,
-    from the dense ``blocks`` (A_I, B_J) when the caller has them."""
-    A_I, B_J = blocks or (_dense(state.problem.A[I]), _dense(state.problem.B[:, J]))
-    R = state.problem.C[np.ix_(I, J)] - A_I @ state.X @ B_J
+    from the ``blocks`` (A_I, B_J, C_IJ) when the caller has them."""
+    problem = state.problem
+    A_I, B_J, C_IJ = blocks or (_dense(problem.A[I]), _dense(problem.B[:, J]),
+                                problem.C[np.ix_(I, J)])
+    R = C_IJ - A_I @ state.X @ B_J
     U = A_I.T @ (u_hat[:, None] * R * v_hat[None, :]) @ B_J.T
     return R, U
 
@@ -407,8 +410,8 @@ def grabk_step(state, I, J, u, v, alpha, _blocks=None, _hats=None):
     u_i v_j, but computed in compact matrix form. Weights must each sum
     to 1 over their block. Returns the sampled residual block R_IJ.
 
-    ``_blocks`` is ``(A_I, B_J)`` densified and ``_hats`` the checked
-    ``(u_hat, v_hat)``, as ``solve`` keeps them.
+    ``_blocks`` is ``(A_I, B_J, C_IJ)`` with the factor blocks densified and
+    ``_hats`` the checked ``(u_hat, v_hat)``, as ``solve`` keeps them.
     """
     I = np.asarray(I)
     J = np.asarray(J)
@@ -499,12 +502,14 @@ def _keeps_residual(problem, config, use_re):
     return update * (config.trace_every if use_re else 1) < work_a * q + work_b * m
 
 
-def _cache_block(state, axis, b, index, keep):
-    """Fill and return the entry of row block ``b`` (indices ``index``) of A
-    for axis "rows", or of column block ``b`` of B for "cols":
+def _cache_block(state, axis, b, keep):
+    """Fill and return the entry of row block ``b`` of A for axis "rows", or
+    of column block ``b`` of B for "cols": its index array and slice, then
     ``(A_I, G_I, A G_I)`` or ``(B_J, H_J, (H_J B)^T)``, the residual image
     None unless ``keep``."""
     problem, method, rows = state.problem, state.config.method, axis == "rows"
+    partition = state.partition_rows if rows else state.partition_cols
+    index, span = partition.block(b), partition.block_slice(b)
     block = _dense(problem.A[index] if rows else problem.B[:, index])
     if method == GRK:  # a / ||a||^2 and b^T / ||b||^2
         block = block.ravel()
@@ -514,10 +519,11 @@ def _cache_block(state, axis, b, index, keep):
     else:  # A_I^T and B_J^T
         factor = block.T
     if rows:
-        entry = (block, factor, problem.A @ factor if keep else None)
+        entry = (index, span, block, factor, problem.A @ factor if keep else None)
         state.row_blocks[b] = entry
     else:
-        entry = (block, factor, np.asfortranarray(problem.B.T @ factor.T) if keep else None)
+        entry = (index, span, block, factor,
+                 np.asfortranarray(problem.B.T @ factor.T) if keep else None)
         state.col_blocks[b] = entry
     return entry
 
@@ -577,26 +583,28 @@ def solve(problem, config):
         while termination is None and k < config.max_iters:
             bi = sample_block(state.dist_rows, state.rng)
             bj = sample_block(state.dist_cols, state.rng)
-            I = state.partition_rows.block(bi)
-            J = state.partition_cols.block(bj)
-            A_I, G_I, left = state.row_blocks[bi] or _cache_block(state, "rows", bi, I, keep)
-            B_J, H_J, right = state.col_blocks[bj] or _cache_block(state, "cols", bj, J, keep)
+            I, si, A_I, G_I, left = (state.row_blocks[bi]
+                                     or _cache_block(state, "rows", bi, keep))
+            J, sj, B_J, H_J, right = (state.col_blocks[bj]
+                                      or _cache_block(state, "cols", bj, keep))
             # each step hands back the residual it sampled: M, up to weights
             c = 1.0
-            if method == GRK:
-                sampled = grk_step(state, int(I[0]), int(J[0]), _blocks=(A_I, B_J))
+            if method == GRK:  # blocks of size 1: block bi is row bi
+                sampled = grk_step(state, bi, bj, _blocks=(A_I, B_J))
             elif method == GRBK:
-                sampled = grbk_step(state, I, J, _blocks=(A_I, G_I, B_J, H_J))
+                sampled = grbk_step(state, I, J,
+                                    _blocks=(A_I, G_I, B_J, H_J, problem.C[si, sj]))
             else:
                 u_hat, v_hat = state.row_weights_hat[bi], state.col_weights_hat[bj]
+                blocks = (A_I, B_J, problem.C[si, sj])
                 if method == GRABK_CONST:
                     sampled = grabk_step(state, I, J, state.row_weights[bi],
                                          state.col_weights[bj], state.alpha_const,
-                                         _blocks=(A_I, B_J), _hats=(u_hat, v_hat))
+                                         _blocks=blocks, _hats=(u_hat, v_hat))
                     c = state.alpha_const
                 else:  # GRABK_ADAPTIVE
                     L, sampled = _grabk_adaptive_apply(state, I, J, u_hat, v_hat,
-                                                       _blocks=(A_I, B_J))
+                                                       _blocks=blocks)
                     if L is None:
                         sampled = None  # solved block: X and R are unchanged
                     else:

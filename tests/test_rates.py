@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from kaczmat import rates
 from kaczmat.matrices import frobenius_norm, sigma_extremes
 from kaczmat.rates import (
     RateBundle,
@@ -219,17 +220,38 @@ def test_general_rate_never_beats_frobenius_form():
         assert general >= frob - 1e-12
 
 
-def test_rate_bundle_fields_consistent():
+def test_rate_bundle_fields_consistent(monkeypatch):
     rng = np.random.default_rng(14)
     A = rng.standard_normal((10, 5))
     B = rng.standard_normal((5, 10))
     pa, pb = make_partition(10, 5), make_partition(10, 5)
+    # one SVD and one beta_max per factor, shared by every field
+    calls = {"sigma_extremes": 0, "beta_max": 0}
+
+    def counted(name):
+        fn = getattr(rates, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(rates, name, counted(name))
     b = rate_bundle(A, B, pa, pb)
+    assert calls == {"sigma_extremes": 2, "beta_max": 2}
+    monkeypatch.undo()
+    other = rate_bundle(A, B, pa, pb, eta_const=0.7, eta_adaptive=1.3)
     assert isinstance(b, RateBundle)
-    assert b.grk == pytest.approx(grk_rate(A, B), abs=0)
-    assert b.grbk == pytest.approx(grbk_rate(A, B, pa, pb), abs=0)
-    assert b.grabk_const == pytest.approx(grabk_const_rate(A, B, pa, pb, 1.95), abs=0)
-    assert b.grabk_adaptive == pytest.approx(grbk_rate(A, B, pa, pb), abs=0)
+    assert (b.sigma_min_a, b.sigma_min_b) == (sigma_extremes(A)[1], sigma_extremes(B)[1])
+    assert (b.frob_a, b.frob_b) == (frobenius_norm(A), frobenius_norm(B))
+    assert (b.beta_max_a, b.beta_max_b) == (beta_max(A, pa, "rows"), beta_max(B, pb, "cols"))
+    assert b.grk == grk_rate(A, B)
+    assert b.grbk == grbk_rate(A, B, pa, pb)
+    assert b.grabk_const == grabk_const_rate(A, B, pa, pb, 1.95)
+    assert b.grabk_adaptive == grabk_adaptive_rate(A, B, pa, pb, 1.0) == b.grbk
+    assert other.grabk_const == grabk_const_rate(A, B, pa, pb, 0.7)
+    assert other.grabk_adaptive == grabk_adaptive_rate(A, B, pa, pb, 1.3)
     for r in (b.grk, b.grbk, b.grabk_const, b.grabk_adaptive):
         assert 0.0 < r < 1.0
     assert b.grbk <= b.grk

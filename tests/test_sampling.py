@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 from kaczmat.sampling import (
     RNG_ALGORITHM,
+    UNIFORM_CHUNK,
     BlockPartition,
     CategoricalDistribution,
     SeededRng,
@@ -53,6 +54,37 @@ def test_rng_position_counts_scalars():
     r.standard_normal((2, 3))
     r.uniform_array(4)
     assert r.position == 1 + 6 + 4
+
+
+def _philox(seed, stream):
+    """Raw generator on the Philox key that SeededRng(seed, stream) uses."""
+    return np.random.Generator(np.random.Philox(key=seed | (stream << 64)))
+
+
+@pytest.mark.parametrize("seed, stream", [(0, 0), (5, 1), (2**40 + 3, 2)])
+def test_rng_read_ahead_matches_scalar_stream(seed, stream):
+    # uniform() serves a read-ahead chunk; across chunk boundaries it gives
+    # the values of one array draw, as plain Python floats
+    n = 2 * UNIFORM_CHUNK + 3
+    rng = SeededRng(seed, stream)
+    draws = [rng.uniform() for _ in range(n)]
+    assert all(type(u) is float for u in draws)
+    np.testing.assert_array_equal(draws, _philox(seed, stream).random(size=n))
+    assert rng.position == n
+
+
+@pytest.mark.parametrize("k", [0, 5, UNIFORM_CHUNK, UNIFORM_CHUNK + 5])
+def test_rng_read_ahead_interleaves_with_array_draws(k):
+    # array draws start where k scalar draws would have left the generator
+    rng, oracle = SeededRng(11, 1), _philox(11, 1)
+    assert [rng.uniform() for _ in range(k)] == [oracle.random() for _ in range(k)]
+    np.testing.assert_array_equal(rng.standard_normal((3, 4)),
+                                  oracle.standard_normal(size=(3, 4)))
+    np.testing.assert_array_equal(rng.uniform_array(7), oracle.random(size=7))
+    np.testing.assert_array_equal(rng.uniform_array(2), oracle.random(size=2))
+    assert rng.uniform() == oracle.random()
+    assert rng.uniform() == oracle.random()
+    assert rng.position == k + 12 + 7 + 2 + 2
 
 
 def test_rng_spawn_offsets_seed_and_keeps_stream():
@@ -220,6 +252,27 @@ def test_sample_block_zero_draw_skips_leading_zero_mass():
     assert sample_block(categorical([0.0, 1.0]), zero) == 1
     assert sample_block(categorical([0.0, 0.0, 0.5, 0.5]), zero) == 2
     assert sample_block(categorical([0.5, 0.5]), zero) == 0
+
+
+def test_sample_block_matches_searchsorted():
+    # bisection on the CDF list picks the block that searchsorted on the
+    # CDF array picks, for ties, zero-mass blocks anywhere and u on a
+    # cumulative value, at 0.0 and at the largest Philox uniform
+    gen = np.random.default_rng(21)
+    for trial in range(300):
+        n = int(gen.integers(4, 14))
+        p = gen.integers(0, 3, size=n).astype(float)  # zeros and repeats
+        for at, every in ((0, 2), (n // 2, 3), (n - 1, 5)):
+            if trial % every == 0:
+                p[at] = 0.0
+        if not p.any():
+            p[1] = 1.0
+        d = categorical(p / p.sum())
+        us = {0.0, 1.0 - 2.0**-53, *d.cumulative.tolist(), *gen.random(4).tolist()}
+        for u in us:
+            side = "left" if u else "right"
+            expect = int(np.searchsorted(d.cumulative, u, side=side))
+            assert sample_block(d, _FixedUniform(u)) == expect
 
 
 def test_sample_block_frequencies():

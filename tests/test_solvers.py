@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from kaczmat import solvers
 from kaczmat.matrices import kron, pinv, unvec, vec
 from kaczmat.problems import TypeISpec, gen_type1, gen_type2, make_problem
-from kaczmat.sampling import SeededRng, categorical, sample_block
+from kaczmat.sampling import BlockPartition, SeededRng, categorical, sample_block
 from kaczmat.solvers import (
     GRABK_ADAPTIVE,
     GRABK_CONST,
@@ -725,11 +725,16 @@ def test_kept_residual_hands_off_to_recompute_near_tolerance(monkeypatch):
 @pytest.mark.parametrize("method", METHODS)
 def test_solve_prepares_each_block_once(method, residual, monkeypatch):
     # every method densifies each row block of A and column block of B once
-    # per run, GRBK takes each block pinv once, and no step re-checks the
-    # prepared GRABK weights
+    # per run, builds its index array once, GRBK takes each block pinv once,
+    # and no step re-checks the prepared GRABK weights
     monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: residual == "kept")
-    densified, pinvs = [], []
+    densified, pinvs, indexed = [], [], []
     dense = solvers._dense
+    index_block = BlockPartition.block
+
+    def counting_block(partition, b):
+        indexed.append(b)
+        return index_block(partition, b)
 
     def counting_dense(block):
         densified.append(block.shape)
@@ -745,6 +750,7 @@ def test_solve_prepares_each_block_once(method, residual, monkeypatch):
     monkeypatch.setattr(solvers, "_dense", counting_dense)
     monkeypatch.setattr(solvers, "pinv", counting_pinv)
     monkeypatch.setattr(solvers, "_checked_hats", no_checked_hats)
+    monkeypatch.setattr(BlockPartition, "block", counting_block)
     A, B = gen_type1(TypeISpec(40, 20, 20, 20, 42, 20, seed=9))
     prob = make_problem(A, B, seed=10)
     config = SolverConfig(method=method, tau1=5, tau2=5, seed=3, max_iters=400,
@@ -753,6 +759,7 @@ def test_solve_prepares_each_block_once(method, residual, monkeypatch):
     assert report.iterations == 400
     n_blocks = math.ceil(40 / config.tau1) + math.ceil(42 / config.tau2)
     assert 0 < len(densified) <= n_blocks
+    assert len(indexed) <= n_blocks
     assert len(pinvs) <= n_blocks
     if method == GRBK:
         assert len(pinvs) == len(densified)
