@@ -68,8 +68,8 @@ def weighting_sigma_min(M, partition, axis):
     sqrt(P(block)) / (largest row or column norm inside the block).
     Zero-probability blocks are skipped.
     """
-    probs = frobenius_block_probs(M, partition, axis).probabilities
     norms = row_norms(M) if axis == "rows" else col_norms(M)
+    probs = frobenius_block_probs(M, partition, axis, norms**2).probabilities
     biggest = np.maximum.reduceat(norms, partition.bounds[:-1])
     live = probs > 0.0
     return float(np.min(np.sqrt(probs[live]) / biggest[live]))

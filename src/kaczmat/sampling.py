@@ -162,7 +162,7 @@ def categorical(probabilities):
     return CategoricalDistribution(probabilities=p, cumulative=cumulative)
 
 
-def frobenius_block_probs(M, partition, axis):
+def frobenius_block_probs(M, partition, axis, norms_sq=None):
     """Block sampling distribution proportional to squared Frobenius norms.
 
     Parameters
@@ -171,13 +171,18 @@ def frobenius_block_probs(M, partition, axis):
     partition : BlockPartition
         Over the rows (axis="rows") or columns (axis="cols") of M.
     axis : {"rows", "cols"}
+    norms_sq : array, optional
+        The squared row (or column) norms of M when the caller has them;
+        computed here otherwise.
 
     Block b gets probability ||M_block||_F^2 / ||M||_F^2; zero-norm blocks
     get probability zero and are never sampled. Raises ValueError for a zero
     matrix or an axis-length mismatch.
     """
     partition.check_covers(M, axis)
-    per_index_sq = (row_norms(M) if axis == "rows" else col_norms(M)) ** 2
+    per_index_sq = norms_sq
+    if per_index_sq is None:
+        per_index_sq = (row_norms(M) if axis == "rows" else col_norms(M)) ** 2
     total = float(per_index_sq.sum())
     if total == 0.0:
         raise ValueError("cannot build block probabilities for a zero matrix")

@@ -53,10 +53,19 @@ DEFAULT_ETA = {GRABK_CONST: 1.95, GRABK_ADAPTIVE: 1.0}
 # RESYNC_EVERY steps, and once a tracked relative residual falls below
 # re_tolerance + CONFIRM_BAND it drops R and recomputes it in full. It keeps
 # R only while its factor cache (at most m^2 + n^2 floats) stays within
-# FACTOR_CACHE_MULTIPLE times the m n floats of C.
+# FACTOR_CACHE_MULTIPLE times the m n floats of C. The error it tracks
+# against X_star is computed exactly on the same schedule; in between, the
+# tracked value counts as exact only to DROP_RTOL of the decrease it
+# subtracted, which covers the rounding of a computed decrease (about
+# eps kappa(A_I) kappa(B_J)) for blocks conditioned up to about 1e9.
 RESYNC_EVERY = 1000
 CONFIRM_BAND = 1e-12
+DROP_RTOL = 1e-6
 FACTOR_CACHE_MULTIPLE = 4
+# What a block method's decrease costs in calls, counted as entries of X
+# that an exact error reads in the same time (see _tracks_error): up to
+# about 6 us, at about 0.75 ns an entry, with BLAS on one thread.
+DECREASE_OVERHEAD = 8192
 
 
 @dataclass
@@ -229,8 +238,10 @@ class IterationState:
     row_weights_hat: list = field(default_factory=list)  # u_i / ||A_i||^2
     col_weights_hat: list = field(default_factory=list)  # v_j / ||B_j||^2
     alpha_const: float | None = None
-    row_blocks: list = field(default_factory=list)  # (I, slice, A_I, G_I, A G_I) or None
-    col_blocks: list = field(default_factory=list)  # (J, slice, B_J, H_J, (H_J B)^T) or None
+    # (I, slice, A_I, G_I, A G_I, S_I) or None, S_I^T S_I = G_I^T G_I
+    row_blocks: list = field(default_factory=list)
+    # (J, slice, B_J, H_J, (H_J B)^T, T_J) or None, T_J^T T_J = H_J H_J^T
+    col_blocks: list = field(default_factory=list)
 
 
 def _block_weight_arrays(norms_sq, partition, scheme):
@@ -292,8 +303,8 @@ def prepare_state(problem, config):
         )
     state.partition_rows = make_partition(m, tau1)
     state.partition_cols = make_partition(n, tau2)
-    state.dist_rows = frobenius_block_probs(A, state.partition_rows, "rows")
-    state.dist_cols = frobenius_block_probs(B, state.partition_cols, "cols")
+    state.dist_rows = frobenius_block_probs(A, state.partition_rows, "rows", rns)
+    state.dist_cols = frobenius_block_probs(B, state.partition_cols, "cols", cns)
     state.row_blocks = [None] * state.partition_rows.n_blocks
     state.col_blocks = [None] * state.partition_cols.n_blocks
 
@@ -502,11 +513,40 @@ def _keeps_residual(problem, config, use_re):
     return update * (config.trace_every if use_re else 1) < work_a * q + work_b * m
 
 
-def _cache_block(state, axis, b, keep):
+def _tracks_error(problem, config, use_re):
+    """Whether ``solve`` tracks ``||X - X_star||_F^2`` by the decrease of
+    each step between exact checks instead of computing it on every step.
+
+    It does with ``X_star`` and ``trace_every > 1`` (with 1, every step is a
+    record, whose error is exact) when a decrease costs less than the
+    exact error, which reads the ``p q`` entries of X: GRK's always does.
+    GRABK-adaptive's reads ``t1 t2`` numbers; GRBK's and GRABK-constant's
+    run two small products, about ``t1 t2 (min(t1, p) + min(t2, q))``
+    flops, which BLAS runs about 8 times faster per flop than the error
+    reads an entry. Each block decrease also pays ``DECREASE_OVERHEAD`` in
+    calls.
+    """
+    if not use_re or config.trace_every == 1:
+        return False
+    if config.method == GRK:
+        return True
+    p, q = problem.X_star.shape
+    t1, t2 = config.tau1, config.tau2
+    work = t1 * t2
+    if config.method != GRABK_ADAPTIVE:
+        work = work * (min(t1, p) + min(t2, q)) // 8
+    return work + DECREASE_OVERHEAD < p * q
+
+
+def _cache_block(state, axis, b, keep, track):
     """Fill and return the entry of row block ``b`` of A for axis "rows", or
     of column block ``b`` of B for "cols": its index array and slice, then
-    ``(A_I, G_I, A G_I)`` or ``(B_J, H_J, (H_J B)^T)``, the residual image
-    None unless ``keep``."""
+    ``(A_I, G_I, A G_I, S_I)`` or ``(B_J, H_J, (H_J B)^T, T_J)``, the
+    residual image None unless ``keep`` and the Gram factor None unless
+    ``track``. The Gram factor is the triangular factor of a QR of G_I or
+    H_J^T, so ``S_I^T S_I = G_I^T G_I`` and ``T_J^T T_J = H_J H_J^T``
+    (``||G_I||`` and ``||H_J||`` for GRK): it gives ``||G_I M H_J||_F`` as
+    ``||S_I M T_J^T||_F`` without squaring the condition of the block."""
     problem, method, rows = state.problem, state.config.method, axis == "rows"
     partition = state.partition_rows if rows else state.partition_cols
     index, span = partition.block(b), partition.block_slice(b)
@@ -518,14 +558,50 @@ def _cache_block(state, axis, b, keep):
         factor = _checked_pinv(block)
     else:  # A_I^T and B_J^T
         factor = block.T
+    gram = None
+    if track:
+        gram = (np.linalg.norm(factor) if method == GRK
+                else np.linalg.qr(factor if rows else factor.T, mode="r"))
     if rows:
-        entry = (index, span, block, factor, problem.A @ factor if keep else None)
+        entry = (index, span, block, factor, problem.A @ factor if keep else None, gram)
         state.row_blocks[b] = entry
     else:
         entry = (index, span, block, factor,
-                 np.asfortranarray(problem.B.T @ factor.T) if keep else None)
+                 np.asfortranarray(problem.B.T @ factor.T) if keep else None, gram)
         state.col_blocks[b] = entry
     return entry
+
+
+def _error(X, X_star, xstar_sq):
+    """||X - X_star||_F^2 / xstar_sq, with xstar_sq = ||X_star||_F^2."""
+    return float(np.linalg.norm(X - X_star, "fro") ** 2 / xstar_sq)
+
+
+def _error_drop(method, sampled, weighted, gram_r, gram_c, c, eta):
+    """||X - X*||_F^2 before a step minus after it, from what the step
+    sampled: the residual ``sampled`` (None for a solved adaptive block),
+    for GRABK also ``weighted`` = u_hat R v_hat, the stepsize ``c`` and the
+    Gram factors S_I, T_J of the sampled blocks (see ``_cache_block``).
+
+    GRK and GRBK project X orthogonally onto a set that holds X*, so the
+    error falls by ||G_I R H_J||_F^2 = ||S_I R T_J^T||_F^2, which is
+    r^2 / (||A_i||^2 ||B_j||^2) for GRK. GRABK moves X by c U with
+    U = A_I^T (u_hat R v_hat) B_J^T and <X - X*, U> = -u_hat (R o R) v_hat,
+    so it falls by 2 c num - c^2 ||U||_F^2, which is eta (2 - eta) num L
+    for the adaptive c = eta L with L = num / ||U||_F^2.
+    """
+    if sampled is None:
+        return 0.0
+    if method == GRK:
+        return (sampled * (gram_r * gram_c)) ** 2
+    if method == GRBK:
+        image = gram_r @ sampled @ gram_c.T
+        return np.vdot(image, image)
+    num = np.vdot(weighted, sampled)
+    if method == GRABK_ADAPTIVE:
+        return c * (2.0 - eta) * num
+    image = gram_r @ weighted @ gram_c.T  # ||image||_F = ||U||_F
+    return c * (2.0 * num - c * np.vdot(image, image))
 
 
 def solve(problem, config):
@@ -533,8 +609,9 @@ def solve(problem, config):
 
     Termination uses the squared relative error against ``X_star`` when the
     problem provides a usable (nonzero) reference, otherwise the relative
-    residual ||C - A X B||_F / ||C||_F. The check runs every iteration, and
-    a trace record reuses its value; records are kept every ``trace_every``
+    residual ||C - A X B||_F / ||C||_F. The stop metric is checked every
+    iteration, against a tracked value where one is kept (see below), and a
+    trace record reuses its value; records are kept every ``trace_every``
     iterations plus the final one. A run whose stop metric turns non-finite
     ends as ``diverged``. Wall-clock covers the iteration loop only.
 
@@ -550,12 +627,29 @@ def solve(problem, config):
     recomputes the residual in full on every later step, so iterates,
     iteration counts and termination are those of a full recompute on
     every step.
+
+    Where ``_tracks_error`` says so, the error is tracked, not
+    recomputed: each step subtracts its exact decrease (``_error_drop``),
+    read from the sampled residual and the tau x tau Gram factors that join
+    the block cache. The O(pq) ``||X - X_star||_F^2`` runs at iteration 0,
+    on every record step, every ``RESYNC_EVERY`` steps, past
+    ``max_seconds``, after a decrease that is negative or not finite, and
+    once the tracked value, less ``DROP_RTOL`` of the decrease subtracted
+    since the last exact value, is below ``re_tolerance + CONFIRM_BAND`` (or
+    NaN); each exact value replaces the tracked one. So tolerance and
+    divergence are declared on exact values only, every record's
+    ``relative_error`` is the exact one, and iterates, counts and
+    termination are those of an exact error on every step.
     """
     state = prepare_state(problem, config)
     method = config.method
     use_re = problem.X_star is not None and np.linalg.norm(problem.X_star, "fro") > 0.0
     xstar_sq = np.linalg.norm(problem.X_star, "fro") ** 2 if use_re else None
     keep = _keeps_residual(problem, config, use_re)
+    track = _tracks_error(problem, config, use_re)
+    grabk = method in (GRABK_CONST, GRABK_ADAPTIVE)
+    band_top = config.re_tolerance + CONFIRM_BAND
+    dropped = 0.0  # relative decrease subtracted since the last exact error
     c_norm = np.linalg.norm(problem.C, "fro")
     l_values = [] if method == GRABK_ADAPTIVE else None
     records = []
@@ -568,9 +662,6 @@ def solve(problem, config):
             R = np.ascontiguousarray(full)  # so R.T takes BLAS updates in place
         return value
 
-    def error():
-        return float(np.linalg.norm(state.X - problem.X_star, "fro") ** 2 / xstar_sq)
-
     # A diverging run ends as "diverged"; the overflow on its way there is
     # not also raised as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -578,15 +669,15 @@ def solve(problem, config):
             R = np.array(problem.C, order="C")  # C - A X0 B with X0 = 0
         t0 = time.perf_counter()
         k = 0
-        metric = error() if use_re else full_residual()
+        metric = _error(state.X, problem.X_star, xstar_sq) if use_re else full_residual()
         termination = "tolerance" if metric < config.re_tolerance else None
         while termination is None and k < config.max_iters:
             bi = sample_block(state.dist_rows, state.rng)
             bj = sample_block(state.dist_cols, state.rng)
-            I, si, A_I, G_I, left = (state.row_blocks[bi]
-                                     or _cache_block(state, "rows", bi, keep))
-            J, sj, B_J, H_J, right = (state.col_blocks[bj]
-                                      or _cache_block(state, "cols", bj, keep))
+            I, si, A_I, G_I, left, gram_r = (state.row_blocks[bi]
+                                             or _cache_block(state, "rows", bi, keep, track))
+            J, sj, B_J, H_J, right, gram_c = (state.col_blocks[bj]
+                                              or _cache_block(state, "cols", bj, keep, track))
             # each step hands back the residual it sampled: M, up to weights
             c = 1.0
             if method == GRK:  # blocks of size 1: block bi is row bi
@@ -611,14 +702,29 @@ def solve(problem, config):
                         l_values.append(L)
                         c = state.eta * L
             k += 1
+            elapsed = time.perf_counter() - t0
+            # the error is exact on records, resyncs and past the time limit,
+            # and once the tracked value nears the tolerance; other steps
+            # subtract their decrease from it
+            exact = not (track and metric >= band_top) or (
+                k % config.trace_every == 0 or k % RESYNC_EVERY == 0
+                or k == config.max_iters
+                or config.max_seconds is not None and elapsed > config.max_seconds)
+            weighted = sampled  # u_hat R_IJ v_hat for GRABK
+            if grabk and sampled is not None and (keep or not exact):
+                weighted = u_hat[:, None] * sampled * v_hat[None, :]
+            if not exact:
+                drop = _error_drop(method, sampled, weighted, gram_r, gram_c,
+                                   c, state.eta) / xstar_sq
+                metric -= drop
+                dropped += drop
+                exact = not (drop >= 0.0 and metric - DROP_RTOL * dropped >= band_top)
             if keep:
                 if sampled is not None:
                     if method == GRK:
                         blas.dger(-sampled, right, left, a=R.T, overwrite_a=True)
                     else:
-                        if method != GRBK:  # u_hat R_IJ v_hat
-                            sampled = u_hat[:, None] * sampled * v_hat[None, :]
-                        blas.dgemm(-c, right, (left @ sampled).T, beta=1.0,
+                        blas.dgemm(-c, right, (left @ weighted).T, beta=1.0,
                                    c=R.T, overwrite_c=True)
                 tracked = math.sqrt(np.vdot(R, R))
                 residual = float(tracked / c_norm) if c_norm > 0.0 else tracked
@@ -628,8 +734,9 @@ def solve(problem, config):
                     residual = full_residual()
             if not (keep or use_re):
                 residual = full_residual()
-            metric = error() if use_re else residual
-            elapsed = time.perf_counter() - t0
+            if exact:
+                metric = _error(state.X, problem.X_star, xstar_sq) if use_re else residual
+                dropped = 0.0
             if not math.isfinite(metric):
                 termination = "diverged"
             elif metric < config.re_tolerance:

@@ -1,0 +1,148 @@
+"""Property tests of the paper's exact per-step error decrease.
+
+GRK and GRBK project the iterate orthogonally onto a set that holds X*, and
+GRABK moves it by a step whose effect on ||X - X*||_F^2 is known in closed
+form. ``solve`` subtracts that decrease instead of recomputing the error, so
+each decrease it subtracts must match the change of the exact error, and
+the running value must stay on the exact one over a long run.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from kaczmat import solvers
+from kaczmat.matrices import col_norms, row_norms
+from kaczmat.problems import TypeISpec, gen_type1, make_problem
+from kaczmat.solvers import (
+    GRABK_ADAPTIVE,
+    GRABK_CONST,
+    GRBK,
+    GRK,
+    METHODS,
+    Problem,
+    SolverConfig,
+    solve,
+)
+
+STEP_NAMES = {GRK: "grk_step", GRBK: "grbk_step", GRABK_CONST: "grabk_step",
+              GRABK_ADAPTIVE: "_grabk_adaptive_apply"}
+STEPS = 2000
+
+
+def _thinned(M):
+    """M in CSR with its entries below half its mean magnitude dropped."""
+    return sp.csr_array(np.where(np.abs(M) < 0.5 * np.abs(M).mean(), 0.0, M))
+
+
+@st.composite
+def instances(draw, rough=False):
+    """A gen_type1 problem of small random shape and rank with dense or CSR
+    factors, block sizes and a weight scheme.
+
+    Each identity assumes C = A X* B. So C is rebuilt from X* and CSR
+    factors are thinned only where they have full rank, unless ``rough``.
+    With a rank-deficient factor, C = A X B for the drawn X carries the
+    rounding of X, which can be far larger than X*; and thinning such a
+    factor makes it full rank with singular values near rounding level. In
+    both, each identity holds only to rounding amplified by that ratio or
+    by kappa(A_I) kappa(B_J).
+    """
+    m, p, q, n = (draw(st.integers(2, 9)) for _ in range(4))
+    r1 = draw(st.integers(1, min(m, p)))
+    r2 = draw(st.integers(1, min(q, n)))
+    seed = draw(st.integers(0, 2**16))
+    A, B = gen_type1(TypeISpec(m, p, r1, q, n, r2, seed=seed))
+    csr = draw(st.booleans())
+    if csr:
+        A = _thinned(A) if rough or r1 == min(m, p) else sp.csr_array(A)
+        B = _thinned(B) if rough or r2 == min(q, n) else sp.csr_array(B)
+        # a zero row can make a zero block, on which GRABK-constant's beta_max raises
+        assume(row_norms(A).all() and col_norms(B).all())
+    prob = make_problem(A, B, seed=seed + 1)
+    if not rough:
+        prob = Problem(A=A, B=B, C=(A @ prob.X_star) @ B, X_star=prob.X_star)
+    tau1, tau2 = draw(st.integers(1, m)), draw(st.integers(1, n))
+    weights = "uniform" if not csr and draw(st.booleans()) else "frobenius"
+    return prob, tau1, tau2, weights
+
+
+def _tracked_steps(instance, method):
+    """Run ``STEPS`` steps of ``solve`` and return, for every step on which
+    it subtracted a finite decrease, (that decrease, the exact one, the
+    value it tracks, the exact error, the decrease subtracted since its last
+    exact error, the largest exact error so far or 1), all relative to
+    ||X*||_F^2. A run may diverge (GRABK-constant with uniform weights can);
+    its errors then grow, and with them the rounding of each value."""
+    prob, tau1, tau2, weights = instance
+    xstar_sq = np.linalg.norm(prob.X_star, "fro") ** 2
+    step_name = STEP_NAMES[method]
+    step, error, error_drop = (getattr(solvers, step_name), solvers._error,
+                               solvers._error_drop)
+    events = []  # ("step" | "exact" | "drop", value), in the order solve runs them
+
+    def recorded(kind, fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            value = (np.linalg.norm(args[0].X - prob.X_star, "fro") ** 2 / xstar_sq
+                     if kind == "step" else out)
+            events.append((kind, value))
+            return out
+        return wrapper
+
+    config = SolverConfig(method=method, tau1=tau1, tau2=tau2, seed=3, max_iters=STEPS,
+                          re_tolerance=1e-300, trace_every=10**6, weight_scheme=weights)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, step_name, recorded("step", step))
+        patch.setattr(solvers, "_error", recorded("exact", error))
+        patch.setattr(solvers, "_error_drop", recorded("drop", error_drop))
+        patch.setattr(solvers, "_tracks_error", lambda problem, config, use_re: use_re)
+        solve(prob, config)
+
+    steps, before, after, tracked, dropped, scale = [], None, 1.0, None, 0.0, 1.0
+    for kind, value in events:
+        if kind == "step":
+            before, after = after, value
+            scale = max(scale, after)
+        elif kind == "exact":
+            tracked, dropped = value, 0.0
+        else:  # the same arithmetic as solve
+            drop = value / xstar_sq
+            tracked -= drop
+            dropped += drop
+            if np.isfinite(drop):  # solve checks exactly after any other
+                steps.append((drop, before - after, tracked, after, dropped, scale))
+    return steps
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(instance=instances(), method=st.sampled_from(METHODS))
+def test_tracked_error_follows_exact_decrease(instance, method):
+    # every decrease solve() subtracts is ||X_k - X*||^2 - ||X_{k+1} - X*||^2
+    # to 1e-12, and the value it tracks from its last exact error on stays
+    # within 1e-13 of the exact one over STEPS steps (in units of the
+    # largest error so far, which is 1 unless the run diverges)
+    if not np.any(instance[0].X_star):
+        return  # no usable reference: solve stops on the residual
+    steps = _tracked_steps(instance, method)
+    assert steps  # the first step is never a record or a resync
+    for drop, exact_drop, tracked, exact, _, scale in steps:
+        assert abs(drop - exact_drop) <= 1e-12 * scale
+        assert abs(tracked - exact) <= 1e-13 * scale
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(instance=instances(rough=True), method=st.sampled_from(METHODS))
+def test_tracked_error_never_skips_a_needed_check(instance, method):
+    # on rough instances too, the value solve() tracks stays within
+    # CONFIRM_BAND plus DROP_RTOL of the decrease since its last exact error
+    # of the exact one, the margin it keeps from the tolerance before it
+    # skips an exact check
+    if not np.any(instance[0].X_star):
+        return
+    for drop, _, tracked, exact, dropped, scale in _tracked_steps(instance, method):
+        margin = solvers.CONFIRM_BAND + solvers.DROP_RTOL * dropped
+        if drop >= 0.0 and tracked >= margin:  # solve skipped the exact check
+            assert abs(tracked - exact) <= margin * scale

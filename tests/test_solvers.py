@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from kaczmat import solvers
+from kaczmat import sampling, solvers
 from kaczmat.matrices import kron, pinv, unvec, vec
 from kaczmat.problems import TypeISpec, gen_type1, gen_type2, make_problem
 from kaczmat.sampling import BlockPartition, SeededRng, categorical, sample_block
@@ -388,6 +388,11 @@ def test_solve_time_limit_termination():
     report = solve(prob, SolverConfig(method=GRK, max_seconds=0.0, max_iters=1000))
     assert report.termination == "time_limit"
     assert report.iterations == 1
+    # with a quiet trace the error is tracked; the time-limit record is exact
+    report = solve(prob, SolverConfig(method=GRK, max_seconds=0.0, max_iters=1000,
+                                      trace_every=10**6))
+    assert (report.termination, report.iterations) == ("time_limit", 1)
+    assert report.records[-1].relative_error == relative_error(report.X, prob.X_star)
 
 
 def test_solve_residual_fallback_without_reference():
@@ -490,46 +495,55 @@ GOLDEN_CASES = {
     "short-last-block": (small_problem(24, m=10, n=11), 3, 4),
     # blocks of rank 2 at tau 3: the truncation in pinv matters
     "rank-deficient": (make_problem(*gen_type1(TypeISpec(12, 6, 2, 6, 12, 2, seed=5)), seed=6), 3, 3),
+    # eta far past 2: both GRABK forms diverge within the budget
+    "unsafe-eta": (small_problem(30, m=12, p=6, q=6, n=12), 3, 3),
 }
+GOLDEN_SETTINGS = {"unsafe-eta": {"eta": 100.0, "unsafe_stepsize": True}}
 
-# (trace_every, re_tolerance): every record over a full budget, or thinned
-# records with a tolerance some runs reach
-GOLDEN_SCHEDULES = {"every1-full": (1, 1e-300), "every7-tol": (7, 1e-6)}
+# (trace_every, re_tolerance): every record over a full budget, thinned
+# records with a tolerance some runs reach, or one record at the end, so
+# that an X_star run tracks its error between exact checks
+GOLDEN_SCHEDULES = {"every1-full": (1, 1e-300), "every7-tol": (7, 1e-6),
+                    "quiet-tol": (10**6, 1e-6)}
 
 
 def _public_step_loop(prob, config):
     """solve() spelled out with the public step functions: the same draws,
     stop metric, trace schedule and stepsize log, with GRBK's pinvs taken
-    on the fly and GRABK-adaptive as adaptive_stepsize plus grabk_step."""
+    on the fly and GRABK-adaptive as adaptive_stepsize plus grabk_step. The
+    exact error and residual are computed after every step."""
     state = prepare_state(prob, config)
     rng = SeededRng(config.seed, stream=1)
     records = []
     stepsizes = [] if config.method == GRABK_ADAPTIVE else None
-    for k in range(1, config.max_iters + 1):
-        bi = sample_block(state.dist_rows, rng)
-        bj = sample_block(state.dist_cols, rng)
-        I, J = state.partition_rows.block(bi), state.partition_cols.block(bj)
-        if config.method == GRK:
-            grk_step(state, int(I[0]), int(J[0]))
-        elif config.method == GRBK:
-            grbk_step(state, I, J)
-        elif config.method == GRABK_CONST:
-            grabk_step(state, I, J, state.row_weights[bi], state.col_weights[bj],
-                       state.alpha_const)
-        else:
-            u, v = state.row_weights[bi], state.col_weights[bj]
-            out = adaptive_stepsize(state, I, J, u, v)
-            if out is not None:
-                stepsizes.append(out[0])
-                grabk_step(state, I, J, u, v, out[1])
-        re = relative_error(state.X, prob.X_star) if prob.X_star is not None else None
-        res = float(np.linalg.norm(prob.C - (prob.A @ state.X) @ prob.B, "fro")
-                    / np.linalg.norm(prob.C, "fro"))
-        hit_tol = (res if re is None else re) < config.re_tolerance
-        if hit_tol or k == config.max_iters or k % config.trace_every == 0:
-            records.append((k, re, res))
-        if hit_tol:
-            return state.X, k, "tolerance", records, stepsizes
+    with np.errstate(over="ignore", invalid="ignore"):  # diverging runs
+        for k in range(1, config.max_iters + 1):
+            bi = sample_block(state.dist_rows, rng)
+            bj = sample_block(state.dist_cols, rng)
+            I, J = state.partition_rows.block(bi), state.partition_cols.block(bj)
+            if config.method == GRK:
+                grk_step(state, int(I[0]), int(J[0]))
+            elif config.method == GRBK:
+                grbk_step(state, I, J)
+            elif config.method == GRABK_CONST:
+                grabk_step(state, I, J, state.row_weights[bi], state.col_weights[bj],
+                           state.alpha_const)
+            else:
+                u, v = state.row_weights[bi], state.col_weights[bj]
+                out = adaptive_stepsize(state, I, J, u, v)
+                if out is not None:
+                    stepsizes.append(out[0])
+                    grabk_step(state, I, J, u, v, out[1])
+            re = relative_error(state.X, prob.X_star) if prob.X_star is not None else None
+            res = float(np.linalg.norm(prob.C - (prob.A @ state.X) @ prob.B, "fro")
+                        / np.linalg.norm(prob.C, "fro"))
+            metric = res if re is None else re
+            termination = ("diverged" if not math.isfinite(metric) else
+                           "tolerance" if metric < config.re_tolerance else None)
+            if termination or k == config.max_iters or k % config.trace_every == 0:
+                records.append((k, re, res))
+            if termination:
+                return state.X, k, termination, records, stepsizes
     return state.X, config.max_iters, "max_iters", records, stepsizes
 
 
@@ -543,25 +557,33 @@ def test_solve_matches_public_step_loop(method, case, reference, schedule, resid
     # golden trace: solve() (its per-block cache of dense blocks and factors,
     # the fused adaptive kernel, one stop metric per iteration) must give the same bits as the
     # public steps over the same draws, whether it keeps C - A X B up to
-    # date or recomputes it; a kept residual is within 1e-14 of the exact one
+    # date or recomputes it, and whether it tracks the error between exact
+    # checks (wherever it can) or not; a kept residual is within 1e-14 of the
+    # exact one
     monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: residual == "kept")
+    monkeypatch.setattr(solvers, "_tracks_error", lambda problem, config, use_re: use_re)
     prob, tau1, tau2 = GOLDEN_CASES[case]
     if reference == "residual":
         prob = Problem(A=prob.A, B=prob.B, C=prob.C)
     trace_every, tol = GOLDEN_SCHEDULES[schedule]
     config = SolverConfig(method=method, tau1=tau1, tau2=tau2, seed=8, max_iters=150,
-                          re_tolerance=tol, trace_every=trace_every)
+                          re_tolerance=tol, trace_every=trace_every,
+                          **GOLDEN_SETTINGS.get(case, {}))
     report = solve(prob, config)
     X, iterations, termination, records, stepsizes = _public_step_loop(prob, config)
     np.testing.assert_array_equal(report.X, X)
     assert (report.iterations, report.termination) == (iterations, termination)
+    if case == "unsafe-eta" and method == GRABK_CONST:
+        assert termination == "diverged"
     assert [(r.iteration, r.relative_error) for r in report.records] == [
         (k, re) for k, re, _ in records]
     residuals = [r.relative_residual for r in report.records]
     expected = [res for _, _, res in records]
     if residual == "kept":
         assert all(type(res) is float for res in residuals)
-        np.testing.assert_allclose(residuals, expected, rtol=0.0, atol=1e-14)
+        # a diverging residual grows far past ||C||_F: compare it relatively too
+        rtol = 1e-14 if case == "unsafe-eta" else 0.0
+        np.testing.assert_allclose(residuals, expected, rtol=rtol, atol=1e-14)
     else:
         assert residuals == expected
     assert report.stepsizes == stepsizes
@@ -583,6 +605,10 @@ def test_solve_unsafe_stepsize_ends_as_diverged():
         assert not math.isfinite(metric)
 
 
+STEP_NAMES = {GRK: "grk_step", GRBK: "grbk_step", GRABK_CONST: "grabk_step",
+              GRABK_ADAPTIVE: "_grabk_adaptive_apply"}
+
+
 def _residual_cases():
     yield "dense", make_problem(*gen_type1(TypeISpec(14, 7, 7, 7, 15, 7, seed=31)), seed=32)
     A, B = gen_type1(TypeISpec(12, 6, 6, 6, 12, 6, seed=31))
@@ -598,8 +624,7 @@ def test_kept_residual_tracks_recomputed_residual(method, monkeypatch):
     for name, prob in _residual_cases():
         prob = Problem(A=prob.A, B=prob.B, C=prob.C)
         exact = []
-        step_name = {GRK: "grk_step", GRBK: "grbk_step", GRABK_CONST: "grabk_step",
-                     GRABK_ADAPTIVE: "_grabk_adaptive_apply"}[method]
+        step_name = STEP_NAMES[method]
         step = getattr(solvers, step_name)
 
         def recording_step(state, *args, _step=step, **kwargs):
@@ -656,6 +681,35 @@ def _problem_of_shape(m, p, q, n, sparse=False):
 ])
 def test_keeps_residual_decision_table(label, problem, config, use_re, keeps):
     assert solvers._keeps_residual(problem, config, use_re) is keeps, label
+
+
+def _xstar_problem(p, q):
+    prob = _problem_of_shape(10, p, q, 10)
+    return Problem(A=prob.A, B=prob.B, C=prob.C, X_star=np.zeros((p, q)))
+
+
+@pytest.mark.parametrize("label, problem, config, tracks", [
+    # dense-kernels: GRK on a 40x40 iterate, the block methods at tau 50 on
+    # 200x200, and the GRBK commands at tau 32 on a 64x64 image
+    ("GRK", _xstar_problem(40, 40), SolverConfig(method=GRK, trace_every=10**6), True),
+    ("GRBK, tau 50", _xstar_problem(200, 200),
+     SolverConfig(method=GRBK, tau1=50, tau2=50, trace_every=10**6), True),
+    ("GRABK-constant, tau 50", _xstar_problem(200, 200),
+     SolverConfig(method=GRABK_CONST, tau1=50, tau2=50, trace_every=10**6), True),
+    ("GRABK-adaptive, tau 50", _xstar_problem(200, 200),
+     SolverConfig(method=GRABK_ADAPTIVE, tau1=50, tau2=50, trace_every=10**6), True),
+    ("GRBK command, tau 32", _xstar_problem(64, 64),
+     SolverConfig(method=GRBK, tau1=32, tau2=32, trace_every=300), False),
+    # a small iterate: the calls of a block decrease cost more than the error
+    ("GRABK-adaptive, small", _xstar_problem(20, 20),
+     SolverConfig(method=GRABK_ADAPTIVE, tau1=4, tau2=4, trace_every=10**6), False),
+    ("GRK, small", _xstar_problem(5, 5), SolverConfig(method=GRK, trace_every=10), True),
+    # every step is a record
+    ("trace every step", _xstar_problem(40, 40), SolverConfig(method=GRK), False),
+])
+def test_tracks_error_decision_table(label, problem, config, tracks):
+    assert solvers._tracks_error(problem, config, True) is tracks, label
+    assert solvers._tracks_error(problem, config, False) is False, label
 
 
 def test_kept_residual_recomputes_only_to_resync_and_confirm(monkeypatch):
@@ -721,6 +775,44 @@ def test_kept_residual_hands_off_to_recompute_near_tolerance(monkeypatch):
     assert sum("full" in work for work in per_step) > 1000
 
 
+@pytest.mark.parametrize("tol, max_iters", [(1e-6, 10**6), (1e-300, 5000)])
+@pytest.mark.parametrize("method", METHODS)
+def test_tracked_error_recomputes_only_to_anchor_and_confirm(method, tol, max_iters,
+                                                             monkeypatch):
+    # with X_star and a quiet trace, ||X - X*||_F^2 runs at iteration 0,
+    # every RESYNC_EVERY steps, on records and on the steps whose error lies
+    # below re_tolerance + CONFIRM_BAND, widened by DROP_RTOL of the decrease
+    # since the last exact value (at most 1); every other step subtracts its
+    # exact decrease (it ran on every step before)
+    computed, in_band = [], []
+    full, step_name = solvers._error, STEP_NAMES[method]
+    step = getattr(solvers, step_name)
+    A, B = gen_type1(TypeISpec(60, 20, 10, 20, 60, 20, seed=35))
+    prob = make_problem(A, B, seed=36)
+
+    def counting(*args):
+        computed.append(1)
+        return full(*args)
+
+    def banding_step(state, *args, **kwargs):
+        out = step(state, *args, **kwargs)
+        in_band.append(relative_error(state.X, prob.X_star)
+                       < tol + solvers.CONFIRM_BAND + solvers.DROP_RTOL)
+        return out
+
+    monkeypatch.setattr(solvers, "_error", counting)
+    monkeypatch.setattr(solvers, step_name, banding_step)
+    monkeypatch.setattr(solvers, "_tracks_error", lambda problem, config, use_re: use_re)
+    config = SolverConfig(method=method, tau1=4, tau2=4, seed=5, max_iters=max_iters,
+                          re_tolerance=tol, trace_every=10**6)
+    report = solve(prob, config)
+    k = report.iterations
+    assert report.termination == ("tolerance" if tol > 1e-300 else "max_iters")
+    assert len(computed) <= 1 + k // solvers.RESYNC_EVERY + sum(in_band) + len(report.records)
+    if tol > 1e-300:
+        assert len(computed) <= 4 + k // solvers.RESYNC_EVERY < k + 1
+
+
 @pytest.mark.parametrize("residual", ["kept", "recomputed"])
 @pytest.mark.parametrize("method", METHODS)
 def test_solve_prepares_each_block_once(method, residual, monkeypatch):
@@ -763,6 +855,25 @@ def test_solve_prepares_each_block_once(method, residual, monkeypatch):
     assert len(pinvs) <= n_blocks
     if method == GRBK:
         assert len(pinvs) == len(densified)
+
+
+def test_prepare_state_hands_its_norms_to_the_probabilities(monkeypatch):
+    # the block probabilities reuse the squared norms prepare_state keeps,
+    # with the bits of frobenius_block_probs computing them itself
+    computed = []
+    for name in ("row_norms", "col_norms"):
+        norms = getattr(sampling, name)
+        monkeypatch.setattr(sampling, name,
+                            lambda M, _norms=norms: computed.append(M) or _norms(M))
+    for prob in (small_problem(40), _sparsified(small_problem(40))):
+        state = prepare_state(prob, SolverConfig(method=GRBK, tau1=3, tau2=2))
+        assert not computed
+        for dist, M, partition, axis in (
+                (state.dist_rows, prob.A, state.partition_rows, "rows"),
+                (state.dist_cols, prob.B, state.partition_cols, "cols")):
+            expected = sampling.frobenius_block_probs(M, partition, axis)
+            assert dist.probabilities.tobytes() == expected.probabilities.tobytes()
+        computed.clear()
 
 
 def test_solve_block_size_exceeding_dims_raises():
