@@ -4,18 +4,12 @@ image-deblurring application."""
 
 from .images import GrayImage, read_pgm, write_pgm
 from .matrices import (
-    KronSizeError,
-    SvdFactors,
     as_csr,
     as_dense,
     col_norms,
     frobenius_norm,
-    kron,
     pinv,
     row_norms,
-    svd,
-    unvec,
-    vec,
 )
 from .problems import (
     BlurSpec,
@@ -58,15 +52,12 @@ from .solvers import (
     SolverConfig,
     TraceRecord,
     adaptive_stepsize,
-    constant_stepsize,
     grabk_step,
     grbk_step,
     grk_step,
     prepare_state,
     relative_error,
-    rk_kronecker_step,
     solve,
-    uniform_constant_stepsize,
 )
 
 __version__ = "0.1.0"

@@ -1,22 +1,12 @@
-"""Dense/sparse matrix helpers: norms, SVD, pseudoinverse, vec/Kronecker utilities.
+"""Dense/sparse matrix helpers: validation, norms, pseudoinverse, singular values.
 
 Dense matrices are float64 row-major numpy arrays; sparse matrices are scipy
 CSR arrays. Both are validated at the API boundary by :func:`as_dense` and
 :func:`as_csr` and treated as immutable afterwards.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
-
-# Kronecker products are a test/oracle device only; refuse anything that
-# would materialize a large system.
-KRON_MAX_ENTRIES = 10**6
-
-
-class KronSizeError(ValueError):
-    """Kronecker product would exceed the materialization cap."""
 
 
 def as_dense(M):
@@ -49,26 +39,6 @@ def as_csr(M):
     return A
 
 
-def is_sparse(M):
-    return sp.issparse(M)
-
-
-@dataclass(frozen=True)
-class SvdFactors:
-    """Thin SVD of a matrix: ``u @ diag(sigma) @ vt`` reconstructs it.
-
-    ``sigma`` is nonincreasing and nonnegative; ``u`` and ``vt.T`` have
-    orthonormal columns.
-    """
-
-    u: np.ndarray
-    sigma: np.ndarray
-    vt: np.ndarray
-
-    def reconstruct(self):
-        return (self.u * self.sigma) @ self.vt
-
-
 def frobenius_norm(M):
     """Frobenius norm sqrt(sum of squared entries) for dense or sparse input."""
     if sp.issparse(M):
@@ -94,31 +64,6 @@ def col_norms(M):
     return np.sqrt(np.sum(A * A, axis=0))
 
 
-def svd(M):
-    """Thin singular value decomposition.
-
-    Parameters
-    ----------
-    M : (m, n) array-like or sparse
-        Matrix to decompose; densified if sparse.
-
-    Returns
-    -------
-    SvdFactors
-        Factors with ``sigma`` sorted nonincreasing.
-
-    Raises
-    ------
-    numpy.linalg.LinAlgError
-        If the iteration fails to converge.
-    """
-    A = as_dense(M)
-    if min(A.shape) < 1:
-        raise ValueError("svd requires a nonempty matrix")
-    u, s, vt = np.linalg.svd(A, full_matrices=False)
-    return SvdFactors(u=u, sigma=s, vt=vt)
-
-
 def default_rank_tol(M):
     """Relative rank cutoff: max(rows, cols) * machine epsilon."""
     m, n = np.shape(M)
@@ -136,14 +81,13 @@ def pinv(M, rank_tol=None):
         rank_tol = default_rank_tol(A)
     if rank_tol < 0:
         raise ValueError("rank_tol must be nonnegative")
-    f = svd(A)
-    s = f.sigma
+    u, s, vt = np.linalg.svd(A, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((A.shape[1], A.shape[0]))
     keep = s > rank_tol * s[0]
     s_inv = np.zeros_like(s)
     s_inv[keep] = 1.0 / s[keep]
-    return (f.vt.T * s_inv) @ f.u.T
+    return (vt.T * s_inv) @ u.T
 
 
 def sigma_extremes(M, rank_tol=None):
@@ -155,39 +99,8 @@ def sigma_extremes(M, rank_tol=None):
     A = as_dense(M)
     if rank_tol is None:
         rank_tol = default_rank_tol(A)
-    s = svd(A).sigma
+    s = np.linalg.svd(A, full_matrices=False)[1]
     if s.size == 0 or s[0] == 0.0:
         raise ValueError("sigma_extremes undefined for the zero matrix")
     nonzero = s[s > rank_tol * s[0]]
     return float(s[0]), float(nonzero[-1])
-
-
-def vec(X):
-    """Stack the columns of X into a single column vector (rows*cols, 1)."""
-    A = as_dense(X)
-    return A.reshape((-1, 1), order="F")
-
-
-def unvec(x, rows, cols):
-    """Inverse of :func:`vec`: reshape a stacked vector back to (rows, cols)."""
-    v = np.asarray(x, dtype=np.float64).ravel()
-    if v.size != rows * cols:
-        raise ValueError(f"cannot unvec length {v.size} into {rows}x{cols}")
-    return v.reshape((rows, cols), order="F")
-
-
-def kron(A, B):
-    """Kronecker product, capped at KRON_MAX_ENTRIES result entries.
-
-    The cap keeps this a desk-scale oracle utility; solvers never build the
-    product system.
-    """
-    A = as_dense(A)
-    B = as_dense(B)
-    entries = A.shape[0] * B.shape[0] * A.shape[1] * B.shape[1]
-    if entries > KRON_MAX_ENTRIES:
-        raise KronSizeError(
-            f"Kronecker product would have {entries} entries "
-            f"(cap {KRON_MAX_ENTRIES})"
-        )
-    return np.kron(A, B)

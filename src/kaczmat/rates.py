@@ -31,24 +31,29 @@ def beta_max(M, partition, axis):
     """Largest ratio sigma_max(block) / ||block||_F over the partition blocks.
 
     Always in (0, 1]; equals 1 when every block is a single row or column.
-    Raises ValueError if some block is entirely zero.
+    Zero blocks, which Frobenius sampling never draws, are skipped, as in
+    ``weighting_sigma_min``. Raises ValueError for a zero matrix.
     """
     worst = 0.0
-    for b, block in _dense_blocks(M, partition, axis):
+    for _, block in _dense_blocks(M, partition, axis):
         fro = np.linalg.norm(block, "fro")
-        if fro == 0.0:
-            raise ValueError(f"block {b} of the partition is zero")
-        smax = np.linalg.svd(block, compute_uv=False)[0]
-        worst = max(worst, smax / fro)
+        if fro > 0.0:
+            worst = max(worst, np.linalg.svd(block, compute_uv=False)[0] / fro)
+    if worst == 0.0:
+        raise ValueError("beta_max undefined for the zero matrix")
     return float(worst)
 
 
-def gamma_max(M, partition, axis):
-    """Largest top singular value over blocks after row/column normalization.
+def gamma_max(M, partition, axis, per_index=False):
+    """Largest top singular value gamma_b over blocks after row/column
+    normalization.
 
     For a row partition each block row is scaled to unit norm; for a column
-    partition each block column is. Raises ValueError on a zero row/column
-    inside any block.
+    partition each block column is. With ``per_index``, the largest
+    ``gamma_b^2 / |b|`` instead: under uniform weights, the largest
+    ``sigma_max^2(D^{1/2} M_b)`` with ``D`` the hatted weights
+    ``1 / (|b| ||row||^2)``, which bounds GRABK-constant's stepsize. Raises
+    ValueError on a zero row/column inside any block.
     """
     across = 1 if axis == "rows" else 0  # a row's norm sums across columns
     worst = 0.0
@@ -56,7 +61,8 @@ def gamma_max(M, partition, axis):
         norms = np.sqrt(np.sum(block * block, axis=across, keepdims=True))
         if np.any(norms == 0.0):
             raise ValueError(f"zero {axis[:-1]} inside block {b}")
-        worst = max(worst, np.linalg.svd(block / norms, compute_uv=False)[0])
+        gamma = np.linalg.svd(block / norms, compute_uv=False)[0]
+        worst = max(worst, gamma * gamma / norms.size if per_index else gamma)
     return float(worst)
 
 
@@ -133,7 +139,10 @@ def general_grabk_rate(
 
     Combines the weight-spread penalty
     u_min^2 v_min^2 / (u_max^2 v_max^2 gamma_max^2(A) gamma_max^2(B))
-    with the spectra of the diagonal sampling operators and of A, B.
+    with the spectra of the diagonal sampling operators and of A, B. It
+    does not assume that every block has tau1 rows (or tau2 columns): a
+    short last block enters through the weight bounds, which the caller
+    takes over all blocks (``1 / |b|`` for uniform weights).
     """
     damp = _damping(eta)
     if not (0.0 < u_min <= u_max < 1.0 and 0.0 < v_min <= v_max < 1.0):

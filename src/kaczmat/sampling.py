@@ -70,10 +70,6 @@ class SeededRng:
         self.position += int(n)
         return out
 
-    def spawn(self, offset):
-        """Independent stream for a derived task (seed + offset)."""
-        return SeededRng(self.seed + int(offset), self.stream)
-
 
 @dataclass(frozen=True)
 class BlockPartition:

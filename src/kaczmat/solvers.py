@@ -10,9 +10,6 @@ Four randomized methods share one driver:
 * ``grabk_adaptive`` -- same averaged update with a per-iteration stepsize
                         computed from the sampled residual.
 
-``rk_kronecker_step``, classical row-action on the materialized Kronecker
-system, is kept as a desk-scale test oracle; ``solve`` does not run it.
-
 All methods start from X0 = 0 and converge to the minimal Frobenius norm
 solution pinv(A) C pinv(B). Sampling uses contiguous partitions with block
 probabilities proportional to squared Frobenius norms.
@@ -49,22 +46,18 @@ WEIGHT_UNIFORM = "uniform"
 # 1.0 (alpha = L_k) for the adaptive one.
 DEFAULT_ETA = {GRABK_CONST: 1.95, GRABK_ADAPTIVE: 1.0}
 
-# When solve() keeps R = C - A X B up to date: it recomputes R in full every
-# RESYNC_EVERY steps, and once a tracked relative residual falls below
-# re_tolerance + CONFIRM_BAND it drops R and recomputes it in full. It keeps
-# R only while its factor cache (at most m^2 + n^2 floats) stays within
-# FACTOR_CACHE_MULTIPLE times the m n floats of C. The error it tracks
-# against X_star is computed exactly on the same schedule; in between, the
-# tracked value counts as exact only to DROP_RTOL of the decrease it
-# subtracted, which covers the rounding of a computed decrease (about
-# eps kappa(A_I) kappa(B_J)) for blocks conditioned up to about 1e9.
+# A kept stop metric (see _Metric) drifts from the exact one by rounding,
+# for at most RESYNC_EVERY steps. CONFIRM_BAND is about 500 times the largest
+# gap seen between a kept and an exact value (2e-15). DROP_RTOL covers the
+# rounding of a computed decrease, about eps kappa(A_I) kappa(B_J), for
+# blocks conditioned up to about 1e9. FACTOR_CACHE_MULTIPLE caps the kept
+# residual's images against the m n floats of C. DECREASE_OVERHEAD is the
+# call cost of a block decrease, counted as the entries of X that an exact
+# error reads in the same time (about 6 us at 0.75 ns an entry, one thread).
 RESYNC_EVERY = 1000
 CONFIRM_BAND = 1e-12
 DROP_RTOL = 1e-6
 FACTOR_CACHE_MULTIPLE = 4
-# What a block method's decrease costs in calls, counted as entries of X
-# that an exact error reads in the same time (see _tracks_error): up to
-# about 6 us, at about 0.75 ns an entry, with BLAS on one thread.
 DECREASE_OVERHEAD = 8192
 
 
@@ -238,10 +231,8 @@ class IterationState:
     row_weights_hat: list = field(default_factory=list)  # u_i / ||A_i||^2
     col_weights_hat: list = field(default_factory=list)  # v_j / ||B_j||^2
     alpha_const: float | None = None
-    # (I, slice, A_I, G_I, A G_I, S_I) or None, S_I^T S_I = G_I^T G_I
-    row_blocks: list = field(default_factory=list)
-    # (J, slice, B_J, H_J, (H_J B)^T, T_J) or None, T_J^T T_J = H_J H_J^T
-    col_blocks: list = field(default_factory=list)
+    row_blocks: list = field(default_factory=list)  # (I, slice, A_I, G_I) or None
+    col_blocks: list = field(default_factory=list)  # (J, slice, B_J, H_J) or None
 
 
 def _block_weight_arrays(norms_sq, partition, scheme):
@@ -267,16 +258,6 @@ def _block_weight_arrays(norms_sq, partition, scheme):
         weights.append(u)
         hats.append(u_hat)
     return weights, hats
-
-
-def constant_stepsize(beta_max_a, beta_max_b, eta):
-    """Stepsize eta / (beta_max(A)^2 beta_max(B)^2) for Frobenius weights."""
-    return eta / (beta_max_a**2 * beta_max_b**2)
-
-
-def uniform_constant_stepsize(gamma_max_a, gamma_max_b, tau1, tau2, eta):
-    """Stepsize eta * tau1 tau2 / (gamma_max(A)^2 gamma_max(B)^2) for uniform weights."""
-    return eta * tau1 * tau2 / (gamma_max_a**2 * gamma_max_b**2)
 
 
 def prepare_state(problem, config):
@@ -316,20 +297,16 @@ def prepare_state(problem, config):
             cns, state.partition_cols, config.weight_scheme
         )
     if config.method == GRABK_CONST:
+        # ||U||_F^2 <= lam_A lam_B u_hat (R o R) v_hat, with lam_A the largest
+        # sigma_max^2(D_u_hat^{1/2} A_I) over blocks, so every step lowers the
+        # error while eta < 2
         if config.weight_scheme == WEIGHT_FROBENIUS:
-            state.alpha_const = constant_stepsize(
-                beta_max(A, state.partition_rows, "rows"),
-                beta_max(B, state.partition_cols, "cols"),
-                state.eta,
-            )
+            lam_a = beta_max(A, state.partition_rows, "rows") ** 2
+            lam_b = beta_max(B, state.partition_cols, "cols") ** 2
         else:
-            state.alpha_const = uniform_constant_stepsize(
-                gamma_max(A, state.partition_rows, "rows"),
-                gamma_max(B, state.partition_cols, "cols"),
-                tau1,
-                tau2,
-                state.eta,
-            )
+            lam_a = gamma_max(A, state.partition_rows, "rows", per_index=True)
+            lam_b = gamma_max(B, state.partition_cols, "cols", per_index=True)
+        state.alpha_const = state.eta / (lam_a * lam_b)
     return state
 
 
@@ -466,22 +443,6 @@ def _grabk_adaptive_apply(state, I, J, u_hat, v_hat, _blocks=None):
     return L, R
 
 
-def rk_kronecker_step(xvec, M, cvec, row, row_norms_sq=None):
-    """One classical row-action step on the vectorized system M x = c.
-
-    Desk-scale test oracle: M is the materialized product system. Returns
-    the updated vector (modified in place when possible).
-    """
-    x = np.asarray(xvec, dtype=np.float64)
-    mrow = M[row]
-    nr2 = row_norms_sq[row] if row_norms_sq is not None else float(mrow @ mrow)
-    if nr2 == 0.0:
-        raise ValueError(f"row {row} of the system matrix is zero")
-    r = cvec[row] - mrow @ x
-    x += (r / nr2) * mrow
-    return x
-
-
 def _relative_residual(problem, X):
     """||C - A X B||_F / ||C||_F (or ||C - A X B||_F when C = 0), and the
     residual matrix C - A X B."""
@@ -538,15 +499,10 @@ def _tracks_error(problem, config, use_re):
     return work + DECREASE_OVERHEAD < p * q
 
 
-def _cache_block(state, axis, b, keep, track):
+def _cache_block(state, axis, b):
     """Fill and return the entry of row block ``b`` of A for axis "rows", or
     of column block ``b`` of B for "cols": its index array and slice, then
-    ``(A_I, G_I, A G_I, S_I)`` or ``(B_J, H_J, (H_J B)^T, T_J)``, the
-    residual image None unless ``keep`` and the Gram factor None unless
-    ``track``. The Gram factor is the triangular factor of a QR of G_I or
-    H_J^T, so ``S_I^T S_I = G_I^T G_I`` and ``T_J^T T_J = H_J H_J^T``
-    (``||G_I||`` and ``||H_J||`` for GRK): it gives ``||G_I M H_J||_F`` as
-    ``||S_I M T_J^T||_F`` without squaring the condition of the block."""
+    ``(A_I, G_I)`` or ``(B_J, H_J)``."""
     problem, method, rows = state.problem, state.config.method, axis == "rows"
     partition = state.partition_rows if rows else state.partition_cols
     index, span = partition.block(b), partition.block_slice(b)
@@ -558,17 +514,8 @@ def _cache_block(state, axis, b, keep, track):
         factor = _checked_pinv(block)
     else:  # A_I^T and B_J^T
         factor = block.T
-    gram = None
-    if track:
-        gram = (np.linalg.norm(factor) if method == GRK
-                else np.linalg.qr(factor if rows else factor.T, mode="r"))
-    if rows:
-        entry = (index, span, block, factor, problem.A @ factor if keep else None, gram)
-        state.row_blocks[b] = entry
-    else:
-        entry = (index, span, block, factor,
-                 np.asfortranarray(problem.B.T @ factor.T) if keep else None, gram)
-        state.col_blocks[b] = entry
+    entry = (index, span, block, factor)
+    (state.row_blocks if rows else state.col_blocks)[b] = entry
     return entry
 
 
@@ -581,7 +528,7 @@ def _error_drop(method, sampled, weighted, gram_r, gram_c, c, eta):
     """||X - X*||_F^2 before a step minus after it, from what the step
     sampled: the residual ``sampled`` (None for a solved adaptive block),
     for GRABK also ``weighted`` = u_hat R v_hat, the stepsize ``c`` and the
-    Gram factors S_I, T_J of the sampled blocks (see ``_cache_block``).
+    Gram factors S_I, T_J of the sampled blocks (see ``_Error``).
 
     GRK and GRBK project X orthogonally onto a set that holds X*, so the
     error falls by ||G_I R H_J||_F^2 = ||S_I R T_J^T||_F^2, which is
@@ -604,80 +551,177 @@ def _error_drop(method, sampled, weighted, gram_r, gram_c, c, eta):
     return c * (2.0 * num - c * np.vdot(image, image))
 
 
+class _Metric:
+    """A stop metric kept from one step to the next between exact values.
+
+    A subclass caches an ``image`` of each block factor G_I or H_J when its
+    block is first drawn, moves its value by one step (``advance``, from the
+    residual M the step sampled), recomputes it (``exact``) and keeps
+    ``slack``, how far its kept value may lie above the exact one.
+    ``after_step`` holds the one rule for when a value is exact: every
+    ``RESYNC_EVERY`` steps; on the steps ``due`` for a record when
+    ``exact_on_records``; whenever the kept value less ``slack`` is below
+    ``band`` or NaN; and from the first exact value below ``band`` on. With
+    ``tracking`` False from the start, every value is exact.
+    """
+
+    exact_on_records = False
+    slack = 0.0
+
+    def __init__(self, state, tracking, band):
+        self.state, self.tracking, self.band = state, tracking, band
+        self.value = None
+        self.rows = [None] * state.partition_rows.n_blocks
+        self.cols = [None] * state.partition_cols.n_blocks
+        grabk = state.config.method in (GRABK_CONST, GRABK_ADAPTIVE)
+        self.hats = (state.row_weights_hat, state.col_weights_hat) if grabk else None
+
+    def confirm(self):
+        """The exact value; tracking ends once it is below the band, or NaN."""
+        value = self.value = self.exact()
+        if not value >= self.band:
+            self.tracking = False
+        return value
+
+    def after_step(self, k, due, bi, bj, sampled, c):
+        """The value after step ``k``, which sampled ``sampled`` from row
+        block ``bi`` and column block ``bj`` and moved X by ``c`` times its
+        update."""
+        if self.tracking and k % RESYNC_EVERY and not (due and self.exact_on_records):
+            left, right = self.rows[bi], self.cols[bj]
+            if left is None:
+                left = self.rows[bi] = self.image(True, self.state.row_blocks[bi][3])
+            if right is None:
+                right = self.cols[bj] = self.image(False, self.state.col_blocks[bj][3])
+            weighted = sampled
+            if self.hats and sampled is not None:  # u_hat R v_hat
+                weighted = self.hats[0][bi][:, None] * sampled * self.hats[1][bj][None, :]
+            value = self.advance(sampled, weighted, left, right, c)
+            if value - self.slack >= self.band:
+                self.value = value
+                return value
+        return self.confirm()
+
+
+class _Residual(_Metric):
+    """||C - A X B||_F / ||C||_F (or ||C - A X B||_F when C = 0), read from
+    R = C - A X B, which each step updates in place by rank at most tau2:
+    ``R -= c (A G_I) M (H_J B)``. Its images are ``A G_I`` and
+    ``(H_J B)^T``, at most ``m^2 + n^2`` floats; its kept value is within
+    rounding of the exact one, so it keeps no slack."""
+
+    def __init__(self, state, tracking, band):
+        super().__init__(state, tracking, band)
+        self.c_norm = np.linalg.norm(state.problem.C, "fro")
+        self.grk = state.config.method == GRK
+        # C - A X0 B with X0 = 0, C-ordered so that R.T takes BLAS updates in place
+        self.R = np.array(state.problem.C, order="C") if tracking else None
+
+    def image(self, rows, factor):
+        if rows:
+            return self.state.problem.A @ factor
+        return np.asfortranarray(self.state.problem.B.T @ factor.T)
+
+    def advance(self, sampled, weighted, left, right, c):
+        R = self.R
+        if sampled is not None:
+            if self.grk:
+                blas.dger(-sampled, right, left, a=R.T, overwrite_a=True)
+            else:
+                blas.dgemm(-c, right, (left @ weighted).T, beta=1.0, c=R.T,
+                           overwrite_c=True)
+        tracked = math.sqrt(np.vdot(R, R))
+        return float(tracked / self.c_norm) if self.c_norm > 0.0 else tracked
+
+    def exact(self):
+        value, R = _relative_residual(self.state.problem, self.state.X)
+        if self.tracking:
+            self.R = np.ascontiguousarray(R)
+        return value
+
+
+class _Error(_Metric):
+    """||X - X_star||_F^2 / ||X_star||_F^2, less each step's exact decrease
+    (``_error_drop``) between exact values. Its images are triangular Gram
+    factors from a QR of G_I and of H_J^T, so ``S_I^T S_I = G_I^T G_I`` and
+    ``T_J^T T_J = H_J H_J^T`` (``||G_I||`` and ``||H_J||`` for GRK): they give
+    ``||G_I M H_J||_F`` as ``||S_I M T_J^T||_F`` without squaring the
+    condition of the block. Its slack is ``DROP_RTOL`` of the decrease it
+    subtracted since its last exact value, and a decrease that is negative
+    or not finite makes the next value exact. Records read it exact."""
+
+    exact_on_records = True
+
+    def __init__(self, state, tracking, band):
+        super().__init__(state, tracking, band)
+        self.method, self.eta = state.config.method, state.eta
+        self.xstar_sq = np.linalg.norm(state.problem.X_star, "fro") ** 2
+        self.dropped = 0.0
+
+    def image(self, rows, factor):
+        if self.method == GRK:
+            return np.linalg.norm(factor)
+        return np.linalg.qr(factor if rows else factor.T, mode="r")
+
+    def advance(self, sampled, weighted, left, right, c):
+        drop = _error_drop(self.method, sampled, weighted, left, right, c,
+                           self.eta) / self.xstar_sq
+        self.dropped += drop
+        self.slack = DROP_RTOL * self.dropped
+        return self.value - drop if drop >= 0.0 else math.nan
+
+    def exact(self):
+        self.dropped = self.slack = 0.0
+        return _error(self.state.X, self.state.problem.X_star, self.xstar_sq)
+
+
 def solve(problem, config):
     """Run the configured method from X0 = 0 and trace convergence.
 
     Termination uses the squared relative error against ``X_star`` when the
     problem provides a usable (nonzero) reference, otherwise the relative
     residual ||C - A X B||_F / ||C||_F. The stop metric is checked every
-    iteration, against a tracked value where one is kept (see below), and a
-    trace record reuses its value; records are kept every ``trace_every``
-    iterations plus the final one. A run whose stop metric turns non-finite
-    ends as ``diverged``. Wall-clock covers the iteration loop only.
+    iteration and a trace record reuses its value; records are kept every
+    ``trace_every`` iterations plus the final one. A run whose stop metric
+    turns non-finite ends as ``diverged``. Wall-clock covers the iteration
+    loop only.
 
     Each step adds ``c G_I M H_J`` to X. ``_cache_block`` densifies each row
     block of A and column block of B and computes its factor once, when
     first drawn (at most ``2(mp + qn)`` floats), and every step reads them
-    from there. Where ``_keeps_residual`` says so, R = C - A X B is updated
-    in place after each step, ``R -= c (A G_I) M (H_J B)``, and the residual
-    is read from ||R||_F; the images ``A G_I`` and ``H_J B`` join the same
-    cache (at most ``m^2 + n^2`` more floats). R is recomputed in full every
-    ``RESYNC_EVERY`` steps. Once a tracked residual falls below
-    ``re_tolerance + CONFIRM_BAND`` (or turns NaN), the run drops R and
-    recomputes the residual in full on every later step, so iterates,
-    iteration counts and termination are those of a full recompute on
-    every step.
-
-    Where ``_tracks_error`` says so, the error is tracked, not
-    recomputed: each step subtracts its exact decrease (``_error_drop``),
-    read from the sampled residual and the tau x tau Gram factors that join
-    the block cache. The O(pq) ``||X - X_star||_F^2`` runs at iteration 0,
-    on every record step, every ``RESYNC_EVERY`` steps, past
-    ``max_seconds``, after a decrease that is negative or not finite, and
-    once the tracked value, less ``DROP_RTOL`` of the decrease subtracted
-    since the last exact value, is below ``re_tolerance + CONFIRM_BAND`` (or
-    NaN); each exact value replaces the tracked one. So tolerance and
-    divergence are declared on exact values only, every record's
-    ``relative_error`` is the exact one, and iterates, counts and
-    termination are those of an exact error on every step.
+    from there. Where ``_keeps_residual`` says so, ``_Residual`` keeps
+    C - A X B up to date; where ``_tracks_error`` says so, ``_Error`` keeps
+    the error by subtracting each step's decrease. Either is exact whenever
+    ``_Metric.after_step`` says so, in particular near ``re_tolerance``, so
+    tolerance and divergence are declared on exact values only, and
+    iterates, iteration counts and termination are those of an exact stop
+    metric on every step. A record's ``relative_error`` is exact; its
+    ``relative_residual`` is within 1e-14 of the exact one.
     """
     state = prepare_state(problem, config)
     method = config.method
     use_re = problem.X_star is not None and np.linalg.norm(problem.X_star, "fro") > 0.0
-    xstar_sq = np.linalg.norm(problem.X_star, "fro") ** 2 if use_re else None
-    keep = _keeps_residual(problem, config, use_re)
-    track = _tracks_error(problem, config, use_re)
-    grabk = method in (GRABK_CONST, GRABK_ADAPTIVE)
-    band_top = config.re_tolerance + CONFIRM_BAND
-    dropped = 0.0  # relative decrease subtracted since the last exact error
-    c_norm = np.linalg.norm(problem.C, "fro")
+    band = config.re_tolerance + CONFIRM_BAND
+    # without X_star the residual is the stop metric; with it, only records read it
+    residual = _Residual(state, _keeps_residual(problem, config, use_re),
+                         -math.inf if use_re else band)
+    stop = _Error(state, _tracks_error(problem, config, use_re), band) if use_re else residual
+    kept = use_re and residual.tracking
     l_values = [] if method == GRABK_ADAPTIVE else None
     records = []
-    R = None  # the kept residual C - A X B
-
-    def full_residual():
-        nonlocal R
-        value, full = _relative_residual(problem, state.X)
-        if keep:
-            R = np.ascontiguousarray(full)  # so R.T takes BLAS updates in place
-        return value
 
     # A diverging run ends as "diverged"; the overflow on its way there is
     # not also raised as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        if keep:
-            R = np.array(problem.C, order="C")  # C - A X0 B with X0 = 0
         t0 = time.perf_counter()
         k = 0
-        metric = _error(state.X, problem.X_star, xstar_sq) if use_re else full_residual()
+        metric = stop.confirm()
         termination = "tolerance" if metric < config.re_tolerance else None
         while termination is None and k < config.max_iters:
             bi = sample_block(state.dist_rows, state.rng)
             bj = sample_block(state.dist_cols, state.rng)
-            I, si, A_I, G_I, left, gram_r = (state.row_blocks[bi]
-                                             or _cache_block(state, "rows", bi, keep, track))
-            J, sj, B_J, H_J, right, gram_c = (state.col_blocks[bj]
-                                              or _cache_block(state, "cols", bj, keep, track))
+            I, si, A_I, G_I = state.row_blocks[bi] or _cache_block(state, "rows", bi)
+            J, sj, B_J, H_J = state.col_blocks[bj] or _cache_block(state, "cols", bj)
             # each step hands back the residual it sampled: M, up to weights
             c = 1.0
             if method == GRK:  # blocks of size 1: block bi is row bi
@@ -697,63 +741,26 @@ def solve(problem, config):
                     L, sampled = _grabk_adaptive_apply(state, I, J, u_hat, v_hat,
                                                        _blocks=blocks)
                     if L is None:
-                        sampled = None  # solved block: X and R are unchanged
+                        sampled = None  # solved block: X is unchanged
                     else:
                         l_values.append(L)
                         c = state.eta * L
             k += 1
             elapsed = time.perf_counter() - t0
-            # the error is exact on records, resyncs and past the time limit,
-            # and once the tracked value nears the tolerance; other steps
-            # subtract their decrease from it
-            exact = not (track and metric >= band_top) or (
-                k % config.trace_every == 0 or k % RESYNC_EVERY == 0
-                or k == config.max_iters
-                or config.max_seconds is not None and elapsed > config.max_seconds)
-            weighted = sampled  # u_hat R_IJ v_hat for GRABK
-            if grabk and sampled is not None and (keep or not exact):
-                weighted = u_hat[:, None] * sampled * v_hat[None, :]
-            if not exact:
-                drop = _error_drop(method, sampled, weighted, gram_r, gram_c,
-                                   c, state.eta) / xstar_sq
-                metric -= drop
-                dropped += drop
-                exact = not (drop >= 0.0 and metric - DROP_RTOL * dropped >= band_top)
-            if keep:
-                if sampled is not None:
-                    if method == GRK:
-                        blas.dger(-sampled, right, left, a=R.T, overwrite_a=True)
-                    else:
-                        blas.dgemm(-c, right, (left @ weighted).T, beta=1.0,
-                                   c=R.T, overwrite_c=True)
-                tracked = math.sqrt(np.vdot(R, R))
-                residual = float(tracked / c_norm) if c_norm > 0.0 else tracked
-                # near the tolerance (or on NaN), recompute from here on
-                keep = use_re or residual >= config.re_tolerance + CONFIRM_BAND
-                if keep and k % RESYNC_EVERY == 0:
-                    residual = full_residual()
-            if not (keep or use_re):
-                residual = full_residual()
-            if exact:
-                metric = _error(state.X, problem.X_star, xstar_sq) if use_re else residual
-                dropped = 0.0
+            record = k % config.trace_every == 0 or k == config.max_iters
+            past = config.max_seconds is not None and elapsed > config.max_seconds
+            metric = stop.after_step(k, record or past, bi, bj, sampled, c)
+            if kept:
+                residual.after_step(k, False, bi, bj, sampled, c)
             if not math.isfinite(metric):
                 termination = "diverged"
             elif metric < config.re_tolerance:
                 termination = "tolerance"
-            elif config.max_seconds is not None and elapsed > config.max_seconds:
+            elif past:
                 termination = "time_limit"
-            if termination or k == config.max_iters or k % config.trace_every == 0:
-                records.append(
-                    TraceRecord(
-                        iteration=k,
-                        relative_error=metric if use_re else None,
-                        relative_residual=(
-                            full_residual() if use_re and not keep else residual
-                        ),
-                        elapsed=elapsed,
-                    )
-                )
+            if termination or record:
+                resid = residual.exact() if use_re and not kept else residual.value
+                records.append(TraceRecord(k, metric if use_re else None, resid, elapsed))
 
     return ConvergenceReport(
         records=records,

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from kaczmat.images import GrayImage
-from kaczmat.matrices import kron, pinv, vec
+from kaczmat.matrices import pinv
 from kaczmat.problems import BlurSpec, TypeISpec, blur_problem, gen_type1, gen_type2, make_problem, psnr
 from kaczmat.rates import beta_max, gamma_max, grabk_const_rate, grbk_rate, grk_rate
 from kaczmat.sampling import SeededRng, frobenius_block_probs, make_partition, sample_block
@@ -26,9 +26,10 @@ from kaczmat.solvers import (
     grk_step,
     prepare_state,
     relative_error,
-    rk_kronecker_step,
     solve,
 )
+
+from oracles import kron, rk_kronecker_step, vec
 
 
 def emit(capsys, n, ok, detail):

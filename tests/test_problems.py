@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from kaczmat.images import GrayImage
-from kaczmat.matrices import kron, pinv, vec
 from kaczmat.problems import (
     BlurSpec,
     InconsistentSystemWarning,
@@ -21,6 +20,8 @@ from kaczmat.problems import (
     uniform_toeplitz,
 )
 from kaczmat.problems import _orthonormal_columns
+
+from oracles import kron, vec
 
 
 def test_type1_spec_validation():

@@ -1,10 +1,12 @@
-"""Property tests of the paper's exact per-step error decrease.
+"""Property tests of the paper's invariants.
 
 GRK and GRBK project the iterate orthogonally onto a set that holds X*, and
 GRABK moves it by a step whose effect on ||X - X*||_F^2 is known in closed
 form. ``solve`` subtracts that decrease instead of recomputing the error, so
 each decrease it subtracts must match the change of the exact error, and
-the running value must stay on the exact one over a long run.
+the running value must stay on the exact one over a long run. GRABK-
+constant's stepsize must keep that decrease nonnegative on every block, and
+every step keeps X in range(A^T) x range(B).
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kaczmat import solvers
-from kaczmat.matrices import col_norms, row_norms
+from kaczmat.matrices import pinv
 from kaczmat.problems import TypeISpec, gen_type1, make_problem
 from kaczmat.solvers import (
     GRABK_ADAPTIVE,
@@ -59,8 +61,6 @@ def instances(draw, rough=False):
     if csr:
         A = _thinned(A) if rough or r1 == min(m, p) else sp.csr_array(A)
         B = _thinned(B) if rough or r2 == min(q, n) else sp.csr_array(B)
-        # a zero row can make a zero block, on which GRABK-constant's beta_max raises
-        assume(row_norms(A).all() and col_norms(B).all())
     prob = make_problem(A, B, seed=seed + 1)
     if not rough:
         prob = Problem(A=A, B=B, C=(A @ prob.X_star) @ B, X_star=prob.X_star)
@@ -146,3 +146,48 @@ def test_tracked_error_never_skips_a_needed_check(instance, method):
         margin = solvers.CONFIRM_BAND + solvers.DROP_RTOL * dropped
         if drop >= 0.0 and tracked >= margin:  # solve skipped the exact check
             assert abs(tracked - exact) <= margin * scale
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(instance=instances(), eta=st.floats(0.05, 1.99))
+def test_constant_stepsize_bounds_every_block(instance, eta):
+    # ||U||_F^2 <= lam_A lam_B u_hat (R o R) v_hat with lam_A the largest
+    # sigma_max^2(D_u_hat^{1/2} A_I) over all blocks, the short last one
+    # included; alpha_const lam_A lam_B <= eta < 2 keeps every decrease
+    # 2 alpha num - alpha^2 ||U||_F^2 nonnegative
+    prob, tau1, tau2, weights = instance
+    m, n = prob.C.shape
+    assume(m % tau1 or n % tau2)  # a ragged partition
+    config = SolverConfig(method=GRABK_CONST, tau1=tau1, tau2=tau2, eta=eta,
+                          weight_scheme=weights)
+    state = solvers.prepare_state(prob, config)
+
+    def lam(M, partition, hats, axis):
+        top = 0.0
+        for b in range(partition.n_blocks):
+            if hats[b] is None:  # a zero block, never drawn
+                continue
+            span = partition.block_slice(b)
+            block = M[span] if axis == "rows" else M[:, span].T
+            block = block.toarray() if sp.issparse(block) else block
+            scaled = np.sqrt(hats[b])[:, None] * block
+            top = max(top, np.linalg.svd(scaled, compute_uv=False)[0] ** 2)
+        return top
+
+    lam_a = lam(prob.A, state.partition_rows, state.row_weights_hat, "rows")
+    lam_b = lam(prob.B, state.partition_cols, state.col_weights_hat, "cols")
+    assert state.alpha_const * lam_a * lam_b <= eta * (1.0 + 1e-12) < 2.0
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(instance=instances(), method=st.sampled_from(METHODS), steps=st.integers(1, 300))
+def test_iterates_stay_in_the_range_of_a_transpose_and_b(instance, method, steps):
+    # every step adds a term A_I^T (...) B_J^T or pinv(A_I) (...) pinv(B_J),
+    # so from X0 = 0 on, pinv(A) A X B pinv(B) = X
+    prob, tau1, tau2, weights = instance
+    config = SolverConfig(method=method, tau1=tau1, tau2=tau2, seed=3, max_iters=steps,
+                          re_tolerance=1e-300, weight_scheme=weights)
+    X = solve(prob, config).X
+    A, B = (M.toarray() if sp.issparse(M) else M for M in (prob.A, prob.B))
+    projected = pinv(A) @ (A @ X @ B) @ pinv(B)
+    assert np.linalg.norm(projected - X) <= 1e-10 * np.linalg.norm(X)

@@ -39,10 +39,13 @@ def test_beta_max_identity_blocks():
     assert beta_max(np.eye(6), make_partition(6, 3), "rows") == pytest.approx(1 / np.sqrt(3))
 
 
-def test_beta_max_zero_block_raises():
-    M = np.vstack([np.eye(2), np.zeros((2, 2))])
+def test_beta_max_skips_zero_blocks_and_raises_on_zero_matrix():
+    # Frobenius sampling never draws a zero block, so it does not count
+    M = np.vstack([np.zeros((2, 2)), np.eye(2)])
+    assert beta_max(M, make_partition(4, 2), "rows") == pytest.approx(1 / np.sqrt(2))
+    assert beta_max(M.T, make_partition(4, 2), "cols") == pytest.approx(1 / np.sqrt(2))
     with pytest.raises(ValueError):
-        beta_max(M, make_partition(4, 2), "rows")
+        beta_max(np.zeros((4, 2)), make_partition(4, 2), "rows")
 
 
 def test_gamma_max_singletons_are_one():
@@ -64,6 +67,20 @@ def test_gamma_max_equals_sqrt_tau_times_beta_when_normalized():
 
 def test_gamma_max_identity():
     assert gamma_max(np.eye(4), make_partition(4, 2), "rows") == pytest.approx(1.0)
+
+
+def test_gamma_max_per_index_divides_each_block_by_its_size():
+    # a short last block counts with its own size: max over b of gamma_b^2 / |b|
+    rng = np.random.default_rng(3)
+    for rows, cols, tau in ((7, 4, 3), (5, 6, 2)):
+        M = rng.standard_normal((rows, cols))
+        part = make_partition(rows, tau)
+        lam = max(
+            np.linalg.svd(block / np.linalg.norm(block, axis=1, keepdims=True),
+                          compute_uv=False)[0] ** 2 / block.shape[0]
+            for block in (M[part.block_slice(b)] for b in range(part.n_blocks)))
+        assert gamma_max(M, part, "rows", per_index=True) == pytest.approx(lam, rel=1e-12)
+        assert gamma_max(M.T, part, "cols", per_index=True) == pytest.approx(lam, rel=1e-12)
 
 
 def test_gamma_max_zero_row_raises():

@@ -87,12 +87,6 @@ def test_rng_read_ahead_interleaves_with_array_draws(k):
     assert rng.position == k + 12 + 7 + 2 + 2
 
 
-def test_rng_spawn_offsets_seed_and_keeps_stream():
-    child = SeededRng(3, stream=1).spawn(2)
-    assert child.seed == 5 and child.stream == 1
-    np.testing.assert_array_equal(child.uniform_array(8), SeededRng(5, stream=1).uniform_array(8))
-
-
 def test_rng_normal_draws_have_unit_scale():
     x = SeededRng(42).standard_normal((200, 50))
     assert abs(x.mean()) < 0.02

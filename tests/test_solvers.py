@@ -8,8 +8,9 @@ import pytest
 import scipy.sparse as sp
 
 from kaczmat import sampling, solvers
-from kaczmat.matrices import kron, pinv, unvec, vec
+from kaczmat.matrices import pinv
 from kaczmat.problems import TypeISpec, gen_type1, gen_type2, make_problem
+from kaczmat.rates import beta_max, gamma_max
 from kaczmat.sampling import BlockPartition, SeededRng, categorical, sample_block
 from kaczmat.solvers import (
     GRABK_ADAPTIVE,
@@ -22,16 +23,15 @@ from kaczmat.solvers import (
     SolverConfig,
     _grabk_adaptive_apply,
     adaptive_stepsize,
-    constant_stepsize,
     grabk_step,
     grbk_step,
     grk_step,
     prepare_state,
     relative_error,
-    rk_kronecker_step,
     solve,
-    uniform_constant_stepsize,
 )
+
+from oracles import kron, rk_kronecker_step, unvec, vec
 
 
 def small_problem(seed=0, m=8, p=5, q=5, n=8):
@@ -234,12 +234,23 @@ def test_grabk_step_weight_validation():
         grabk_step(state, I, J, [0.5, 0.6], [0.5, 0.5], 1.0)  # sum != 1
 
 
-def test_constant_stepsize_values():
-    assert constant_stepsize(1.0, 1.0, 1.0) == pytest.approx(1.0)
-    assert constant_stepsize(1.0, 1.0, 1.95) == pytest.approx(1.95)
-    assert constant_stepsize(0.5, 0.5, 1.0) == pytest.approx(16.0)
-    assert uniform_constant_stepsize(1.0, 1.0, 2, 3, 1.0) == pytest.approx(6.0)
-    assert uniform_constant_stepsize(2.0, 1.0, 4, 1, 1.5) == pytest.approx(1.5)
+def test_constant_stepsize_is_eta_over_block_lams():
+    # alpha = eta / (lam_A lam_B): beta_max^2 per factor for Frobenius
+    # weights, and max over blocks of gamma_b^2 / |b| for uniform ones, so a
+    # short last block (10 = 4 + 4 + 2 rows, 9 = 3 + 3 + 3 columns) counts
+    # with its own size
+    prob = small_problem(5, m=10, n=9)
+    config = SolverConfig(method=GRABK_CONST, tau1=4, tau2=3)
+    state = prepare_state(prob, config)
+    pa, pb = state.partition_rows, state.partition_cols
+    assert state.alpha_const == 1.95 / (beta_max(prob.A, pa, "rows") ** 2
+                                        * beta_max(prob.B, pb, "cols") ** 2)
+    config = SolverConfig(method=GRABK_CONST, tau1=4, tau2=3, eta=1.5,
+                          weight_scheme="uniform")
+    lam_a = gamma_max(prob.A, pa, "rows", per_index=True)
+    lam_b = gamma_max(prob.B, pb, "cols", per_index=True)
+    assert prepare_state(prob, config).alpha_const == 1.5 / (lam_a * lam_b)
+    assert lam_a > gamma_max(prob.A, pa, "rows") ** 2 / 4  # the short block binds
 
 
 def test_adaptive_stepsize_singleton_is_one():
@@ -874,6 +885,29 @@ def test_prepare_state_hands_its_norms_to_the_probabilities(monkeypatch):
             expected = sampling.frobenius_block_probs(M, partition, axis)
             assert dist.probabilities.tobytes() == expected.probabilities.tobytes()
         computed.clear()
+
+
+def test_grabk_const_solves_past_a_zero_row_block():
+    # rows 0-1 of A form a zero block at tau 2, which Frobenius sampling
+    # never draws: GRABK-constant's stepsize skips it as the others do
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((6, 4))
+    A[:2] = 0.0
+    prob = make_problem(A, rng.standard_normal((4, 6)), seed=1)
+    for method in METHODS:
+        report = solve(prob, SolverConfig(method=method, tau1=2, tau2=2, seed=3,
+                                          max_iters=100000))
+        assert report.termination == "tolerance", method
+
+
+@pytest.mark.parametrize("tau1, tau2", [(1, 1), (1, 2), (2, 2), (1, 3)])
+def test_grabk_const_uniform_weights_converge_with_a_short_last_block(tau1, tau2):
+    # n = 3 splits into 2 + 1 columns at tau2 = 2; a stepsize taken from
+    # tau2 instead of the short block's size diverges here
+    prob = make_problem(*gen_type1(TypeISpec(2, 2, 1, 3, 3, 3, seed=0)), seed=1)
+    report = solve(prob, SolverConfig(method=GRABK_CONST, tau1=tau1, tau2=tau2, seed=3,
+                                      weight_scheme="uniform", max_iters=5000))
+    assert report.termination == "tolerance"
 
 
 def test_solve_block_size_exceeding_dims_raises():
