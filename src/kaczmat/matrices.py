@@ -32,8 +32,9 @@ def as_csr(M):
     indices are strictly increasing within each row.
     """
     A = sp.csr_array(M, dtype=np.float64)
-    A.sum_duplicates()
-    A.sort_indices()
+    if not A.has_canonical_format:  # on a copy: A may share the arrays of M
+        A = A.copy()
+        A.sum_duplicates()  # sorts the indices too
     if not np.all(np.isfinite(A.data)):
         raise ValueError("sparse matrix contains NaN or Inf entries")
     return A

@@ -153,6 +153,17 @@ def test_as_dense_and_as_csr():
     assert S2.has_canonical_format
 
 
+def test_as_csr_canonicalizes_a_copy():
+    # row 0 holds columns 2, 0, 0: as_csr sorts and sums them in a copy,
+    # not in the arrays it shares with the caller's matrix
+    parts = (np.array([1.0, 2.0, 3.0]), np.array([2, 0, 0]), np.array([0, 3, 3]))
+    M = sp.csr_array(parts, shape=(2, 3))
+    S = as_csr(M)
+    np.testing.assert_array_equal(S.toarray(), [[5.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    for array, before in zip((M.data, M.indices, M.indptr), ([1, 2, 3], [2, 0, 0], [0, 3, 3])):
+        np.testing.assert_array_equal(array, before)
+
+
 def test_as_dense_rejects_nonfinite():
     with pytest.raises(ValueError):
         as_dense(np.array([[1.0, np.nan]]))

@@ -6,8 +6,11 @@ form. ``solve`` subtracts that decrease instead of recomputing the error, so
 each decrease it subtracts must match the change of the exact error, and
 the running value must stay on the exact one over a long run. GRABK-
 constant's stepsize must keep that decrease nonnegative on every block, and
-every step keeps X in range(A^T) x range(B).
+every step keeps X in range(A^T) x range(B). Dense and CSR factors give the
+same run, and a residual ``solve`` keeps up to date stays on the exact one.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from kaczmat.solvers import (
 STEP_NAMES = {GRK: "grk_step", GRBK: "grbk_step", GRABK_CONST: "grabk_step",
               GRABK_ADAPTIVE: "_grabk_adaptive_apply"}
 STEPS = 2000
+RUN_STEPS = 24
 
 
 def _thinned(M):
@@ -191,3 +195,45 @@ def test_iterates_stay_in_the_range_of_a_transpose_and_b(instance, method, steps
     A, B = (M.toarray() if sp.issparse(M) else M for M in (prob.A, prob.B))
     projected = pinv(A) @ (A @ X @ B) @ pinv(B)
     assert np.linalg.norm(projected - X) <= 1e-10 * np.linalg.norm(X)
+
+
+@settings(max_examples=6, derandomize=True, deadline=None)
+@given(instance=instances())
+def test_dense_and_csr_factors_agree_and_kept_residuals_are_exact(instance):
+    # with the default cost rules, so each run keeps R, tracks the error or
+    # recomputes as solve() picks: the dense and CSR forms of one instance
+    # give the same iterates and records to 1e-12, and every record's
+    # residual of the CSR run is within 1e-14 of one recomputed from its X.
+    # At re_tolerance 1e-300 a run stops only on an exactly zero metric,
+    # which rounding can reach in one form and not the other: the two runs
+    # are then compared over the steps both took.
+    prob, tau1, tau2, weights = instance
+    A, B = (M.toarray() if sp.issparse(M) else M for M in (prob.A, prob.B))
+    assume(np.any(prob.C))
+    for x_star in (prob.X_star, None):
+        dense = Problem(A=A, B=B, C=prob.C, X_star=x_star)
+        csr = Problem(A=sp.csr_array(A), B=sp.csr_array(B), C=prob.C, X_star=x_star)
+        for method in METHODS:
+            for trace_every in (1, 10**6):
+                config = SolverConfig(method=method, tau1=tau1, tau2=tau2, seed=3,
+                                      max_iters=RUN_STEPS, re_tolerance=1e-300,
+                                      trace_every=trace_every, weight_scheme=weights)
+                on_dense, on_csr = solve(dense, config), solve(csr, config)
+                label = (method, x_star is not None, trace_every)
+                steps = min(on_dense.iterations, on_csr.iterations)
+                if steps < RUN_STEPS:
+                    assert "tolerance" in (on_dense.termination, on_csr.termination), label
+                    short = replace(config, max_iters=steps)
+                    on_dense, on_csr = solve(dense, short), solve(csr, short)
+                scale = max(np.linalg.norm(on_dense.X), 1e-300)
+                assert np.linalg.norm(on_dense.X - on_csr.X) <= 1e-12 * scale, label
+                assert len(on_dense.records) == len(on_csr.records), label
+                for d, c in zip(on_dense.records, on_csr.records):
+                    assert d.iteration == c.iteration, label
+                    assert abs(d.relative_residual - c.relative_residual) <= 1e-12, label
+                    if x_star is not None:
+                        assert abs(d.relative_error - c.relative_error) <= 1e-12, label
+                    X = (on_csr.X if c.iteration == on_csr.iterations else
+                         solve(csr, replace(config, max_iters=c.iteration)).X)
+                    exact = np.linalg.norm(prob.C - A @ X @ B) / np.linalg.norm(prob.C)
+                    assert abs(c.relative_residual - exact) <= 1e-14, label
