@@ -65,43 +65,37 @@ def col_norms(M):
     return np.sqrt(np.sum(A * A, axis=0))
 
 
-def default_rank_tol(M):
-    """Relative rank cutoff: max(rows, cols) * machine epsilon."""
-    m, n = np.shape(M)
-    return max(m, n) * np.finfo(np.float64).eps
+def _nonzero(s, shape):
+    """Which singular values s (descending) of a matrix of ``shape`` count as
+    nonzero: those above the cutoff ``max(rows, cols) * eps * sigma_max``."""
+    return s > max(shape) * np.finfo(np.float64).eps * s[0]
 
 
-def pinv(M, rank_tol=None):
+def pinv(M):
     """Moore-Penrose pseudoinverse via truncated SVD.
 
-    Singular values at or below ``rank_tol * sigma_max`` are treated as zero.
-    ``rank_tol`` defaults to ``max(rows, cols) * eps``.
+    Singular values at or below ``max(rows, cols) * eps * sigma_max`` are
+    treated as zero.
     """
     A = as_dense(M)
-    if rank_tol is None:
-        rank_tol = default_rank_tol(A)
-    if rank_tol < 0:
-        raise ValueError("rank_tol must be nonnegative")
     u, s, vt = np.linalg.svd(A, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((A.shape[1], A.shape[0]))
-    keep = s > rank_tol * s[0]
+    keep = _nonzero(s, A.shape)
     s_inv = np.zeros_like(s)
     s_inv[keep] = 1.0 / s[keep]
     return (vt.T * s_inv) @ u.T
 
 
-def sigma_extremes(M, rank_tol=None):
+def sigma_extremes(M):
     """Largest singular value and smallest nonzero singular value.
 
-    Values at or below ``rank_tol * sigma_max`` count as zero. Raises
-    ValueError for a zero matrix.
+    Values at or below ``max(rows, cols) * eps * sigma_max`` count as zero.
+    Raises ValueError for a zero matrix.
     """
     A = as_dense(M)
-    if rank_tol is None:
-        rank_tol = default_rank_tol(A)
     s = np.linalg.svd(A, full_matrices=False)[1]
     if s.size == 0 or s[0] == 0.0:
         raise ValueError("sigma_extremes undefined for the zero matrix")
-    nonzero = s[s > rank_tol * s[0]]
+    nonzero = s[_nonzero(s, A.shape)]
     return float(s[0]), float(nonzero[-1])

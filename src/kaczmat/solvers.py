@@ -202,13 +202,6 @@ def relative_error(X, X_star):
     return float(np.linalg.norm(X - X_star, "fro") ** 2 / denom)
 
 
-def _dense(block):
-    """A row block of A or column block of B as a float64 array."""
-    if sp.issparse(block):
-        block = block.toarray()
-    return np.asarray(block, dtype=np.float64)
-
-
 @dataclass
 class IterationState:
     """Prepared per-run caches: the iterate plus norms, partitions, weights."""
@@ -224,8 +217,6 @@ class IterationState:
     partition_cols: object = None
     dist_rows: object = None
     dist_cols: object = None
-    row_weights: list = field(default_factory=list)  # u per row block
-    col_weights: list = field(default_factory=list)  # v per col block
     row_weights_hat: list = field(default_factory=list)  # u_i / ||A_i||^2
     col_weights_hat: list = field(default_factory=list)  # v_j / ||B_j||^2
     alpha_const: float | None = None
@@ -233,29 +224,42 @@ class IterationState:
     col_blocks: list = field(default_factory=list)  # (J, slice, B_J, H_J) or None
 
 
-def _block_weight_arrays(norms_sq, partition, scheme):
-    """Per-block weight vectors u (sum 1) and u_hat = u / norms_sq."""
-    weights, hats = [], []
+def _hat_weights(u, norms_sq):
+    """u_hat = u / norms_sq for the weights u on one block, 0 on a zero
+    row/column."""
+    return np.where(norms_sq > 0.0, u / np.where(norms_sq > 0.0, norms_sq, 1.0), 0.0)
+
+
+def _caller_hats(u, norms_sq, label):
+    """``_hat_weights`` of caller-given weights u on one block, after checking
+    that u is nonnegative, sums to 1 and puts no weight on a zero row/column."""
+    u = np.asarray(u, dtype=np.float64)
+    if u.shape != norms_sq.shape:
+        raise ValueError(f"{label} has length {u.size}, expected {norms_sq.size}")
+    if np.any(u < 0):
+        raise ValueError(f"{label} must be nonnegative")
+    if abs(float(u.sum()) - 1.0) > 1e-10:
+        raise ValueError(f"{label} must sum to 1, got {u.sum()!r}")
+    if np.any((norms_sq == 0.0) & (u > 0.0)):
+        raise ValueError(f"{label}: positive weight on a zero row/column")
+    return _hat_weights(u, norms_sq)
+
+
+def _block_hats(norms_sq, partition, scheme):
+    """u_hat per block for the weights u (sum 1) of ``scheme``; None for a
+    zero block under Frobenius weights, which is never sampled."""
+    hats = []
     for b in range(partition.n_blocks):
         ns = norms_sq[partition.block_slice(b)]
         if scheme == WEIGHT_FROBENIUS:
             total = ns.sum()
-            if total == 0.0:
-                weights.append(None)  # zero-norm block: never sampled
-                hats.append(None)
-                continue
-            u = ns / total
-            u_hat = np.where(ns > 0.0, u / np.where(ns > 0.0, ns, 1.0), 0.0)
-        else:  # uniform
-            if np.any(ns == 0.0):
-                raise ValueError(
-                    "uniform weights require nonzero rows/columns in every block"
-                )
+            u = ns / total if total > 0.0 else None
+        elif np.any(ns == 0.0):
+            raise ValueError("uniform weights require nonzero rows/columns in every block")
+        else:
             u = np.full(ns.size, 1.0 / ns.size)
-            u_hat = u / ns
-        weights.append(u)
-        hats.append(u_hat)
-    return weights, hats
+        hats.append(None if u is None else _hat_weights(u, ns))
+    return hats
 
 
 def prepare_state(problem, config):
@@ -288,12 +292,10 @@ def prepare_state(problem, config):
     state.col_blocks = [None] * state.partition_cols.n_blocks
 
     if config.method in (GRABK_CONST, GRABK_ADAPTIVE):
-        state.row_weights, state.row_weights_hat = _block_weight_arrays(
-            rns, state.partition_rows, config.weight_scheme
-        )
-        state.col_weights, state.col_weights_hat = _block_weight_arrays(
-            cns, state.partition_cols, config.weight_scheme
-        )
+        state.row_weights_hat = _block_hats(rns, state.partition_rows,
+                                            config.weight_scheme)
+        state.col_weights_hat = _block_hats(cns, state.partition_cols,
+                                            config.weight_scheme)
     if config.method == GRABK_CONST:
         # ||U||_F^2 <= lam_A lam_B u_hat (R o R) v_hat, with lam_A the largest
         # sigma_max^2(D_u_hat^{1/2} A_I) over blocks, so every step lowers the
@@ -308,31 +310,45 @@ def prepare_state(problem, config):
     return state
 
 
+def _block(state, rows, index, method):
+    """Row block ``index`` of A (``rows``) or column block of B, densified,
+    and its factor in the update ``G_I M H_J`` of ``method``: the row a and
+    ``a / ||a||^2`` for GRK, ``pinv`` for GRBK and the transpose for GRABK.
+    Raises ValueError on a zero row (GRK) or a zero block."""
+    block = state.problem.A[index] if rows else state.problem.B[:, index]
+    if sp.issparse(block):
+        block = block.toarray()
+    if method == GRK:
+        norm_sq = (state.row_norms_sq if rows else state.col_norms_sq)[index[0]]
+        if norm_sq == 0.0:
+            raise ValueError("sampled row of A or column of B is zero")
+        block = block.ravel()
+        return block, block / norm_sq
+    if not block.any():
+        raise ValueError("sampled block of A or B is zero")
+    return block, (pinv(block) if method == GRBK else block.T)
+
+
+def _sampled_blocks(state, I, J, method):
+    """``(A_I, G_I, B_J, H_J, C_IJ)`` for the index arrays I and J, as
+    ``solve`` hands them to the GRBK and GRABK kernels."""
+    return (*_block(state, True, I, method), *_block(state, False, J, method),
+            state.problem.C[np.ix_(I, J)])
+
+
 def grk_step(state, i, j, _blocks=None):
     """Rank-1 update from row i of A and column j of B; returns the sampled
     residual r = C_ij - A_i X B_j it applied.
 
     X <- X + A_i^T (C_ij - A_i X B_j) B_j^T / (||A_i||^2 ||B_j||^2)
 
-    ``_blocks`` is ``(A_i, B_j)`` densified, as ``solve`` keeps them; it
-    skips the zero check, as ``solve`` never draws a zero row or column.
+    ``_blocks`` is ``(A_i, B_j)`` densified, as ``solve`` keeps them.
     """
-    na2 = state.row_norms_sq[i]
-    nb2 = state.col_norms_sq[j]
-    if _blocks is None and (na2 == 0.0 or nb2 == 0.0):
-        raise ValueError(f"row {i} of A or column {j} of B is zero")
-    a, b = _blocks or (_dense(state.problem.A[np.array([i])]).ravel(),
-                       _dense(state.problem.B[:, np.array([j])]).ravel())
+    a, b = _blocks or (_block(state, True, np.array([i]), GRK)[0],
+                       _block(state, False, np.array([j]), GRK)[0])
     r = state.problem.C[i, j] - a @ state.X @ b
-    state.X += (r / (na2 * nb2)) * (a[:, None] * b)
+    state.X += (r / (state.row_norms_sq[i] * state.col_norms_sq[j])) * (a[:, None] * b)
     return r
-
-
-def _checked_pinv(block):
-    """pinv of a sampled dense block of A or B, which must not be zero."""
-    if not block.any():
-        raise ValueError("sampled block of A or B is zero")
-    return pinv(block)
 
 
 def grbk_step(state, I, J, _blocks=None):
@@ -344,50 +360,31 @@ def grbk_step(state, I, J, _blocks=None):
     ``_blocks`` is ``(A_I, pinv(A_I), B_J, pinv(B_J), C_IJ)`` as ``solve``
     keeps them per block; without it they are computed here.
     """
-    I = np.asarray(I)
-    J = np.asarray(J)
-    if _blocks is None:
-        A_I = _dense(state.problem.A[I])
-        B_J = _dense(state.problem.B[:, J])
-        _blocks = (A_I, _checked_pinv(A_I), B_J, _checked_pinv(B_J),
-                   state.problem.C[np.ix_(I, J)])
-    A_I, pa, B_J, pb, C_IJ = _blocks
+    A_I, pa, B_J, pb, C_IJ = _blocks or _sampled_blocks(state, np.asarray(I),
+                                                        np.asarray(J), GRBK)
     R = C_IJ - A_I @ state.X @ B_J
     state.X += pa @ R @ pb
     return R
 
 
-def _hat_weights(u, norms_sq, label):
-    """u / norms_sq for caller-given weights u on one block, after checking
-    that u is nonnegative, sums to 1 and puts no weight on a zero row/column."""
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != norms_sq.shape:
-        raise ValueError(f"{label} has length {u.size}, expected {norms_sq.size}")
-    if np.any(u < 0):
-        raise ValueError(f"{label} must be nonnegative")
-    if abs(float(u.sum()) - 1.0) > 1e-10:
-        raise ValueError(f"{label} must sum to 1, got {u.sum()!r}")
-    bad = (norms_sq == 0.0) & (u > 0.0)
-    if np.any(bad):
-        raise ValueError(f"{label}: positive weight on a zero row/column")
-    return np.where(norms_sq > 0.0, u / np.where(norms_sq > 0.0, norms_sq, 1.0), 0.0)
-
-
-def _checked_hats(state, I, J, u, v):
-    """u_hat, v_hat for the row weights u on I and column weights v on J."""
-    return (_hat_weights(u, state.row_norms_sq[I], "row weights"),
-            _hat_weights(v, state.col_norms_sq[J], "column weights"))
-
-
-def _averaged_update(state, I, J, u_hat, v_hat, blocks=None):
-    """Residual block R and the weighted update direction U = A_I^T (u_hat R v_hat) B_J^T,
-    from the ``blocks`` (A_I, B_J, C_IJ) when the caller has them."""
-    problem = state.problem
-    A_I, B_J, C_IJ = blocks or (_dense(problem.A[I]), _dense(problem.B[:, J]),
-                                problem.C[np.ix_(I, J)])
+def _grabk(state, I, J, u, v, blocks, hats, adaptive):
+    """The body of every GRABK kernel: ``(R, U, L)`` with R the sampled
+    residual block, U = A_I^T (u_hat R v_hat) B_J^T the update direction
+    and, when ``adaptive``, L = u_hat (R o R) v_hat / ||U||_F^2, None when U
+    is zero (every sampled residual is). ``blocks`` and ``hats`` are as
+    ``solve`` keeps them; without ``hats`` the caller's weights u and v are
+    checked and hatted here."""
+    I = np.asarray(I)
+    J = np.asarray(J)
+    u_hat, v_hat = hats or (_caller_hats(u, state.row_norms_sq[I], "row weights"),
+                            _caller_hats(v, state.col_norms_sq[J], "column weights"))
+    A_I, G_I, B_J, H_J, C_IJ = blocks or _sampled_blocks(state, I, J, GRABK_CONST)
     R = C_IJ - A_I @ state.X @ B_J
-    U = A_I.T @ (u_hat[:, None] * R * v_hat[None, :]) @ B_J.T
-    return R, U
+    U = G_I @ (u_hat[:, None] * R * v_hat[None, :]) @ H_J
+    if not adaptive:
+        return R, U, None
+    denom = float(np.sum(U * U))
+    return R, U, (float(u_hat @ (R * R) @ v_hat) / denom if denom != 0.0 else None)
 
 
 def grabk_step(state, I, J, u, v, alpha, _blocks=None, _hats=None):
@@ -397,26 +394,12 @@ def grabk_step(state, I, J, u, v, alpha, _blocks=None, _hats=None):
     u_i v_j, but computed in compact matrix form. Weights must each sum
     to 1 over their block. Returns the sampled residual block R_IJ.
 
-    ``_blocks`` is ``(A_I, B_J, C_IJ)`` with the factor blocks densified and
-    ``_hats`` the checked ``(u_hat, v_hat)``, as ``solve`` keeps them.
+    ``_blocks`` is ``(A_I, A_I^T, B_J, B_J^T, C_IJ)`` and ``_hats`` the
+    prepared ``(u_hat, v_hat)``, as ``solve`` keeps them.
     """
-    I = np.asarray(I)
-    J = np.asarray(J)
-    u_hat, v_hat = _hats or _checked_hats(state, I, J, u, v)
-    R, U = _averaged_update(state, I, J, u_hat, v_hat, _blocks)
+    R, U, _ = _grabk(state, I, J, u, v, _blocks, _hats, False)
     state.X += alpha * U
     return R
-
-
-def _adaptive_ratio(state, I, J, u_hat, v_hat, blocks=None):
-    """(L, R, U): the weighted residual energy over ||U||_F^2, the sampled
-    residual block and the update direction U. L is None when every sampled
-    residual is zero."""
-    R, U = _averaged_update(state, I, J, u_hat, v_hat, blocks)
-    denom = float(np.sum(U * U))
-    if denom == 0.0:
-        return None, R, U
-    return float(u_hat @ (R * R) @ v_hat) / denom, R, U
 
 
 def adaptive_stepsize(state, I, J, u, v):
@@ -427,16 +410,14 @@ def adaptive_stepsize(state, I, J, u, v):
     None when every residual scalar in the sampled block is zero (the block
     is already solved); the caller should skip the update.
     """
-    I = np.asarray(I)
-    J = np.asarray(J)
-    L, _, _ = _adaptive_ratio(state, I, J, *_checked_hats(state, I, J, u, v))
+    L = _grabk(state, I, J, u, v, None, None, True)[2]
     return None if L is None else (L, state.eta * L)
 
 
 def _grabk_adaptive_apply(state, I, J, u_hat, v_hat, _blocks=None):
     """Fused adaptive step; returns (L, R_IJ), with L None when the block is
     solved and X left unchanged. ``_blocks`` is as for ``grabk_step``."""
-    L, R, U = _adaptive_ratio(state, I, J, u_hat, v_hat, _blocks)
+    R, U, L = _grabk(state, I, J, None, None, _blocks, (u_hat, v_hat), True)
     if L is not None:
         state.X += (state.eta * L) * U
     return L, R
@@ -497,22 +478,14 @@ def _tracks_error(problem, config, use_re):
     return work + DECREASE_OVERHEAD < p * q
 
 
-def _cache_block(state, axis, b):
-    """Fill and return the entry of row block ``b`` of A for axis "rows", or
-    of column block ``b`` of B for "cols": its index array and slice, then
+def _cache_block(state, rows, b):
+    """Fill and return the entry of row block ``b`` of A (``rows``) or of
+    column block ``b`` of B: its index array and slice, then ``_block``'s
     ``(A_I, G_I)`` or ``(B_J, H_J)``."""
-    problem, method, rows = state.problem, state.config.method, axis == "rows"
     partition = state.partition_rows if rows else state.partition_cols
-    index, span = partition.block(b), partition.block_slice(b)
-    block = _dense(problem.A[index] if rows else problem.B[:, index])
-    if method == GRK:  # a / ||a||^2 and b^T / ||b||^2
-        block = block.ravel()
-        factor = block / (state.row_norms_sq if rows else state.col_norms_sq)[index[0]]
-    elif method == GRBK:
-        factor = _checked_pinv(block)
-    else:  # A_I^T and B_J^T
-        factor = block.T
-    entry = (index, span, block, factor)
+    index = partition.block(b)
+    entry = (index, partition.block_slice(b),
+             *_block(state, rows, index, state.config.method))
     (state.row_blocks if rows else state.col_blocks)[b] = entry
     return entry
 
@@ -684,17 +657,20 @@ def solve(problem, config):
     turns non-finite ends as ``diverged``. Wall-clock covers the iteration
     loop only.
 
-    Each step adds ``c G_I M H_J`` to X. ``_cache_block`` densifies each row
-    block of A and column block of B and computes its factor once, when
-    first drawn (at most ``2(mp + qn)`` floats), and every step reads them
-    from there. Where ``_keeps_residual`` says so, ``_Residual`` keeps
-    C - A X B up to date; where ``_tracks_error`` says so, ``_Error`` keeps
-    the error by subtracting each step's decrease. Either is exact whenever
+    Each step adds ``c G_I M H_J`` to X. ``_cache_block`` keeps what
+    ``_block`` builds for each row block of A and column block of B, the
+    dense block and its factor, from when it is first drawn (at most
+    ``2(mp + qn)`` floats), and every step reads them from there. Where
+    ``_keeps_residual`` says so, ``_Residual`` keeps C - A X B up to date;
+    where ``_tracks_error`` says so, ``_Error`` keeps the error by
+    subtracting each step's decrease. Either is exact whenever
     ``_Metric.after_step`` says so, in particular near ``re_tolerance``, so
     tolerance and divergence are declared on exact values only, and
     iterates, iteration counts and termination are those of an exact stop
     metric on every step. A record's ``relative_error`` is exact; its
-    ``relative_residual`` is within 1e-14 of the exact one.
+    ``relative_residual`` is within ``1e-14 max(1, exact)`` of the exact
+    one: absolute while the residual is at most ``||C||_F``, relative on a
+    diverging run.
     """
     state = prepare_state(problem, config)
     method = config.method
@@ -706,6 +682,7 @@ def solve(problem, config):
     stop = _Error(state, _tracks_error(problem, config, use_re), band) if use_re else residual
     kept = use_re and residual.tracking
     l_values = [] if method == GRABK_ADAPTIVE else None
+    row_hats, col_hats = state.row_weights_hat, state.col_weights_hat
     records = []
 
     # A diverging run ends as "diverged"; the overflow on its way there is
@@ -718,25 +695,22 @@ def solve(problem, config):
         while termination is None and k < config.max_iters:
             bi = sample_block(state.dist_rows, state.rng)
             bj = sample_block(state.dist_cols, state.rng)
-            I, si, A_I, G_I = state.row_blocks[bi] or _cache_block(state, "rows", bi)
-            J, sj, B_J, H_J = state.col_blocks[bj] or _cache_block(state, "cols", bj)
+            I, si, A_I, G_I = state.row_blocks[bi] or _cache_block(state, True, bi)
+            J, sj, B_J, H_J = state.col_blocks[bj] or _cache_block(state, False, bj)
             # each step hands back the residual it sampled: M, up to weights
             c = 1.0
             if method == GRK:  # blocks of size 1: block bi is row bi
                 sampled = grk_step(state, bi, bj, _blocks=(A_I, B_J))
-            elif method == GRBK:
-                sampled = grbk_step(state, I, J,
-                                    _blocks=(A_I, G_I, B_J, H_J, problem.C[si, sj]))
             else:
-                u_hat, v_hat = state.row_weights_hat[bi], state.col_weights_hat[bj]
-                blocks = (A_I, B_J, problem.C[si, sj])
-                if method == GRABK_CONST:
-                    sampled = grabk_step(state, I, J, state.row_weights[bi],
-                                         state.col_weights[bj], state.alpha_const,
-                                         _blocks=blocks, _hats=(u_hat, v_hat))
+                blocks = (A_I, G_I, B_J, H_J, problem.C[si, sj])
+                if method == GRBK:
+                    sampled = grbk_step(state, I, J, _blocks=blocks)
+                elif method == GRABK_CONST:
+                    sampled = grabk_step(state, I, J, None, None, state.alpha_const,
+                                         _blocks=blocks, _hats=(row_hats[bi], col_hats[bj]))
                     c = state.alpha_const
                 else:  # GRABK_ADAPTIVE
-                    L, sampled = _grabk_adaptive_apply(state, I, J, u_hat, v_hat,
+                    L, sampled = _grabk_adaptive_apply(state, I, J, row_hats[bi], col_hats[bj],
                                                        _blocks=blocks)
                     if L is None:
                         sampled = None  # solved block: X is unchanged

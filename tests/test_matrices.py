@@ -9,7 +9,6 @@ from kaczmat.matrices import (
     as_csr,
     as_dense,
     col_norms,
-    default_rank_tol,
     frobenius_norm,
     pinv,
     row_norms,
@@ -68,28 +67,22 @@ def test_pinv_moore_penrose(shape, rank):
 
 
 def test_pinv_truncates_below_rank_tol():
-    # rank-2 matrix plus small noise must invert as if rank 2 when told so
-    rng = np.random.default_rng(5)
-    M = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 5))
-    noisy = M + 1e-8 * rng.standard_normal(M.shape)
-    P = pinv(noisy, rank_tol=1e-6)
-    assert frobenius_norm(P) < 1e3  # inverting the noise modes would give ~1e8
-    np.testing.assert_allclose(P, pinv(M), atol=1e-6)
+    # the cutoff is max(rows, cols) * eps * sigma_max, for either orientation:
+    # a singular value of 5 eps on a 6x5 or 5x6 matrix with sigma_max 1 is
+    # truncated, one of 7 eps is inverted
+    eps = np.finfo(np.float64).eps
+    for shape in ((6, 5), (5, 6)):
+        for small, inverted in ((5 * eps, 0.0), (7 * eps, 1.0 / (7 * eps))):
+            M = np.zeros(shape)
+            M[0, 0], M[1, 1], M[2, 2] = 1.0, 1e-3, small
+            P = pinv(M)
+            assert P.shape == shape[::-1]
+            assert (P[0, 0], P[1, 1], P[2, 2]) == (1.0, 1e3, inverted)
+            assert sigma_extremes(M)[1] == (small if inverted else 1e-3)
 
 
 def test_pinv_zero_matrix():
     np.testing.assert_array_equal(pinv(np.zeros((3, 5))), np.zeros((5, 3)))
-
-
-def test_pinv_negative_rank_tol_raises():
-    with pytest.raises(ValueError):
-        pinv(np.eye(2), rank_tol=-1.0)
-
-
-def test_default_rank_tol():
-    eps = np.finfo(np.float64).eps
-    assert default_rank_tol(np.zeros((4, 9))) == pytest.approx(9 * eps)
-    assert default_rank_tol(np.zeros((9, 4))) == pytest.approx(9 * eps)
 
 
 def test_vec_is_column_stacking():

@@ -6,8 +6,10 @@ form. ``solve`` subtracts that decrease instead of recomputing the error, so
 each decrease it subtracts must match the change of the exact error, and
 the running value must stay on the exact one over a long run. GRABK-
 constant's stepsize must keep that decrease nonnegative on every block, and
-every step keeps X in range(A^T) x range(B). Dense and CSR factors give the
-same run, and a residual ``solve`` keeps up to date stays on the exact one.
+every step keeps X in range(A^T) x range(B), so a run that solves the
+equation from X0 = 0 ends at the minimal-norm solution. Dense and CSR
+factors give the same run, and a residual ``solve`` keeps up to date stays
+on the exact one.
 """
 
 from dataclasses import replace
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 
 from kaczmat import solvers
 from kaczmat.matrices import pinv
-from kaczmat.problems import TypeISpec, gen_type1, make_problem
+from kaczmat.problems import TypeISpec, gen_type1, make_problem, min_norm_solution
 from kaczmat.solvers import (
     GRABK_ADAPTIVE,
     GRABK_CONST,
@@ -237,3 +239,38 @@ def test_dense_and_csr_factors_agree_and_kept_residuals_are_exact(instance):
                          solve(csr, replace(config, max_iters=c.iteration)).X)
                     exact = np.linalg.norm(prob.C - A @ X @ B) / np.linalg.norm(prob.C)
                     assert abs(c.relative_residual - exact) <= 1e-14, label
+
+
+@st.composite
+def rank_deficient(draw):
+    """A gen_type1 pair whose A has fewer independent columns than p, with C
+    drawn from X_drawn and no X_star, and block sizes."""
+    m, q, n = (draw(st.integers(2, 7)) for _ in range(3))
+    p = draw(st.integers(2, 7))
+    r1 = draw(st.integers(1, min(m, p - 1)))
+    r2 = draw(st.integers(1, min(q, n)))
+    seed = draw(st.integers(0, 2**16))
+    A, B = gen_type1(TypeISpec(m, p, r1, q, n, r2, seed=seed))
+    drawn = make_problem(A, B, seed=seed + 1)
+    prob = Problem(A=A, B=B, C=drawn.C)
+    return prob, drawn.X_drawn, draw(st.integers(1, m)), draw(st.integers(1, n))
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(instance=rank_deficient())
+def test_every_method_reaches_the_min_norm_solution(instance):
+    # the iterates stay in range(A^T) x range(B), where X* = pinv(A) C pinv(B)
+    # is the only solution; there a relative residual of 1e-10 bounds the
+    # relative distance to X* by kappa(A) kappa(B) 1e-10 <= 4e-10, as every
+    # nonzero singular value lies in (1, 2). The drawn X solves the equation
+    # too, but lies off that range, far from X*
+    prob, X_drawn, tau1, tau2 = instance
+    X_star = min_norm_solution(prob.A, prob.B, prob.C)
+    scale = np.linalg.norm(X_star)
+    assert np.linalg.norm(X_drawn - X_star) > 1e-8 * scale
+    for method in METHODS:
+        config = SolverConfig(method=method, tau1=tau1, tau2=tau2, seed=3,
+                              max_iters=10**6, re_tolerance=1e-10)
+        report = solve(prob, config)
+        assert report.termination == "tolerance", method
+        assert np.linalg.norm(report.X - X_star) <= 1e-8 * scale, method

@@ -555,15 +555,15 @@ def _public_step_loop(prob, config):
             bi = sample_block(state.dist_rows, rng)
             bj = sample_block(state.dist_cols, rng)
             I, J = state.partition_rows.block(bi), state.partition_cols.block(bj)
+            # Frobenius weights on the sampled blocks, as prepare_state takes them
+            u, v = (ns / ns.sum() for ns in (state.row_norms_sq[I], state.col_norms_sq[J]))
             if config.method == GRK:
                 grk_step(state, int(I[0]), int(J[0]))
             elif config.method == GRBK:
                 grbk_step(state, I, J)
             elif config.method == GRABK_CONST:
-                grabk_step(state, I, J, state.row_weights[bi], state.col_weights[bj],
-                           state.alpha_const)
+                grabk_step(state, I, J, u, v, state.alpha_const)
             else:
-                u, v = state.row_weights[bi], state.col_weights[bj]
                 out = adaptive_stepsize(state, I, J, u, v)
                 if out is not None:
                     stepsizes.append(out[0])
@@ -861,32 +861,32 @@ def test_tracked_error_recomputes_only_to_anchor_and_confirm(method, tol, max_it
 @pytest.mark.parametrize("residual", ["kept", "recomputed"])
 @pytest.mark.parametrize("method", METHODS)
 def test_solve_prepares_each_block_once(method, residual, monkeypatch):
-    # every method densifies each row block of A and column block of B once
-    # per run, builds its index array once, GRBK takes each block pinv once,
-    # and no step re-checks the prepared GRABK weights
+    # every method builds each row block of A and column block of B once
+    # per run, with its index array, GRBK takes each block pinv once, and no
+    # step checks caller weights: solve hands the GRABK steps prepared hats
     monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: residual == "kept")
-    densified, pinvs, indexed = [], [], []
-    dense = solvers._dense
+    built, pinvs, indexed = [], [], []
+    block = solvers._block
     index_block = BlockPartition.block
 
     def counting_block(partition, b):
         indexed.append(b)
         return index_block(partition, b)
 
-    def counting_dense(block):
-        densified.append(block.shape)
-        return dense(block)
+    def counting_build(state, rows, index, method):
+        built.append((rows, tuple(index)))
+        return block(state, rows, index, method)
 
-    def counting_pinv(M, rank_tol=None):
+    def counting_pinv(M):
         pinvs.append(M.shape)
-        return pinv(M, rank_tol)
+        return pinv(M)
 
-    def no_checked_hats(*args):
+    def no_caller_hats(*args):
         raise AssertionError("solve re-checked prepared weights")
 
-    monkeypatch.setattr(solvers, "_dense", counting_dense)
+    monkeypatch.setattr(solvers, "_block", counting_build)
     monkeypatch.setattr(solvers, "pinv", counting_pinv)
-    monkeypatch.setattr(solvers, "_checked_hats", no_checked_hats)
+    monkeypatch.setattr(solvers, "_caller_hats", no_caller_hats)
     monkeypatch.setattr(BlockPartition, "block", counting_block)
     A, B = gen_type1(TypeISpec(40, 20, 20, 20, 42, 20, seed=9))
     prob = make_problem(A, B, seed=10)
@@ -895,11 +895,11 @@ def test_solve_prepares_each_block_once(method, residual, monkeypatch):
     report = solve(prob, config)
     assert report.iterations == 400
     n_blocks = math.ceil(40 / config.tau1) + math.ceil(42 / config.tau2)
-    assert 0 < len(densified) <= n_blocks
+    assert 0 < len(built) == len(set(built)) <= n_blocks
     assert len(indexed) <= n_blocks
     assert len(pinvs) <= n_blocks
     if method == GRBK:
-        assert len(pinvs) == len(densified)
+        assert len(pinvs) == len(built)
 
 
 def test_prepare_state_hands_its_norms_to_the_probabilities(monkeypatch):
