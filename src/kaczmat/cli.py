@@ -14,11 +14,11 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
 
 from .images import GrayImage, read_pgm, write_pgm
-from .matrices import as_dense
 from .mmio import load_matrix_market, write_matrix_market
 from .problems import (
     BlurSpec,
@@ -77,17 +77,20 @@ def _fmt_mean(values):
     return _fmt(float(np.mean(values)) if values else None)
 
 
-def write_trace_csv(report, path):
-    with open(path, "wt", encoding="ascii", newline="") as fh:
+def _write_csv(path, header, rows):
+    """Write a header and rows as CSV to ``path``, or to stdout if None."""
+    with (nullcontext(sys.stdout) if path is None
+          else open(path, "wt", encoding="ascii", newline="")) as fh:
         writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for rec in report.records:
-            writer.writerow([
-                rec.iteration,
-                _fmt(rec.relative_error),
-                _fmt(rec.relative_residual),
-                _fmt(rec.elapsed),
-            ])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_trace_csv(report, path):
+    _write_csv(path, TRACE_HEADER, (
+        [rec.iteration, _fmt(rec.relative_error), _fmt(rec.relative_residual),
+         _fmt(rec.elapsed)]
+        for rec in report.records))
 
 
 def _final_error(report):
@@ -100,39 +103,26 @@ def _elapsed(report):
     return report.records[-1].elapsed if report.records else 0.0
 
 
-def _add_typed_flags(p):
-    p.add_argument("--type1", action="store_true",
-                   help="rank-controlled factors, singular values in (1,2)")
-    p.add_argument("--type2", action="store_true", help="standard-normal factors")
-    for flag in TYPED_FLAGS["type1"]:
-        p.add_argument(f"--{flag}", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+def _finish(args, report, **fields):
+    """Print the run's summary line; return its exit status."""
+    extra = "".join(f" {key}={value}" for key, value in fields.items())
+    print(f"method={args.method} iterations={report.iterations} "
+          f"termination={report.termination}{extra} "
+          f"elapsed={_elapsed(report):.3f}s")
+    return EXIT_CODES.get(report.termination, 2)
 
 
-def _add_solver_flags(p):
-    p.add_argument("--tau1", type=int, default=None,
-                   help="row block size (default 1, or side/2 for deblur)")
-    p.add_argument("--tau2", type=int, default=None,
-                   help="column block size")
-    p.add_argument("--eta", type=float, default=None,
-                   help="stepsize multiplier (default 1.95 constant, 1.0 adaptive)")
-    p.add_argument("--weights", choices=["frobenius", "uniform"],
-                   default="frobenius")
-    p.add_argument("--max-iters", type=int, default=50000)
-    p.add_argument("--tol", type=float, default=1e-6,
-                   help="squared relative error (or relative residual) cutoff")
-    p.add_argument("--trace-every", type=int, default=1)
-    p.add_argument("--max-seconds", type=float, default=None,
-                   help="advisory wall-clock cap on the iteration loop")
-    p.add_argument("--unsafe-stepsize", action="store_true",
-                   help="allow eta outside (0, 2); no convergence guarantee")
+def _psnr_line(label, original, image):
+    db = psnr(original, image)
+    return f"PSNR {label + ':':<9} " + (
+        f"{db:.2f} dB" if math.isfinite(db) else "inf (identical)")
 
 
-def _config_from_args(args, method, **overrides):
+def _config_from_args(args, method, default_tau=1, **overrides):
     """The SolverConfig the solver flags describe; ``overrides`` win."""
     settings = dict(
-        tau1=1 if args.tau1 is None else args.tau1,
-        tau2=1 if args.tau2 is None else args.tau2,
+        tau1=default_tau if args.tau1 is None else args.tau1,
+        tau2=default_tau if args.tau2 is None else args.tau2,
         eta=args.eta,
         weight_scheme=args.weights,
         max_iters=args.max_iters,
@@ -147,16 +137,11 @@ def _config_from_args(args, method, **overrides):
 
 def _write_problem_dir(problem, out_dir, manifest_extra):
     os.makedirs(out_dir, exist_ok=True)
-    for key in ("A", "B", "C"):
-        write_matrix_market(getattr(problem, key), os.path.join(
-            out_dir, MATRIX_FILES[key]))
-    files = {k: MATRIX_FILES[k] for k in ("A", "B", "C")}
-    if problem.X_star is not None:
-        write_matrix_market(problem.X_star, os.path.join(
-            out_dir, MATRIX_FILES["X_star"]))
-        files["X_star"] = MATRIX_FILES["X_star"]
-    manifest = {"rng": RNG_ALGORITHM, "files": files}
-    manifest.update(manifest_extra)
+    files = {key: name for key, name in MATRIX_FILES.items()
+             if getattr(problem, key) is not None}
+    for key, name in files.items():
+        write_matrix_market(getattr(problem, key), os.path.join(out_dir, name))
+    manifest = {"rng": RNG_ALGORITHM, "files": files, **manifest_extra}
     with open(os.path.join(out_dir, "manifest.json"), "wt",
               encoding="ascii", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -165,21 +150,14 @@ def _write_problem_dir(problem, out_dir, manifest_extra):
 
 def load_problem_dir(path):
     """Rebuild a Problem from a generated directory (A/B/C plus optional
-    reference solution)."""
-
-    def _read(name):
-        return load_matrix_market(os.path.join(path, name))
-
-    for name in ("A.mtx", "B.mtx", "C.mtx"):
-        if not os.path.exists(os.path.join(path, name)):
-            raise FileNotFoundError(f"{path} does not contain {name}")
-    A = _read("A.mtx")
-    B = _read("B.mtx")
-    C = as_dense(_read("C.mtx"))
-    xs_path = os.path.join(path, "X_star.mtx")
-    X_star = as_dense(_read("X_star.mtx")) if os.path.exists(xs_path) else None
-    return Problem(A=A, B=B, C=C, X_star=X_star, name=os.path.basename(
-        os.path.normpath(path)))
+    reference solution); ``Problem`` validates what it reads."""
+    paths = {key: os.path.join(path, name) for key, name in MATRIX_FILES.items()}
+    for key in ("A", "B", "C"):
+        if not os.path.exists(paths[key]):
+            raise FileNotFoundError(f"{path} does not contain {MATRIX_FILES[key]}")
+    return Problem(**{key: load_matrix_market(p) for key, p in paths.items()
+                      if os.path.exists(p)},
+                   name=os.path.basename(os.path.normpath(path)))
 
 
 def _typed_problem(args):
@@ -230,13 +208,7 @@ def cmd_solve(args):
     report = solve(problem, config)
     if args.out:
         write_trace_csv(report, args.out)
-    err = _final_error(report)
-    print(
-        f"method={args.method} iterations={report.iterations} "
-        f"termination={report.termination} final_error={_fmt(err)} "
-        f"elapsed={_elapsed(report):.3f}s"
-    )
-    return EXIT_CODES.get(report.termination, 2)
+    return _finish(args, report, final_error=_fmt(_final_error(report)))
 
 
 def _run_single(task):
@@ -256,6 +228,8 @@ def _parse_eta_grid(text):
     if len(parts) != 3:
         raise ValueError(f"--eta-grid wants start:step:stop, got {text!r}")
     start, step, stop = (float(p) for p in parts)
+    if not all(map(math.isfinite, (start, step, stop))):
+        raise ValueError(f"--eta-grid bounds must be finite, got {text!r}")
     if step <= 0 or stop < start:
         raise ValueError(f"bad --eta-grid range {text!r}")
     n_steps = int(round((stop - start) / step))
@@ -266,6 +240,8 @@ def _parse_eta_grid(text):
 def cmd_benchmark(args):
     if args.repeats < 1:
         raise ValueError("--repeats must be at least 1")
+    if args.parallel_repeats < 1:
+        raise ValueError("--parallel-repeats must be at least 1")
     problem, _ = _typed_problem(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
@@ -281,7 +257,7 @@ def cmd_benchmark(args):
                 _config_from_args(args, method, eta=eta, seed=args.seed + run)
                 for run in range(args.repeats)]))
     tasks = [(problem, config) for _, configs in groups for config in configs]
-    if args.parallel_repeats and args.parallel_repeats > 1:
+    if args.parallel_repeats > 1:
         with ProcessPoolExecutor(max_workers=args.parallel_repeats) as pool:
             futures = [pool.submit(_run_single, task) for task in tasks]
             # read each future on its own, so a lost worker's runs are
@@ -318,14 +294,8 @@ def cmd_benchmark(args):
             _fmt_mean(errors),
         ])
 
-    if args.out:
-        with open(args.out, "wt", encoding="ascii", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(BENCH_HEADER)
-            writer.writerows(rows)
-    writer = csv.writer(sys.stdout)
-    writer.writerow(BENCH_HEADER)
-    writer.writerows(rows)
+    for path in ([args.out] if args.out else []) + [None]:
+        _write_csv(path, BENCH_HEADER, rows)
     if had_error:
         return 1
     if had_unconverged:
@@ -347,81 +317,95 @@ def cmd_deblur(args):
                           name="identity-blur")
     else:
         problem = blur_problem(image, BlurSpec(n=n, r=args.r, sigma=args.sigma))
-    half = max(1, n // 2)
-    config = _config_from_args(
-        args, args.method,
-        tau1=half if args.tau1 is None else args.tau1,
-        tau2=half if args.tau2 is None else args.tau2)
+    config = _config_from_args(args, args.method, default_tau=max(1, n // 2))
     report = solve(problem, config)
 
     os.makedirs(args.out, exist_ok=True)
     write_pgm(GrayImage(problem.C, image.max_value),
               os.path.join(args.out, "blurred.pgm"))
     write_trace_csv(report, os.path.join(args.out, "trace.csv"))
-    psnr_blurred = psnr(image.pixels, problem.C)
-    print(f"PSNR blurred:  {psnr_blurred:.2f} dB"
-          if math.isfinite(psnr_blurred) else "PSNR blurred:  inf (identical)")
+    print(_psnr_line("blurred", image.pixels, problem.C))
     if report.termination == "diverged":  # no restored image to write or score
         print("PSNR restored: none (diverged)")
     else:
         write_pgm(GrayImage(report.X, image.max_value),
                   os.path.join(args.out, "restored.pgm"))
-        psnr_restored = psnr(image.pixels, report.X)
-        print(f"PSNR restored: {psnr_restored:.2f} dB"
-              if math.isfinite(psnr_restored) else "PSNR restored: inf (identical)")
-    print(
-        f"method={args.method} iterations={report.iterations} "
-        f"termination={report.termination} elapsed={_elapsed(report):.3f}s"
-    )
-    return EXIT_CODES.get(report.termination, 2)
+        print(_psnr_line("restored", image.pixels, report.X))
+    return _finish(args, report)
 
 
 def build_parser():
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+
+    typed = argparse.ArgumentParser(add_help=False, parents=[seed])  # a synthetic type-1 or type-2 instance
+    typed.add_argument("--type1", action="store_true",
+                       help="rank-controlled factors, singular values in (1,2)")
+    typed.add_argument("--type2", action="store_true", help="standard-normal factors")
+    for flag in TYPED_FLAGS["type1"]:
+        typed.add_argument(f"--{flag}", type=int, default=None)
+
+    blur = argparse.ArgumentParser(add_help=False)
+    blur.add_argument("--r", type=int, default=3, help="blur bandwidth")
+    blur.add_argument("--sigma", type=float, default=7.0, help="blur width")
+
+    run = argparse.ArgumentParser(add_help=False, parents=[seed])  # one solver run
+    run.add_argument("--method", choices=sorted(CLI_METHODS), default="grbk")
+
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--tau1", type=int, default=None,
+                        help="row block size (default 1, or side/2 for deblur)")
+    solver.add_argument("--tau2", type=int, default=None,
+                        help="column block size")
+    solver.add_argument("--eta", type=float, default=None,
+                        help="stepsize multiplier (default 1.95 constant, 1.0 adaptive)")
+    solver.add_argument("--weights", choices=["frobenius", "uniform"],
+                        default="frobenius")
+    solver.add_argument("--max-iters", type=int, default=50000)
+    solver.add_argument("--tol", type=float, default=1e-6,
+                        help="squared relative error (or relative residual) cutoff")
+    solver.add_argument("--trace-every", type=int, default=1)
+    solver.add_argument("--max-seconds", type=float, default=None,
+                        help="advisory wall-clock cap on the iteration loop")
+    solver.add_argument("--unsafe-stepsize", action="store_true",
+                        help="allow eta outside (0, 2); no convergence guarantee")
+
     ap = argparse.ArgumentParser(
         prog="kaczmat",
         description="Randomized row/column-action solvers for A X B = C",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="write a problem directory")
-    _add_typed_flags(g)
+    g = sub.add_parser("generate", parents=[typed, blur],
+                       help="write a problem directory")
     g.add_argument("--blur", action="store_true", help="image blur system")
     g.add_argument("--image", default=None, help="PGM image for --blur")
-    g.add_argument("--r", type=int, default=3, help="blur bandwidth")
-    g.add_argument("--sigma", type=float, default=7.0, help="blur width")
     g.add_argument("--out", default="problem", help="output directory")
     g.set_defaults(func=cmd_generate)
 
-    s = sub.add_parser("solve", help="run one solver on a problem directory")
+    s = sub.add_parser("solve", parents=[run, solver],
+                       help="run one solver on a problem directory")
     s.add_argument("problem", help="directory from 'generate'")
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--method", choices=sorted(CLI_METHODS), default="grbk")
-    _add_solver_flags(s)
     s.add_argument("--out", default=None, help="trace CSV path")
     s.set_defaults(func=cmd_solve)
 
-    b = sub.add_parser("benchmark", help="repeat runs, report mean iterations")
-    _add_typed_flags(b)
+    b = sub.add_parser("benchmark", parents=[typed, solver],
+                       help="repeat runs, report mean iterations")
     b.add_argument("--methods", default="grk,grbk,grabk-c,grabk-a",
                    help="comma-separated method list")
     b.add_argument("--repeats", type=int, default=10)
     b.add_argument("--eta-grid", default=None,
                    help="start:step:stop stepsize sweep for the averaged methods")
-    b.add_argument("--parallel-repeats", type=int, default=None,
+    b.add_argument("--parallel-repeats", type=int, default=1,
                    help="worker processes for independent runs")
-    _add_solver_flags(b)
     b.add_argument("--out", default=None, help="summary CSV path")
     b.set_defaults(func=cmd_benchmark)
 
-    d = sub.add_parser("deblur", help="blur an image, restore it, report PSNR")
+    d = sub.add_parser("deblur", parents=[blur, run, solver],
+                       help="blur an image, restore it, report PSNR")
     d.add_argument("image", help="square PGM image")
-    d.add_argument("--r", type=int, default=3, help="blur bandwidth")
-    d.add_argument("--sigma", type=float, default=7.0, help="blur width")
     d.add_argument("--identity-blur", action="store_true",
                    help="A = B = I sanity mode")
-    d.add_argument("--seed", type=int, default=0)
-    d.add_argument("--method", choices=sorted(CLI_METHODS), default="grbk")
-    _add_solver_flags(d)
     d.add_argument("--out", default="deblur-out", help="output directory")
     d.set_defaults(func=cmd_deblur)
     return ap

@@ -5,6 +5,7 @@ clamped to [0, max_value] only when writing; in-memory images may carry
 out-of-range values (solver output is scored before clamping).
 """
 
+import textwrap
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,16 +176,8 @@ def write_pgm(image, path, ascii_format=False):
         fh.write(header)
         if ascii_format:
             # keep lines within the format's 70-character limit
-            line = ""
-            for v in pix.ravel():
-                tok = str(int(v))
-                if line and len(line) + 1 + len(tok) > 70:
-                    fh.write((line + "\n").encode("ascii"))
-                    line = tok
-                else:
-                    line = tok if not line else f"{line} {tok}"
-            if line:
-                fh.write((line + "\n").encode("ascii"))
+            lines = textwrap.wrap(" ".join(map(str, pix.ravel().tolist())), 70)
+            fh.write("".join(line + "\n" for line in lines).encode("ascii"))
         elif maxval < 256:
             fh.write(pix.astype(np.uint8).tobytes())
         else:

@@ -7,7 +7,15 @@ import filecmp
 import numpy as np
 import pytest
 
-from kaczmat.cli import BENCH_HEADER, TRACE_HEADER, load_problem_dir, main
+from kaczmat import cli
+from kaczmat.cli import (
+    BENCH_HEADER,
+    TRACE_HEADER,
+    _config_from_args,
+    build_parser,
+    load_problem_dir,
+    main,
+)
 from kaczmat.images import GrayImage, read_pgm, write_pgm
 from kaczmat.solvers import SolverConfig, solve
 
@@ -348,9 +356,21 @@ def test_benchmark_rejects_both_type_flags(capsys):
 
 
 def test_benchmark_rejects_bad_eta_grid(capsys):
-    assert run(*bench_args(["--eta-grid", "1.0:0.5"])) == 1
-    assert run(*bench_args(["--eta-grid", "2.0:0.5:1.0"])) == 1
-    capsys.readouterr()
+    # a non-finite bound must not overflow nor yield an empty sweep
+    for grid in ("1.0:0.5", "2.0:0.5:1.0", "0.5:1:inf", "0.5:inf:1"):
+        assert run(*bench_args(["--eta-grid", grid])) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--repeats", "0"), ("--parallel-repeats", "0"), ("--parallel-repeats", "-3")])
+def test_benchmark_rejects_run_counts_below_one(capsys, flag, value):
+    assert run(*bench_args(["--methods", "grk", "--repeats", "1", flag, value])) == 1
+    captured = capsys.readouterr()
+    assert f"{flag} must be at least 1" in captured.err
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------- deblur
@@ -388,6 +408,21 @@ def test_deblur_improves_psnr(tmp_path, capsys):
     assert len(rows) > 2
 
 
+def test_deblur_block_size_defaults_to_half_side(tmp_path, monkeypatch):
+    # the one solver-flag default that deblur sets apart from solve/benchmark
+    configs = []
+
+    def recording_solve(problem, config):
+        configs.append(config)
+        return solve(problem, config)
+
+    monkeypatch.setattr(cli, "solve", recording_solve)
+    img = make_pgm(tmp_path, side=12)
+    for flags in ([], ["--tau1", "2"]):
+        run("deblur", str(img), "--max-iters", "3", *flags, "--out", str(tmp_path / "o"))
+    assert [(c.tau1, c.tau2) for c in configs] == [(6, 6), (2, 6)]
+
+
 def test_deblur_rejects_non_square(tmp_path, capsys):
     img = GrayImage(np.full((4, 6), 100.0))
     path = tmp_path / "rect.pgm"
@@ -397,6 +432,42 @@ def test_deblur_rejects_non_square(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------- parser
+
+
+TYPED_ARGS = ["--type1", "--m", "12", "--p", "6", "--r1", "5", "--q", "6",
+               "--n", "12", "--r2", "4", "--seed", "5"]
+SOLVER_ARGS = ["--tau1", "2", "--tau2", "3", "--eta", "1.5", "--weights", "uniform",
+                "--max-iters", "77", "--tol", "1e-5", "--trace-every", "4",
+                "--max-seconds", "9.5", "--unsafe-stepsize", "--seed", "5"]
+
+
+def parse(*argv):
+    return build_parser().parse_args(list(argv))
+
+
+def test_flag_groups_parse_alike_in_every_subcommand():
+    # deblur's side/2 block size applies only when the flags leave it unset,
+    # in cmd_deblur; the parsed flags themselves match solve's
+    for flags in ([], SOLVER_ARGS):
+        configs = [
+            _config_from_args(parse(*head, *flags), "grabk-c")
+            for head in (["solve", "dir"], ["benchmark"], ["deblur", "img.pgm"])]
+        assert configs[0] == configs[1] == configs[2]
+    assert (configs[0].tau1, configs[0].max_iters, configs[0].seed) == (2, 77, 5)
+
+    def pick(parsed, keys):
+        return {key: getattr(parsed, key) for key in keys}
+
+    typed = ("type1", "type2", "m", "p", "r1", "q", "n", "r2", "seed")
+    for flags in ([], TYPED_ARGS):
+        assert (pick(parse("generate", *flags), typed)
+                == pick(parse("benchmark", *flags), typed))
+    for flags in ([], ["--r", "2", "--sigma", "3.5"]):
+        assert (pick(parse("generate", *flags), ("r", "sigma"))
+                == pick(parse("deblur", "img.pgm", *flags), ("r", "sigma")))
+    assert (pick(parse("solve", "dir"), ("seed", "method"))
+            == pick(parse("deblur", "img.pgm"), ("seed", "method"))
+            == {"seed": 0, "method": "grbk"})
 
 
 def test_usage_errors_exit_two():

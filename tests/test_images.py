@@ -67,6 +67,21 @@ def test_roundtrip_ascii(tmp_path):
         assert len(line) <= 70
 
 
+@pytest.mark.parametrize("maxval", [1, 255, MAX_SUPPORTED_MAXVAL])
+def test_ascii_lines_break_greedily(tmp_path, maxval):
+    # each line is filled as far as the 70-character limit allows: no line
+    # but the last could take the next line's first token
+    rng = np.random.default_rng(maxval)
+    img = GrayImage(rng.integers(0, maxval + 1, size=(17, 23)), maxval)
+    path = tmp_path / "a.pgm"
+    write_pgm(img, path, ascii_format=True)
+    lines = path.read_text(encoding="ascii").split("\n")[3:-1]
+    assert " ".join(lines).split() == [str(int(v)) for v in img.pixels.ravel()]
+    assert all(len(line) <= 70 for line in lines)
+    for line, after in zip(lines, lines[1:]):
+        assert len(line) + 1 + len(after.split()[0]) > 70
+
+
 def test_roundtrip_16bit(tmp_path):
     img = GrayImage(np.array([[0.0, 256.0], [1000.0, 65535.0]]), max_value=65535.0)
     path = tmp_path / "w.pgm"
