@@ -5,12 +5,13 @@ clamped to [0, max_value] only when writing; in-memory images may carry
 out-of-range values (solver output is scored before clamping).
 """
 
+import math
+import re
 import textwrap
 from dataclasses import dataclass
 
 import numpy as np
 
-_WHITESPACE = b" \t\n\r\x0b\x0c"
 MAX_SUPPORTED_MAXVAL = 65535
 
 
@@ -57,41 +58,34 @@ class GrayImage:
         return GrayImage(np.clip(self.pixels, 0.0, self.max_value), self.max_value)
 
 
-class _Scanner:
-    """Whitespace/comment-aware tokenizer over PGM header and ASCII pixels."""
+# whitespace and "#" comments (to the end of the line), then one token
+_TOKEN = re.compile(rb"(?:\s|#[^\n]*\n?)*(\S*)")
 
-    def __init__(self, data):
-        self.data = data
-        self.pos = 0
 
-    def _skip_filler(self):
-        data = self.data
-        while self.pos < len(data):
-            c = data[self.pos : self.pos + 1]
-            if c in _WHITESPACE:
-                self.pos += 1
-            elif c == b"#":
-                nl = data.find(b"\n", self.pos)
-                self.pos = len(data) if nl < 0 else nl + 1
-            else:
-                break
+def _token(data, pos, what):
+    """The next token at or after ``pos``: (token, its offset, end offset)."""
+    match = _TOKEN.match(data, pos)
+    if not match[1]:
+        raise PgmError(f"unexpected end of file, expected {what}", match.end())
+    return match[1], match.start(1), match.end()
 
-    def token(self, what):
-        self._skip_filler()
-        if self.pos >= len(self.data):
-            raise PgmError(f"unexpected end of file, expected {what}", self.pos)
-        start = self.pos
-        data = self.data
-        while self.pos < len(data) and data[self.pos : self.pos + 1] not in _WHITESPACE:
-            self.pos += 1
-        return data[start : self.pos], start
 
-    def int_token(self, what):
-        tok, start = self.token(what)
-        try:
-            return int(tok), start
-        except ValueError:
-            raise PgmError(f"expected integer {what}, got {tok!r}", start) from None
+def _int_token(data, pos, what, low, high, message):
+    """The next token as an integer in [low, high]: (value, end offset);
+    ``message`` formats the range error from the value."""
+    tok, start, end = _token(data, pos, what)
+    try:
+        value = int(tok)
+    except ValueError:
+        raise PgmError(f"expected integer {what}, got {tok!r}", start) from None
+    if not (low <= value <= high):
+        raise PgmError(message.format(value), start)
+    return value, end
+
+
+def _raster_dtype(maxval):
+    """The dtype of one P5 pixel."""
+    return np.dtype(np.uint8 if maxval < 256 else ">u2")
 
 
 def read_pgm(path):
@@ -102,55 +96,39 @@ def read_pgm(path):
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    scan = _Scanner(data)
-    magic, start = scan.token("magic number")
+    magic, start, pos = _token(data, 0, "magic number")
     if magic not in (b"P2", b"P5"):
         raise PgmError(f"expected magic 'P2' or 'P5', got {magic!r}", start)
-    width, off = scan.int_token("width")
-    if width < 1:
-        raise PgmError(f"width must be positive, got {width}", off)
-    height, off = scan.int_token("height")
-    if height < 1:
-        raise PgmError(f"height must be positive, got {height}", off)
-    maxval, off = scan.int_token("maximum gray value")
-    if not (1 <= maxval <= MAX_SUPPORTED_MAXVAL):
-        raise PgmError(
-            f"maximum gray value must be in [1, {MAX_SUPPORTED_MAXVAL}], got {maxval}",
-            off,
-        )
+    width, pos = _int_token(data, pos, "width", 1, math.inf,
+                            "width must be positive, got {}")
+    height, pos = _int_token(data, pos, "height", 1, math.inf,
+                             "height must be positive, got {}")
+    maxval, pos = _int_token(
+        data, pos, "maximum gray value", 1, MAX_SUPPORTED_MAXVAL,
+        f"maximum gray value must be in [1, {MAX_SUPPORTED_MAXVAL}], got {{}}")
     count = width * height
 
     if magic == b"P2":
         values = np.empty(count, dtype=np.float64)
+        outside = f"pixel value {{}} outside [0, {maxval}]"
         for idx in range(count):
-            v, off = scan.int_token("pixel value")
-            if not (0 <= v <= maxval):
-                raise PgmError(
-                    f"pixel value {v} outside [0, {maxval}]", off
-                )
-            values[idx] = v
+            values[idx], pos = _int_token(data, pos, "pixel value", 0, maxval, outside)
         return GrayImage(values.reshape(height, width), float(maxval))
 
     # P5: exactly one whitespace byte separates the header from the raster
-    if scan.pos >= len(data) or data[scan.pos : scan.pos + 1] not in _WHITESPACE:
-        raise PgmError("expected a whitespace byte before binary pixels", scan.pos)
-    raster_start = scan.pos + 1
-    bytes_per = 1 if maxval < 256 else 2
-    raster = data[raster_start : raster_start + count * bytes_per]
-    if len(raster) < count * bytes_per:
-        raise PgmError(
-            f"truncated pixel data: need {count * bytes_per} bytes, have {len(raster)}",
-            len(data),
-        )
-    dtype = np.uint8 if bytes_per == 1 else np.dtype(">u2")
+    if not data[pos : pos + 1].isspace():
+        raise PgmError("expected a whitespace byte before binary pixels", pos)
+    raster_start = pos + 1
+    dtype = _raster_dtype(maxval)
+    need = count * dtype.itemsize
+    raster = data[raster_start : raster_start + need]
+    if len(raster) < need:
+        raise PgmError(f"truncated pixel data: need {need} bytes, have {len(raster)}", len(data))
     values = np.frombuffer(raster, dtype=dtype).astype(np.float64)
-    over = np.nonzero(values > maxval)[0]
+    over = np.flatnonzero(values > maxval)
     if over.size:
-        idx = int(over[0])
-        raise PgmError(
-            f"pixel value {int(values[idx])} exceeds maximum {maxval}",
-            raster_start + idx * bytes_per,
-        )
+        raise PgmError(f"pixel value {int(values[over[0]])} exceeds maximum {maxval}",
+                       raster_start + int(over[0]) * dtype.itemsize)
     return GrayImage(values.reshape(height, width), float(maxval))
 
 
@@ -178,7 +156,5 @@ def write_pgm(image, path, ascii_format=False):
             # keep lines within the format's 70-character limit
             lines = textwrap.wrap(" ".join(map(str, pix.ravel().tolist())), 70)
             fh.write("".join(line + "\n" for line in lines).encode("ascii"))
-        elif maxval < 256:
-            fh.write(pix.astype(np.uint8).tobytes())
         else:
-            fh.write(pix.astype(">u2").tobytes())
+            fh.write(pix.astype(_raster_dtype(maxval)).tobytes())

@@ -37,6 +37,17 @@ class InconsistentSystemWarning(UserWarning):
     """The right-hand side is not (numerically) in the solvable set."""
 
 
+def _check_positive(sizes, sigma=1.0):
+    """Raise unless every size (label -> value) is at least 1 and the
+    Gaussian width ``sigma`` is positive; the default passes for callers
+    without one."""
+    for label, v in sizes.items():
+        if v < 1:
+            raise ValueError(f"{label} must be at least 1, got {v}")
+    if not (sigma > 0):
+        raise ValueError(f"sigma must be positive, got {sigma}")
+
+
 @dataclass(frozen=True)
 class TypeISpec:
     """Dimensions, ranks, and seed for a rank-controlled instance pair."""
@@ -50,10 +61,8 @@ class TypeISpec:
     seed: int = 0
 
     def __post_init__(self):
-        for label, v in (("m", self.m), ("p", self.p), ("q", self.q),
-                         ("n", self.n), ("r1", self.r1), ("r2", self.r2)):
-            if v < 1:
-                raise ValueError(f"{label} must be at least 1, got {v}")
+        _check_positive({"m": self.m, "p": self.p, "q": self.q, "n": self.n,
+                         "r1": self.r1, "r2": self.r2})
         if self.r1 > min(self.m, self.p):
             raise ValueError(
                 f"r1={self.r1} exceeds min(m, p)={min(self.m, self.p)}"
@@ -73,12 +82,7 @@ class BlurSpec:
     sigma: float = 7.0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"image side must be at least 1, got {self.n}")
-        if self.r < 1:
-            raise ValueError(f"bandwidth must be at least 1, got {self.r}")
-        if not (self.sigma > 0):
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        _check_positive({"image side": self.n, "bandwidth": self.r}, self.sigma)
 
 
 def _orthonormal_columns(G):
@@ -113,9 +117,7 @@ def gen_type1(spec):
 
 def gen_type2(m, p, q, n, seed=0):
     """Full standard-normal pair A (m x p) and B (q x n)."""
-    for label, v in (("m", m), ("p", p), ("q", q), ("n", n)):
-        if v < 1:
-            raise ValueError(f"{label} must be at least 1, got {v}")
+    _check_positive({"m": m, "p": p, "q": q, "n": n})
     rng = SeededRng(seed)
     return rng.standard_normal((m, p)), rng.standard_normal((q, n))
 
@@ -158,8 +160,7 @@ def min_norm_solution(A, B, C):
 
 def uniform_toeplitz(n, r):
     """Banded matrix with value 1/(2r - 1) where |i - j| <= r, else 0."""
-    if n < 1 or r < 1:
-        raise ValueError("n and r must be at least 1")
+    _check_positive({"n": n, "r": r})
     idx = np.arange(n)
     band = np.abs(idx[:, None] - idx[None, :]) <= r
     return band / (2 * r - 1)
@@ -168,10 +169,7 @@ def uniform_toeplitz(n, r):
 def gaussian_toeplitz(n, r, sigma):
     """Banded matrix with entries exp(-(i-j)^2 / (2 sigma^2)) / (sigma sqrt(2 pi))
     where |i - j| <= r, else 0. Symmetric."""
-    if n < 1 or r < 1:
-        raise ValueError("n and r must be at least 1")
-    if not (sigma > 0):
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    _check_positive({"n": n, "r": r}, sigma)
     idx = np.arange(n)
     diff = idx[:, None] - idx[None, :]
     band = np.abs(diff) <= r

@@ -155,9 +155,8 @@ class SolverConfig:
             if eta <= 0:
                 raise ValueError(f"eta must be positive, got {eta}")
             if eta >= 2 and not self.unsafe_stepsize:
-                raise ValueError(
-                    f"eta={eta} is outside (0, 2); set unsafe_stepsize=True to force it"
-                )
+                raise ValueError(f"eta={eta} is outside (0, 2); set unsafe_stepsize=True "
+                                 "(CLI: --unsafe-stepsize) to force it")
 
     def resolved_eta(self):
         if self.eta is not None:
@@ -423,13 +422,12 @@ def _grabk_adaptive_apply(state, I, J, u_hat, v_hat, _blocks=None):
     return L, R
 
 
-def _relative_residual(problem, X):
-    """||C - A X B||_F / ||C||_F (or ||C - A X B||_F when C = 0), and the
-    residual matrix C - A X B."""
+def _relative_residual(problem, X, c_norm):
+    """||C - A X B||_F / ||C||_F (or ||C - A X B||_F when C = 0), with
+    ``c_norm`` = ||C||_F, and the residual matrix C - A X B."""
     R = problem.C - (problem.A @ X) @ problem.B
     resid = np.linalg.norm(R, "fro")
-    denom = np.linalg.norm(problem.C, "fro")
-    return (float(resid / denom) if denom > 0.0 else float(resid)), R
+    return (float(resid / c_norm) if c_norm > 0.0 else float(resid)), R
 
 
 def _keeps_residual(problem, config, use_re):
@@ -605,7 +603,7 @@ class _Residual(_Metric):
         return float(tracked / self.c_norm) if self.c_norm > 0.0 else tracked
 
     def exact(self):
-        value, R = _relative_residual(self.state.problem, self.state.X)
+        value, R = _relative_residual(self.state.problem, self.state.X, self.c_norm)
         if self.tracking:
             self.R = np.ascontiguousarray(R)
         return value

@@ -106,6 +106,14 @@ def test_generate_requires_exactly_one_kind(tmp_path, capsys):
     assert run("generate", "--blur", "--out", str(tmp_path / "x")) == 1  # no --image
 
 
+def test_generate_type1_needs_every_dimension(tmp_path, capsys):
+    args = gen_args(tmp_path / "x")
+    del args[args.index("--r2"):args.index("--r2") + 2]
+    assert run(*args) == 1
+    assert "--type1 needs --r2" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 # ---------------------------------------------------------------- solve
 
 
@@ -191,6 +199,29 @@ def test_solve_rejects_non_finite_settings(tmp_path, capsys, flags):
     run(*gen_args(out))
     assert run("solve", str(out), *flags, "--max-iters", "50") == 1
     assert "must be finite" in capsys.readouterr().err
+
+
+def test_solve_unsafe_eta_names_the_flag(tmp_path, capsys):
+    out = tmp_path / "prob"
+    run(*gen_args(out))
+    code = run("solve", str(out), "--method", "grabk-c", "--eta", "2.5")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "eta=2.5 is outside (0, 2)" in err and "--unsafe-stepsize" in err
+
+
+def test_solve_without_reference_reports_final_residual(tmp_path, capsys):
+    # no X_star.mtx: the summary's final_error is the last record's residual
+    out = tmp_path / "prob"
+    run(*gen_args(out))
+    (out / "X_star.mtx").unlink()
+    trace = tmp_path / "trace.csv"
+    code = run("solve", str(out), "--method", "grbk", "--tau1", "3",
+               "--tau2", "3", "--max-iters", "40", "--out", str(trace))
+    assert code == 2
+    last = read_csv(trace)[-1]
+    assert last[0] == "40" and last[1] == "" and float(last[2]) > 0.0
+    assert f" final_error={last[2]} " in capsys.readouterr().out
 
 
 def test_solve_missing_directory(tmp_path, capsys):

@@ -28,7 +28,8 @@ SIDE, TAU = 16, 8  # the blur image and GRBK's blocks, which TAU divides
 REQUIRED = [f"solvers.step.{method}" for method in
             (GRK, GRBK, GRABK_CONST, GRABK_ADAPTIVE)] + [
     "rates.beta_max", "rates.gamma_max", "sampling.frobenius_block_probs",
-    "sampling.sample_block", "solvers.residual"]
+    "sampling.sample_block", "solvers.residual", "mmio.load_matrix_market",
+    "images.read_pgm", "images.write_pgm", "cli.load_problem_dir", "problems.blur_problem"]
 
 
 def test_tracer_sees_every_layer(tmp_path, capsys):

@@ -133,6 +133,7 @@ def test_read_errors_carry_byte_offsets(tmp_path):
         (b"P6\n1 1\n255\n\x00", 0),        # unsupported magic
         (b"P2\nx 1\n255\n0\n", 3),          # width not an integer
         (b"P2\n0 1\n255\n", 3),             # width < 1
+        (b"P2\n1 0\n255\n", 5),             # height < 1
         (b"P2\n1 1\n0\n", 7),               # maxval < 1
         (b"P2\n1 1\n70000\n0\n", 7),        # maxval too large
         (b"P2\n2 1\n255\n1\n", 13),         # missing ASCII pixel (EOF offset)

@@ -74,6 +74,7 @@ def test_load_symmetric_expands_triangle(tmp_path):
     "body,line",
     [
         ("junk\n1 1 0\n", 1),
+        ("%%MatrixMarket vector coordinate real general\n1 1 1\n1 1 0\n", 1),
         ("%%MatrixMarket matrix array real general\n1 1\n1\n", 1),
         ("%%MatrixMarket matrix coordinate complex general\n1 1 1\n1 1 0 0\n", 1),
         ("%%MatrixMarket matrix coordinate real skew-symmetric\n1 1 1\n1 1 0\n", 1),

@@ -142,9 +142,9 @@ def test_uniform_toeplitz_small_cases():
     T2 = uniform_toeplitz(3, 2)
     np.testing.assert_allclose(T2, np.full((3, 3), 1 / 3))
     assert uniform_toeplitz(1, 1).shape == (1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n must be at least 1, got 0"):
         uniform_toeplitz(0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="r must be at least 1, got 0"):
         uniform_toeplitz(3, 0)
 
 
@@ -175,8 +175,12 @@ def test_gaussian_toeplitz_values():
     np.testing.assert_allclose(B, B.T, atol=0)
     idx = np.arange(n)
     assert np.all(B[np.abs(idx[:, None] - idx[None, :]) > r] == 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sigma must be positive, got 0.0"):
         gaussian_toeplitz(3, 1, 0.0)
+    with pytest.raises(ValueError, match="n must be at least 1, got 0"):
+        gaussian_toeplitz(0, 1, sigma)
+    with pytest.raises(ValueError, match="r must be at least 1, got -1"):
+        gaussian_toeplitz(3, -1, sigma)
 
 
 def test_psnr_reference_cases():

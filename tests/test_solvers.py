@@ -127,7 +127,7 @@ def test_config_eta_defaults_and_guard():
     assert SolverConfig(method=GRABK_CONST).resolved_eta() == 1.95
     assert SolverConfig(method=GRABK_ADAPTIVE).resolved_eta() == 1.0
     assert SolverConfig(method=GRBK).resolved_eta() == 1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="set unsafe_stepsize=True"):
         SolverConfig(method=GRABK_CONST, eta=2.0)
     with pytest.raises(ValueError):
         SolverConfig(method=GRABK_ADAPTIVE, eta=-0.5)
@@ -255,6 +255,20 @@ def test_grabk_step_weight_validation():
         grabk_step(state, I, J, [-0.2, 1.2], [0.5, 0.5], 1.0)  # negative
     with pytest.raises(ValueError):
         grabk_step(state, I, J, [0.5, 0.6], [0.5, 0.5], 1.0)  # sum != 1
+
+
+def test_grabk_weights_reject_weight_on_a_zero_row():
+    A = np.eye(4)
+    A[1] = 0.0  # row block {0, 1} holds a zero row
+    prob = make_problem(A, np.eye(4), seed=3)
+    state = prepare_state(prob, SolverConfig(method=GRABK_CONST, tau1=2, tau2=2))
+    I, J = np.array([0, 1]), np.array([0, 1])
+    with pytest.raises(ValueError, match="row weights: positive weight on a zero row"):
+        grabk_step(state, I, J, [0.5, 0.5], [0.5, 0.5], 1.0)
+    grabk_step(state, I, J, [1.0, 0.0], [0.5, 0.5], 1.0)  # no weight on it: fine
+    uniform = SolverConfig(method=GRABK_CONST, tau1=2, tau2=2, weight_scheme="uniform")
+    with pytest.raises(ValueError, match="uniform weights require nonzero rows"):
+        prepare_state(prob, uniform)
 
 
 def test_constant_stepsize_is_eta_over_block_lams():
@@ -757,13 +771,39 @@ def test_tracks_error_decision_table(label, problem, config, tracks):
     assert solvers._tracks_error(problem, config, False) is False, label
 
 
+def test_tracked_error_skips_a_solved_adaptive_block(monkeypatch):
+    # rows 0 and 1 of X_star are zero and A = I, so row block {0, 1} is
+    # solved at X0 = 0 and stays solved: each adaptive step on it leaves X
+    # as it is, and the tracked error drops by exactly 0 for it
+    X = np.random.default_rng(4).standard_normal((4, 4))
+    X[:2] = 0.0
+    B = np.random.default_rng(5).standard_normal((4, 4))
+    prob = Problem(A=np.eye(4), B=B, C=X @ B, X_star=X)
+    drops = []
+    error_drop = solvers._error_drop
+
+    def recorded(method, sampled, *args):
+        drop = error_drop(method, sampled, *args)
+        drops.append((sampled is None, drop))
+        return drop
+
+    monkeypatch.setattr(solvers, "_error_drop", recorded)
+    monkeypatch.setattr(solvers, "_tracks_error", lambda problem, config, use_re: use_re)
+    report = solve(prob, SolverConfig(method=GRABK_ADAPTIVE, tau1=2, tau2=2, seed=1,
+                                      trace_every=10**6))
+    assert report.termination == "tolerance"
+    assert relative_error(report.X, X) < SolverConfig().re_tolerance
+    solved = [drop for is_solved, drop in drops if is_solved]
+    assert solved and all(drop == 0.0 for drop in solved)
+
+
 def test_kept_residual_recomputes_only_to_resync_and_confirm(monkeypatch):
     calls = []
     full = solvers._relative_residual
 
-    def counting(problem, X):
+    def counting(*args):
         calls.append(1)
-        return full(problem, X)
+        return full(*args)
 
     monkeypatch.setattr(solvers, "_relative_residual", counting)
     A, B = gen_type1(TypeISpec(60, 20, 10, 20, 60, 20, seed=35))
