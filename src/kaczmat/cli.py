@@ -67,8 +67,6 @@ def _fmt(x):
     if x is None:
         return ""
     if isinstance(x, float):
-        if math.isinf(x):
-            return "inf"
         return f"{x:.12e}"
     return str(x)
 

@@ -109,6 +109,9 @@ def read_pgm(path):
     count = width * height
 
     if magic == b"P2":
+        if 2 * count > len(data) - pos:  # a separator and a digit a pixel
+            raise PgmError(f"truncated pixel data: {count} pixels need at least "
+                           f"{2 * count} bytes, have {len(data) - pos}", len(data))
         values = np.empty(count, dtype=np.float64)
         outside = f"pixel value {{}} outside [0, {maxval}]"
         for idx in range(count):

@@ -14,6 +14,9 @@ CPU, shared 2-core x86-64 host). A regex-plus-array entry loop took 8 to
 12 ms there, so only a parser written in C would close the gap.
 """
 
+import io
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -64,8 +67,12 @@ def load_matrix_market(path):
     Indices are converted from the file's 1-based convention; symmetric
     storage is expanded to both triangles; duplicates are summed.
     """
-    with open(path, "rt", encoding="ascii") as fh:
-        lines = fh.readlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = io.StringIO(data.decode("ascii"), newline=None).readlines()
+    except UnicodeDecodeError as exc:
+        raise MatrixMarketError("non-ASCII byte", data.count(b"\n", 0, exc.start) + 1) from None
     if not lines:
         raise MatrixMarketError("empty file", 1)
     symmetry = _parse_header(lines[0], 1)
@@ -103,6 +110,8 @@ def load_matrix_market(path):
             v = float(parts[2])
         except ValueError:
             raise MatrixMarketError(f"malformed entry {text!r}", lineno) from None
+        if not math.isfinite(v):
+            raise MatrixMarketError(f"non-finite value in entry {text!r}", lineno)
         if not (1 <= i <= shape[0]) or not (1 <= j <= shape[1]):
             raise MatrixMarketError(
                 f"index ({i}, {j}) outside {shape[0]}x{shape[1]}", lineno

@@ -1,6 +1,6 @@
 """Contiguous block partitions and reproducible Frobenius-weighted block sampling."""
 
-from bisect import bisect_left, bisect_right
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -9,25 +9,19 @@ from .matrices import col_norms, row_norms
 
 RNG_ALGORITHM = "philox4x64"
 
-UNIFORM_CHUNK = 1024  # uniforms that SeededRng.uniform() reads ahead
-
 
 class SeededRng:
     """Deterministic random stream backed by the counter-based Philox generator.
 
-    Identical seeds give identical draws on every platform, which makes
-    solver traces and generated problems byte-reproducible. Each instance is
+    Identical seeds give identical draws on every platform, and an array draw
+    gives bitwise the values of as many scalar draws, which makes solver
+    traces and generated problems byte-reproducible. Each instance is
     single-owner: do not share one between concurrent samplers.
 
     ``stream`` selects a disjoint substream for the same seed (the seed
     occupies the low 64 bits of the Philox key, the stream the next 64), so
     problem generation and solver sampling can share one user-facing seed
     without replaying each other's draws.
-
-    ``uniform()`` reads ahead ``UNIFORM_CHUNK`` draws at a time, which
-    Philox makes bitwise the values of as many scalar draws. The array draws
-    first put the generator back where scalar draws would have left it, so
-    every interleaving of calls yields the scalar-draw stream.
     """
 
     algorithm = RNG_ALGORITHM
@@ -40,32 +34,18 @@ class SeededRng:
         key = (self.seed & 0xFFFFFFFFFFFFFFFF) | (self.stream << 64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
         self.position = 0  # scalars drawn so far
-        self._ahead = []  # unserved read-ahead uniforms, next one last
-        self._before = None  # generator state before they were drawn
 
     def uniform(self):
         """One uniform draw in [0, 1)."""
-        if not self._ahead:
-            self._before = self._gen.bit_generator.state
-            self._ahead = self._gen.random(size=UNIFORM_CHUNK)[::-1].tolist()
         self.position += 1
-        return self._ahead.pop()
-
-    def _rewind(self):
-        """Put the generator where scalar draws would have left it."""
-        if self._ahead:
-            self._gen.bit_generator.state = self._before
-            self._gen.random(size=UNIFORM_CHUNK - len(self._ahead))
-            self._ahead = []
+        return self._gen.random()
 
     def standard_normal(self, shape):
-        self._rewind()
         out = self._gen.standard_normal(size=shape)
         self.position += int(np.prod(shape))
         return out
 
     def uniform_array(self, n):
-        self._rewind()
         out = self._gen.random(size=n)
         self.position += int(n)
         return out
@@ -130,12 +110,10 @@ def make_partition(dim, tau):
 
 @dataclass(frozen=True)
 class CategoricalDistribution:
-    """Finite distribution over block indices with precomputed CDF, also
-    held as a list of floats for bisection."""
+    """Finite distribution over block indices with precomputed CDF."""
 
     probabilities: np.ndarray
     cumulative: np.ndarray
-    cdf: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = self.probabilities
@@ -143,7 +121,6 @@ class CategoricalDistribution:
             raise ValueError("probabilities must be nonnegative")
         if abs(float(p.sum()) - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {p.sum()}, expected 1")
-        object.__setattr__(self, "cdf", self.cumulative.tolist())
 
 
 def categorical(probabilities):
@@ -186,12 +163,23 @@ def frobenius_block_probs(M, partition, axis, norms_sq=None):
     return categorical(block_sq / total)
 
 
-def sample_block(dist, rng):
-    """Draw one block index by inverse CDF using a single uniform draw.
+def _inverse_cdf(dist, u):
+    """The block of each uniform u: the first whose cumulative reaches
+    max(u, math.ulp(0.0)), so ties break toward the lower index and u = 0.0
+    takes the first block with positive mass. As the CDF reads 1.0 from the
+    last positive-mass block on, no zero-mass block is ever returned."""
+    return dist.cumulative.searchsorted(np.maximum(u, math.ulp(0.0)))
 
-    Ties break toward the lower index (first cumulative >= u), except that
-    u = 0 takes the first cumulative > 0; with the CDF reaching 1.0 at the
-    last positive-mass block, zero-mass blocks are never returned.
+
+def sample_block(dist, rng, cols=None, pairs=1):
+    """Draw one block index from ``dist`` by inverse CDF, from one uniform.
+
+    Given the column distribution ``cols``, draw ``pairs`` (row block, column
+    block) pairs instead, as a list of row blocks and a list of column blocks,
+    from one ``uniform_array``: its even entries go to ``dist`` and odd ones
+    to ``cols``, bitwise as ``pairs`` rounds of a scalar row then column draw.
     """
-    u = rng.uniform()
-    return (bisect_left if u else bisect_right)(dist.cdf, u)
+    if cols is None:
+        return int(_inverse_cdf(dist, rng.uniform()))
+    u = rng.uniform_array(2 * pairs)
+    return _inverse_cdf(dist, u[0::2]).tolist(), _inverse_cdf(cols, u[1::2]).tolist()

@@ -59,6 +59,7 @@ CONFIRM_BAND = 1e-12
 DROP_RTOL = 1e-6
 FACTOR_CACHE_MULTIPLE = 4
 DECREASE_OVERHEAD = 8192
+DRAW_CHUNK = 1024  # the block pairs of as many steps come from one draw
 
 
 @dataclass
@@ -691,8 +692,10 @@ def solve(problem, config):
         metric = stop.confirm()
         termination = "tolerance" if metric < config.re_tolerance else None
         while termination is None and k < config.max_iters:
-            bi = sample_block(state.dist_rows, state.rng)
-            bj = sample_block(state.dist_cols, state.rng)
+            if k % DRAW_CHUNK == 0:  # the block pairs do not depend on X
+                pairs = zip(*sample_block(state.dist_rows, state.rng, state.dist_cols,
+                                          min(DRAW_CHUNK, config.max_iters - k)))
+            bi, bj = next(pairs)
             I, si, A_I, G_I = state.row_blocks[bi] or _cache_block(state, True, bi)
             J, sj, B_J, H_J = state.col_blocks[bj] or _cache_block(state, False, bj)
             # each step hands back the residual it sampled: M, up to weights

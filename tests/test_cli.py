@@ -155,6 +155,8 @@ def test_solve_exit_three_when_diverged(tmp_path, capsys):
     last = read_csv(trace)[-1]
     assert int(last[0]) < 20000
     assert not np.isfinite(float(last[1]))
+    # a non-finite value keeps its sign in the CSV
+    assert cli._fmt(-np.inf) == "-inf"
 
 
 def test_deblur_exit_three_when_diverged(tmp_path, capsys):

@@ -60,9 +60,13 @@ def test_tracer_sees_every_layer(tmp_path, capsys):
     assert tracer.absent == []
     assert [name for name in REQUIRED if not tracer.calls[name] > 0] == []
     assert tracer.calls["solvers.solve"] == 2  # the two commands
+    # solve draws the block pairs of a chunk of steps with one call
+    steps = sum(tracer.calls[f"solvers.step.{method}"] for method in
+                (GRK, GRBK, GRABK_CONST, GRABK_ADAPTIVE))
+    assert tracer.calls["sampling.sample_block"] < steps
     # every GRBK step (library, solve and deblur) ran on TAU x TAU blocks
     # of a SIDE x SIDE iterate
     args = (SimpleNamespace(X=np.zeros((SIDE, SIDE))), np.arange(TAU), np.arange(TAU))
-    steps = tracer.calls["solvers.step.grbk"]
-    assert steps == 3 * 20
-    assert tracer.counters["flops.grbk"] == steps * _grbk_counts(args)[0]
+    grbk_steps = tracer.calls["solvers.step.grbk"]
+    assert grbk_steps == 3 * 20
+    assert tracer.counters["flops.grbk"] == grbk_steps * _grbk_counts(args)[0]

@@ -147,6 +147,15 @@ def test_read_errors_carry_byte_offsets(tmp_path):
         assert f"byte {offset}:" in str(exc.value)
 
 
+def test_read_ascii_header_claiming_more_pixels_than_bytes(tmp_path):
+    # the P2 raster is checked against the bytes left (a separator and a
+    # digit a pixel) before anything is allocated for it
+    body = b"P2\n99999999999 99999999999\n255\n0\n"
+    with pytest.raises(PgmError, match="truncated pixel data") as exc:
+        read_pgm(write_bytes(tmp_path, body))
+    assert exc.value.offset == len(body)
+
+
 def test_read_binary_pixel_over_maxval(tmp_path):
     body = b"P5\n2 1\n200\n" + bytes([100, 201])
     with pytest.raises(PgmError) as exc:

@@ -97,6 +97,26 @@ def test_load_error_line_numbers(tmp_path, body, line):
     assert f"line {line}:" in str(exc.value)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_load_rejects_non_finite_entry_with_its_line(tmp_path, value):
+    path = write_text(
+        tmp_path,
+        f"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 {value}\n",
+    )
+    with pytest.raises(MatrixMarketError, match="non-finite") as exc:
+        load_matrix_market(path)
+    assert exc.value.line == 4
+
+
+def test_load_rejects_non_ascii_byte_with_its_line(tmp_path):
+    path = tmp_path / "m.mtx"
+    path.write_bytes(b"%%MatrixMarket matrix coordinate real general\n"
+                     b"% caf\xc3\xa9\n2 2 1\n1 1 1.0\n")
+    with pytest.raises(MatrixMarketError, match="non-ASCII byte") as exc:
+        load_matrix_market(path)
+    assert exc.value.line == 2
+
+
 def test_load_too_few_entries(tmp_path):
     path = write_text(
         tmp_path,

@@ -6,7 +6,6 @@ import scipy.sparse as sp
 
 from kaczmat.sampling import (
     RNG_ALGORITHM,
-    UNIFORM_CHUNK,
     BlockPartition,
     CategoricalDistribution,
     SeededRng,
@@ -63,9 +62,8 @@ def _philox(seed, stream):
 
 @pytest.mark.parametrize("seed, stream", [(0, 0), (5, 1), (2**40 + 3, 2)])
 def test_rng_read_ahead_matches_scalar_stream(seed, stream):
-    # uniform() serves a read-ahead chunk; across chunk boundaries it gives
-    # the values of one array draw, as plain Python floats
-    n = 2 * UNIFORM_CHUNK + 3
+    # scalar draws give the values of one array draw, as plain Python floats
+    n = 2 * 1024 + 3
     rng = SeededRng(seed, stream)
     draws = [rng.uniform() for _ in range(n)]
     assert all(type(u) is float for u in draws)
@@ -73,7 +71,7 @@ def test_rng_read_ahead_matches_scalar_stream(seed, stream):
     assert rng.position == n
 
 
-@pytest.mark.parametrize("k", [0, 5, UNIFORM_CHUNK, UNIFORM_CHUNK + 5])
+@pytest.mark.parametrize("k", [0, 5, 1024, 1024 + 5])
 def test_rng_read_ahead_interleaves_with_array_draws(k):
     # array draws start where k scalar draws would have left the generator
     rng, oracle = SeededRng(11, 1), _philox(11, 1)
@@ -249,8 +247,8 @@ def test_sample_block_zero_draw_skips_leading_zero_mass():
 
 
 def test_sample_block_matches_searchsorted():
-    # bisection on the CDF list picks the block that searchsorted on the
-    # CDF array picks, for ties, zero-mass blocks anywhere and u on a
+    # the draw picks the block of searchsorted on the CDF (side "left", or
+    # "right" for u = 0.0), for ties, zero-mass blocks anywhere and u on a
     # cumulative value, at 0.0 and at the largest Philox uniform
     gen = np.random.default_rng(21)
     for trial in range(300):
@@ -287,3 +285,47 @@ def test_sample_block_consumes_one_draw():
     us = rng_b.uniform_array(32)
     expect = [int(np.searchsorted(d.cumulative, u, side="left")) for u in us]
     assert seq == [min(e, 1) for e in expect]
+
+
+class _Planted:
+    """Stub rng over a Philox stream with u = 0.0 and the largest Philox
+    uniform planted at given draws; scalar and array draws read one stream."""
+
+    def __init__(self, n, zeros, tops):
+        self.us = SeededRng(4).uniform_array(n)
+        self.us[zeros] = 0.0
+        self.us[tops] = 1.0 - 2.0**-53
+        self.position = 0
+
+    def uniform(self):
+        self.position += 1
+        return float(self.us[self.position - 1])
+
+    def uniform_array(self, n):
+        self.position += n
+        return self.us[self.position - n : self.position].copy()
+
+
+def test_sample_block_chunks_match_scalar_rounds():
+    # one chunked call per chunk gives the pairs of as many rounds of a
+    # scalar row draw then a scalar column draw: even uniforms to rows, odd
+    # to columns, with the tie rules of the scalar draw
+    rows = categorical([0.0, 0.3, 0.0, 0.7, 0.0])
+    cols = categorical([0.0, 0.5, 0.5, 0.0])
+    pairs, chunks = 50, 3
+    # u = 0.0 on the first row and column draw, on the first column draw of
+    # the third chunk and inside the third chunk; the top uniform elsewhere
+    planted = ([0, 1, 4 * pairs + 1, 4 * pairs + 6], [2, 2 * pairs + 3, 4 * pairs + 9])
+    scalar, chunked = _Planted(600, *planted), _Planted(600, *planted)
+    expect = [(sample_block(rows, scalar), sample_block(cols, scalar))
+              for _ in range(chunks * pairs)]
+    got = []
+    for _ in range(chunks):
+        r, c = sample_block(rows, chunked, cols, pairs)
+        got += zip(r, c)
+    assert got == expect
+    assert chunked.position == scalar.position == 2 * chunks * pairs
+    # u = 0.0 took the first positive-mass block, the top uniform the last
+    assert [expect[0], expect[2 * pairs][1], expect[2 * pairs + 3][0]] == [(1, 1), 1, 1]
+    assert [expect[1][0], expect[pairs + 1][1], expect[2 * pairs + 4][1]] == [3, 2, 2]
+    assert {r for r, _ in expect} == {1, 3} and {c for _, c in expect} == {1, 2}

@@ -13,6 +13,7 @@ from kaczmat.problems import TypeISpec, gen_type1, gen_type2, make_problem
 from kaczmat.rates import beta_max, gamma_max
 from kaczmat.sampling import BlockPartition, SeededRng, categorical, sample_block
 from kaczmat.solvers import (
+    DRAW_CHUNK,
     GRABK_ADAPTIVE,
     GRABK_CONST,
     GRBK,
@@ -548,11 +549,12 @@ GOLDEN_CASES = {
 }
 GOLDEN_SETTINGS = {"unsafe-eta": {"eta": 100.0, "unsafe_stepsize": True}}
 
-# (trace_every, re_tolerance): every record over a full budget, thinned
-# records with a tolerance some runs reach, or one record at the end, so
-# that an X_star run tracks its error between exact checks
-GOLDEN_SCHEDULES = {"every1-full": (1, 1e-300), "every7-tol": (7, 1e-6),
-                    "quiet-tol": (10**6, 1e-6)}
+# (trace_every, re_tolerance, draw chunk): every record over a full budget,
+# thinned records with a tolerance some runs reach, or one record at the
+# end, so that an X_star run tracks its error between exact checks; and a
+# full budget of 150 steps drawn in chunks of 64, 64 and 22 block pairs
+GOLDEN_SCHEDULES = {"every1-full": (1, 1e-300, DRAW_CHUNK), "every7-tol": (7, 1e-6, DRAW_CHUNK),
+                    "quiet-tol": (10**6, 1e-6, DRAW_CHUNK), "every7-chunks": (7, 1e-300, 64)}
 
 
 def _public_step_loop(prob, config):
@@ -602,18 +604,19 @@ def _public_step_loop(prob, config):
 @pytest.mark.parametrize("method", (GRK, GRBK, GRABK_CONST, GRABK_ADAPTIVE))
 def test_solve_matches_public_step_loop(method, case, reference, schedule, residual,
                                         monkeypatch):
-    # golden trace: solve() (its per-block cache of dense blocks and factors,
-    # the fused adaptive kernel, one stop metric per iteration) must give the same bits as the
-    # public steps over the same draws, whether it keeps C - A X B up to
-    # date or recomputes it, and whether it tracks the error between exact
-    # checks (wherever it can) or not; a kept residual is within 1e-14 of the
-    # exact one
+    # golden trace: solve() (its chunked draws, its per-block cache of dense
+    # blocks and factors, the fused adaptive kernel, one stop metric per
+    # iteration) must give the same bits as the public steps over scalar
+    # draws, whether it keeps C - A X B up to date or recomputes it, and
+    # whether it tracks the error between exact checks (wherever it can) or
+    # not; a kept residual is within 1e-14 of the exact one
     monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: residual == "kept")
     monkeypatch.setattr(solvers, "_tracks_error", lambda problem, config, use_re: use_re)
     prob, tau1, tau2 = GOLDEN_CASES[case]
     if reference == "residual":
         prob = Problem(A=prob.A, B=prob.B, C=prob.C)
-    trace_every, tol = GOLDEN_SCHEDULES[schedule]
+    trace_every, tol, draw_chunk = GOLDEN_SCHEDULES[schedule]
+    monkeypatch.setattr(solvers, "DRAW_CHUNK", draw_chunk)
     config = SolverConfig(method=method, tau1=tau1, tau2=tau2, seed=8, max_iters=150,
                           re_tolerance=tol, trace_every=trace_every,
                           **GOLDEN_SETTINGS.get(case, {}))
