@@ -1,8 +1,9 @@
-"""Dense/sparse matrix helpers: validation, norms, pseudoinverse, singular values.
+"""Matrix helpers: validation, norms, pseudoinverse, singular values.
 
-Dense matrices are float64 row-major numpy arrays; sparse matrices are scipy
-CSR arrays. Both are validated at the API boundary by :func:`as_dense` and
-:func:`as_csr` and treated as immutable afterwards.
+Every helper works on float64 row-major numpy arrays: it takes array-likes
+and scipy sparse matrices alike, and densifies and validates its input once
+at entry through :func:`as_dense`. :func:`as_csr` is the canonical CSR form
+of the Matrix Market reader's output.
 """
 
 import numpy as np
@@ -41,28 +42,18 @@ def as_csr(M):
 
 
 def frobenius_norm(M):
-    """Frobenius norm sqrt(sum of squared entries) for dense or sparse input."""
-    if sp.issparse(M):
-        return float(np.sqrt(np.sum(M.data**2)))
-    return float(np.linalg.norm(np.asarray(M, dtype=np.float64), "fro"))
+    """Frobenius norm sqrt(sum of squared entries)."""
+    return float(np.linalg.norm(as_dense(M), "fro"))
 
 
 def row_norms(M):
-    """Euclidean norm of each row, as a 1-D array. Dense or sparse input."""
-    if sp.issparse(M):
-        sq = np.asarray(M.multiply(M).sum(axis=1)).ravel()
-        return np.sqrt(sq)
-    A = np.asarray(M, dtype=np.float64)
-    return np.sqrt(np.sum(A * A, axis=1))
+    """Euclidean norm of each row, as a 1-D array."""
+    return np.linalg.norm(as_dense(M), axis=1)
 
 
 def col_norms(M):
-    """Euclidean norm of each column, as a 1-D array. Dense or sparse input."""
-    if sp.issparse(M):
-        sq = np.asarray(M.multiply(M).sum(axis=0)).ravel()
-        return np.sqrt(sq)
-    A = np.asarray(M, dtype=np.float64)
-    return np.sqrt(np.sum(A * A, axis=0))
+    """Euclidean norm of each column, as a 1-D array."""
+    return np.linalg.norm(as_dense(M), axis=0)
 
 
 def _nonzero(s, shape):

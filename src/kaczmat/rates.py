@@ -3,28 +3,26 @@
 These are the per-iteration expected decay factors of the solver family
 under Frobenius-weighted partition sampling. They serve as oracles in
 statistical tests: observed mean squared errors must stay below the
-predicted geometric envelopes.
+predicted geometric envelopes. Each public function densifies and validates
+its matrices once at entry through ``as_dense``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .matrices import as_dense, col_norms, frobenius_norm, row_norms, sigma_extremes
 from .sampling import frobenius_block_probs
 
 
 def _dense_blocks(M, partition, axis):
-    """Yield (b, block b of M) with the partition over the rows (axis="rows")
-    or the columns (axis="cols") of M, each block a dense float64 array."""
+    """Densify and validate M once, then yield (b, block b of M) with the
+    partition over the rows (axis="rows") or the columns (axis="cols") of M."""
+    M = as_dense(M)
     partition.check_covers(M, axis)
     for b in range(partition.n_blocks):
         sl = partition.block_slice(b)
-        block = M[sl, :] if axis == "rows" else M[:, sl]
-        if sp.issparse(block):
-            block = block.toarray()
-        yield b, np.asarray(block, dtype=np.float64)
+        yield b, (M[sl, :] if axis == "rows" else M[:, sl])
 
 
 def beta_max(M, partition, axis):
@@ -84,6 +82,7 @@ def weighting_sigma_min(M, partition, axis):
 def _constants(M, partition=None, axis=None):
     """(sigma_min(M), ||M||_F, beta), with beta the beta_max of the
     partition of M along axis, or 1 without a partition."""
+    M = as_dense(M)
     _, smin = sigma_extremes(M)
     beta = 1.0 if partition is None else beta_max(M, partition, axis)
     return smin, frobenius_norm(M), beta
@@ -147,6 +146,7 @@ def general_grabk_rate(
     damp = _damping(eta)
     if not (0.0 < u_min <= u_max < 1.0 and 0.0 < v_min <= v_max < 1.0):
         raise ValueError("weights must satisfy 0 < min <= max < 1")
+    A, B = as_dense(A), as_dense(B)
     ga = gamma_max(A, partition_a, "rows")
     gb = gamma_max(B, partition_b, "cols")
     phi = (u_min**2 * v_min**2) / (u_max**2 * v_max**2 * ga**2 * gb**2)
@@ -178,8 +178,7 @@ class RateBundle:
 def rate_bundle(A, B, partition_a, partition_b, eta_const=1.95, eta_adaptive=1.0):
     """Evaluate every spectral constant and decay factor for one instance,
     with one SVD and one ``beta_max`` per factor."""
-    A = A if sp.issparse(A) else as_dense(A)
-    B = B if sp.issparse(B) else as_dense(B)
+    A, B = as_dense(A), as_dense(B)
     smin_a, frob_a, beta_a = _constants(A, partition_a, "rows")
     smin_b, frob_b, beta_b = _constants(B, partition_b, "cols")
     fa, fb = _factor(smin_a, frob_a, beta_a), _factor(smin_b, frob_b, beta_b)

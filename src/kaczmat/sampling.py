@@ -117,8 +117,8 @@ class CategoricalDistribution:
 
     def __post_init__(self):
         p = self.probabilities
-        if np.any(p < 0):
-            raise ValueError("probabilities must be nonnegative")
+        if not np.all(np.isfinite(p) & (p >= 0)):
+            raise ValueError("probabilities must be finite and nonnegative")
         if abs(float(p.sum()) - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {p.sum()}, expected 1")
 
@@ -140,7 +140,8 @@ def frobenius_block_probs(M, partition, axis, norms_sq=None):
 
     Parameters
     ----------
-    M : dense or sparse matrix
+    M : array-like or scipy sparse matrix
+        Its norms are computed only when ``norms_sq`` is not given.
     partition : BlockPartition
         Over the rows (axis="rows") or columns (axis="cols") of M.
     axis : {"rows", "cols"}
@@ -163,12 +164,11 @@ def frobenius_block_probs(M, partition, axis, norms_sq=None):
     return categorical(block_sq / total)
 
 
-def _inverse_cdf(dist, u):
-    """The block of each uniform u: the first whose cumulative reaches
-    max(u, math.ulp(0.0)), so ties break toward the lower index and u = 0.0
-    takes the first block with positive mass. As the CDF reads 1.0 from the
-    last positive-mass block on, no zero-mass block is ever returned."""
-    return dist.cumulative.searchsorted(np.maximum(u, math.ulp(0.0)))
+# The tie rule of every draw: a uniform u picks the first block whose
+# cumulative reaches max(u, U_FLOOR), so ties break toward the lower index
+# and u = 0.0 takes the first block with positive mass. As the CDF reads 1.0
+# from the last positive-mass block on, no zero-mass block is ever drawn.
+U_FLOOR = math.ulp(0.0)
 
 
 def sample_block(dist, rng, cols=None, pairs=1):
@@ -178,8 +178,10 @@ def sample_block(dist, rng, cols=None, pairs=1):
     block) pairs instead, as a list of row blocks and a list of column blocks,
     from one ``uniform_array``: its even entries go to ``dist`` and odd ones
     to ``cols``, bitwise as ``pairs`` rounds of a scalar row then column draw.
+    Both forms keep the tie rule of ``U_FLOOR``.
     """
-    if cols is None:
-        return int(_inverse_cdf(dist, rng.uniform()))
-    u = rng.uniform_array(2 * pairs)
-    return _inverse_cdf(dist, u[0::2]).tolist(), _inverse_cdf(cols, u[1::2]).tolist()
+    if cols is None:  # u or U_FLOOR is max(u, U_FLOOR) for u >= 0, and cheaper
+        return int(dist.cumulative.searchsorted(rng.uniform() or U_FLOOR))
+    u = np.maximum(rng.uniform_array(2 * pairs), U_FLOOR)
+    return (dist.cumulative.searchsorted(u[0::2]).tolist(),
+            cols.cumulative.searchsorted(u[1::2]).tolist())

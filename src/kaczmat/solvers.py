@@ -20,10 +20,9 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import blas
 
-from .matrices import as_csr, as_dense, col_norms, pinv, row_norms
+from .matrices import as_dense, col_norms, pinv, row_norms
 from .rates import beta_max, gamma_max
 from .sampling import (
     SeededRng,
@@ -66,8 +65,11 @@ DRAW_CHUNK = 1024  # the block pairs of as many steps come from one draw
 class Problem:
     """A consistent matrix equation A X B = C.
 
-    A is (m, p) dense or CSR, B is (q, n) dense or CSR, C is (m, n) dense.
-    ``X_star``, when known, is the minimal-norm solution used for
+    A is (m, p), B is (q, n) and C is (m, n), each kept as a float64
+    row-major array. A scipy sparse A or B (CSR, COO, ...) is densified
+    here, adding at most ``mp + qn - nnz`` floats to the peak: the steps
+    act on dense blocks, and a run keeps every drawn block with its factor
+    dense anyway. ``X_star``, when known, is the minimal-norm solution used for
     relative-error termination; it must satisfy the equation to 1e-8
     relative accuracy. ``X_drawn`` is the matrix C was built from when the
     problem is synthetic; it differs from ``X_star`` when A or B is
@@ -82,8 +84,8 @@ class Problem:
     name: str = ""
 
     def __post_init__(self):
-        self.A = as_csr(self.A) if sp.issparse(self.A) else as_dense(self.A)
-        self.B = as_csr(self.B) if sp.issparse(self.B) else as_dense(self.B)
+        self.A = as_dense(self.A)
+        self.B = as_dense(self.B)
         self.C = as_dense(self.C)
         m, p = self.A.shape
         q, n = self.B.shape
@@ -311,13 +313,11 @@ def prepare_state(problem, config):
 
 
 def _block(state, rows, index, method):
-    """Row block ``index`` of A (``rows``) or column block of B, densified,
-    and its factor in the update ``G_I M H_J`` of ``method``: the row a and
+    """Row block ``index`` of A (``rows``) or column block of B and its
+    factor in the update ``G_I M H_J`` of ``method``: the row a and
     ``a / ||a||^2`` for GRK, ``pinv`` for GRBK and the transpose for GRABK.
     Raises ValueError on a zero row (GRK) or a zero block."""
     block = state.problem.A[index] if rows else state.problem.B[:, index]
-    if sp.issparse(block):
-        block = block.toarray()
     if method == GRK:
         norm_sq = (state.row_norms_sq if rows else state.col_norms_sq)[index[0]]
         if norm_sq == 0.0:
@@ -342,7 +342,7 @@ def grk_step(state, i, j, _blocks=None):
 
     X <- X + A_i^T (C_ij - A_i X B_j) B_j^T / (||A_i||^2 ||B_j||^2)
 
-    ``_blocks`` is ``(A_i, B_j)`` densified, as ``solve`` keeps them.
+    ``_blocks`` is ``(A_i, B_j)`` as ``solve`` keeps them.
     """
     a, b = _blocks or (_block(state, True, np.array([i]), GRK)[0],
                        _block(state, False, np.array([j]), GRK)[0])
@@ -438,10 +438,7 @@ def _keeps_residual(problem, config, use_re):
     It does when one update, ``m t1 t2 + m t2 n + m n`` flops with the norm,
     costs less than one full residual, ``m p q + q n m`` flops, spread over
     the steps between two full residuals: every step without ``X_star``,
-    else every ``trace_every``. A CSR factor counts at its dense size too:
-    scipy's sparse products run far below BLAS speed, and on banded blur
-    operators (64x64 to 2000x2000) the kept residual was the faster one
-    wherever this count picks it. It never keeps R when the factor cache, up
+    else every ``trace_every``. It never keeps R when the factor cache, up
     to ``m^2 + n^2`` floats, could exceed ``FACTOR_CACHE_MULTIPLE`` times C.
     """
     m, p = problem.A.shape

@@ -1,4 +1,4 @@
-"""Dense/sparse helpers, pseudoinverse and singular values, and the vec and
+"""Matrix helpers on dense and sparse input, pseudoinverse and singular values, and the vec and
 Kronecker test oracles."""
 
 import numpy as np
@@ -29,9 +29,13 @@ def test_row_and_col_norms():
     M = np.array([[3.0, 4.0], [0.0, 0.0], [1.0, 0.0]])
     np.testing.assert_allclose(row_norms(M), [5.0, 0.0, 1.0])
     np.testing.assert_allclose(col_norms(M), [np.sqrt(10.0), 4.0])
-    # sparse input goes through the same code path
+    # sparse input is densified, and every input validated, at entry
     np.testing.assert_allclose(row_norms(sp.csr_array(M)), [5.0, 0.0, 1.0])
     np.testing.assert_allclose(col_norms(sp.csr_array(M)), [np.sqrt(10.0), 4.0])
+    M[1, 1] = np.nan
+    for norms in (row_norms, col_norms, frobenius_norm):
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            norms(sp.csr_array(M))
 
 
 def test_sigma_extremes_identity():

@@ -8,8 +8,8 @@ the running value must stay on the exact one over a long run. GRABK-
 constant's stepsize must keep that decrease nonnegative on every block, and
 every step keeps X in range(A^T) x range(B), so a run that solves the
 equation from X0 = 0 ends at the minimal-norm solution. Dense and CSR
-factors give the same run, and a residual ``solve`` keeps up to date stays
-on the exact one.
+factors give bitwise the same run, and a residual ``solve`` keeps up to
+date stays on the exact one.
 """
 
 from dataclasses import replace
@@ -20,8 +20,10 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kaczmat import solvers
+from kaczmat import cli, solvers
+from kaczmat.images import GrayImage, write_pgm
 from kaczmat.matrices import pinv
+from kaczmat.mmio import load_matrix_market
 from kaczmat.problems import TypeISpec, gen_type1, make_problem, min_norm_solution
 from kaczmat.solvers import (
     GRABK_ADAPTIVE,
@@ -175,7 +177,6 @@ def test_constant_stepsize_bounds_every_block(instance, eta):
                 continue
             span = partition.block_slice(b)
             block = M[span] if axis == "rows" else M[:, span].T
-            block = block.toarray() if sp.issparse(block) else block
             scaled = np.sqrt(hats[b])[:, None] * block
             top = max(top, np.linalg.svd(scaled, compute_uv=False)[0] ** 2)
         return top
@@ -194,9 +195,19 @@ def test_iterates_stay_in_the_range_of_a_transpose_and_b(instance, method, steps
     config = SolverConfig(method=method, tau1=tau1, tau2=tau2, seed=3, max_iters=steps,
                           re_tolerance=1e-300, weight_scheme=weights)
     X = solve(prob, config).X
-    A, B = (M.toarray() if sp.issparse(M) else M for M in (prob.A, prob.B))
+    A, B = prob.A, prob.B
     projected = pinv(A) @ (A @ X @ B) @ pinv(B)
     assert np.linalg.norm(projected - X) <= 1e-10 * np.linalg.norm(X)
+
+
+def _fingerprint(report):
+    """Everything a run returns but its timings, each float by its bits."""
+    def bits(x):
+        return None if x is None else float(x).hex()
+    return (report.X.tobytes(), report.iterations, report.termination,
+            [(r.iteration, bits(r.relative_error), bits(r.relative_residual))
+             for r in report.records],
+            None if report.stepsizes is None else [bits(L) for L in report.stepsizes])
 
 
 @settings(max_examples=6, derandomize=True, deadline=None)
@@ -204,13 +215,11 @@ def test_iterates_stay_in_the_range_of_a_transpose_and_b(instance, method, steps
 def test_dense_and_csr_factors_agree_and_kept_residuals_are_exact(instance):
     # with the default cost rules, so each run keeps R, tracks the error or
     # recomputes as solve() picks: the dense and CSR forms of one instance
-    # give the same iterates and records to 1e-12, and every record's
-    # residual of the CSR run is within 1e-14 of one recomputed from its X.
-    # At re_tolerance 1e-300 a run stops only on an exactly zero metric,
-    # which rounding can reach in one form and not the other: the two runs
-    # are then compared over the steps both took.
+    # give bitwise the same iterates, iteration counts, termination, records
+    # and stepsizes, and every record's residual is within 1e-14 of one
+    # recomputed from its X
     prob, tau1, tau2, weights = instance
-    A, B = (M.toarray() if sp.issparse(M) else M for M in (prob.A, prob.B))
+    A, B = prob.A, prob.B
     assume(np.any(prob.C))
     for x_star in (prob.X_star, None):
         dense = Problem(A=A, B=B, C=prob.C, X_star=x_star)
@@ -220,25 +229,35 @@ def test_dense_and_csr_factors_agree_and_kept_residuals_are_exact(instance):
                 config = SolverConfig(method=method, tau1=tau1, tau2=tau2, seed=3,
                                       max_iters=RUN_STEPS, re_tolerance=1e-300,
                                       trace_every=trace_every, weight_scheme=weights)
-                on_dense, on_csr = solve(dense, config), solve(csr, config)
+                report = solve(dense, config)
                 label = (method, x_star is not None, trace_every)
-                steps = min(on_dense.iterations, on_csr.iterations)
-                if steps < RUN_STEPS:
-                    assert "tolerance" in (on_dense.termination, on_csr.termination), label
-                    short = replace(config, max_iters=steps)
-                    on_dense, on_csr = solve(dense, short), solve(csr, short)
-                scale = max(np.linalg.norm(on_dense.X), 1e-300)
-                assert np.linalg.norm(on_dense.X - on_csr.X) <= 1e-12 * scale, label
-                assert len(on_dense.records) == len(on_csr.records), label
-                for d, c in zip(on_dense.records, on_csr.records):
-                    assert d.iteration == c.iteration, label
-                    assert abs(d.relative_residual - c.relative_residual) <= 1e-12, label
-                    if x_star is not None:
-                        assert abs(d.relative_error - c.relative_error) <= 1e-12, label
-                    X = (on_csr.X if c.iteration == on_csr.iterations else
-                         solve(csr, replace(config, max_iters=c.iteration)).X)
+                assert _fingerprint(solve(csr, config)) == _fingerprint(report), label
+                for r in report.records:
+                    X = (report.X if r.iteration == report.iterations else
+                         solve(dense, replace(config, max_iters=r.iteration)).X)
                     exact = np.linalg.norm(prob.C - A @ X @ B) / np.linalg.norm(prob.C)
-                    assert abs(c.relative_residual - exact) <= 1e-14, label
+                    assert abs(r.relative_residual - exact) <= 1e-14, label
+
+
+@pytest.mark.parametrize("trace_every", [1, 7])
+@pytest.mark.parametrize("reference", ["xstar", "residual"])
+def test_blur_directory_solves_as_its_dense_problem(tmp_path, reference, trace_every):
+    # kaczmat solve's path: the CSR files of a 64x64 blur problem, read by
+    # load_problem_dir, give bitwise the GRBK run of the same matrices
+    # handed over dense
+    bands = np.indices((64, 64)).sum(axis=0) // 8 % 2
+    write_pgm(GrayImage(np.where(bands == 0, 220.0, 35.0)), str(tmp_path / "image.pgm"))
+    out = tmp_path / "blur"
+    assert cli.main(["generate", "--blur", "--image", str(tmp_path / "image.pgm"),
+                     "--out", str(out)]) == 0
+    if reference == "residual":
+        (out / "X_star.mtx").unlink()
+    loaded = cli.load_problem_dir(str(out))
+    dense = Problem(**{key: load_matrix_market(str(out / name)).toarray()
+                       for key, name in cli.MATRIX_FILES.items() if (out / name).exists()})
+    config = SolverConfig(method=GRBK, tau1=32, tau2=32, seed=5, max_iters=40,
+                          re_tolerance=1e-300, trace_every=trace_every)
+    assert _fingerprint(solve(loaded, config)) == _fingerprint(solve(dense, config))
 
 
 @st.composite

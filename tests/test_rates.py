@@ -294,6 +294,24 @@ def test_normalized_uniform_identity():
     rhs = grabk_const_rate(A, B, pa, pb, eta=1.0)
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
+def rate_bundle_of_a(M, partition, axis):
+    """``rate_bundle`` with M as A, called as the block constants are."""
+    return rate_bundle(M, np.eye(4), partition, make_partition(4, 2))
+
+
+@pytest.mark.parametrize("fmt", ["dense", "csr"])
+@pytest.mark.parametrize("constant", [beta_max, gamma_max, weighting_sigma_min,
+                                      rate_bundle_of_a])
+def test_rates_reject_nonfinite_matrices(constant, fmt):
+    # each densifies and validates its matrix at entry; unchecked, beta_max
+    # skips a NaN block as if it were zero and gamma_max fails inside LAPACK
+    M = np.random.default_rng(18).standard_normal((6, 4))
+    M[2, 1] = np.nan
+    M = sp.csr_array(M) if fmt == "csr" else M
+    with pytest.raises(ValueError, match=r"^matrix contains NaN or Inf entries$"):
+        constant(M, make_partition(6, 2), "rows")
+
+
 @pytest.mark.parametrize("fmt", ["dense", "csr"])
 @pytest.mark.parametrize(
     "constant", [beta_max, gamma_max, weighting_sigma_min, frobenius_block_probs])

@@ -133,9 +133,25 @@ def test_categorical_validation():
         categorical([0.5, 0.6])
     with pytest.raises(ValueError):
         categorical([-0.1, 1.1])
+    # abs(nan - 1) > 1e-12 is False: the sum check alone lets NaN through
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="probabilities must be finite"):
+            categorical([bad, 0.5])
     d = categorical([0.25, 0.75])
     assert isinstance(d, CategoricalDistribution)
     np.testing.assert_allclose(d.cumulative, [0.25, 1.0])
+
+
+def test_frobenius_block_probs_rejects_nan_norms():
+    # a NaN norm would otherwise give an all-NaN distribution, from which
+    # sample_block draws block 0 without an error
+    with pytest.raises(ValueError, match="probabilities must be finite"):
+        frobenius_block_probs(np.eye(4), make_partition(4, 2), "rows",
+                              np.array([np.nan, 1.0, 1.0, 1.0]))
+    M = np.eye(4)
+    M[1, 1] = np.nan
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        frobenius_block_probs(M, make_partition(4, 2), "rows")
 
 
 def test_frobenius_block_probs_row_example():

@@ -65,12 +65,18 @@ def test_problem_rejects_wrong_reference_solution():
         Problem(A=A, B=B, C=A @ X @ B, X_star=X + 1.0)
 
 
+def _assert_dense_c_float64(M):
+    assert type(M) is np.ndarray and M.dtype == np.float64 and M.flags.c_contiguous
+
+
 def test_problem_accepts_sparse_factors():
     A = sp.csr_array(np.eye(3))
     B = sp.csr_array(np.eye(3))
     X = np.arange(9.0).reshape(3, 3)
     prob = Problem(A=A, B=B, C=X.copy(), X_star=X)
-    assert sp.issparse(prob.A) and sp.issparse(prob.B)
+    for M in (prob.A, prob.B):
+        _assert_dense_c_float64(M)
+        np.testing.assert_array_equal(M, np.eye(3))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -86,14 +92,15 @@ def test_problem_rejects_nonfinite_factors(bad, factor, form):
         Problem(**factors, C=np.zeros((3, 3)))
 
 
-def test_problem_stores_sparse_factors_as_canonical_csr_arrays():
+def test_problem_stores_sparse_factors_as_dense_arrays():
+    # COO duplicates sum, and a csr_matrix comes out as a plain array
     A = sp.coo_array((np.array([1.0, 2.0, 3.0]), (np.array([0, 1, 1]), np.array([0, 1, 1]))),
                      shape=(2, 2))
     B = sp.csr_matrix(np.eye(2))
     prob = Problem(A=A, B=B, C=np.zeros((2, 2)))
     for M in (prob.A, prob.B):
-        assert isinstance(M, sp.csr_array) and M.has_canonical_format
-    np.testing.assert_array_equal(prob.A.toarray(), [[1.0, 0.0], [0.0, 5.0]])
+        _assert_dense_c_float64(M)
+    np.testing.assert_array_equal(prob.A, [[1.0, 0.0], [0.0, 5.0]])
 
 
 def test_config_validation():
@@ -724,18 +731,17 @@ _CSR_BLUR = Problem(A=sp.csr_array(sp.eye(64) + sp.eye(64, k=1) + sp.eye(64, k=-
      SolverConfig(method=GRBK, tau1=15, tau2=15), False, True),
     ("X_star, trace every step", _problem_of_shape(64, 64, 64, 64),
      SolverConfig(method=GRBK, tau1=32, tau2=32), True, True),
-    # a banded CSR blur operator counts at its dense size: scipy's sparse
-    # products run far below BLAS speed, so 300 GRBK steps at tau 32 took
-    # 14 ms kept against 35 ms recomputed (1 thread, process CPU)
+    # a banded blur operator given as CSR is densified by Problem and
+    # counts at that size
     ("CSR blur", _CSR_BLUR, SolverConfig(method=GRBK, tau1=32, tau2=32), False, True),
     # a tall factor: the m^2 cache would dwarf C
     ("tall factor", _problem_of_shape(400, 10, 10, 10),
      SolverConfig(method=GRK), False, False),
     ("tall CSR factor", _problem_of_shape(400, 10, 10, 10, sparse=True),
      SolverConfig(method=GRK), False, False),
-    # kaczmat solve on the CSR blur operator with X_star: a record on every
-    # step keeps R (16 against 38 ms); one every 300 steps recomputes it
-    # (12 against 18 ms)
+    # kaczmat solve on the blur operator with X_star: a record on every
+    # step keeps R (13 against 17 ms for 300 steps); one every 300 steps
+    # recomputes it (10-12 against 14 ms; 1 thread, process CPU)
     ("CSR blur, X_star, trace every step", _CSR_BLUR,
      SolverConfig(method=GRBK, tau1=32, tau2=32), True, True),
     ("CSR blur, X_star, trace every 300", _CSR_BLUR,
