@@ -151,12 +151,14 @@ def frobenius_block_probs(M, partition, axis, norms_sq=None):
 
     Block b gets probability ||M_block||_F^2 / ||M||_F^2; zero-norm blocks
     get probability zero and are never sampled. Raises ValueError for a zero
-    matrix or an axis-length mismatch.
+    matrix, a NaN or infinite norm, or an axis-length mismatch.
     """
     partition.check_covers(M, axis)
     per_index_sq = norms_sq
     if per_index_sq is None:
         per_index_sq = (row_norms(M) if axis == "rows" else col_norms(M)) ** 2
+    if not np.isfinite(per_index_sq).all():
+        raise ValueError("block probabilities must be finite: a squared norm is NaN or infinite")
     total = float(per_index_sq.sum())
     if total == 0.0:
         raise ValueError("cannot build block probabilities for a zero matrix")

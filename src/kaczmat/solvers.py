@@ -59,6 +59,7 @@ DROP_RTOL = 1e-6
 FACTOR_CACHE_MULTIPLE = 4
 DECREASE_OVERHEAD = 8192
 DRAW_CHUNK = 1024  # the block pairs of as many steps come from one draw
+GRK_CHUNK = 64  # the most GRK steps one grk_step call runs while the error is tracked
 
 
 @dataclass
@@ -336,19 +337,47 @@ def _sampled_blocks(state, I, J, method):
             state.problem.C[np.ix_(I, J)])
 
 
-def grk_step(state, i, j, _blocks=None):
-    """Rank-1 update from row i of A and column j of B; returns the sampled
-    residual r = C_ij - A_i X B_j it applied.
+def grk_step(state, i, j, _blocks=None, _prefix=None):
+    """GRK steps at rows i of A and columns j of B, in order; returns the
+    sampled residuals r = C_ij - A_i X B_j they applied.
 
     X <- X + A_i^T (C_ij - A_i X B_j) B_j^T / (||A_i||^2 ||B_j||^2)
 
-    ``_blocks`` is ``(A_i, B_j)`` as ``solve`` keeps them.
+    For scalar i and j this is one step and r is a scalar; ``_blocks`` is
+    ``(A_i, B_j)`` as ``solve`` keeps them. For index arrays of length K it
+    runs the K steps as one chunk. Sampling does not depend on X, so with
+    ``a_k = A[i_k]``, ``b_k = B[:, j_k]``, ``d_k = ||a_k||^2 ||b_k||^2`` and
+    ``s_k = r_k / d_k``, step k's residual is ``C[i_k, j_k] - a_k X b_k -
+    sum_{l<k} s_l (a_k . a_l)(b_l . b_k)``, X the iterate before the chunk:
+    s solves one lower-triangular K x K system, the Hadamard product of the
+    Gram matrices of ``A_S = A[i]`` and ``B_S = B[:, j]`` with diagonal d.
+    Then ``X += A_S[:c]^T diag(s[:c]) B_S[:, :c]^T`` applies the first c
+    steps, and r[:c] = s[:c] d[:c] comes back. c is K, or ``_prefix(r s)``:
+    ``r_k s_k`` is the decrease of ||X - X*||_F^2 that step k makes. The
+    chunk runs as a few BLAS-3 calls what its steps run as about 2K BLAS-2
+    calls, and rounds otherwise: X is within 1e-13 relative of the steps
+    run one by one (about 1e-15 on well-conditioned problems).
     """
-    a, b = _blocks or (_block(state, True, np.array([i]), GRK)[0],
-                       _block(state, False, np.array([j]), GRK)[0])
-    r = state.problem.C[i, j] - a @ state.X @ b
-    state.X += (r / (state.row_norms_sq[i] * state.col_norms_sq[j])) * (a[:, None] * b)
-    return r
+    if isinstance(i, int) or np.ndim(i) == 0:
+        a, b = _blocks or (_block(state, True, np.array([i]), GRK)[0],
+                           _block(state, False, np.array([j]), GRK)[0])
+        r = state.problem.C[i, j] - a @ state.X @ b
+        state.X += (r / (state.row_norms_sq[i] * state.col_norms_sq[j])) * (a[:, None] * b)
+        return r
+    i, j = np.asarray(i), np.asarray(j)
+    rns, cns = state.row_norms_sq[i], state.col_norms_sq[j]
+    if not (rns.all() and cns.all()):
+        raise ValueError("sampled row of A or column of B is zero")
+    d = rns * cns
+    A_S, B_S = state.problem.A[i], state.problem.B[:, j]
+    gram = (A_S @ A_S.T) * (B_S.T @ B_S)
+    gram.flat[::d.size + 1] = d
+    rhs = state.problem.C[i, j] - np.sum((A_S @ state.X) * B_S.T, axis=1)
+    s = blas.dtrsv(gram.T, rhs, lower=1)  # gram is symmetric: gram.T is its Fortran view
+    r = s * d
+    c = d.size if _prefix is None else _prefix(r * s)
+    state.X += (A_S[:c].T * s[:c]) @ B_S[:, :c].T
+    return r[:c]
 
 
 def grbk_step(state, I, J, _blocks=None):
@@ -497,17 +526,15 @@ def _error_drop(method, sampled, weighted, gram_r, gram_c, c, eta):
     for GRABK also ``weighted`` = u_hat R v_hat, the stepsize ``c`` and the
     Gram factors S_I, T_J of the sampled blocks (see ``_Error``).
 
-    GRK and GRBK project X orthogonally onto a set that holds X*, so the
-    error falls by ||G_I R H_J||_F^2 = ||S_I R T_J^T||_F^2, which is
-    r^2 / (||A_i||^2 ||B_j||^2) for GRK. GRABK moves X by c U with
+    GRBK projects X orthogonally onto a set that holds X*, so the error
+    falls by ||G_I R H_J||_F^2 = ||S_I R T_J^T||_F^2 (GRK's is ``r s``, from
+    ``grk_step``). GRABK moves X by c U with
     U = A_I^T (u_hat R v_hat) B_J^T and <X - X*, U> = -u_hat (R o R) v_hat,
     so it falls by 2 c num - c^2 ||U||_F^2, which is eta (2 - eta) num L
     for the adaptive c = eta L with L = num / ||U||_F^2.
     """
     if sampled is None:
         return 0.0
-    if method == GRK:
-        return (sampled * (gram_r * gram_c)) ** 2
     if method == GRBK:
         image = gram_r @ sampled @ gram_c.T
         return np.vdot(image, image)
@@ -523,7 +550,8 @@ class _Metric:
 
     A subclass caches an ``image`` of each block factor G_I or H_J when its
     block is first drawn, moves its value by one step (``advance``, from the
-    residual M the step sampled), recomputes it (``exact``) and keeps
+    residual M the step sampled) or by a chunk of GRK steps
+    (``advance_grk``), recomputes it (``exact``) and keeps
     ``slack``, how far its kept value may lie above the exact one.
     ``after_step`` holds the one rule for when a value is exact: every
     ``RESYNC_EVERY`` steps; on the steps ``due`` for a record when
@@ -550,20 +578,34 @@ class _Metric:
             self.tracking = False
         return value
 
+    def cached_image(self, rows, b):
+        """The image of row block ``b`` of A (``rows``) or column block ``b``
+        of B, made when first asked for."""
+        images = self.rows if rows else self.cols
+        if images[b] is None:
+            blocks = self.state.row_blocks if rows else self.state.col_blocks
+            images[b] = self.image(rows, (blocks[b] or _cache_block(self.state, rows, b))[3])
+        return images[b]
+
     def after_step(self, k, due, bi, bj, sampled, c):
         """The value after step ``k``, which sampled ``sampled`` from row
         block ``bi`` and column block ``bj`` and moved X by ``c`` times its
-        update."""
+        update; or after the GRK steps that ended at step ``k``, from the
+        rows ``bi`` and columns ``bj`` (lists), with residuals ``sampled``."""
         if self.tracking and k % RESYNC_EVERY and not (due and self.exact_on_records):
-            left, right = self.rows[bi], self.cols[bj]
-            if left is None:
-                left = self.rows[bi] = self.image(True, self.state.row_blocks[bi][3])
-            if right is None:
-                right = self.cols[bj] = self.image(False, self.state.col_blocks[bj][3])
-            weighted = sampled
-            if self.hats and sampled is not None:  # u_hat R v_hat
-                weighted = self.hats[0][bi][:, None] * sampled * self.hats[1][bj][None, :]
-            value = self.advance(sampled, weighted, left, right, c)
+            if isinstance(bi, list):
+                value = self.advance_grk(bi, bj, sampled)
+            else:
+                left = self.rows[bi]
+                if left is None:
+                    left = self.cached_image(True, bi)
+                right = self.cols[bj]
+                if right is None:
+                    right = self.cached_image(False, bj)
+                weighted = sampled
+                if self.hats and sampled is not None:  # u_hat R v_hat
+                    weighted = self.hats[0][bi][:, None] * sampled * self.hats[1][bj][None, :]
+                value = self.advance(sampled, weighted, left, right, c)
             if value - self.slack >= self.band:
                 self.value = value
                 return value
@@ -597,7 +639,18 @@ class _Residual(_Metric):
             else:
                 blas.dgemm(-c, right, (left @ weighted).T, beta=1.0, c=R.T,
                            overwrite_c=True)
-        tracked = math.sqrt(np.vdot(R, R))
+        return self.norm()
+
+    def advance_grk(self, rows, cols, r):
+        """One rank-len(r) update of R by the stacked images of GRK steps."""
+        left = np.array([self.cached_image(True, b) for b in rows])
+        right = np.array([self.cached_image(False, b) for b in cols])
+        blas.dgemm(-1.0, right * r[:, None], left, trans_a=1, beta=1.0, c=self.R.T,
+                   overwrite_c=True)
+        return self.norm()
+
+    def norm(self):
+        tracked = math.sqrt(np.vdot(self.R, self.R))
         return float(tracked / self.c_norm) if self.c_norm > 0.0 else tracked
 
     def exact(self):
@@ -609,9 +662,9 @@ class _Residual(_Metric):
 
 class _Error(_Metric):
     """||X - X_star||_F^2 / ||X_star||_F^2, less each step's exact decrease
-    (``_error_drop``) between exact values. Its images are triangular Gram
-    factors from a QR of G_I and of H_J^T, so ``S_I^T S_I = G_I^T G_I`` and
-    ``T_J^T T_J = H_J H_J^T`` (``||G_I||`` and ``||H_J||`` for GRK): they give
+    (``_error_drop``, or ``r s`` from ``grk_step``) between exact values.
+    Its images are triangular Gram factors from a QR of G_I and of H_J^T,
+    so ``S_I^T S_I = G_I^T G_I`` and ``T_J^T T_J = H_J H_J^T``: they give
     ``||G_I M H_J||_F`` as ``||S_I M T_J^T||_F`` without squaring the
     condition of the block. Its slack is ``DROP_RTOL`` of the decrease it
     subtracted since its last exact value, and a decrease that is negative
@@ -626,9 +679,25 @@ class _Error(_Metric):
         self.dropped = 0.0
 
     def image(self, rows, factor):
-        if self.method == GRK:
-            return np.linalg.norm(factor)
         return np.linalg.qr(factor if rows else factor.T, mode="r")
+
+    def prefix(self, drops):
+        """How many of the GRK steps with decreases ``drops`` to apply: up
+        to the first whose kept value less slack lies below the band, else
+        all. ``r_k s_k = s_k^2 d_k`` is never negative, so that test also
+        stops at a decrease that is not finite. The kept value after the
+        steps applied waits for ``advance_grk``."""
+        drops = np.cumsum(drops) / self.xstar_sq
+        values = self.value - drops
+        dropped = self.dropped + drops
+        fits = values - DROP_RTOL * dropped >= self.band
+        c = fits.size if fits.all() else int(fits.argmin()) + 1
+        self.pending, self.dropped = float(values[c - 1]), float(dropped[c - 1])
+        self.slack = DROP_RTOL * self.dropped
+        return c
+
+    def advance_grk(self, rows, cols, r):
+        return self.pending
 
     def advance(self, sampled, weighted, left, right, c):
         drop = _error_drop(self.method, sampled, weighted, left, right, c,
@@ -667,6 +736,15 @@ def solve(problem, config):
     ``relative_residual`` is within ``1e-14 max(1, exact)`` of the exact
     one: absolute while the residual is at most ``||C||_F``, relative on a
     diverging run.
+
+    While ``_Error`` tracks GRK's error, one ``grk_step`` call runs up to
+    ``GRK_CHUNK`` steps as a chunk. It ends at the next record, multiple of
+    ``RESYNC_EVERY``, end of the drawn pairs or ``max_iters``, and after the
+    first step whose kept error less its slack enters the band or is not
+    finite, which then gets its exact error. ``max_seconds`` is checked once
+    per chunk. X is then within 1e-13 relative of the steps run one by one,
+    with equal iteration counts and termination unless an exact error lies
+    within rounding of ``re_tolerance``.
     """
     state = prepare_state(problem, config)
     method = config.method
@@ -677,6 +755,7 @@ def solve(problem, config):
                          -math.inf if use_re else band)
     stop = _Error(state, _tracks_error(problem, config, use_re), band) if use_re else residual
     kept = use_re and residual.tracking
+    grk_chunks = method == GRK and use_re
     l_values = [] if method == GRABK_ADAPTIVE else None
     row_hats, col_hats = state.row_weights_hat, state.col_weights_hat
     records = []
@@ -689,33 +768,44 @@ def solve(problem, config):
         metric = stop.confirm()
         termination = "tolerance" if metric < config.re_tolerance else None
         while termination is None and k < config.max_iters:
-            if k % DRAW_CHUNK == 0:  # the block pairs do not depend on X
-                pairs = zip(*sample_block(state.dist_rows, state.rng, state.dist_cols,
-                                          min(DRAW_CHUNK, config.max_iters - k)))
-            bi, bj = next(pairs)
-            I, si, A_I, G_I = state.row_blocks[bi] or _cache_block(state, True, bi)
-            J, sj, B_J, H_J = state.col_blocks[bj] or _cache_block(state, False, bj)
+            drawn = k % DRAW_CHUNK
+            if drawn == 0:  # the block pairs do not depend on X
+                rows, cols = sample_block(state.dist_rows, state.rng, state.dist_cols,
+                                          min(DRAW_CHUNK, config.max_iters - k))
             # each step hands back the residual it sampled: M, up to weights
             c = 1.0
-            if method == GRK:  # blocks of size 1: block bi is row bi
-                sampled = grk_step(state, bi, bj, _blocks=(A_I, B_J))
+            if grk_chunks and stop.tracking:  # the GRK steps up to the next exact value
+                # the pairs drawn end at DRAW_CHUNK steps or at max_iters
+                end = drawn + min(GRK_CHUNK, len(rows) - drawn, RESYNC_EVERY - k % RESYNC_EVERY,
+                                  config.trace_every - k % config.trace_every)
+                sampled = grk_step(state, rows[drawn:end], cols[drawn:end],
+                                   _prefix=stop.prefix)
+                k += sampled.size
+                bi, bj = rows[drawn:drawn + sampled.size], cols[drawn:drawn + sampled.size]
             else:
-                blocks = (A_I, G_I, B_J, H_J, problem.C[si, sj])
-                if method == GRBK:
-                    sampled = grbk_step(state, I, J, _blocks=blocks)
-                elif method == GRABK_CONST:
-                    sampled = grabk_step(state, I, J, None, None, state.alpha_const,
-                                         _blocks=blocks, _hats=(row_hats[bi], col_hats[bj]))
-                    c = state.alpha_const
-                else:  # GRABK_ADAPTIVE
-                    L, sampled = _grabk_adaptive_apply(state, I, J, row_hats[bi], col_hats[bj],
-                                                       _blocks=blocks)
-                    if L is None:
-                        sampled = None  # solved block: X is unchanged
-                    else:
-                        l_values.append(L)
-                        c = state.eta * L
-            k += 1
+                bi, bj = rows[drawn], cols[drawn]
+                I, si, A_I, G_I = state.row_blocks[bi] or _cache_block(state, True, bi)
+                J, sj, B_J, H_J = state.col_blocks[bj] or _cache_block(state, False, bj)
+                if method == GRK:  # blocks of size 1: block bi is row bi
+                    sampled = grk_step(state, bi, bj, _blocks=(A_I, B_J))
+                else:
+                    blocks = (A_I, G_I, B_J, H_J, problem.C[si, sj])
+                    if method == GRBK:
+                        sampled = grbk_step(state, I, J, _blocks=blocks)
+                    elif method == GRABK_CONST:
+                        sampled = grabk_step(state, I, J, None, None, state.alpha_const,
+                                             _blocks=blocks,
+                                             _hats=(row_hats[bi], col_hats[bj]))
+                        c = state.alpha_const
+                    else:  # GRABK_ADAPTIVE
+                        L, sampled = _grabk_adaptive_apply(state, I, J, row_hats[bi],
+                                                           col_hats[bj], _blocks=blocks)
+                        if L is None:
+                            sampled = None  # solved block: X is unchanged
+                        else:
+                            l_values.append(L)
+                            c = state.eta * L
+                k += 1
             elapsed = time.perf_counter() - t0
             record = k % config.trace_every == 0 or k == config.max_iters
             past = config.max_seconds is not None and elapsed > config.max_seconds

@@ -1,13 +1,20 @@
-"""Desk-scale test oracles: vec/unvec, a size-capped Kronecker product and
-classical row-action on the materialized system kron(B^T, A) vec(X) = vec(C).
+"""Desk-scale test oracles: vec/unvec, a size-capped Kronecker product,
+classical row-action on the materialized system kron(B^T, A) vec(X) = vec(C),
+and GRK run one step at a time.
 
-The solvers never build the product system; these exist only to check them
-on small instances.
+The solvers never build the product system nor run GRK's steps one by one
+while they track the error; these exist only to check them on small
+instances.
 """
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from kaczmat import solvers
 from kaczmat.matrices import as_dense
+from kaczmat.sampling import sample_block
 
 # refuse anything that would materialize a large system
 KRON_MAX_ENTRIES = 10**6
@@ -54,3 +61,59 @@ def rk_kronecker_step(xvec, M, cvec, row, row_norms_sq=None):
     r = cvec[row] - mrow @ x
     x += (r / nr2) * mrow
     return x
+
+
+@dataclass
+class GrkRun:
+    X: np.ndarray
+    iterations: int
+    termination: str
+    records: list  # (iteration, relative error, relative residual), both exact
+    errors: list  # the exact relative error at X0 and after every step
+    exact_at: list  # the steps whose stop value was the exact error, 0 for X0
+
+
+def grk_oracle(problem, config):
+    """``solve`` for GRK with ``X_star``, one step at a time: per step one
+    row then one column draw and the scalar update, and the stop rules of
+    the tracked error. Where ``_tracks_error`` says so, the error is kept
+    by subtracting each step's decrease ``r^2 / (||A_i||^2 ||B_j||^2)``; it
+    is exact at X0, every ``RESYNC_EVERY`` steps, on records, when the kept
+    value less ``DROP_RTOL`` of the decrease since the last exact value lies
+    below ``re_tolerance + CONFIRM_BAND``, and from the first exact value
+    below that on. ``max_seconds`` is ignored."""
+    state = solvers.prepare_state(problem, config)
+    A, B, C, X_star, X = problem.A, problem.B, problem.C, problem.X_star, state.X
+    xstar_sq, c_norm = np.linalg.norm(X_star) ** 2, np.linalg.norm(C)
+    band = config.re_tolerance + solvers.CONFIRM_BAND
+    errors = [float(np.linalg.norm(X - X_star) ** 2 / xstar_sq)]
+    value, dropped = errors[0], 0.0
+    tracking = solvers._tracks_error(problem, config, True) and value >= band
+    termination = "tolerance" if value < config.re_tolerance else None
+    records, exact_at, k = [], [0], 0
+    while termination is None and k < config.max_iters:
+        i = sample_block(state.dist_rows, state.rng)
+        j = sample_block(state.dist_cols, state.rng)
+        a, b = A[i], np.ascontiguousarray(B[:, j])
+        d = state.row_norms_sq[i] * state.col_norms_sq[j]
+        r = C[i, j] - a @ X @ b
+        X += (r / d) * (a[:, None] * b)
+        k += 1
+        errors.append(float(np.linalg.norm(X - X_star) ** 2 / xstar_sq))
+        record = k % config.trace_every == 0 or k == config.max_iters
+        if tracking and k % solvers.RESYNC_EVERY and not record:
+            drop = r * r / d / xstar_sq
+            value, dropped = value - drop, dropped + drop
+            if value - solvers.DROP_RTOL * dropped >= band:
+                continue
+        value, dropped = errors[-1], 0.0
+        exact_at.append(k)
+        tracking = tracking and value >= band
+        if not math.isfinite(value):
+            termination = "diverged"
+        elif value < config.re_tolerance:
+            termination = "tolerance"
+        if termination or record:
+            resid = np.linalg.norm(C - (A @ X) @ B) / c_norm
+            records.append((k, value, float(resid)))
+    return GrkRun(X, k, termination or "max_iters", records, errors, exact_at)

@@ -20,7 +20,7 @@ from kaczmat.problems import TypeISpec, gen_type1, make_problem
 from kaczmat.solvers import GRABK_ADAPTIVE, GRABK_CONST, GRBK, GRK, Problem, SolverConfig
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-from tracing import Tracer, _grbk_counts  # noqa: E402
+from tracing import Tracer, _grbk_counts, _grk_counts  # noqa: E402
 
 SIDE, TAU = 16, 8  # the blur image and GRBK's blocks, which TAU divides
 
@@ -70,3 +70,20 @@ def test_tracer_sees_every_layer(tmp_path, capsys):
     grbk_steps = tracer.calls["solvers.step.grbk"]
     assert grbk_steps == 3 * 20
     assert tracer.counters["flops.grbk"] == grbk_steps * _grbk_counts(args)[0]
+
+
+def test_tracer_counts_grk_chunks():
+    # with X_star and a quiet trace GRK runs its steps in chunks: the step
+    # span fires once per chunk, so fewer times than the run's iterations
+    # and more often than the draws, and its counter reads a chunk call
+    A, B = gen_type1(TypeISpec(SIDE, SIDE, SIDE, SIDE, SIDE, SIDE, seed=1))
+    problem = make_problem(A, B, seed=2)
+    tracer = Tracer()
+    with tracer.installed():
+        report = solvers.solve(problem, SolverConfig(method=GRK, seed=5, max_iters=500,
+                                                     trace_every=10**6))
+    assert tracer.absent == []
+    chunks = tracer.calls["solvers.step.grk"]
+    assert 0 < tracer.calls["sampling.sample_block"] < chunks < report.iterations
+    args = (SimpleNamespace(X=np.zeros((SIDE, SIDE))), np.arange(8), np.arange(8))
+    assert tracer.counters["flops.grk"] == chunks * _grk_counts(args)[0]

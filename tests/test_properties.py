@@ -36,6 +36,8 @@ from kaczmat.solvers import (
     solve,
 )
 
+from oracles import grk_oracle
+
 STEP_NAMES = {GRK: "grk_step", GRBK: "grbk_step", GRABK_CONST: "grabk_step",
               GRABK_ADAPTIVE: "_grabk_adaptive_apply"}
 STEPS = 2000
@@ -83,7 +85,10 @@ def _tracked_steps(instance, method):
     value it tracks, the exact error, the decrease subtracted since its last
     exact error, the largest exact error so far or 1), all relative to
     ||X*||_F^2. A run may diverge (GRABK-constant with uniform weights can);
-    its errors then grow, and with them the rounding of each value."""
+    its errors then grow, and with them the rounding of each value. GRK runs
+    its steps in chunks and has no error between them: its decreases are
+    those grk_step hands to solve for the steps it applies, and the exact
+    errors those of the same steps run one at a time (``grk_oracle``)."""
     prob, tau1, tau2, weights = instance
     xstar_sq = np.linalg.norm(prob.X_star, "fro") ** 2
     step_name = STEP_NAMES[method]
@@ -100,19 +105,29 @@ def _tracked_steps(instance, method):
             return out
         return wrapper
 
+    def grk_chunks(state, i, j, _blocks=None, _prefix=None):
+        def prefix(drops):
+            c = _prefix(drops)
+            for drop in drops[:c]:  # a step whose exact error comes from the oracle
+                events.extend([("step", None), ("drop", drop)])
+            return c
+        return step(state, i, j, _blocks, _prefix and prefix)
+
     config = SolverConfig(method=method, tau1=tau1, tau2=tau2, seed=3, max_iters=STEPS,
                           re_tolerance=1e-300, trace_every=10**6, weight_scheme=weights)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solvers, step_name, recorded("step", step))
+        patch.setattr(solvers, step_name,
+                      grk_chunks if method == GRK else recorded("step", step))
         patch.setattr(solvers, "_error", recorded("exact", error))
         patch.setattr(solvers, "_error_drop", recorded("drop", error_drop))
         patch.setattr(solvers, "_tracks_error", lambda problem, config, use_re: use_re)
         solve(prob, config)
+        oracle = iter(grk_oracle(prob, config).errors[1:] if method == GRK else ())
 
     steps, before, after, tracked, dropped, scale = [], None, 1.0, None, 0.0, 1.0
     for kind, value in events:
         if kind == "step":
-            before, after = after, value
+            before, after = after, next(oracle) if value is None else value
             scale = max(scale, after)
         elif kind == "exact":
             tracked, dropped = value, 0.0

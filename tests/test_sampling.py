@@ -1,5 +1,7 @@
 """Seeded RNG streams, block partitions, and block sampling distributions."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -152,6 +154,16 @@ def test_frobenius_block_probs_rejects_nan_norms():
     M[1, 1] = np.nan
     with pytest.raises(ValueError, match="NaN or Inf"):
         frobenius_block_probs(M, make_partition(4, 2), "rows")
+
+
+def test_frobenius_block_probs_rejects_infinite_norms_without_a_warning():
+    # inf / inf would warn before any check saw the norms; under -W error
+    # the warning, not the ValueError, would reach the caller
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="probabilities must be finite"):
+            frobenius_block_probs(np.eye(4), make_partition(4, 2), "rows",
+                                  np.array([np.inf, 1.0, 1.0, 1.0]))
 
 
 def test_frobenius_block_probs_row_example():

@@ -32,7 +32,7 @@ from kaczmat.solvers import (
     solve,
 )
 
-from oracles import kron, rk_kronecker_step, unvec, vec
+from oracles import grk_oracle, kron, rk_kronecker_step, unvec, vec
 
 
 def small_problem(seed=0, m=8, p=5, q=5, n=8):
@@ -183,6 +183,31 @@ def test_grk_step_zero_row_raises():
     state = prepare_state(prob, SolverConfig(method=GRK))
     with pytest.raises(ValueError):
         grk_step(state, 1, 0)
+    with pytest.raises(ValueError):
+        grk_step(state, [0, 1], [0, 0])
+
+
+def test_grk_step_over_index_arrays_runs_the_steps_in_order():
+    # K steps as one chunk give the X and residuals of K single steps to
+    # 1e-13 relative, hand each step's decrease r^2 / (||A_i||^2 ||B_j||^2)
+    # to _prefix and apply the prefix it returns
+    prob = small_problem(8)
+    i, j = [3, 0, 3, 7, 1, 5, 3, 2], [4, 4, 1, 0, 4, 6, 1, 2]  # with repeats
+    single = prepare_state(prob, SolverConfig(method=GRK))
+    r = [grk_step(single, a, b) for a, b in zip(i, j)]
+    d = single.row_norms_sq[i] * single.col_norms_sq[j]
+    for applied in (8, 3):
+        chunk = prepare_state(prob, SolverConfig(method=GRK))
+        drops = []
+        out = grk_step(chunk, i, j, _prefix=lambda x, c=applied: drops.append(x) or c)
+        np.testing.assert_allclose(drops[0], np.square(r) / d, rtol=1e-13)
+        np.testing.assert_allclose(out, r[:applied], rtol=1e-13)
+        partial = prepare_state(prob, SolverConfig(method=GRK))
+        for a, b in zip(i[:applied], j[:applied]):
+            grk_step(partial, a, b)
+        assert np.linalg.norm(chunk.X - partial.X) <= 1e-13 * np.linalg.norm(partial.X)
+    np.testing.assert_allclose(grk_step(prepare_state(prob, SolverConfig(method=GRK)),
+                                        i, j), r, rtol=1e-13)
 
 
 def test_grbk_full_block_is_direct_solve():
@@ -444,10 +469,11 @@ def test_solve_time_limit_termination():
     report = solve(prob, SolverConfig(method=GRK, max_seconds=0.0, max_iters=1000))
     assert report.termination == "time_limit"
     assert report.iterations == 1
-    # with a quiet trace the error is tracked; the time-limit record is exact
+    # with a quiet trace the error is tracked and GRK runs its steps in
+    # chunks, checking the clock after each; the time-limit record is exact
     report = solve(prob, SolverConfig(method=GRK, max_seconds=0.0, max_iters=1000,
                                       trace_every=10**6))
-    assert (report.termination, report.iterations) == ("time_limit", 1)
+    assert (report.termination, report.iterations) == ("time_limit", solvers.GRK_CHUNK)
     assert report.records[-1].relative_error == relative_error(report.X, prob.X_star)
 
 
@@ -616,7 +642,10 @@ def test_solve_matches_public_step_loop(method, case, reference, schedule, resid
     # iteration) must give the same bits as the public steps over scalar
     # draws, whether it keeps C - A X B up to date or recomputes it, and
     # whether it tracks the error between exact checks (wherever it can) or
-    # not; a kept residual is within 1e-14 of the exact one
+    # not; a kept residual is within 1e-14 of the exact one. GRK tracking
+    # its error runs its steps in chunks, which round otherwise: there X is
+    # within 1e-13 relative, a record's error within 1e-13 and its residual
+    # within 1e-14 of the step-by-step run's
     monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: residual == "kept")
     monkeypatch.setattr(solvers, "_tracks_error", lambda problem, config, use_re: use_re)
     prob, tau1, tau2 = GOLDEN_CASES[case]
@@ -629,15 +658,23 @@ def test_solve_matches_public_step_loop(method, case, reference, schedule, resid
                           **GOLDEN_SETTINGS.get(case, {}))
     report = solve(prob, config)
     X, iterations, termination, records, stepsizes = _public_step_loop(prob, config)
-    np.testing.assert_array_equal(report.X, X)
+    chunked = method == GRK and reference == "xstar"
+    if chunked:
+        assert np.linalg.norm(report.X - X) <= 1e-13 * np.linalg.norm(X)
+    else:
+        np.testing.assert_array_equal(report.X, X)
     assert (report.iterations, report.termination) == (iterations, termination)
     if case == "unsafe-eta" and method == GRABK_CONST:
         assert termination == "diverged"
-    assert [(r.iteration, r.relative_error) for r in report.records] == [
-        (k, re) for k, re, _ in records]
+    assert [r.iteration for r in report.records] == [k for k, _, _ in records]
+    errors = [r.relative_error for r in report.records]
+    if chunked:
+        np.testing.assert_allclose(errors, [re for _, re, _ in records], rtol=0.0, atol=1e-13)
+    else:
+        assert errors == [re for _, re, _ in records]
     residuals = [r.relative_residual for r in report.records]
     expected = [res for _, _, res in records]
-    if residual == "kept":
+    if residual == "kept" or chunked:
         assert all(type(res) is float for res in residuals)
         # a diverging residual grows far past ||C||_F: compare it relatively too
         rtol = 1e-14 if case == "unsafe-eta" else 0.0
@@ -645,6 +682,67 @@ def test_solve_matches_public_step_loop(method, case, reference, schedule, resid
     else:
         assert residuals == expected
     assert report.stepsizes == stepsizes
+
+
+def _zero_row_problem():
+    A, B = gen_type1(TypeISpec(12, 6, 6, 6, 12, 6, seed=3))
+    A[4] = 0.0  # never drawn: its Frobenius weight is 0
+    return make_problem(A, B, seed=4)
+
+
+ORACLE_CASES = {
+    "full-rank": make_problem(*gen_type1(TypeISpec(12, 6, 6, 6, 12, 6, seed=1)), seed=2),
+    "rank-deficient": make_problem(*gen_type1(TypeISpec(12, 6, 2, 6, 12, 2, seed=5)), seed=6),
+    "zero-row": _zero_row_problem(),
+    # about 11k steps to 1e-8, so a run crosses RESYNC_EVERY and DRAW_CHUNK
+    # many times with its error tracked
+    "slow": make_problem(*gen_type1(TypeISpec(40, 20, 20, 20, 40, 20, seed=7)), seed=8),
+}
+# (re_tolerance, max_iters): run to the tolerance, or stop at a budget that
+# ends a chunk early, past three resyncs and two draws
+ORACLE_BUDGETS = {"tolerance": (1e-8, 10**6), "mid-chunk": (1e-300, 3037)}
+
+
+@pytest.mark.parametrize("residual", ["kept", "recomputed"])
+@pytest.mark.parametrize("budget", ORACLE_BUDGETS)
+@pytest.mark.parametrize("trace_every", [1, 7, 10**6])
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_chunked_grk_matches_step_by_step_oracle(case, trace_every, budget, residual,
+                                                 monkeypatch):
+    # GRK with X_star runs its steps in chunks wherever it tracks the error;
+    # against the same steps run one at a time under the same stop rules,
+    # X is within 1e-13 relative, iterations, termination and record
+    # iterations are equal, a record's error is within 1e-13 and its
+    # residual within 1e-14 max(1, exact), and the error is exact after the
+    # same steps: resyncs, records and the first step in the band. With a
+    # record on every step nothing is tracked and the run is the oracle's,
+    # bit for bit
+    monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: residual == "kept")
+    steps, exact_at = [0], []
+    step, error = solvers.grk_step, solvers._error
+
+    def counted_step(*args, **kwargs):
+        out = step(*args, **kwargs)
+        steps[0] += np.size(out)
+        return out
+
+    monkeypatch.setattr(solvers, "grk_step", counted_step)
+    monkeypatch.setattr(solvers, "_error", lambda *args: exact_at.append(steps[0]) or error(*args))
+    prob = ORACLE_CASES[case]
+    tol, max_iters = ORACLE_BUDGETS[budget]
+    config = SolverConfig(method=GRK, seed=3, max_iters=max_iters, re_tolerance=tol,
+                          trace_every=trace_every)
+    report, oracle = solve(prob, config), grk_oracle(prob, config)
+    assert (report.iterations, report.termination) == (oracle.iterations, oracle.termination)
+    assert exact_at == oracle.exact_at
+    assert report.termination == budget.replace("mid-chunk", "max_iters")
+    if trace_every == 1:
+        np.testing.assert_array_equal(report.X, oracle.X)
+    assert np.linalg.norm(report.X - oracle.X) <= 1e-13 * np.linalg.norm(oracle.X)
+    assert [r.iteration for r in report.records] == [k for k, _, _ in oracle.records]
+    for r, (_, error, resid) in zip(report.records, oracle.records):
+        assert abs(r.relative_error - error) <= 1e-13
+        assert abs(r.relative_residual - resid) <= 1e-14 * max(1.0, resid)
 
 
 def test_solve_unsafe_stepsize_ends_as_diverged():
@@ -674,34 +772,44 @@ def _residual_cases():
     yield "csr", make_problem(A, B, seed=3)
 
 
+@pytest.mark.parametrize("reference", ["residual", "xstar"])
 @pytest.mark.parametrize("method", METHODS)
-def test_kept_residual_tracks_recomputed_residual(method, monkeypatch):
+def test_kept_residual_tracks_recomputed_residual(method, reference, monkeypatch):
     # the relative residual of every record, read from the kept R, is within
-    # 1e-14 of a full recompute at the same iterate, all the way to 1e-9
+    # 1e-14 of a full recompute at the same iterate, all the way to a
+    # residual of 1e-9 (an error of 1e-18 with X_star); with X_star and a
+    # record every 7 steps, GRK moves R by a chunk of steps at once
     monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: True)
+    trace_every, tol = (1, 1e-9) if reference == "residual" else (7, 1e-18)
     for name, prob in _residual_cases():
-        prob = Problem(A=prob.A, B=prob.B, C=prob.C)
-        exact = []
+        if reference == "residual":
+            prob = Problem(A=prob.A, B=prob.B, C=prob.C)
+        exact = {}  # iteration -> exact relative residual after it
         step_name = STEP_NAMES[method]
         step = getattr(solvers, step_name)
 
         def recording_step(state, *args, _step=step, **kwargs):
             out = _step(state, *args, **kwargs)
+            k = max(exact, default=0) + (np.size(out) if method == GRK else 1)
             R = prob.C - (prob.A @ state.X) @ prob.B
-            exact.append(float(np.linalg.norm(R, "fro") / np.linalg.norm(prob.C, "fro")))
+            exact[k] = float(np.linalg.norm(R, "fro") / np.linalg.norm(prob.C, "fro"))
             return out
 
         monkeypatch.setattr(solvers, step_name, recording_step)
         config = SolverConfig(method=method, tau1=3, tau2=3, seed=4, max_iters=200000,
-                              re_tolerance=1e-9)
+                              re_tolerance=tol, trace_every=trace_every)
         report = solve(prob, config)
         assert report.termination == "tolerance", (method, name)
         if method == GRK:  # long enough to cross a resync
             assert report.iterations > solvers.RESYNC_EVERY
-        assert len(report.records) == report.iterations == len(exact)
-        gaps = [abs(r.relative_residual - exact[r.iteration - 1]) for r in report.records]
+        assert max(exact) == report.iterations
+        assert len(report.records) == -(-report.iterations // trace_every)
+        chunks = method == GRK and reference == "xstar"
+        assert (len(exact) < report.iterations) if chunks else len(exact) == report.iterations
+        gaps = [abs(r.relative_residual - exact[r.iteration]) for r in report.records]
         assert max(gaps) <= 1e-14, (method, name, max(gaps))
-        assert report.records[-1].relative_residual < 1e-9
+        if reference == "residual":
+            assert report.records[-1].relative_residual < 1e-9
         monkeypatch.setattr(solvers, step_name, step)
 
 
