@@ -16,6 +16,7 @@ probabilities proportional to squared Frobenius norms.
 """
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -49,17 +50,28 @@ DEFAULT_ETA = {GRABK_CONST: 1.95, GRABK_ADAPTIVE: 1.0}
 # for at most RESYNC_EVERY steps. CONFIRM_BAND is about 500 times the largest
 # gap seen between a kept and an exact value (2e-15). DROP_RTOL covers the
 # rounding of a computed decrease, about eps kappa(A_I) kappa(B_J), for
-# blocks conditioned up to about 1e9. FACTOR_CACHE_MULTIPLE caps the kept
-# residual's images against the m n floats of C. DECREASE_OVERHEAD is the
-# call cost of a block decrease, counted as the entries of X that an exact
-# error reads in the same time (about 6 us at 0.75 ns an entry, one thread).
-RESYNC_EVERY = 1000
+# blocks conditioned up to about 1e9. DRIFT_LIMIT caps a kept residual's
+# bound on that rounding (see _Residual) below the 1e-14 its records keep.
+# FACTOR_CACHE_MULTIPLE caps the kept residual's images against the m n
+# floats of C. SPLIT_MARGIN is how many times cheaper than the other forms a
+# ``_Split`` update must count to be chosen, as it pays once for two
+# pseudoinverses and its Gram matrices; SPLIT_OVERHEAD counts the calls it
+# makes per step beyond R's (a subtraction and a dot product, about 2 us),
+# as flops at about 4 GFLOP/s.
+# DECREASE_OVERHEAD is the call cost of a block decrease, counted as the
+# entries of X that an exact error reads in the same time (about 6 us at
+# 0.75 ns an entry, one thread).
+RESYNC_EVERY = 256
 CONFIRM_BAND = 1e-12
 DROP_RTOL = 1e-6
+DRIFT_LIMIT = 5e-15
 FACTOR_CACHE_MULTIPLE = 4
+SPLIT_MARGIN = 4
+SPLIT_OVERHEAD = 8192
 DECREASE_OVERHEAD = 8192
 DRAW_CHUNK = 1024  # the block pairs of as many steps come from one draw
 GRK_CHUNK = 64  # the most GRK steps one grk_step call runs while the error is tracked
+EPS = np.finfo(np.float64).eps
 
 
 @dataclass
@@ -140,6 +152,12 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r}; pick one of {METHODS}")
         if self.weight_scheme not in (WEIGHT_FROBENIUS, WEIGHT_UNIFORM):
             raise ValueError(f"unknown weight scheme {self.weight_scheme!r}")
+        for name in ("tau1", "tau2", "max_iters", "trace_every"):
+            value = getattr(self, name)
+            try:
+                setattr(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         for name in ("eta", "re_tolerance", "max_seconds"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -452,30 +470,39 @@ def _grabk_adaptive_apply(state, I, J, u_hat, v_hat, _blocks=None):
     return L, R
 
 
-def _relative_residual(problem, X, c_norm):
-    """||C - A X B||_F / ||C||_F (or ||C - A X B||_F when C = 0), with
-    ``c_norm`` = ||C||_F, and the residual matrix C - A X B."""
+def _relative_residual(problem, X, unit):
+    """||C - A X B||_F / unit, with ``unit`` = ||C||_F (1 when C = 0), and
+    the residual matrix C - A X B."""
     R = problem.C - (problem.A @ X) @ problem.B
-    resid = np.linalg.norm(R, "fro")
-    return (float(resid / c_norm) if c_norm > 0.0 else float(resid)), R
+    return float(np.linalg.norm(R, "fro") / unit), R
 
 
 def _keeps_residual(problem, config, use_re):
-    """Whether ``solve`` keeps R = C - A X B up to date by a low-rank update
-    per step instead of recomputing it in full whenever it needs it.
+    """How ``solve`` has the norm of R = C - A X B when it needs it: ``None``
+    to recompute R in full, else the stop metric that keeps it up to date by
+    a low-rank update per step, ``_Residual`` (R itself, m x n) or
+    ``_Split`` (a p x q matrix).
 
-    It does when one update, ``m t1 t2 + m t2 n + m n`` flops with the norm,
-    costs less than one full residual, ``m p q + q n m`` flops, spread over
-    the steps between two full residuals: every step without ``X_star``,
-    else every ``trace_every``. It never keeps R when the factor cache, up
-    to ``m^2 + n^2`` floats, could exceed ``FACTOR_CACHE_MULTIPLE`` times C.
+    The cheapest form wins. A full residual costs ``m p q + q n m`` flops,
+    needed every step without ``X_star``, else every ``trace_every``. One
+    update with its norm costs ``m t1 t2 + m t2 n + m n`` for R and ``p t1
+    t2 + p t2 q + 2 p q`` for the split, counted ``SPLIT_MARGIN`` times and
+    plus ``SPLIT_OVERHEAD``; so R stays where ``p q`` is not well below ``m
+    n``, and where a step is so small that its calls cost more than its
+    flops. R is never kept when its images, up to ``m^2 + n^2`` floats,
+    could exceed ``FACTOR_CACHE_MULTIPLE`` times C. A tie goes to
+    recomputing.
     """
     m, p = problem.A.shape
     q, n = problem.B.shape
-    if m * m + n * n > FACTOR_CACHE_MULTIPLE * m * n:
-        return False
-    update = m * config.tau1 * config.tau2 + m * config.tau2 * n + m * n
-    return update * (config.trace_every if use_re else 1) < m * p * q + q * n * m
+    t1, t2 = config.tau1, config.tau2
+    every = config.trace_every if use_re else 1
+    costs = {None: m * p * q + q * n * m}
+    if m * m + n * n <= FACTOR_CACHE_MULTIPLE * m * n:
+        costs[_Residual] = every * (m * t1 * t2 + m * t2 * n + m * n)
+    costs[_Split] = every * (SPLIT_MARGIN * (p * t1 * t2 + p * t2 * q + 2 * p * q)
+                             + SPLIT_OVERHEAD)
+    return min(costs, key=costs.get)
 
 
 def _tracks_error(problem, config, use_re):
@@ -614,50 +641,120 @@ class _Metric:
 
 class _Residual(_Metric):
     """||C - A X B||_F / ||C||_F (or ||C - A X B||_F when C = 0), read from
-    R = C - A X B, which each step updates in place by rank at most tau2:
-    ``R -= c (A G_I) M (H_J B)``. Its images are ``A G_I`` and
-    ``(H_J B)^T``, at most ``m^2 + n^2`` floats; its kept value is within
-    rounding of the exact one, so it keeps no slack."""
+    the matrix ``kept``, which each step updates in place by rank at most
+    tau2. Here ``kept`` is R = C - A X B itself: ``R -= c (A G_I) M (H_J
+    B)``. Its images are ``A G_I`` and ``(H_J B)^T`` with their squared
+    Frobenius norms, at most ``m^2 + n^2`` floats; its kept value keeps no
+    slack.
+
+    An update rounds by up to about eps ``|c| ||A G_I||_F ||M||_F ||H_J
+    B||_F``, far above the change itself where the product cancels: an
+    ill-conditioned block, or a large adaptive stepsize on an inconsistent
+    C. ``moved`` sums the squares of those products since the last exact
+    value; once eps times its root could move the value by ``DRIFT_LIMIT``,
+    the value is NaN, so the next one is exact. ``_Split`` keeps a p x q
+    matrix in place of R."""
 
     def __init__(self, state, tracking, band):
         super().__init__(state, tracking, band)
-        self.c_norm = np.linalg.norm(state.problem.C, "fro")
+        c_norm = float(np.linalg.norm(state.problem.C, "fro"))
+        self.unit = c_norm if c_norm > 0.0 else 1.0  # value = residual / unit
+        limit = DRIFT_LIMIT * self.unit / EPS
+        self.moved, self.moved_limit = 0.0, limit * limit
         self.grk = state.config.method == GRK
-        # C - A X0 B with X0 = 0, C-ordered so that R.T takes BLAS updates in place
-        self.R = np.array(state.problem.C, order="C") if tracking else None
+        self.maps = (state.problem.A, state.problem.B.T)  # image = maps[0] G_I, maps[1] H_J^T
+        # C - A X0 B with X0 = 0, C-ordered so that kept.T takes BLAS updates in place
+        self.kept = np.array(state.problem.C, order="C") if tracking else None
 
     def image(self, rows, factor):
-        if rows:
-            return self.state.problem.A @ factor
-        return np.asfortranarray(self.state.problem.B.T @ factor.T)
+        image = self.maps[0] @ factor if rows else np.asfortranarray(self.maps[1] @ factor.T)
+        return image, float(np.vdot(image, image))
 
     def advance(self, sampled, weighted, left, right, c):
-        R = self.R
+        (left, left_sq), (right, right_sq) = left, right
+        kept = self.kept
         if sampled is not None:
             if self.grk:
-                blas.dger(-sampled, right, left, a=R.T, overwrite_a=True)
+                blas.dger(-sampled, right, left, a=kept.T, overwrite_a=True)
+                size_sq = sampled * sampled
             else:
-                blas.dgemm(-c, right, (left @ weighted).T, beta=1.0, c=R.T,
+                blas.dgemm(-c, right, (left @ weighted).T, beta=1.0, c=kept.T,
                            overwrite_c=True)
+                size_sq = c * c * np.vdot(weighted, weighted)
+            self.moved += size_sq * left_sq * right_sq
         return self.norm()
 
     def advance_grk(self, rows, cols, r):
-        """One rank-len(r) update of R by the stacked images of GRK steps."""
-        left = np.array([self.cached_image(True, b) for b in rows])
-        right = np.array([self.cached_image(False, b) for b in cols])
-        blas.dgemm(-1.0, right * r[:, None], left, trans_a=1, beta=1.0, c=self.R.T,
-                   overwrite_c=True)
+        """One rank-len(r) update of ``kept`` by the stacked images of GRK steps."""
+        left, left_sq = zip(*(self.cached_image(True, b) for b in rows))
+        right, right_sq = zip(*(self.cached_image(False, b) for b in cols))
+        blas.dgemm(-1.0, np.array(right) * r[:, None], np.array(left), trans_a=1, beta=1.0,
+                   c=self.kept.T, overwrite_c=True)
+        self.moved += float(np.vdot(r * r, np.multiply(left_sq, right_sq)))
         return self.norm()
 
     def norm(self):
-        tracked = math.sqrt(np.vdot(self.R, self.R))
-        return float(tracked / self.c_norm) if self.c_norm > 0.0 else tracked
+        if not self.moved <= self.moved_limit:
+            return math.nan
+        tracked = math.sqrt(np.vdot(self.kept, self.kept))
+        return float(tracked / self.unit)
 
     def exact(self):
-        value, R = _relative_residual(self.state.problem, self.state.X, self.c_norm)
+        self.moved = 0.0
+        value, R = _relative_residual(self.state.problem, self.state.X, self.unit)
         if self.tracking:
-            self.R = np.ascontiguousarray(R)
+            self.kept = np.ascontiguousarray(R)
         return value
+
+
+class _Split(_Residual):
+    """``_Residual``'s value, read in the p x q space. With a fixed reference
+    X0, F = C - A X0 B and E = X0 - X, exactly
+
+        ||C - A X B||_F^2 = ||F||_F^2 + <E, 2 A^T F B^T + S>,  S = A^T A E B B^T,
+
+    for any X0, so also where pinv truncates a rank-deficient factor and for
+    an inconsistent C. ``kept`` is ``2 A^T F B^T + S``. A step moves X by
+    ``c G_I M H_J``, so S by ``-c (A^T A G_I) M (H_J B B^T)``: the update of
+    R with images ``A^T A G_I`` and ``(H_J B B^T)^T``, at most ``p m + q n``
+    floats. X0 is ``X_star`` when given, else ``pinv(A) C pinv(B)``, the
+    limit of the iterates, so that E and the cancellation in the sum stay
+    small as the run converges. The rounding of S moves the squared
+    residual by at most ``||E||_F`` times its own size, so the residual by
+    that over twice the residual. Below half of ``||F||_F`` the sum cancels
+    (a run with an X_star off the solution can get there), so the value is
+    NaN and the next one exact. Each exact value recomputes S from E."""
+
+    def __init__(self, state, tracking, band):
+        super().__init__(state, False, band)  # no m x n copy of C
+        self.tracking = tracking
+        A, B, C = state.problem.A, state.problem.B, state.problem.C
+        X0 = state.problem.X_star
+        self.X0 = pinv(A) @ C @ pinv(B) if X0 is None else X0
+        F = C - (A @ self.X0) @ B
+        self.f_sq = float(np.vdot(F, F))
+        self.maps = (A.T @ A, B @ B.T)
+        self.cross = 2.0 * (A.T @ F) @ B.T
+        self.E = np.empty_like(self.X0)
+        self.kept = self.s_plus_cross(self.X0)  # E = X0 at X = 0
+
+    def norm(self):
+        E = np.subtract(self.X0, self.state.X, out=self.E)
+        sq = max(self.f_sq + np.vdot(E, self.kept), 0.0)
+        if 4.0 * sq < self.f_sq or not np.vdot(E, E) * self.moved <= 4.0 * sq * self.moved_limit:
+            return math.nan
+        return float(math.sqrt(sq) / self.unit)
+
+    def exact(self):
+        self.moved = 0.0
+        value = _relative_residual(self.state.problem, self.state.X, self.unit)[0]
+        if self.tracking:
+            self.kept = self.s_plus_cross(np.subtract(self.X0, self.state.X, out=self.E))
+        return value
+
+    def s_plus_cross(self, E):
+        """``kept`` at E = X0 - X: S = A^T A E B B^T plus 2 A^T F B^T."""
+        return self.cross + self.maps[0] @ E @ self.maps[1]
 
 
 class _Error(_Metric):
@@ -726,9 +823,11 @@ def solve(problem, config):
     ``_block`` builds for each row block of A and column block of B, the
     dense block and its factor, from when it is first drawn (at most
     ``2(mp + qn)`` floats), and every step reads them from there. Where
-    ``_keeps_residual`` says so, ``_Residual`` keeps C - A X B up to date;
-    where ``_tracks_error`` says so, ``_Error`` keeps the error by
-    subtracting each step's decrease. Either is exact whenever
+    ``_keeps_residual`` says so, ``_Residual`` keeps C - A X B up to date,
+    or ``_Split`` a p x q matrix that gives its norm; ``_Split`` takes its
+    one-time pseudoinverses and Gram matrices here, not in
+    ``prepare_state``. Where ``_tracks_error`` says so, ``_Error`` keeps the
+    error by subtracting each step's decrease. Each is exact whenever
     ``_Metric.after_step`` says so, in particular near ``re_tolerance``, so
     tolerance and divergence are declared on exact values only, and
     iterates, iteration counts and termination are those of an exact stop
@@ -751,8 +850,8 @@ def solve(problem, config):
     use_re = problem.X_star is not None and np.linalg.norm(problem.X_star, "fro") > 0.0
     band = config.re_tolerance + CONFIRM_BAND
     # without X_star the residual is the stop metric; with it, only records read it
-    residual = _Residual(state, _keeps_residual(problem, config, use_re),
-                         -math.inf if use_re else band)
+    form = _keeps_residual(problem, config, use_re)
+    residual = (form or _Residual)(state, form is not None, -math.inf if use_re else band)
     stop = _Error(state, _tracks_error(problem, config, use_re), band) if use_re else residual
     kept = use_re and residual.tracking
     grk_chunks = method == GRK and use_re

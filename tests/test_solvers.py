@@ -35,6 +35,11 @@ from kaczmat.solvers import (
 from oracles import grk_oracle, kron, rk_kronecker_step, unvec, vec
 
 
+# the forms of _keeps_residual's answer: recompute C - A X B in full, keep
+# it (m x n), or keep its p x q split
+RESIDUAL_FORMS = {"recomputed": None, "kept": solvers._Residual, "split": solvers._Split}
+
+
 def small_problem(seed=0, m=8, p=5, q=5, n=8):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, p))
@@ -129,6 +134,25 @@ def test_config_validation():
             SolverConfig(re_tolerance=bad)
         with pytest.raises(ValueError):
             SolverConfig(max_seconds=bad)
+
+
+@pytest.mark.parametrize("name", ["tau1", "tau2", "max_iters", "trace_every"])
+def test_config_rejects_a_non_integral_count(name):
+    # a float count used to get through: tau1=2.5 ran 1677 steps,
+    # trace_every=2.5 recorded every 5th step and max_iters=2.5 failed
+    # inside sample_block with numpy's TypeError
+    for bad in (2.5, 3.0, "3", None):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            SolverConfig(method=GRBK, **{name: bad})
+    # numpy integers are counts too, kept as Python ints
+    config = SolverConfig(method=GRBK, **{name: np.int64(3)})
+    assert type(getattr(config, name)) is int and getattr(config, name) == 3
+    prob = small_problem(5)
+    numpy_run, int_run = (solve(prob, SolverConfig(**{"method": GRBK, "seed": 2,
+                                                      "max_iters": 20, name: count}))
+                          for count in (np.int32(2), 2))
+    np.testing.assert_array_equal(numpy_run.X, int_run.X)
+    assert [r.iteration for r in numpy_run.records] == [r.iteration for r in int_run.records]
 
 
 def test_config_eta_defaults_and_guard():
@@ -630,7 +654,7 @@ def _public_step_loop(prob, config):
     return state.X, config.max_iters, "max_iters", records, stepsizes
 
 
-@pytest.mark.parametrize("residual", ["kept", "recomputed"])
+@pytest.mark.parametrize("residual", RESIDUAL_FORMS)
 @pytest.mark.parametrize("schedule", GOLDEN_SCHEDULES)
 @pytest.mark.parametrize("reference", ["xstar", "residual"])
 @pytest.mark.parametrize("case", GOLDEN_CASES)
@@ -640,13 +664,13 @@ def test_solve_matches_public_step_loop(method, case, reference, schedule, resid
     # golden trace: solve() (its chunked draws, its per-block cache of dense
     # blocks and factors, the fused adaptive kernel, one stop metric per
     # iteration) must give the same bits as the public steps over scalar
-    # draws, whether it keeps C - A X B up to date or recomputes it, and
-    # whether it tracks the error between exact checks (wherever it can) or
-    # not; a kept residual is within 1e-14 of the exact one. GRK tracking
-    # its error runs its steps in chunks, which round otherwise: there X is
-    # within 1e-13 relative, a record's error within 1e-13 and its residual
-    # within 1e-14 of the step-by-step run's
-    monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: residual == "kept")
+    # draws, whether it keeps C - A X B or its p x q split up to date or
+    # recomputes it, and whether it tracks the error between exact checks
+    # (wherever it can) or not; a kept residual is within 1e-14 of the
+    # exact one. GRK tracking its error runs its steps in chunks, which
+    # round otherwise: there X is within 1e-13 relative, a record's error
+    # within 1e-13 and its residual within 1e-14 of the step-by-step run's
+    monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: RESIDUAL_FORMS[residual])
     monkeypatch.setattr(solvers, "_tracks_error", lambda problem, config, use_re: use_re)
     prob, tau1, tau2 = GOLDEN_CASES[case]
     if reference == "residual":
@@ -674,7 +698,7 @@ def test_solve_matches_public_step_loop(method, case, reference, schedule, resid
         assert errors == [re for _, re, _ in records]
     residuals = [r.relative_residual for r in report.records]
     expected = [res for _, _, res in records]
-    if residual == "kept" or chunked:
+    if residual != "recomputed" or chunked:
         assert all(type(res) is float for res in residuals)
         # a diverging residual grows far past ||C||_F: compare it relatively too
         rtol = 1e-14 if case == "unsafe-eta" else 0.0
@@ -699,11 +723,11 @@ ORACLE_CASES = {
     "slow": make_problem(*gen_type1(TypeISpec(40, 20, 20, 20, 40, 20, seed=7)), seed=8),
 }
 # (re_tolerance, max_iters): run to the tolerance, or stop at a budget that
-# ends a chunk early, past three resyncs and two draws
+# ends a chunk early, past eleven resyncs and two draws
 ORACLE_BUDGETS = {"tolerance": (1e-8, 10**6), "mid-chunk": (1e-300, 3037)}
 
 
-@pytest.mark.parametrize("residual", ["kept", "recomputed"])
+@pytest.mark.parametrize("residual", RESIDUAL_FORMS)
 @pytest.mark.parametrize("budget", ORACLE_BUDGETS)
 @pytest.mark.parametrize("trace_every", [1, 7, 10**6])
 @pytest.mark.parametrize("case", ORACLE_CASES)
@@ -717,7 +741,7 @@ def test_chunked_grk_matches_step_by_step_oracle(case, trace_every, budget, resi
     # same steps: resyncs, records and the first step in the band. With a
     # record on every step nothing is tracked and the run is the oracle's,
     # bit for bit
-    monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: residual == "kept")
+    monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: RESIDUAL_FORMS[residual])
     steps, exact_at = [0], []
     step, error = solvers.grk_step, solvers._error
 
@@ -772,14 +796,16 @@ def _residual_cases():
     yield "csr", make_problem(A, B, seed=3)
 
 
+@pytest.mark.parametrize("form", RESIDUAL_FORMS)
 @pytest.mark.parametrize("reference", ["residual", "xstar"])
 @pytest.mark.parametrize("method", METHODS)
-def test_kept_residual_tracks_recomputed_residual(method, reference, monkeypatch):
-    # the relative residual of every record, read from the kept R, is within
-    # 1e-14 of a full recompute at the same iterate, all the way to a
-    # residual of 1e-9 (an error of 1e-18 with X_star); with X_star and a
-    # record every 7 steps, GRK moves R by a chunk of steps at once
-    monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: True)
+def test_kept_residual_tracks_recomputed_residual(method, reference, form, monkeypatch):
+    # the relative residual of every record, read from the kept R or its
+    # p x q split, is within 1e-14 of a full recompute at the same iterate,
+    # all the way to a residual of 1e-9 (an error of 1e-18 with X_star);
+    # with X_star and a record every 7 steps, GRK moves R or the split by a
+    # chunk of steps at once
+    monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: RESIDUAL_FORMS[form])
     trace_every, tol = (1, 1e-9) if reference == "residual" else (7, 1e-18)
     for name, prob in _residual_cases():
         if reference == "residual":
@@ -808,9 +834,39 @@ def test_kept_residual_tracks_recomputed_residual(method, reference, monkeypatch
         assert (len(exact) < report.iterations) if chunks else len(exact) == report.iterations
         gaps = [abs(r.relative_residual - exact[r.iteration]) for r in report.records]
         assert max(gaps) <= 1e-14, (method, name, max(gaps))
+        if form == "recomputed" and reference == "residual":
+            assert max(gaps) == 0.0
         if reference == "residual":
             assert report.records[-1].relative_residual < 1e-9
         monkeypatch.setattr(solvers, step_name, step)
+
+
+def test_split_reads_the_residual_from_a_reference_off_the_solution(monkeypatch):
+    # X_star need only solve the equation to 1e-8, and the split takes it as
+    # its reference X0: here one off by 1e-10 leaves F = C - A X0 B nonzero,
+    # and with it the cross term 2 A^T F B^T. Every record, down to
+    # residuals near 1e-15, stays within 1e-14 of the exact residual
+    base = make_problem(*gen_type1(TypeISpec(14, 7, 7, 7, 15, 7, seed=31)), seed=32)
+    noise = np.random.default_rng(33).standard_normal(base.X_star.shape)
+    X0 = base.X_star + 1e-10 * np.linalg.norm(base.X_star) * noise / np.linalg.norm(noise)
+    prob = Problem(A=base.A, B=base.B, C=base.C, X_star=X0)
+    assert np.linalg.norm(prob.C - prob.A @ X0 @ prob.B) > 1e-12 * np.linalg.norm(prob.C)
+    exact = []
+
+    def recording_step(state, *args, **kwargs):
+        out = grbk_step(state, *args, **kwargs)
+        R = prob.C - (prob.A @ state.X) @ prob.B
+        exact.append(float(np.linalg.norm(R, "fro") / np.linalg.norm(prob.C, "fro")))
+        return out
+
+    monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: solvers._Split)
+    monkeypatch.setattr(solvers, "grbk_step", recording_step)
+    report = solve(prob, SolverConfig(method=GRBK, tau1=3, tau2=3, seed=4, max_iters=2000,
+                                      re_tolerance=1e-300))
+    assert len(report.records) == len(exact) == 2000
+    assert min(exact) < 1e-13
+    for r in report.records:
+        assert abs(r.relative_residual - exact[r.iteration - 1]) <= 1e-14, r
 
 
 def _problem_of_shape(m, p, q, n, sparse=False):
@@ -826,37 +882,54 @@ _CSR_BLUR = Problem(A=sp.csr_array(sp.eye(64) + sp.eye(64, k=1) + sp.eye(64, k=-
                     C=np.ones((64, 64)))
 
 
-@pytest.mark.parametrize("label, problem, config, use_re, keeps", [
+@pytest.mark.parametrize("label, problem, config, use_re, form", [
     # dense-kernels: X_star known, trace_every at or above the budget
     ("X_star, quiet trace", _problem_of_shape(500, 200, 200, 500),
-     SolverConfig(method=GRBK, tau1=50, tau2=50, trace_every=10**6), True, False),
+     SolverConfig(method=GRBK, tau1=50, tau2=50, trace_every=10**6), True, None),
     ("GRK, X_star, quiet trace", _problem_of_shape(100, 40, 40, 100),
-     SolverConfig(method=GRK, trace_every=10**6), True, False),
-    # residual-only dense runs: the residual is the stop metric on every step
+     SolverConfig(method=GRK, trace_every=10**6), True, None),
+    # residual-default: the residual is the stop metric on every step, and
+    # p q is a ninth of m n. GRBK at tau 15 splits (400 steps: 13 ms split,
+    # 18 ms kept, 32 ms recomputed); a GRK step is so small that the
+    # split's extra calls outweigh its flops (5000 steps: medians 87 ms
+    # kept, 96 ms split, the split ahead in 6 of 25 pairs; 1 thread,
+    # process CPU)
     ("residual-only GRK", _problem_of_shape(60, 20, 20, 60),
-     SolverConfig(method=GRK), False, True),
+     SolverConfig(method=GRK), False, solvers._Residual),
     ("residual-only GRBK", _problem_of_shape(150, 40, 40, 150),
-     SolverConfig(method=GRBK, tau1=15, tau2=15), False, True),
+     SolverConfig(method=GRBK, tau1=15, tau2=15), False, solvers._Split),
+    # blur-cli's library runs: records read the residual on every step
+    ("X_star, trace every step, p q below m n", _problem_of_shape(100, 40, 40, 100),
+     SolverConfig(method=GRBK, tau1=10, tau2=10), True, solvers._Split),
+    # p q = m n: the split's update costs what R's does, so R stays (GRBK
+    # at tau 32, 250 steps on the 64x64 blur operator: 11.5 ms kept, 12.7
+    # ms split, 18 ms recomputed)
     ("X_star, trace every step", _problem_of_shape(64, 64, 64, 64),
-     SolverConfig(method=GRBK, tau1=32, tau2=32), True, True),
+     SolverConfig(method=GRBK, tau1=32, tau2=32), True, solvers._Residual),
     # a banded blur operator given as CSR is densified by Problem and
     # counts at that size
-    ("CSR blur", _CSR_BLUR, SolverConfig(method=GRBK, tau1=32, tau2=32), False, True),
-    # a tall factor: the m^2 cache would dwarf C
+    ("CSR blur", _CSR_BLUR, SolverConfig(method=GRBK, tau1=32, tau2=32), False,
+     solvers._Residual),
+    # a tall factor: the m^2 images of R would dwarf C, the split's are p m
     ("tall factor", _problem_of_shape(400, 10, 10, 10),
-     SolverConfig(method=GRK), False, False),
+     SolverConfig(method=GRK), False, solvers._Split),
     ("tall CSR factor", _problem_of_shape(400, 10, 10, 10, sparse=True),
-     SolverConfig(method=GRK), False, False),
+     SolverConfig(method=GRK), False, solvers._Split),
+    # wide factors, p > m and q > n: p q is above m n, so the split loses
+    ("wide factors", _problem_of_shape(10, 40, 40, 10),
+     SolverConfig(method=GRK), False, solvers._Residual),
+    ("wide factors, blocks", _problem_of_shape(20, 60, 60, 20),
+     SolverConfig(method=GRBK, tau1=5, tau2=5), False, solvers._Residual),
     # kaczmat solve on the blur operator with X_star: a record on every
     # step keeps R (13 against 17 ms for 300 steps); one every 300 steps
     # recomputes it (10-12 against 14 ms; 1 thread, process CPU)
     ("CSR blur, X_star, trace every step", _CSR_BLUR,
-     SolverConfig(method=GRBK, tau1=32, tau2=32), True, True),
+     SolverConfig(method=GRBK, tau1=32, tau2=32), True, solvers._Residual),
     ("CSR blur, X_star, trace every 300", _CSR_BLUR,
-     SolverConfig(method=GRBK, tau1=32, tau2=32, trace_every=300), True, False),
+     SolverConfig(method=GRBK, tau1=32, tau2=32, trace_every=300), True, None),
 ])
-def test_keeps_residual_decision_table(label, problem, config, use_re, keeps):
-    assert solvers._keeps_residual(problem, config, use_re) is keeps, label
+def test_keeps_residual_decision_table(label, problem, config, use_re, form):
+    assert solvers._keeps_residual(problem, config, use_re) is form, label
 
 
 def _xstar_problem(p, q):
@@ -938,12 +1011,14 @@ def test_kept_residual_recomputes_only_to_resync_and_confirm(monkeypatch):
     assert len(calls) <= report.iterations / solvers.RESYNC_EVERY + 3
 
 
-def test_kept_residual_hands_off_to_recompute_near_tolerance(monkeypatch):
+@pytest.mark.parametrize("form", RESIDUAL_FORMS)
+def test_kept_residual_hands_off_to_recompute_near_tolerance(form, monkeypatch):
     # re_tolerance = 1e-300 leaves the residual at machine precision, inside
     # [re_tolerance, re_tolerance + CONFIRM_BAND), for most of the run: from
     # the step whose tracked value enters that band on, solve recomputes
-    # instead of updating R and recomputing, so apart from resyncs only that
-    # hand-off step does both
+    # instead of updating R (or its split) and recomputing, so apart from
+    # resyncs only that hand-off step does both. Recomputing from the start
+    # updates nothing
     events = []
     full, step, blas = solvers._relative_residual, solvers.grbk_step, solvers.blas
 
@@ -957,7 +1032,7 @@ def test_kept_residual_hands_off_to_recompute_near_tolerance(monkeypatch):
     monkeypatch.setattr(solvers, "grbk_step", counted("step", step))
     monkeypatch.setattr(solvers, "blas", SimpleNamespace(
         dgemm=counted("update", blas.dgemm), dger=counted("update", blas.dger)))
-    monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: True)
+    monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: RESIDUAL_FORMS[form])
     _, prob = next(_residual_cases())
     prob = Problem(A=prob.A, B=prob.B, C=prob.C)
     config = SolverConfig(method=GRBK, tau1=3, tau2=3, seed=4, max_iters=2000,
@@ -971,6 +1046,9 @@ def test_kept_residual_hands_off_to_recompute_near_tolerance(monkeypatch):
         else:
             per_step[-1].add(event)
     updated = [k for k, work in enumerate(per_step) if "update" in work]
+    if form == "recomputed":
+        assert not updated and all(work == {"full"} for work in per_step)
+        return
     both = [k for k in updated if "full" in per_step[k] and k % solvers.RESYNC_EVERY]
     assert both == [updated[-1]]  # the hand-off step
     assert all("full" in work for work in per_step[updated[-1]:])
@@ -1015,13 +1093,16 @@ def test_tracked_error_recomputes_only_to_anchor_and_confirm(method, tol, max_it
         assert len(computed) <= 4 + k // solvers.RESYNC_EVERY < k + 1
 
 
-@pytest.mark.parametrize("residual", ["kept", "recomputed"])
+@pytest.mark.parametrize("reference", ["xstar", "residual"])
+@pytest.mark.parametrize("residual", RESIDUAL_FORMS)
 @pytest.mark.parametrize("method", METHODS)
-def test_solve_prepares_each_block_once(method, residual, monkeypatch):
+def test_solve_prepares_each_block_once(method, residual, reference, monkeypatch):
     # every method builds each row block of A and column block of B once
     # per run, with its index array, GRBK takes each block pinv once, and no
-    # step checks caller weights: solve hands the GRABK steps prepared hats
-    monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: residual == "kept")
+    # step checks caller weights: solve hands the GRABK steps prepared hats.
+    # The split takes pinv(A) and pinv(B) once each for its reference
+    # pinv(A) C pinv(B), and none with X_star, which it takes instead
+    monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: RESIDUAL_FORMS[residual])
     built, pinvs, indexed = [], [], []
     block = solvers._block
     index_block = BlockPartition.block
@@ -1047,6 +1128,8 @@ def test_solve_prepares_each_block_once(method, residual, monkeypatch):
     monkeypatch.setattr(BlockPartition, "block", counting_block)
     A, B = gen_type1(TypeISpec(40, 20, 20, 20, 42, 20, seed=9))
     prob = make_problem(A, B, seed=10)
+    if reference == "residual":
+        prob = Problem(A=prob.A, B=prob.B, C=prob.C)
     config = SolverConfig(method=method, tau1=5, tau2=5, seed=3, max_iters=400,
                           re_tolerance=1e-300)
     report = solve(prob, config)
@@ -1054,9 +1137,13 @@ def test_solve_prepares_each_block_once(method, residual, monkeypatch):
     n_blocks = math.ceil(40 / config.tau1) + math.ceil(42 / config.tau2)
     assert 0 < len(built) == len(set(built)) <= n_blocks
     assert len(indexed) <= n_blocks
-    assert len(pinvs) <= n_blocks
+    factor_pinvs = [shape for shape in pinvs if shape in (prob.A.shape, prob.B.shape)]
+    split_pinvs = residual == "split" and reference == "residual"
+    assert factor_pinvs == ([prob.A.shape, prob.B.shape] if split_pinvs else [])
+    block_pinvs = len(pinvs) - len(factor_pinvs)
+    assert block_pinvs <= n_blocks
     if method == GRBK:
-        assert len(pinvs) == len(built)
+        assert block_pinvs == len(built)
 
 
 def test_prepare_state_hands_its_norms_to_the_probabilities(monkeypatch):
