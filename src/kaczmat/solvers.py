@@ -70,7 +70,7 @@ SPLIT_MARGIN = 4
 SPLIT_OVERHEAD = 8192
 DECREASE_OVERHEAD = 8192
 DRAW_CHUNK = 1024  # the block pairs of as many steps come from one draw
-GRK_CHUNK = 64  # the most GRK steps one grk_step call runs while the error is tracked
+GRK_CHUNK = 64  # the most GRK steps one grk_step call runs while the stop metric is kept
 EPS = np.finfo(np.float64).eps
 
 
@@ -370,8 +370,9 @@ def grk_step(state, i, j, _blocks=None, _prefix=None):
     s solves one lower-triangular K x K system, the Hadamard product of the
     Gram matrices of ``A_S = A[i]`` and ``B_S = B[:, j]`` with diagonal d.
     Then ``X += A_S[:c]^T diag(s[:c]) B_S[:, :c]^T`` applies the first c
-    steps, and r[:c] = s[:c] d[:c] comes back. c is K, or ``_prefix(r s)``:
-    ``r_k s_k`` is the decrease of ||X - X*||_F^2 that step k makes. The
+    steps, and r[:c] = s[:c] d[:c] comes back. c is K, or ``_prefix(i, j,
+    r, s)``: ``r_k s_k`` is the decrease of ||X - X*||_F^2 that step k
+    makes, and ``_Residual.prefix`` reads each step's residual from r. The
     chunk runs as a few BLAS-3 calls what its steps run as about 2K BLAS-2
     calls, and rounds otherwise: X is within 1e-13 relative of the steps
     run one by one (about 1e-15 on well-conditioned problems).
@@ -393,7 +394,7 @@ def grk_step(state, i, j, _blocks=None, _prefix=None):
     rhs = state.problem.C[i, j] - np.sum((A_S @ state.X) * B_S.T, axis=1)
     s = blas.dtrsv(gram.T, rhs, lower=1)  # gram is symmetric: gram.T is its Fortran view
     r = s * d
-    c = d.size if _prefix is None else _prefix(r * s)
+    c = d.size if _prefix is None else _prefix(i, j, r, s)
     state.X += (A_S[:c].T * s[:c]) @ B_S[:, :c].T
     return r[:c]
 
@@ -484,13 +485,14 @@ def _keeps_residual(problem, config, use_re):
     ``_Split`` (a p x q matrix).
 
     The cheapest form wins. A full residual costs ``m p q + q n m`` flops,
-    needed every step without ``X_star``, else every ``trace_every``. One
-    update with its norm costs ``m t1 t2 + m t2 n + m n`` for R and ``p t1
-    t2 + p t2 q + 2 p q`` for the split, counted ``SPLIT_MARGIN`` times and
-    plus ``SPLIT_OVERHEAD``; so R stays where ``p q`` is not well below ``m
-    n``, and where a step is so small that its calls cost more than its
-    flops. R is never kept when its images, up to ``m^2 + n^2`` floats,
-    could exceed ``FACTOR_CACHE_MULTIPLE`` times C. A tie goes to
+    needed every step without ``X_star``, else every ``trace_every``. Each
+    step updates the kept form, ``m t1 t2 + m t2 n`` flops for R and ``p t1
+    t2 + p t2 q`` for the split, and each value read costs ``m n`` for R's
+    norm and ``2 p q`` plus ``SPLIT_OVERHEAD`` for the split's. The split's
+    flops count ``SPLIT_MARGIN`` times; so R stays where ``p q`` is not well
+    below ``m n``, and where a step is so small that its calls cost more
+    than its flops. R is never kept when its images, up to ``m^2 + n^2``
+    floats, could exceed ``FACTOR_CACHE_MULTIPLE`` times C. A tie goes to
     recomputing.
     """
     m, p = problem.A.shape
@@ -499,9 +501,9 @@ def _keeps_residual(problem, config, use_re):
     every = config.trace_every if use_re else 1
     costs = {None: m * p * q + q * n * m}
     if m * m + n * n <= FACTOR_CACHE_MULTIPLE * m * n:
-        costs[_Residual] = every * (m * t1 * t2 + m * t2 * n + m * n)
-    costs[_Split] = every * (SPLIT_MARGIN * (p * t1 * t2 + p * t2 * q + 2 * p * q)
-                             + SPLIT_OVERHEAD)
+        costs[_Residual] = every * (m * t1 * t2 + m * t2 * n) + m * n
+    costs[_Split] = (SPLIT_MARGIN * (every * (p * t1 * t2 + p * t2 * q) + 2 * p * q)
+                     + SPLIT_OVERHEAD)
     return min(costs, key=costs.get)
 
 
@@ -584,7 +586,9 @@ class _Metric:
     ``RESYNC_EVERY`` steps; on the steps ``due`` for a record when
     ``exact_on_records``; whenever the kept value less ``slack`` is below
     ``band`` or NaN; and from the first exact value below ``band`` on. With
-    ``tracking`` False from the start, every value is exact.
+    ``tracking`` False from the start, every value is exact. A metric with
+    the band ``-inf`` never stops the run, so only records read it: between
+    them it moves without reading its value.
     """
 
     exact_on_records = False
@@ -592,6 +596,7 @@ class _Metric:
 
     def __init__(self, state, tracking, band):
         self.state, self.tracking, self.band = state, tracking, band
+        self.read_every_step = band > -math.inf
         self.value = None
         self.rows = [None] * state.partition_rows.n_blocks
         self.cols = [None] * state.partition_cols.n_blocks
@@ -618,7 +623,9 @@ class _Metric:
         """The value after step ``k``, which sampled ``sampled`` from row
         block ``bi`` and column block ``bj`` and moved X by ``c`` times its
         update; or after the GRK steps that ended at step ``k``, from the
-        rows ``bi`` and columns ``bj`` (lists), with residuals ``sampled``."""
+        rows ``bi`` and columns ``bj`` (lists), with residuals ``sampled``.
+        None when nothing reads it: a step not ``due`` for a record, of a
+        metric that does not stop the run."""
         if self.tracking and k % RESYNC_EVERY and not (due and self.exact_on_records):
             if isinstance(bi, list):
                 value = self.advance_grk(bi, bj, sampled)
@@ -633,6 +640,10 @@ class _Metric:
                 if self.hats and sampled is not None:  # u_hat R v_hat
                     weighted = self.hats[0][bi][:, None] * sampled * self.hats[1][bj][None, :]
                 value = self.advance(sampled, weighted, left, right, c)
+            if not (due or self.read_every_step):
+                return None
+            if value is None:  # a kept residual, read from its kept matrix
+                value = self.norm()
             if value - self.slack >= self.band:
                 self.value = value
                 return value
@@ -653,7 +664,11 @@ class _Residual(_Metric):
     C. ``moved`` sums the squares of those products since the last exact
     value; once eps times its root could move the value by ``DRIFT_LIMIT``,
     the value is NaN, so the next one is exact. ``_Split`` keeps a p x q
-    matrix in place of R."""
+    matrix in place of R.
+
+    GRK's chunks (``prefix``) read every step's value from the chunk's Gram
+    matrices, and move ``kept`` by one rank-K product of images stacked for
+    every row of A and column of B, which the first chunk makes."""
 
     def __init__(self, state, tracking, band):
         super().__init__(state, tracking, band)
@@ -665,6 +680,10 @@ class _Residual(_Metric):
         self.maps = (state.problem.A, state.problem.B.T)  # image = maps[0] G_I, maps[1] H_J^T
         # C - A X0 B with X0 = 0, C-ordered so that kept.T takes BLAS updates in place
         self.kept = np.array(state.problem.C, order="C") if tracking else None
+        self.stacks = None  # GRK's factors and images of every row and column
+        self.pending = None  # the images and moved sum of the steps prefix applies
+        self.chunk = []  # the values after those steps
+        self.carried = None  # the squared residual after them and its rounding
 
     def image(self, rows, factor):
         image = self.maps[0] @ factor if rows else np.asfortranarray(self.maps[1] @ factor.T)
@@ -682,16 +701,99 @@ class _Residual(_Metric):
                            overwrite_c=True)
                 size_sq = c * c * np.vdot(weighted, weighted)
             self.moved += size_sq * left_sq * right_sq
-        return self.norm()
+
+    def grk_stacks(self, rows, cols):
+        """For GRK's steps at the rows ``rows`` of A and columns ``cols`` of
+        B: their factors ``a / ||a||^2`` and ``b / ||b||^2``, stacked (K x p,
+        K x q), their images (K x m and K x n for R, K x p and K x q for the
+        split), the factors times the triangular factors of a QR of A and of
+        B^T, whose Gram matrices are those of the images in R's space (in p
+        and q, as accurate), and the products of the images' squared norms.
+        The first call makes them for every row and column; a zero row or
+        column, never drawn, gets zeros."""
+        if self.stacks is None:
+            state = self.state
+            A, B = state.problem.A, state.problem.B
+            fa = A / np.where(state.row_norms_sq > 0.0, state.row_norms_sq, 1.0)[:, None]
+            fb = B.T / np.where(state.col_norms_sq > 0.0, state.col_norms_sq, 1.0)[:, None]
+            left, right = fa @ self.maps[0].T, fb @ self.maps[1].T
+            self.stacks = (fa, fb, left, right, fa @ np.linalg.qr(A, mode="r").T,
+                           fb @ np.linalg.qr(B.T, mode="r").T, np.sum(left * left, axis=1),
+                           np.sum(right * right, axis=1))
+        fa, fb, left, right, gram_left, gram_right, left_sq, right_sq = self.stacks
+        return (fa[rows], fb[cols], left[rows], right[cols], gram_left[rows],
+                gram_right[cols], left_sq[rows] * right_sq[cols])
+
+    def prefix(self, rows, cols, r, s):
+        """How many of the GRK steps at the rows ``rows`` of A and columns
+        ``cols`` of B, with sampled residuals ``r``, to apply; ``chunk``
+        gets the value after each step applied.
+
+        Step k moves R by ``-r_k u_k v_k^T``, with u_k and v_k the images of
+        its row and column in R's space. So with ``G = (U^T U) o (V^T V)``
+        and ``t = diag(U^T R_0 V) - tril(G, -1) r``,
+
+            ||R_k||_F^2 = ||R_{k-1}||_F^2 - 2 r_k t_k + r_k^2 G_kk,
+
+        from R_0's terms as ``chunk_terms`` gives them. That squared value
+        rounds by ``base``, the rounding of ||R_0||^2, plus about eps times
+        the terms it sums: ``2 |r_k| z_k size``, which bounds the products
+        in the first term of t_k, and ``|r_k|`` times ``2 |tril(G, -1)| |r|
+        + |r_k| G_kk``. The kept matrix is off by at most eps times the root
+        of ``moved``, which moves the squared value by that times ``e0 + 2
+        sum_l |r_l| z_l``. That sum over the value is the value's bound. The
+        chunk ends at the first step whose value, less its bound, lies below
+        the band, whose bound could pass ``DRIFT_LIMIT``, or whose value is
+        not finite; that step's value is NaN, so it gets the exact one."""
+        fa, fb, left, right, gram_left, gram_right, sizes = self.grk_stacks(rows, cols)
+        sq0, t0, base, size, e0, z = self.chunk_terms(fa, fb, left, right, rows, cols)
+        gram = (gram_left @ gram_left.T) * (gram_right @ gram_right.T)
+        g = gram.diagonal().copy()
+        gram.flat[::g.size + 1] = 0.0  # gram is symmetric: gram.T is its Fortran view
+        sq = sq0 - np.cumsum(r * (2.0 * (t0 - blas.dtrmv(gram.T, r, lower=1)) - r * g))
+        root = np.sqrt(sq)
+        moved = self.moved + np.cumsum(r * r * sizes)
+        size_r = np.abs(r)
+        z = np.sqrt(g) if z is None else z
+        products = blas.dtrmv(np.abs(gram).T, size_r, lower=1)
+        sums = np.cumsum(size_r * (2.0 * (size * z + products) + size_r * g))
+        rounding = base + EPS * (sums + np.sqrt(moved) * (e0 + 2.0 * np.cumsum(size_r * z)))
+        # the bound is rounding / root: check it against the value times root
+        fits = ((rounding <= (DRIFT_LIMIT * self.unit) * root)
+                & (sq - rounding >= (self.band * self.unit) * root))
+        c = fits.size if fits.all() else int(fits.argmin()) + 1
+        self.chunk = (root[:c] / self.unit).tolist()
+        if not fits[c - 1]:
+            self.chunk[-1] = math.nan
+        self.pending = left[:c], right[:c], float(moved[c - 1])
+        self.carried = float(sq[c - 1]), base + EPS * float(sums[c - 1])
+        return c
+
+    def chunk_terms(self, fa, fb, left, right, rows, cols):
+        """For the images U and V of a chunk's steps in R's space: the
+        squared residual before it, diag(U^T R_0 V), and for ``prefix``'s
+        bound the rounding of that squared residual, ``size``, ``e0`` and
+        ``z`` (None for sqrt(G_kk)). All come from ``kept``, so a kept R
+        off by some D gives the residual of R + D."""
+        sq = float(np.vdot(self.kept, self.kept))
+        root = math.sqrt(sq)
+        t0 = np.einsum("ij,ij->i", left @ self.kept, right)
+        return sq, t0, EPS * sq, root, 2.0 * root, None
 
     def advance_grk(self, rows, cols, r):
-        """One rank-len(r) update of ``kept`` by the stacked images of GRK steps."""
-        left, left_sq = zip(*(self.cached_image(True, b) for b in rows))
-        right, right_sq = zip(*(self.cached_image(False, b) for b in cols))
-        blas.dgemm(-1.0, np.array(right) * r[:, None], np.array(left), trans_a=1, beta=1.0,
-                   c=self.kept.T, overwrite_c=True)
-        self.moved += float(np.vdot(r * r, np.multiply(left_sq, right_sq)))
-        return self.norm()
+        """One rank-len(r) update of ``kept`` by the stacked images of GRK
+        steps; the value of the last step where ``prefix`` read the chunk's,
+        else None."""
+        if self.pending is None:
+            _, _, left, right, _, _, sizes = self.grk_stacks(rows, cols)
+            self.moved += float(np.vdot(r * r, sizes))
+            value = None
+        else:
+            (left, right, self.moved), value = self.pending, self.chunk[-1]
+            self.pending = None
+        blas.dgemm(-1.0, right * r[:, None], left, trans_a=1, beta=1.0, c=self.kept.T,
+                   overwrite_c=True)
+        return value
 
     def norm(self):
         if not self.moved <= self.moved_limit:
@@ -700,7 +802,7 @@ class _Residual(_Metric):
         return float(tracked / self.unit)
 
     def exact(self):
-        self.moved = 0.0
+        self.moved, self.pending = 0.0, None
         value, R = _relative_residual(self.state.problem, self.state.X, self.unit)
         if self.tracking:
             self.kept = np.ascontiguousarray(R)
@@ -735,6 +837,7 @@ class _Split(_Residual):
         self.f_sq = float(np.vdot(F, F))
         self.maps = (A.T @ A, B @ B.T)
         self.cross = 2.0 * (A.T @ F) @ B.T
+        self.cross_norm = math.sqrt(np.vdot(self.cross, self.cross))
         self.E = np.empty_like(self.X0)
         self.kept = self.s_plus_cross(self.X0)  # E = X0 at X = 0
 
@@ -745,11 +848,29 @@ class _Split(_Residual):
             return math.nan
         return float(math.sqrt(sq) / self.unit)
 
+    def chunk_terms(self, fa, fb, left, right, rows, cols):
+        """``_Residual.chunk_terms`` from the factors F_a and F_b: U^T R_0 V
+        = F_a (A^T R_0 B^T) F_b^T, with ``A^T R_0 B^T = kept - cross / 2``.
+        The squared residual and its rounding carry over from the last
+        chunk or exact value, not from ``norm``: E = X0 - X rounds
+        otherwise than ``kept`` moves, and the chunk's sums would magnify
+        the difference."""
+        half = self.kept - 0.5 * self.cross
+        d = self.state.row_norms_sq[rows] * self.state.col_norms_sq[cols]
+        size = math.sqrt(np.vdot(self.kept, self.kept)) + self.cross_norm / 2.0
+        return (self.carried[0], np.einsum("ij,ij->i", fa @ half, fb), self.carried[1], size,
+                0.0, 1.0 / np.sqrt(d))
+
     def exact(self):
-        self.moved = 0.0
+        self.moved, self.pending = 0.0, None
         value = _relative_residual(self.state.problem, self.state.X, self.unit)[0]
         if self.tracking:
-            self.kept = self.s_plus_cross(np.subtract(self.X0, self.state.X, out=self.E))
+            E = np.subtract(self.X0, self.state.X, out=self.E)
+            self.kept = self.s_plus_cross(E)
+            product = float(np.vdot(E, self.kept))
+            self.carried = (self.f_sq + product,
+                            EPS * (self.f_sq + math.sqrt(np.vdot(E, E) * np.vdot(self.kept,
+                                                                                 self.kept))))
         return value
 
     def s_plus_cross(self, E):
@@ -778,13 +899,14 @@ class _Error(_Metric):
     def image(self, rows, factor):
         return np.linalg.qr(factor if rows else factor.T, mode="r")
 
-    def prefix(self, drops):
-        """How many of the GRK steps with decreases ``drops`` to apply: up
-        to the first whose kept value less slack lies below the band, else
-        all. ``r_k s_k = s_k^2 d_k`` is never negative, so that test also
-        stops at a decrease that is not finite. The kept value after the
-        steps applied waits for ``advance_grk``."""
-        drops = np.cumsum(drops) / self.xstar_sq
+    def prefix(self, rows, cols, r, s):
+        """How many of the GRK steps with sampled residuals ``r`` and
+        decreases ``r s`` to apply: up to the first whose kept value less
+        slack lies below the band, else all. ``r_k s_k = s_k^2 d_k`` is
+        never negative, so that test also stops at a decrease that is not
+        finite. The kept value after the steps applied waits for
+        ``advance_grk``."""
+        drops = np.cumsum(r * s) / self.xstar_sq
         values = self.value - drops
         dropped = self.dropped + drops
         fits = values - DROP_RTOL * dropped >= self.band
@@ -836,14 +958,18 @@ def solve(problem, config):
     one: absolute while the residual is at most ``||C||_F``, relative on a
     diverging run.
 
-    While ``_Error`` tracks GRK's error, one ``grk_step`` call runs up to
-    ``GRK_CHUNK`` steps as a chunk. It ends at the next record, multiple of
-    ``RESYNC_EVERY``, end of the drawn pairs or ``max_iters``, and after the
-    first step whose kept error less its slack enters the band or is not
-    finite, which then gets its exact error. ``max_seconds`` is checked once
-    per chunk. X is then within 1e-13 relative of the steps run one by one,
-    with equal iteration counts and termination unless an exact error lies
-    within rounding of ``re_tolerance``.
+    While ``_Error`` tracks GRK's error, or a kept residual is the stop
+    metric, one ``grk_step`` call runs up to ``GRK_CHUNK`` steps as a chunk.
+    It ends at the next multiple of ``RESYNC_EVERY``, end of the drawn pairs
+    or ``max_iters``, with ``X_star`` also at the next record, and after
+    the first step whose kept value less its slack or rounding bound enters
+    the band or is not finite, which then gets its exact value. Without
+    ``X_star`` every step's residual comes from the chunk
+    (``_Residual.prefix``), and the records inside a chunk carry the time
+    at its end. ``max_seconds`` is checked once per chunk. X is then within
+    1e-13 relative of the steps run one by one, with equal iteration counts
+    and termination unless an exact value lies within rounding of
+    ``re_tolerance``.
     """
     state = prepare_state(problem, config)
     method = config.method
@@ -854,7 +980,6 @@ def solve(problem, config):
     residual = (form or _Residual)(state, form is not None, -math.inf if use_re else band)
     stop = _Error(state, _tracks_error(problem, config, use_re), band) if use_re else residual
     kept = use_re and residual.tracking
-    grk_chunks = method == GRK and use_re
     l_values = [] if method == GRABK_ADAPTIVE else None
     row_hats, col_hats = state.row_weights_hat, state.col_weights_hat
     records = []
@@ -873,14 +998,19 @@ def solve(problem, config):
                                           min(DRAW_CHUNK, config.max_iters - k))
             # each step hands back the residual it sampled: M, up to weights
             c = 1.0
-            if grk_chunks and stop.tracking:  # the GRK steps up to the next exact value
+            inside = ()  # the records inside a chunk, before its last step
+            if method == GRK and stop.tracking:  # the GRK steps up to the next exact value
                 # the pairs drawn end at DRAW_CHUNK steps or at max_iters
-                end = drawn + min(GRK_CHUNK, len(rows) - drawn, RESYNC_EVERY - k % RESYNC_EVERY,
-                                  config.trace_every - k % config.trace_every)
-                sampled = grk_step(state, rows[drawn:end], cols[drawn:end],
+                size = min(GRK_CHUNK, len(rows) - drawn, RESYNC_EVERY - k % RESYNC_EVERY)
+                if use_re:  # a record's error is exact
+                    size = min(size, config.trace_every - k % config.trace_every)
+                sampled = grk_step(state, rows[drawn:drawn + size], cols[drawn:drawn + size],
                                    _prefix=stop.prefix)
-                k += sampled.size
+                first, k = k, k + sampled.size
                 bi, bj = rows[drawn:drawn + sampled.size], cols[drawn:drawn + sampled.size]
+                if not use_re:  # the residual after every step comes from the chunk
+                    inside = range(first - first % config.trace_every + config.trace_every, k,
+                                   config.trace_every)
             else:
                 bi, bj = rows[drawn], cols[drawn]
                 I, si, A_I, G_I = state.row_blocks[bi] or _cache_block(state, True, bi)
@@ -909,14 +1039,17 @@ def solve(problem, config):
             record = k % config.trace_every == 0 or k == config.max_iters
             past = config.max_seconds is not None and elapsed > config.max_seconds
             metric = stop.after_step(k, record or past, bi, bj, sampled, c)
-            if kept:
-                residual.after_step(k, False, bi, bj, sampled, c)
             if not math.isfinite(metric):
                 termination = "diverged"
             elif metric < config.re_tolerance:
                 termination = "tolerance"
             elif past:
                 termination = "time_limit"
+            if kept:
+                residual.after_step(k, bool(termination or record), bi, bj, sampled, c)
+            if inside:
+                records.extend(TraceRecord(it, None, stop.chunk[it - first - 1], elapsed)
+                               for it in inside)
             if termination or record:
                 resid = residual.exact() if use_re and not kept else residual.value
                 records.append(TraceRecord(k, metric if use_re else None, resid, elapsed))

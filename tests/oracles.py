@@ -1,9 +1,9 @@
 """Desk-scale test oracles: vec/unvec, a size-capped Kronecker product,
 classical row-action on the materialized system kron(B^T, A) vec(X) = vec(C),
-and GRK run one step at a time.
+and GRK run one step at a time, stopped by the error or by the residual.
 
 The solvers never build the product system nor run GRK's steps one by one
-while they track the error; these exist only to check them on small
+while they keep the stop metric; these exist only to check them on small
 instances.
 """
 
@@ -117,3 +117,44 @@ def grk_oracle(problem, config):
             resid = np.linalg.norm(C - (A @ X) @ B) / c_norm
             records.append((k, value, float(resid)))
     return GrkRun(X, k, termination or "max_iters", records, errors, exact_at)
+
+
+def grk_residual_oracle(problem, config):
+    """``solve`` for GRK without ``X_star``, one step at a time: per step one
+    row then one column draw, the scalar update and ``||C - A X B||_F /
+    ||C||_F`` computed in full, which stops the run. Returns a ``GrkRun``
+    whose records hold (iteration, None, relative residual) and whose
+    ``errors`` hold the relative residual at X0 and after every step, all
+    exact. ``max_seconds`` is ignored."""
+    state = solvers.prepare_state(problem, config)
+    A, B, C, X = problem.A, problem.B, problem.C, state.X
+    unit = np.linalg.norm(C, "fro") or 1.0
+    residuals = [float(np.linalg.norm(C, "fro") / unit)]
+    termination = "tolerance" if residuals[0] < config.re_tolerance else None
+    records, k = [], 0
+    while termination is None and k < config.max_iters:
+        i = sample_block(state.dist_rows, state.rng)
+        j = sample_block(state.dist_cols, state.rng)
+        a, b = A[i], np.ascontiguousarray(B[:, j])
+        r = C[i, j] - a @ X @ b
+        X += (r / (state.row_norms_sq[i] * state.col_norms_sq[j])) * (a[:, None] * b)
+        k += 1
+        residuals.append(float(np.linalg.norm(C - (A @ X) @ B, "fro") / unit))
+        if not math.isfinite(residuals[-1]):
+            termination = "diverged"
+        elif residuals[-1] < config.re_tolerance:
+            termination = "tolerance"
+        if termination or k % config.trace_every == 0 or k == config.max_iters:
+            records.append((k, None, residuals[-1]))
+    return GrkRun(X, k, termination or "max_iters", records, residuals, list(range(k + 1)))
+
+
+def grk_chunk_iterates(problem, X, i, j, r):
+    """The iterates after each GRK step at rows ``i`` of A and columns
+    ``j`` of B with sampled residuals ``r``, from X, one rank-1 update at a
+    time: X + sum_{l <= k} r_l A_i_l^T B_j_l^T / (||A_i_l||^2 ||B_j_l||^2)."""
+    X = np.array(X, dtype=np.float64)
+    for row, col, r_k in zip(i, j, r):
+        a, b = problem.A[row], problem.B[:, col]
+        X += (r_k / ((a @ a) * (b @ b))) * np.outer(a, b)
+        yield X.copy()

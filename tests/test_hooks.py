@@ -19,6 +19,8 @@ from kaczmat.images import GrayImage, write_pgm
 from kaczmat.problems import TypeISpec, gen_type1, make_problem
 from kaczmat.solvers import GRABK_ADAPTIVE, GRABK_CONST, GRBK, GRK, Problem, SolverConfig
 
+from oracles import grk_residual_oracle
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from tracing import Tracer, _grbk_counts, _grk_counts  # noqa: E402
 
@@ -87,3 +89,27 @@ def test_tracer_counts_grk_chunks():
     assert 0 < tracer.calls["sampling.sample_block"] < chunks < report.iterations
     args = (SimpleNamespace(X=np.zeros((SIDE, SIDE))), np.arange(8), np.arange(8))
     assert tracer.counters["flops.grk"] == chunks * _grk_counts(args)[0]
+
+
+def test_tracer_counts_grk_chunks_without_x_star():
+    # with the library's defaults, no X_star and a record on every step, the
+    # kept residual stops GRK's run and reads every step's value from a
+    # chunk: the step span fires once per chunk, fewer times than the run's
+    # iterations, and the full residual runs at the start, once per
+    # RESYNC_EVERY steps and at most once per step whose residual lies
+    # within the band (plus the most a chunk's value may round) of the
+    # tolerance
+    A, B = gen_type1(TypeISpec(SIDE, SIDE, SIDE, SIDE, SIDE, SIDE, seed=1))
+    problem = Problem(A=A, B=B, C=make_problem(A, B, seed=2).C)
+    config = SolverConfig(method=GRK, seed=5)
+    assert solvers._keeps_residual(problem, config, False) is solvers._Residual
+    tracer = Tracer()
+    with tracer.installed():
+        report = solvers.solve(problem, config)
+    assert tracer.absent == []
+    assert report.termination == "tolerance"
+    assert 0 < tracer.calls["solvers.step.grk"] < report.iterations
+    band = config.re_tolerance + solvers.CONFIRM_BAND + solvers.DRIFT_LIMIT
+    near = sum(value < band for value in grk_residual_oracle(problem, config).errors[1:])
+    assert 0 < tracer.calls["solvers.residual"] <= (1 + report.iterations // solvers.RESYNC_EVERY
+                                                    + near)

@@ -36,7 +36,7 @@ from kaczmat.solvers import (
     solve,
 )
 
-from oracles import grk_oracle
+from oracles import grk_chunk_iterates, grk_oracle
 
 STEP_NAMES = {GRK: "grk_step", GRBK: "grbk_step", GRABK_CONST: "grabk_step",
               GRABK_ADAPTIVE: "_grabk_adaptive_apply"}
@@ -106,9 +106,9 @@ def _tracked_steps(instance, method):
         return wrapper
 
     def grk_chunks(state, i, j, _blocks=None, _prefix=None):
-        def prefix(drops):
-            c = _prefix(drops)
-            for drop in drops[:c]:  # a step whose exact error comes from the oracle
+        def prefix(rows, cols, r, s):
+            c = _prefix(rows, cols, r, s)
+            for drop in (r * s)[:c]:  # a step whose exact error comes from the oracle
                 events.extend([("step", None), ("drop", drop)])
             return c
         return step(state, i, j, _blocks, _prefix and prefix)
@@ -338,6 +338,9 @@ def inconsistent(draw):
          method=GRABK_ADAPTIVE)
 @example(instance=(_inconsistent(4, 3, 2, 4, 3, 1, seed=24530, scale=1.0), 1, 3),
          method=GRABK_ADAPTIVE)
+# GRK keeping either form reads every step's residual from its chunk
+@example(instance=(_inconsistent(7, 6, 1, 6, 5, 2, seed=34544, scale=1.0), 1, 1), method=GRK)
+@example(instance=(_inconsistent(6, 5, 3, 4, 7, 4, seed=911, scale=1e-6), 1, 1), method=GRK)
 @settings(max_examples=10, derandomize=True, deadline=None)
 @given(instance=inconsistent(), method=st.sampled_from(METHODS))
 def test_kept_residuals_stay_exact_past_a_resync_on_inconsistent_runs(instance, method):
@@ -345,7 +348,9 @@ def test_kept_residuals_stay_exact_past_a_resync_on_inconsistent_runs(instance, 
     # kept on every step and passes a resync; whether solve recomputes it,
     # keeps R or keeps its p x q split (whose reference pinv(A) C pinv(B)
     # is truncated and leaves C - A X0 B nonzero), every record is within
-    # 1e-14 max(1, exact) of the residual recomputed from its iterate
+    # 1e-14 max(1, exact) of the residual recomputed from its iterate. GRK
+    # keeping a form runs its steps in chunks: the iterate after a step
+    # inside one is the one its steps reach one at a time
     prob, tau1, tau2 = instance
     A, B, C = prob.A, prob.B, prob.C
     floor = np.linalg.norm(C - A @ (pinv(A) @ C @ pinv(B)) @ B) / np.linalg.norm(C)
@@ -357,8 +362,11 @@ def test_kept_residuals_stay_exact_past_a_resync_on_inconsistent_runs(instance, 
         exact = []
 
         def recording(state, *args, **kwargs):
+            X = state.X.copy()
             out = step(state, *args, **kwargs)
-            exact.append(np.linalg.norm(C - (A @ state.X) @ B) / np.linalg.norm(C))
+            chunk = method == GRK and np.ndim(out) == 1
+            for X in grk_chunk_iterates(prob, X, *args[:2], out) if chunk else [state.X]:
+                exact.append(np.linalg.norm(C - (A @ X) @ B) / np.linalg.norm(C))
             return out
 
         config = SolverConfig(method=method, tau1=tau1, tau2=tau2, seed=3, max_iters=steps,

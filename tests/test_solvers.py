@@ -32,7 +32,15 @@ from kaczmat.solvers import (
     solve,
 )
 
-from oracles import grk_oracle, kron, rk_kronecker_step, unvec, vec
+from oracles import (
+    grk_chunk_iterates,
+    grk_oracle,
+    grk_residual_oracle,
+    kron,
+    rk_kronecker_step,
+    unvec,
+    vec,
+)
 
 
 # the forms of _keeps_residual's answer: recompute C - A X B in full, keep
@@ -213,8 +221,9 @@ def test_grk_step_zero_row_raises():
 
 def test_grk_step_over_index_arrays_runs_the_steps_in_order():
     # K steps as one chunk give the X and residuals of K single steps to
-    # 1e-13 relative, hand each step's decrease r^2 / (||A_i||^2 ||B_j||^2)
-    # to _prefix and apply the prefix it returns
+    # 1e-13 relative, hand _prefix the steps' rows, columns, residuals r and
+    # r / (||A_i||^2 ||B_j||^2), whose product is each step's decrease, and
+    # apply the prefix it returns
     prob = small_problem(8)
     i, j = [3, 0, 3, 7, 1, 5, 3, 2], [4, 4, 1, 0, 4, 6, 1, 2]  # with repeats
     single = prepare_state(prob, SolverConfig(method=GRK))
@@ -223,8 +232,11 @@ def test_grk_step_over_index_arrays_runs_the_steps_in_order():
     for applied in (8, 3):
         chunk = prepare_state(prob, SolverConfig(method=GRK))
         drops = []
-        out = grk_step(chunk, i, j, _prefix=lambda x, c=applied: drops.append(x) or c)
-        np.testing.assert_allclose(drops[0], np.square(r) / d, rtol=1e-13)
+        out = grk_step(chunk, i, j, _prefix=lambda *args, c=applied: drops.append(args) or c)
+        rows, cols, rs, s = drops[0]
+        assert (rows.tolist(), cols.tolist()) == (i, j)
+        np.testing.assert_allclose(rs, r, rtol=1e-13)
+        np.testing.assert_allclose(rs * s, np.square(r) / d, rtol=1e-13)
         np.testing.assert_allclose(out, r[:applied], rtol=1e-13)
         partial = prepare_state(prob, SolverConfig(method=GRK))
         for a, b in zip(i[:applied], j[:applied]):
@@ -667,9 +679,10 @@ def test_solve_matches_public_step_loop(method, case, reference, schedule, resid
     # draws, whether it keeps C - A X B or its p x q split up to date or
     # recomputes it, and whether it tracks the error between exact checks
     # (wherever it can) or not; a kept residual is within 1e-14 of the
-    # exact one. GRK tracking its error runs its steps in chunks, which
-    # round otherwise: there X is within 1e-13 relative, a record's error
-    # within 1e-13 and its residual within 1e-14 of the step-by-step run's
+    # exact one. GRK tracking its error, or keeping its residual without
+    # X_star, runs its steps in chunks, which round otherwise: there X is
+    # within 1e-13 relative, a record's error within 1e-13 and its residual
+    # within 1e-14 of the step-by-step run's
     monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: RESIDUAL_FORMS[residual])
     monkeypatch.setattr(solvers, "_tracks_error", lambda problem, config, use_re: use_re)
     prob, tau1, tau2 = GOLDEN_CASES[case]
@@ -682,7 +695,7 @@ def test_solve_matches_public_step_loop(method, case, reference, schedule, resid
                           **GOLDEN_SETTINGS.get(case, {}))
     report = solve(prob, config)
     X, iterations, termination, records, stepsizes = _public_step_loop(prob, config)
-    chunked = method == GRK and reference == "xstar"
+    chunked = method == GRK and (reference == "xstar" or residual != "recomputed")
     if chunked:
         assert np.linalg.norm(report.X - X) <= 1e-13 * np.linalg.norm(X)
     else:
@@ -692,7 +705,7 @@ def test_solve_matches_public_step_loop(method, case, reference, schedule, resid
         assert termination == "diverged"
     assert [r.iteration for r in report.records] == [k for k, _, _ in records]
     errors = [r.relative_error for r in report.records]
-    if chunked:
+    if chunked and reference == "xstar":
         np.testing.assert_allclose(errors, [re for _, re, _ in records], rtol=0.0, atol=1e-13)
     else:
         assert errors == [re for _, re, _ in records]
@@ -769,6 +782,66 @@ def test_chunked_grk_matches_step_by_step_oracle(case, trace_every, budget, resi
         assert abs(r.relative_residual - resid) <= 1e-14 * max(1.0, resid)
 
 
+def _inconsistent_problem():
+    # A of rank 2 and noise of 1e-6 ||C||_F in C: no X solves the equation
+    A, B = gen_type1(TypeISpec(12, 6, 2, 6, 12, 6, seed=11))
+    C = make_problem(A, B, seed=12).C
+    noise = np.random.default_rng(13).standard_normal(C.shape)
+    return Problem(A=A, B=B, C=C + 1e-6 * np.linalg.norm(C) / np.linalg.norm(noise) * noise)
+
+
+RESIDUAL_ORACLE_CASES = {
+    **{case: Problem(A=prob.A, B=prob.B, C=prob.C) for case, prob in ORACLE_CASES.items()
+       if case in ("full-rank", "rank-deficient", "slow")},
+    "inconsistent": _inconsistent_problem(),
+}
+# (re_tolerance, max_iters): full-rank reaches 1e-8 after about 2500 steps,
+# rank-deficient after 78, the others run to max_iters; or stop mid-chunk
+RESIDUAL_ORACLE_BUDGETS = {"tolerance": (1e-8, 12000), "mid-chunk": (1e-300, 3037)}
+
+
+@pytest.mark.parametrize("residual", RESIDUAL_FORMS)
+@pytest.mark.parametrize("budget", RESIDUAL_ORACLE_BUDGETS)
+@pytest.mark.parametrize("trace_every", [1, 7])
+@pytest.mark.parametrize("case", RESIDUAL_ORACLE_CASES)
+def test_chunked_grk_without_x_star_matches_step_by_step_oracle(case, trace_every, budget,
+                                                                residual, monkeypatch):
+    # without X_star a kept residual (R or its split) is GRK's stop metric,
+    # and GRK runs its steps in chunks that read every step's residual from
+    # their Gram matrices. Against the same steps run one at a time with the
+    # residual recomputed after each, X is within 1e-13 relative (bitwise
+    # when solve recomputes too), iterations, termination and record
+    # iterations are equal, every record's residual is within 1e-14 max(1,
+    # exact), and the records' times never fall. Draws of 100 pairs end
+    # chunks early, as do resyncs and max_iters
+    monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: RESIDUAL_FORMS[residual])
+    monkeypatch.setattr(solvers, "DRAW_CHUNK", 100)
+    calls = []
+    step = solvers.grk_step
+    monkeypatch.setattr(solvers, "grk_step",
+                        lambda *args, **kwargs: calls.append(1) or step(*args, **kwargs))
+    prob = RESIDUAL_ORACLE_CASES[case]
+    tol, max_iters = RESIDUAL_ORACLE_BUDGETS[budget]
+    config = SolverConfig(method=GRK, seed=3, max_iters=max_iters, re_tolerance=tol,
+                          trace_every=trace_every)
+    report, oracle = solve(prob, config), grk_residual_oracle(prob, config)
+    assert (report.iterations, report.termination) == (oracle.iterations, oracle.termination)
+    reaches = budget == "tolerance" and case in ("full-rank", "rank-deficient")
+    assert report.termination == ("tolerance" if reaches else "max_iters")
+    if residual == "recomputed":
+        assert len(calls) == report.iterations
+        np.testing.assert_array_equal(report.X, oracle.X)
+    else:
+        assert len(calls) < report.iterations
+    assert np.linalg.norm(report.X - oracle.X) <= 1e-13 * np.linalg.norm(oracle.X)
+    assert [r.iteration for r in report.records] == [k for k, _, _ in oracle.records]
+    for r, (_, _, resid) in zip(report.records, oracle.records):
+        assert r.relative_error is None
+        assert abs(r.relative_residual - resid) <= 1e-14 * max(1.0, resid), r
+    elapsed = [r.elapsed for r in report.records]
+    assert elapsed == sorted(elapsed)
+
+
 def test_solve_unsafe_stepsize_ends_as_diverged():
     # a constant stepsize far past 2 blows up; the run must say so instead
     # of running on to max_iters with non-finite iterates
@@ -804,21 +877,28 @@ def test_kept_residual_tracks_recomputed_residual(method, reference, form, monke
     # p x q split, is within 1e-14 of a full recompute at the same iterate,
     # all the way to a residual of 1e-9 (an error of 1e-18 with X_star);
     # with X_star and a record every 7 steps, GRK moves R or the split by a
-    # chunk of steps at once
+    # chunk of steps at once, and without X_star it reads every step's
+    # residual from a chunk: the iterate after a step inside a chunk is the
+    # one its steps reach one at a time
     monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: RESIDUAL_FORMS[form])
     trace_every, tol = (1, 1e-9) if reference == "residual" else (7, 1e-18)
     for name, prob in _residual_cases():
         if reference == "residual":
             prob = Problem(A=prob.A, B=prob.B, C=prob.C)
-        exact = {}  # iteration -> exact relative residual after it
+        exact, calls = {}, []  # iteration -> exact relative residual after it
         step_name = STEP_NAMES[method]
         step = getattr(solvers, step_name)
 
         def recording_step(state, *args, _step=step, **kwargs):
+            X = state.X.copy()
             out = _step(state, *args, **kwargs)
-            k = max(exact, default=0) + (np.size(out) if method == GRK else 1)
-            R = prob.C - (prob.A @ state.X) @ prob.B
-            exact[k] = float(np.linalg.norm(R, "fro") / np.linalg.norm(prob.C, "fro"))
+            calls.append(1)
+            chunk = method == GRK and np.ndim(out) == 1
+            iterates = grk_chunk_iterates(prob, X, *args[:2], out) if chunk else [state.X]
+            for X in iterates:
+                R = prob.C - (prob.A @ X) @ prob.B
+                exact[len(exact) + 1] = float(np.linalg.norm(R, "fro")
+                                              / np.linalg.norm(prob.C, "fro"))
             return out
 
         monkeypatch.setattr(solvers, step_name, recording_step)
@@ -830,8 +910,9 @@ def test_kept_residual_tracks_recomputed_residual(method, reference, form, monke
             assert report.iterations > solvers.RESYNC_EVERY
         assert max(exact) == report.iterations
         assert len(report.records) == -(-report.iterations // trace_every)
-        chunks = method == GRK and reference == "xstar"
-        assert (len(exact) < report.iterations) if chunks else len(exact) == report.iterations
+        assert len(exact) == report.iterations
+        chunks = method == GRK and (reference == "xstar" or form != "recomputed")
+        assert (len(calls) < report.iterations) if chunks else len(calls) == report.iterations
         gaps = [abs(r.relative_residual - exact[r.iteration]) for r in report.records]
         assert max(gaps) <= 1e-14, (method, name, max(gaps))
         if form == "recomputed" and reference == "residual":
@@ -1011,6 +1092,22 @@ def test_kept_residual_recomputes_only_to_resync_and_confirm(monkeypatch):
     assert len(calls) <= report.iterations / solvers.RESYNC_EVERY + 3
 
 
+@pytest.mark.parametrize("form", ["kept", "split"])
+def test_kept_residual_reads_its_norm_only_on_records(form, monkeypatch):
+    # with X_star the error stops the run and only records read the kept
+    # residual: it moves on every step, but reads its norm (and checks its
+    # drift) once per record at most, none on a record that resyncs it
+    monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: RESIDUAL_FORMS[form])
+    kind = RESIDUAL_FORMS[form]
+    norms, norm = [], kind.norm
+    monkeypatch.setattr(kind, "norm", lambda self: norms.append(1) or norm(self))
+    prob = make_problem(*gen_type1(TypeISpec(150, 40, 40, 40, 150, 40, seed=37)), seed=38)
+    report = solve(prob, SolverConfig(method=GRBK, tau1=15, tau2=15, seed=4, max_iters=700,
+                                      re_tolerance=1e-300, trace_every=7))
+    assert (report.iterations, len(report.records)) == (700, 100)
+    assert 0 < len(norms) <= len(report.records)
+
+
 @pytest.mark.parametrize("form", RESIDUAL_FORMS)
 def test_kept_residual_hands_off_to_recompute_near_tolerance(form, monkeypatch):
     # re_tolerance = 1e-300 leaves the residual at machine precision, inside
@@ -1101,7 +1198,9 @@ def test_solve_prepares_each_block_once(method, residual, reference, monkeypatch
     # per run, with its index array, GRBK takes each block pinv once, and no
     # step checks caller weights: solve hands the GRABK steps prepared hats.
     # The split takes pinv(A) and pinv(B) once each for its reference
-    # pinv(A) C pinv(B), and none with X_star, which it takes instead
+    # pinv(A) C pinv(B), and none with X_star, which it takes instead. GRK
+    # chunks without X_star build no block: the kept residual stacks the
+    # factors of every row and column once
     monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: RESIDUAL_FORMS[residual])
     built, pinvs, indexed = [], [], []
     block = solvers._block
@@ -1135,7 +1234,8 @@ def test_solve_prepares_each_block_once(method, residual, reference, monkeypatch
     report = solve(prob, config)
     assert report.iterations == 400
     n_blocks = math.ceil(40 / config.tau1) + math.ceil(42 / config.tau2)
-    assert 0 < len(built) == len(set(built)) <= n_blocks
+    assert len(built) == len(set(built)) <= n_blocks
+    assert built or (method == GRK and reference == "residual" and residual != "recomputed")
     assert len(indexed) <= n_blocks
     factor_pinvs = [shape for shape in pinvs if shape in (prob.A.shape, prob.B.shape)]
     split_pinvs = residual == "split" and reference == "residual"
