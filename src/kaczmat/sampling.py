@@ -1,6 +1,7 @@
 """Contiguous block partitions and reproducible Frobenius-weighted block sampling."""
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,17 +22,24 @@ class SeededRng:
     ``stream`` selects a disjoint substream for the same seed (the seed
     occupies the low 64 bits of the Philox key, the stream the next 64), so
     problem generation and solver sampling can share one user-facing seed
-    without replaying each other's draws.
+    without replaying each other's draws. Each is an integer, the seed in
+    [0, 2**64) and the stream nonnegative; any other value raises
+    ValueError, as it would replay the draws of one of these.
     """
 
     algorithm = RNG_ALGORITHM
 
     def __init__(self, seed, stream=0):
-        self.seed = int(seed)
-        self.stream = int(stream)
+        try:
+            self.seed, self.stream = operator.index(seed), operator.index(stream)
+        except TypeError:
+            raise ValueError(f"seed and stream must be integers, got {seed!r} and "
+                             f"{stream!r}") from None
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.stream < 0:
             raise ValueError("stream must be nonnegative")
-        key = (self.seed & 0xFFFFFFFFFFFFFFFF) | (self.stream << 64)
+        key = self.seed | (self.stream << 64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
         self.position = 0  # scalars drawn so far
 

@@ -202,7 +202,7 @@ class ConvergenceReport:
     termination: str  # "tolerance" | "max_iters" | "time_limit" | "diverged"
     X: np.ndarray
     iterations: int
-    stepsizes: list | None = None  # adaptive L_k per iteration, else None
+    stepsizes: list | None = None  # adaptive L_k of each step that moved X, else None
 
     @property
     def final_relative_error(self):
@@ -214,9 +214,12 @@ class ConvergenceReport:
 
 
 def relative_error(X, X_star):
-    """Squared relative error ||X - X_star||_F^2 / ||X_star||_F^2."""
+    """Squared relative error ||X - X_star||_F^2 / ||X_star||_F^2, for X and
+    X_star of one shape."""
     X = np.asarray(X, dtype=np.float64)
     X_star = np.asarray(X_star, dtype=np.float64)
+    if X.shape != X_star.shape:
+        raise ValueError(f"X has shape {X.shape}, X_star {X_star.shape}")
     denom = np.linalg.norm(X_star, "fro") ** 2
     if denom == 0.0:
         raise ValueError("relative error undefined for a zero reference solution")
@@ -243,6 +246,7 @@ class IterationState:
     alpha_const: float | None = None
     row_blocks: list = field(default_factory=list)  # (I, slice, A_I, G_I) or None
     col_blocks: list = field(default_factory=list)  # (J, slice, B_J, H_J) or None
+    stepsizes: list | None = None  # GRABK-adaptive's L, from _block_steps
 
 
 def _hat_weights(u, norms_sq):
@@ -298,6 +302,7 @@ def prepare_state(problem, config):
         eta=config.resolved_eta(),
         row_norms_sq=rns,
         col_norms_sq=cns,
+        stepsizes=[] if config.method == GRABK_ADAPTIVE else None,
     )
     tau1, tau2 = config.tau1, config.tau2
     if tau1 > m or tau2 > n:
@@ -600,8 +605,6 @@ class _Metric:
         self.value = None
         self.rows = [None] * state.partition_rows.n_blocks
         self.cols = [None] * state.partition_cols.n_blocks
-        grabk = state.config.method in (GRABK_CONST, GRABK_ADAPTIVE)
-        self.hats = (state.row_weights_hat, state.col_weights_hat) if grabk else None
 
     def confirm(self):
         """The exact value; tracking ends once it is below the band, or NaN."""
@@ -609,15 +612,6 @@ class _Metric:
         if not value >= self.band:
             self.tracking = False
         return value
-
-    def cached_image(self, rows, b):
-        """The image of row block ``b`` of A (``rows``) or column block ``b``
-        of B, made when first asked for."""
-        images = self.rows if rows else self.cols
-        if images[b] is None:
-            blocks = self.state.row_blocks if rows else self.state.col_blocks
-            images[b] = self.image(rows, (blocks[b] or _cache_block(self.state, rows, b))[3])
-        return images[b]
 
     def after_step(self, k, due, bi, bj, sampled, c):
         """The value after step ``k``, which sampled ``sampled`` from row
@@ -630,16 +624,14 @@ class _Metric:
             if isinstance(bi, list):
                 value = self.advance_grk(bi, bj, sampled)
             else:
-                left = self.rows[bi]
-                if left is None:
-                    left = self.cached_image(True, bi)
-                right = self.cols[bj]
-                if right is None:
-                    right = self.cached_image(False, bj)
-                weighted = sampled
-                if self.hats and sampled is not None:  # u_hat R v_hat
-                    weighted = self.hats[0][bi][:, None] * sampled * self.hats[1][bj][None, :]
-                value = self.advance(sampled, weighted, left, right, c)
+                if self.rows[bi] is None:  # from the factor the step cached
+                    self.rows[bi] = self.image(True, self.state.row_blocks[bi][3])
+                if self.cols[bj] is None:
+                    self.cols[bj] = self.image(False, self.state.col_blocks[bj][3])
+                weighted, hats = sampled, self.state.row_weights_hat  # empty but for GRABK
+                if hats and sampled is not None:  # u_hat R v_hat
+                    weighted = hats[bi][:, None] * sampled * self.state.col_weights_hat[bj]
+                value = self.advance(sampled, weighted, self.rows[bi], self.cols[bj], c)
             if not (due or self.read_every_step):
                 return None
             if value is None:  # a kept residual, read from its kept matrix
@@ -930,49 +922,91 @@ class _Error(_Metric):
         return _error(self.state.X, self.state.problem.X_star, self.xstar_sq)
 
 
+def _grk_steps(state, stop, rows, cols, k):
+    """GRK from the pair drawn for step k on: ``(steps, bi, bj, sampled,
+    1.0)``, the steps taken, their rows of A and columns of B and the
+    residuals they sampled. While ``stop.tracking``, one ``grk_step`` call
+    runs up to ``GRK_CHUNK`` steps as a chunk (bi, bj lists, sampled an
+    array). It ends at the next multiple of ``RESYNC_EVERY``, the end of the
+    drawn pairs or ``max_iters``, with ``X_star`` also at the next record,
+    and after the first step whose kept value less its slack or rounding
+    bound enters the band or is not finite, which then gets its exact
+    value. Without ``X_star`` every step's residual comes from the chunk
+    (``_Residual.prefix``); the records inside it and ``max_seconds`` see
+    the time at its end. X is within 1e-13 relative of the steps one by one,
+    with equal iteration counts and termination unless an exact value lies
+    within rounding of ``re_tolerance``. Otherwise one step runs, on the
+    row and column ``_cache_block`` keeps."""
+    drawn = k % DRAW_CHUNK
+    if stop.tracking:
+        size = min(GRK_CHUNK, len(rows) - drawn, RESYNC_EVERY - k % RESYNC_EVERY)
+        if stop.exact_on_records:  # with X_star, a record's error is exact
+            size = min(size, state.config.trace_every - k % state.config.trace_every)
+        sampled = grk_step(state, rows[drawn:drawn + size], cols[drawn:drawn + size],
+                           _prefix=stop.prefix)
+        end = drawn + sampled.size
+        return sampled.size, rows[drawn:end], cols[drawn:end], sampled, 1.0
+    bi, bj = rows[drawn], cols[drawn]  # blocks of size 1: block bi is row bi
+    a = (state.row_blocks[bi] or _cache_block(state, True, bi))[2]
+    b = (state.col_blocks[bj] or _cache_block(state, False, bj))[2]
+    return 1, bi, bj, grk_step(state, bi, bj, _blocks=(a, b)), 1.0
+
+
+def _block_steps(state, stop, rows, cols, k):
+    """One GRBK or GRABK step at the blocks drawn for step k, as
+    ``_grk_steps`` returns it; c is GRABK's stepsize. An adaptive step's L
+    goes to ``state.stepsizes``; on a solved block it samples None.
+    ``_cache_block`` keeps each block and its factor from its first draw (at
+    most ``2(mp + qn)`` floats) for the later steps and metrics."""
+    bi, bj = rows[k % DRAW_CHUNK], cols[k % DRAW_CHUNK]
+    I, si, A_I, G_I = state.row_blocks[bi] or _cache_block(state, True, bi)
+    J, sj, B_J, H_J = state.col_blocks[bj] or _cache_block(state, False, bj)
+    blocks = (A_I, G_I, B_J, H_J, state.problem.C[si, sj])
+    if state.config.method == GRBK:
+        return 1, bi, bj, grbk_step(state, I, J, _blocks=blocks), 1.0
+    hats = (state.row_weights_hat[bi], state.col_weights_hat[bj])
+    if state.config.method == GRABK_CONST:
+        return 1, bi, bj, grabk_step(state, I, J, None, None, state.alpha_const,
+                                     _blocks=blocks, _hats=hats), state.alpha_const
+    L, sampled = _grabk_adaptive_apply(state, I, J, *hats, _blocks=blocks)
+    if L is None:
+        return 1, bi, bj, None, 1.0
+    state.stepsizes.append(L)
+    return 1, bi, bj, sampled, state.eta * L
+
+
 def solve(problem, config):
     """Run the configured method from X0 = 0 and trace convergence.
 
     Termination uses the squared relative error against ``X_star`` when the
     problem provides a usable (nonzero) reference, otherwise the relative
-    residual ||C - A X B||_F / ||C||_F. The stop metric is checked every
-    iteration and a trace record reuses its value; records are kept every
-    ``trace_every`` iterations plus the final one. A run whose stop metric
-    turns non-finite ends as ``diverged``. Wall-clock covers the iteration
-    loop only.
+    residual ||C - A X B||_F / ||C||_F. Records are kept every
+    ``trace_every`` iterations plus the final one. Wall-clock covers the
+    iteration loop only.
 
-    Each step adds ``c G_I M H_J`` to X. ``_cache_block`` keeps what
-    ``_block`` builds for each row block of A and column block of B, the
-    dense block and its factor, from when it is first drawn (at most
-    ``2(mp + qn)`` floats), and every step reads them from there. Where
-    ``_keeps_residual`` says so, ``_Residual`` keeps C - A X B up to date,
-    or ``_Split`` a p x q matrix that gives its norm; ``_Split`` takes its
-    one-time pseudoinverses and Gram matrices here, not in
+    The step runner, ``_grk_steps`` or ``_block_steps``, is picked once.
+    Each pass of the loop draws the block pairs of the next ``DRAW_CHUNK``
+    steps once the last are used (``sample_block``; they do not depend on
+    X); has the runner add ``c G_I M H_J`` to X for one step or more; moves
+    the stop metric by the steps taken (``_Metric.after_step``), ending the
+    run on a non-finite value (``diverged``), one below ``re_tolerance`` or
+    past ``max_seconds``; moves the residual that records read beside the
+    error, if kept; and appends the records of the steps taken.
+
+    Where ``_keeps_residual`` says so, ``_Residual`` keeps C - A X B up to
+    date, or ``_Split`` a p x q matrix that gives its norm; ``_Split`` takes
+    its one-time pseudoinverses and Gram matrices here, not in
     ``prepare_state``. Where ``_tracks_error`` says so, ``_Error`` keeps the
     error by subtracting each step's decrease. Each is exact whenever
     ``_Metric.after_step`` says so, in particular near ``re_tolerance``, so
     tolerance and divergence are declared on exact values only, and
     iterates, iteration counts and termination are those of an exact stop
-    metric on every step. A record's ``relative_error`` is exact; its
-    ``relative_residual`` is within ``1e-14 max(1, exact)`` of the exact
-    one: absolute while the residual is at most ``||C||_F``, relative on a
-    diverging run.
-
-    While ``_Error`` tracks GRK's error, or a kept residual is the stop
-    metric, one ``grk_step`` call runs up to ``GRK_CHUNK`` steps as a chunk.
-    It ends at the next multiple of ``RESYNC_EVERY``, end of the drawn pairs
-    or ``max_iters``, with ``X_star`` also at the next record, and after
-    the first step whose kept value less its slack or rounding bound enters
-    the band or is not finite, which then gets its exact value. Without
-    ``X_star`` every step's residual comes from the chunk
-    (``_Residual.prefix``), and the records inside a chunk carry the time
-    at its end. ``max_seconds`` is checked once per chunk. X is then within
-    1e-13 relative of the steps run one by one, with equal iteration counts
-    and termination unless an exact value lies within rounding of
-    ``re_tolerance``.
+    metric on every step (up to ``_grk_steps``' chunks). A record's
+    ``relative_error`` is exact; its ``relative_residual`` is within
+    ``1e-14 max(1, exact)`` of the exact one: absolute while the residual is
+    at most ``||C||_F``, relative on a diverging run.
     """
     state = prepare_state(problem, config)
-    method = config.method
     use_re = problem.X_star is not None and np.linalg.norm(problem.X_star, "fro") > 0.0
     band = config.re_tolerance + CONFIRM_BAND
     # without X_star the residual is the stop metric; with it, only records read it
@@ -980,8 +1014,8 @@ def solve(problem, config):
     residual = (form or _Residual)(state, form is not None, -math.inf if use_re else band)
     stop = _Error(state, _tracks_error(problem, config, use_re), band) if use_re else residual
     kept = use_re and residual.tracking
-    l_values = [] if method == GRABK_ADAPTIVE else None
-    row_hats, col_hats = state.row_weights_hat, state.col_weights_hat
+    step = _grk_steps if config.method == GRK else _block_steps
+    every = config.trace_every
     records = []
 
     # A diverging run ends as "diverged"; the overflow on its way there is
@@ -992,51 +1026,13 @@ def solve(problem, config):
         metric = stop.confirm()
         termination = "tolerance" if metric < config.re_tolerance else None
         while termination is None and k < config.max_iters:
-            drawn = k % DRAW_CHUNK
-            if drawn == 0:  # the block pairs do not depend on X
+            if k % DRAW_CHUNK == 0:
                 rows, cols = sample_block(state.dist_rows, state.rng, state.dist_cols,
                                           min(DRAW_CHUNK, config.max_iters - k))
-            # each step hands back the residual it sampled: M, up to weights
-            c = 1.0
-            inside = ()  # the records inside a chunk, before its last step
-            if method == GRK and stop.tracking:  # the GRK steps up to the next exact value
-                # the pairs drawn end at DRAW_CHUNK steps or at max_iters
-                size = min(GRK_CHUNK, len(rows) - drawn, RESYNC_EVERY - k % RESYNC_EVERY)
-                if use_re:  # a record's error is exact
-                    size = min(size, config.trace_every - k % config.trace_every)
-                sampled = grk_step(state, rows[drawn:drawn + size], cols[drawn:drawn + size],
-                                   _prefix=stop.prefix)
-                first, k = k, k + sampled.size
-                bi, bj = rows[drawn:drawn + sampled.size], cols[drawn:drawn + sampled.size]
-                if not use_re:  # the residual after every step comes from the chunk
-                    inside = range(first - first % config.trace_every + config.trace_every, k,
-                                   config.trace_every)
-            else:
-                bi, bj = rows[drawn], cols[drawn]
-                I, si, A_I, G_I = state.row_blocks[bi] or _cache_block(state, True, bi)
-                J, sj, B_J, H_J = state.col_blocks[bj] or _cache_block(state, False, bj)
-                if method == GRK:  # blocks of size 1: block bi is row bi
-                    sampled = grk_step(state, bi, bj, _blocks=(A_I, B_J))
-                else:
-                    blocks = (A_I, G_I, B_J, H_J, problem.C[si, sj])
-                    if method == GRBK:
-                        sampled = grbk_step(state, I, J, _blocks=blocks)
-                    elif method == GRABK_CONST:
-                        sampled = grabk_step(state, I, J, None, None, state.alpha_const,
-                                             _blocks=blocks,
-                                             _hats=(row_hats[bi], col_hats[bj]))
-                        c = state.alpha_const
-                    else:  # GRABK_ADAPTIVE
-                        L, sampled = _grabk_adaptive_apply(state, I, J, row_hats[bi],
-                                                           col_hats[bj], _blocks=blocks)
-                        if L is None:
-                            sampled = None  # solved block: X is unchanged
-                        else:
-                            l_values.append(L)
-                            c = state.eta * L
-                k += 1
+            steps, bi, bj, sampled, c = step(state, stop, rows, cols, k)
+            first, k = k, k + steps
             elapsed = time.perf_counter() - t0
-            record = k % config.trace_every == 0 or k == config.max_iters
+            record = k % every == 0 or k == config.max_iters
             past = config.max_seconds is not None and elapsed > config.max_seconds
             metric = stop.after_step(k, record or past, bi, bj, sampled, c)
             if not math.isfinite(metric):
@@ -1047,9 +1043,9 @@ def solve(problem, config):
                 termination = "time_limit"
             if kept:
                 residual.after_step(k, bool(termination or record), bi, bj, sampled, c)
-            if inside:
+            if steps > 1 and not use_re:  # the records inside a chunk (with X_star, none)
                 records.extend(TraceRecord(it, None, stop.chunk[it - first - 1], elapsed)
-                               for it in inside)
+                               for it in range(first - first % every + every, k, every))
             if termination or record:
                 resid = residual.exact() if use_re and not kept else residual.value
                 records.append(TraceRecord(k, metric if use_re else None, resid, elapsed))
@@ -1059,5 +1055,5 @@ def solve(problem, config):
         termination=termination or "max_iters",
         X=state.X.copy(),
         iterations=k,
-        stepsizes=l_values,
+        stepsizes=state.stepsizes,
     )

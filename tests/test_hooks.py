@@ -12,6 +12,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from kaczmat import solvers
 from kaczmat.cli import main
@@ -113,3 +114,42 @@ def test_tracer_counts_grk_chunks_without_x_star():
     near = sum(value < band for value in grk_residual_oracle(problem, config).errors[1:])
     assert 0 < tracer.calls["solvers.residual"] <= (1 + report.iterations // solvers.RESYNC_EVERY
                                                     + near)
+
+
+# One fixed run per method and stop metric: with X_star and a record on
+# every step, with X_star and a quiet trace, and without X_star. Each row
+# is (iterations, step calls, sample_block calls, residual calls, pinv
+# calls), pinned so that a change to the loop that adds or drops a hooked
+# call shows here. GRK runs one step a call with X_star and trace_every=1,
+# in chunks otherwise; GRBK builds one pinv for each of its 2 + 2 blocks.
+HOOK_COUNTS = {
+    (GRK, True, 1): (1100, 1100, 2, 4, 0),
+    (GRK, True, 10**6): (1100, 18, 2, 1, 0),
+    (GRK, False, 1): (1100, 18, 2, 5, 0),
+    (GRBK, True, 1): (49, 49, 1, 0, 4),
+    (GRBK, True, 10**6): (49, 49, 1, 1, 4),
+    (GRBK, False, 1): (110, 110, 1, 2, 4),
+    (GRABK_CONST, True, 1): (140, 140, 1, 0, 0),
+    (GRABK_CONST, True, 10**6): (140, 140, 1, 1, 0),
+    (GRABK_CONST, False, 1): (335, 335, 1, 3, 0),
+    (GRABK_ADAPTIVE, True, 1): (87, 87, 1, 0, 0),
+    (GRABK_ADAPTIVE, True, 10**6): (87, 87, 1, 1, 0),
+    (GRABK_ADAPTIVE, False, 1): (183, 183, 1, 2, 0),
+}
+
+
+@pytest.mark.parametrize("method, x_star, trace_every", list(HOOK_COUNTS))
+def test_hook_call_counts_are_pinned(method, x_star, trace_every):
+    A, B = gen_type1(TypeISpec(SIDE, SIDE, SIDE, SIDE, SIDE, SIDE, seed=1))
+    problem = make_problem(A, B, seed=2)
+    if not x_star:
+        problem = Problem(A=A, B=B, C=problem.C)
+    tracer = Tracer()
+    with tracer.installed():
+        report = solvers.solve(problem, SolverConfig(method=method, tau1=TAU, tau2=TAU, seed=5,
+                                                     max_iters=1100, trace_every=trace_every))
+    assert tracer.absent == []
+    counts = (report.iterations, tracer.calls[f"solvers.step.{method}"],
+              tracer.calls["sampling.sample_block"], tracer.calls["solvers.residual"],
+              tracer.calls["matrices.pinv"])
+    assert counts == HOOK_COUNTS[method, x_star, trace_every]

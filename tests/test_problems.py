@@ -65,6 +65,15 @@ def test_gen_type1_deterministic_in_seed():
     assert not np.array_equal(A1, A3)
 
 
+@pytest.mark.parametrize("seed", [1.5, -1, 2**64])
+def test_generators_reject_a_seed_that_would_replay_another(seed):
+    with pytest.raises(ValueError, match="seed"):
+        gen_type1(TypeISpec(m=6, p=4, r1=3, q=4, n=6, r2=3, seed=seed))
+    A, B = gen_type1(TypeISpec(m=6, p=4, r1=3, q=4, n=6, r2=3, seed=7))
+    with pytest.raises(ValueError, match="seed"):
+        make_problem(A, B, seed=seed)
+
+
 def test_gen_type1_degenerate_square():
     A, B = gen_type1(TypeISpec(m=1, p=1, r1=1, q=1, n=1, r2=1, seed=0))
     assert A.shape == (1, 1) and B.shape == (1, 1)

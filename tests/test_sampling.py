@@ -49,6 +49,22 @@ def test_rng_negative_stream_rejected():
         SeededRng(0, stream=-1)
 
 
+@pytest.mark.parametrize("seed, stream", [(1.5, 0), ("3", 0), (-1, 0), (2**64, 0),
+                                          (np.float64(2.0), 0), (0, 0.5), (0, "1")])
+def test_rng_rejects_a_seed_or_stream_that_would_replay_another(seed, stream):
+    # each of these once replayed other draws: seed 1.5 those of 1, "3" of
+    # 3, -1 of 2**64 - 1, 2**64 of 0, and stream 0.5 those of stream 0
+    with pytest.raises(ValueError, match="seed"):
+        SeededRng(seed, stream)
+
+
+def test_rng_takes_every_integer_seed_in_range():
+    for seed in (0, 2**64 - 1, np.int64(7), np.uint64(2**63)):
+        assert SeededRng(seed).seed == int(seed)
+    np.testing.assert_array_equal(SeededRng(np.int64(7)).uniform_array(8),
+                                  SeededRng(7).uniform_array(8))
+
+
 def test_rng_position_counts_scalars():
     r = SeededRng(1)
     r.uniform()

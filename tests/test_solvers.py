@@ -184,6 +184,11 @@ def test_relative_error_examples():
     assert relative_error(2 * X, X) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         relative_error(X, np.zeros((2, 2)))
+    # a column against a matrix once broadcast to 1.0
+    with pytest.raises(ValueError, match="shape"):
+        relative_error(np.zeros((2, 1)), X)
+    with pytest.raises(ValueError, match="shape"):
+        relative_error(np.zeros(4), X)
 
 
 # ---------------------------------------------------------------- single steps
@@ -534,6 +539,13 @@ def test_solve_reproducible_and_seed_sensitive():
     assert [rec.relative_error for rec in r1.records] == [rec.relative_error for rec in r2.records]
     r3 = solve(prob, SolverConfig(method=GRABK_ADAPTIVE, tau1=2, tau2=2, seed=10, max_iters=200))
     assert not np.array_equal(r1.X, r3.X)
+
+
+@pytest.mark.parametrize("seed", [1.5, -1])
+def test_solve_rejects_a_seed_that_would_replay_another(seed):
+    # 1.5 once ran seed 1's draws and -1 those of 2**64 - 1
+    with pytest.raises(ValueError, match="seed"):
+        solve(small_problem(20), SolverConfig(method=GRBK, tau1=2, tau2=2, seed=seed))
 
 
 def test_solve_grbk_error_is_monotone_with_pythagoras():
