@@ -5,9 +5,10 @@ Usage: python3 perfbench/run.py --workload W --trace 1 ... > traced.out
 
 The run must report no absent tracer hooks and no failed operation, every
 required span must have fired, ``solve`` must draw the block pairs of a
-chunk of steps with one ``sample_block`` call, and on ``residual-default``
-the kept residual must stand in for the full one: fewer than 0.01 full
-residuals per step. Prints the values it checks; exits nonzero, naming what
+chunk of steps with one ``sample_block`` call, GRK must run its steps in
+chunks: fewer than 64 ``grk_step`` calls per draw of 1024 steps, and on
+``residual-default`` the kept residual must stand in for the full one:
+fewer than 0.01 full residuals per step. Prints the values it checks; exits nonzero, naming what
 failed, if any check fails.
 """
 
@@ -26,6 +27,9 @@ REQUIRED = STEP_CALLS + [
                              "images.write_pgm", "cli.load_problem_dir",
                              "problems.blur_problem")]
 MAX_RESIDUALS_PER_STEP = 0.01  # on residual-default
+# a draw covers 1024 steps; one grk_step call a step makes 1024 calls per
+# draw, chunks of up to 64 steps at least 16 (about 12 on the workloads)
+MAX_GRK_CALLS_PER_DRAW = 64
 
 
 def problems(workload, text):
@@ -48,8 +52,13 @@ def problems(workload, text):
     if idle:
         found.append(f"hooks that never fired: {idle}")
     steps = sum(metrics[name]["value"] for name in STEP_CALLS)
-    if not metrics["sampling.sample_block.calls"]["value"] < steps:
+    draws = metrics["sampling.sample_block.calls"]["value"]
+    if not draws < steps:
         found.append(f"no fewer sample_block calls than the {steps} steps")
+    grk_calls = metrics["solvers.step.calls.grk"]["value"]
+    print("grk_step calls per draw:", grk_calls / draws if draws else None)
+    if not grk_calls < MAX_GRK_CALLS_PER_DRAW * draws:
+        found.append(f"{grk_calls} grk_step calls for {draws} draws: GRK ran one step a call")
     per_iter = metrics["solvers.residual.per_iter"]["value"]
     print("solvers.residual.per_iter:", per_iter)
     if workload == "residual-default" and not per_iter < MAX_RESIDUALS_PER_STEP:

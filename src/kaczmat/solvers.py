@@ -158,6 +158,7 @@ class SolverConfig:
                 setattr(self, name, operator.index(value))
             except TypeError:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        self.seed = SeededRng(self.seed).seed  # SeededRng's rule: an int in [0, 2**64)
         for name in ("eta", "re_tolerance", "max_seconds"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -338,16 +339,9 @@ def prepare_state(problem, config):
 
 def _block(state, rows, index, method):
     """Row block ``index`` of A (``rows``) or column block of B and its
-    factor in the update ``G_I M H_J`` of ``method``: the row a and
-    ``a / ||a||^2`` for GRK, ``pinv`` for GRBK and the transpose for GRABK.
-    Raises ValueError on a zero row (GRK) or a zero block."""
+    factor in the update ``G_I M H_J`` of ``method``: ``pinv`` for GRBK and
+    the transpose for GRABK. Raises ValueError on a zero block."""
     block = state.problem.A[index] if rows else state.problem.B[:, index]
-    if method == GRK:
-        norm_sq = (state.row_norms_sq if rows else state.col_norms_sq)[index[0]]
-        if norm_sq == 0.0:
-            raise ValueError("sampled row of A or column of B is zero")
-        block = block.ravel()
-        return block, block / norm_sq
     if not block.any():
         raise ValueError("sampled block of A or B is zero")
     return block, (pinv(block) if method == GRBK else block.T)
@@ -360,33 +354,34 @@ def _sampled_blocks(state, I, J, method):
             state.problem.C[np.ix_(I, J)])
 
 
-def grk_step(state, i, j, _blocks=None, _prefix=None):
+def grk_step(state, i, j, _prefix=None):
     """GRK steps at rows i of A and columns j of B, in order; returns the
     sampled residuals r = C_ij - A_i X B_j they applied.
 
     X <- X + A_i^T (C_ij - A_i X B_j) B_j^T / (||A_i||^2 ||B_j||^2)
 
-    For scalar i and j this is one step and r is a scalar; ``_blocks`` is
-    ``(A_i, B_j)`` as ``solve`` keeps them. For index arrays of length K it
-    runs the K steps as one chunk. Sampling does not depend on X, so with
-    ``a_k = A[i_k]``, ``b_k = B[:, j_k]``, ``d_k = ||a_k||^2 ||b_k||^2`` and
-    ``s_k = r_k / d_k``, step k's residual is ``C[i_k, j_k] - a_k X b_k -
-    sum_{l<k} s_l (a_k . a_l)(b_l . b_k)``, X the iterate before the chunk:
-    s solves one lower-triangular K x K system, the Hadamard product of the
-    Gram matrices of ``A_S = A[i]`` and ``B_S = B[:, j]`` with diagonal d.
-    Then ``X += A_S[:c]^T diag(s[:c]) B_S[:, :c]^T`` applies the first c
-    steps, and r[:c] = s[:c] d[:c] comes back. c is K, or ``_prefix(i, j,
-    r, s)``: ``r_k s_k`` is the decrease of ||X - X*||_F^2 that step k
-    makes, and ``_Residual.prefix`` reads each step's residual from r. The
-    chunk runs as a few BLAS-3 calls what its steps run as about 2K BLAS-2
-    calls, and rounds otherwise: X is within 1e-13 relative of the steps
-    run one by one (about 1e-15 on well-conditioned problems).
+    For scalar i and j this is one step and r is a scalar. For index arrays
+    of length K it runs the K steps as one chunk. Sampling does not depend
+    on X, so with ``a_k = A[i_k]``, ``b_k = B[:, j_k]``, ``d_k = ||a_k||^2
+    ||b_k||^2`` and ``s_k = r_k / d_k``, step k's residual is ``C[i_k, j_k]
+    - a_k X b_k - sum_{l<k} s_l (a_k . a_l)(b_l . b_k)``, X the iterate
+    before the chunk: s solves one lower-triangular K x K system, the
+    Hadamard product of the Gram matrices of ``A_S = A[i]`` and ``B_S =
+    B[:, j]`` with diagonal d. Then ``X += A_S[:c]^T diag(s[:c]) B_S[:,
+    :c]^T`` applies the first c steps, and r[:c] = s[:c] d[:c] comes back.
+    c is K, or ``_prefix(i, j, r, s)``, which ``_Error.prefix`` and
+    ``_Residual.prefix`` read each step's value from. The chunk runs as a
+    few BLAS-3 calls what its steps run as about 2K BLAS-2 calls, and
+    rounds otherwise: X is within 1e-13 relative of the steps run one by
+    one (about 1e-15 on well-conditioned problems).
     """
     if isinstance(i, int) or np.ndim(i) == 0:
-        a, b = _blocks or (_block(state, True, np.array([i]), GRK)[0],
-                           _block(state, False, np.array([j]), GRK)[0])
+        d = state.row_norms_sq[i] * state.col_norms_sq[j]
+        if d == 0.0:
+            raise ValueError("sampled row of A or column of B is zero")
+        a, b = state.problem.A[i], np.ascontiguousarray(state.problem.B[:, j])
         r = state.problem.C[i, j] - a @ state.X @ b
-        state.X += (r / (state.row_norms_sq[i] * state.col_norms_sq[j])) * (a[:, None] * b)
+        state.X += (r / d) * (a[:, None] * b)
         return r
     i, j = np.asarray(i), np.asarray(j)
     rns, cns = state.row_norms_sq[i], state.col_norms_sq[j]
@@ -516,16 +511,17 @@ def _tracks_error(problem, config, use_re):
     """Whether ``solve`` tracks ``||X - X_star||_F^2`` by the decrease of
     each step between exact checks instead of computing it on every step.
 
-    It does with ``X_star`` and ``trace_every > 1`` (with 1, every step is a
-    record, whose error is exact) when a decrease costs less than the
-    exact error, which reads the ``p q`` entries of X: GRK's always does.
-    GRABK-adaptive's reads ``t1 t2`` numbers; GRBK's and GRABK-constant's
-    run two small products, about ``t1 t2 (min(t1, p) + min(t2, q))``
-    flops, which BLAS runs about 8 times faster per flop than the error
-    reads an entry. Each block decrease also pays ``DECREASE_OVERHEAD`` in
-    calls.
+    It does only with ``X_star``: GRK unless every step is a record that
+    recomputes the residual; a block method, whose records read the exact
+    error, with ``trace_every > 1`` when a decrease costs less than the
+    exact error, which reads the ``p q`` entries of X. GRABK-adaptive's
+    reads ``t1 t2`` numbers; GRBK's and GRABK-constant's run two small
+    products, about ``t1 t2 (min(t1, p) + min(t2, q))`` flops, which BLAS
+    runs about 8 times faster per flop than the error reads an entry. Each
+    block decrease also pays ``DECREASE_OVERHEAD`` in calls.
     """
-    if not use_re or config.trace_every == 1:
+    if not use_re or config.trace_every == 1 and (
+            config.method != GRK or _keeps_residual(problem, config, use_re) is None):
         return False
     if config.method == GRK:
         return True
@@ -561,8 +557,8 @@ def _error_drop(method, sampled, weighted, gram_r, gram_c, c, eta):
     Gram factors S_I, T_J of the sampled blocks (see ``_Error``).
 
     GRBK projects X orthogonally onto a set that holds X*, so the error
-    falls by ||G_I R H_J||_F^2 = ||S_I R T_J^T||_F^2 (GRK's is ``r s``, from
-    ``grk_step``). GRABK moves X by c U with
+    falls by ||G_I R H_J||_F^2 = ||S_I R T_J^T||_F^2 (GRK's comes from
+    ``_Error.prefix``). GRABK moves X by c U with
     U = A_I^T (u_hat R v_hat) B_J^T and <X - X*, U> = -u_hat (R o R) v_hat,
     so it falls by 2 c num - c^2 ||U||_F^2, which is eta (2 - eta) num L
     for the adaptive c = eta L with L = num / ||U||_F^2.
@@ -583,10 +579,10 @@ class _Metric:
     """A stop metric kept from one step to the next between exact values.
 
     A subclass caches an ``image`` of each block factor G_I or H_J when its
-    block is first drawn, moves its value by one step (``advance``, from the
-    residual M the step sampled) or by a chunk of GRK steps
-    (``advance_grk``), recomputes it (``exact``) and keeps
-    ``slack``, how far its kept value may lie above the exact one.
+    block is first drawn, moves its value by one block step (``advance``,
+    from the residual M the step sampled) or by GRK steps (``advance_grk``,
+    with the values ``prefix`` proposed for a chunk), recomputes it
+    (``exact``) and keeps ``slack``, how far it may lie above the exact one.
     ``after_step`` holds the one rule for when a value is exact: every
     ``RESYNC_EVERY`` steps; on the steps ``due`` for a record when
     ``exact_on_records``; whenever the kept value less ``slack`` is below
@@ -616,7 +612,7 @@ class _Metric:
     def after_step(self, k, due, bi, bj, sampled, c):
         """The value after step ``k``, which sampled ``sampled`` from row
         block ``bi`` and column block ``bj`` and moved X by ``c`` times its
-        update; or after the GRK steps that ended at step ``k``, from the
+        update; or after the GRK steps that ended at step ``k``, at the
         rows ``bi`` and columns ``bj`` (lists), with residuals ``sampled``.
         None when nothing reads it: a step not ``due`` for a record, of a
         metric that does not stop the run."""
@@ -659,8 +655,8 @@ class _Residual(_Metric):
     matrix in place of R.
 
     GRK's chunks (``prefix``) read every step's value from the chunk's Gram
-    matrices, and move ``kept`` by one rank-K product of images stacked for
-    every row of A and column of B, which the first chunk makes."""
+    matrices; GRK's steps move ``kept`` by one rank-K product of images
+    stacked once for every row of A and column of B."""
 
     def __init__(self, state, tracking, band):
         super().__init__(state, tracking, band)
@@ -668,14 +664,11 @@ class _Residual(_Metric):
         self.unit = c_norm if c_norm > 0.0 else 1.0  # value = residual / unit
         limit = DRIFT_LIMIT * self.unit / EPS
         self.moved, self.moved_limit = 0.0, limit * limit
-        self.grk = state.config.method == GRK
         self.maps = (state.problem.A, state.problem.B.T)  # image = maps[0] G_I, maps[1] H_J^T
         # C - A X0 B with X0 = 0, C-ordered so that kept.T takes BLAS updates in place
         self.kept = np.array(state.problem.C, order="C") if tracking else None
         self.stacks = None  # GRK's factors and images of every row and column
-        self.pending = None  # the images and moved sum of the steps prefix applies
-        self.chunk = []  # the values after those steps
-        self.carried = None  # the squared residual after them and its rounding
+        self.pending = None  # per step prefix proposed: images, moved, squares, rounding
 
     def image(self, rows, factor):
         image = self.maps[0] @ factor if rows else np.asfortranarray(self.maps[1] @ factor.T)
@@ -683,16 +676,10 @@ class _Residual(_Metric):
 
     def advance(self, sampled, weighted, left, right, c):
         (left, left_sq), (right, right_sq) = left, right
-        kept = self.kept
         if sampled is not None:
-            if self.grk:
-                blas.dger(-sampled, right, left, a=kept.T, overwrite_a=True)
-                size_sq = sampled * sampled
-            else:
-                blas.dgemm(-c, right, (left @ weighted).T, beta=1.0, c=kept.T,
-                           overwrite_c=True)
-                size_sq = c * c * np.vdot(weighted, weighted)
-            self.moved += size_sq * left_sq * right_sq
+            blas.dgemm(-c, right, (left @ weighted).T, beta=1.0, c=self.kept.T,
+                       overwrite_c=True)
+            self.moved += c * c * np.vdot(weighted, weighted) * left_sq * right_sq
 
     def grk_stacks(self, rows, cols):
         """For GRK's steps at the rows ``rows`` of A and columns ``cols`` of
@@ -718,8 +705,8 @@ class _Residual(_Metric):
 
     def prefix(self, rows, cols, r, s):
         """How many of the GRK steps at the rows ``rows`` of A and columns
-        ``cols`` of B, with sampled residuals ``r``, to apply; ``chunk``
-        gets the value after each step applied.
+        ``cols`` of B, with sampled residuals ``r``, to apply at most;
+        ``chunk`` gets the value after each, ``advance_grk`` commits them.
 
         Step k moves R by ``-r_k u_k v_k^T``, with u_k and v_k the images of
         its row and column in R's space. So with ``G = (U^T U) o (V^T V)``
@@ -757,8 +744,7 @@ class _Residual(_Metric):
         self.chunk = (root[:c] / self.unit).tolist()
         if not fits[c - 1]:
             self.chunk[-1] = math.nan
-        self.pending = left[:c], right[:c], float(moved[c - 1])
-        self.carried = float(sq[c - 1]), base + EPS * float(sums[c - 1])
+        self.pending = left, right, moved, sq, base, sums
         return c
 
     def chunk_terms(self, fa, fb, left, right, rows, cols):
@@ -774,15 +760,18 @@ class _Residual(_Metric):
 
     def advance_grk(self, rows, cols, r):
         """One rank-len(r) update of ``kept`` by the stacked images of GRK
-        steps; the value of the last step where ``prefix`` read the chunk's,
-        else None."""
+        steps; the value after the last of them where ``prefix`` read the
+        chunk's, else None."""
+        n = r.size
         if self.pending is None:
             _, _, left, right, _, _, sizes = self.grk_stacks(rows, cols)
             self.moved += float(np.vdot(r * r, sizes))
             value = None
         else:
-            (left, right, self.moved), value = self.pending, self.chunk[-1]
-            self.pending = None
+            left, right, moved, sq, base, sums = self.pending
+            left, right, self.moved = left[:n], right[:n], float(moved[n - 1])
+            self.carried = float(sq[n - 1]), base + EPS * float(sums[n - 1])
+            value, self.pending = self.chunk[n - 1], None
         blas.dgemm(-1.0, right * r[:, None], left, trans_a=1, beta=1.0, c=self.kept.T,
                    overwrite_c=True)
         return value
@@ -831,7 +820,7 @@ class _Split(_Residual):
         self.cross = 2.0 * (A.T @ F) @ B.T
         self.cross_norm = math.sqrt(np.vdot(self.cross, self.cross))
         self.E = np.empty_like(self.X0)
-        self.kept = self.s_plus_cross(self.X0)  # E = X0 at X = 0
+        self.rebase(self.X0)  # E = X0 at X = 0
 
     def norm(self):
         E = np.subtract(self.X0, self.state.X, out=self.E)
@@ -857,58 +846,65 @@ class _Split(_Residual):
         self.moved, self.pending = 0.0, None
         value = _relative_residual(self.state.problem, self.state.X, self.unit)[0]
         if self.tracking:
-            E = np.subtract(self.X0, self.state.X, out=self.E)
-            self.kept = self.s_plus_cross(E)
-            product = float(np.vdot(E, self.kept))
-            self.carried = (self.f_sq + product,
-                            EPS * (self.f_sq + math.sqrt(np.vdot(E, E) * np.vdot(self.kept,
-                                                                                 self.kept))))
+            self.rebase(np.subtract(self.X0, self.state.X, out=self.E))
         return value
 
-    def s_plus_cross(self, E):
-        """``kept`` at E = X0 - X: S = A^T A E B B^T plus 2 A^T F B^T."""
-        return self.cross + self.maps[0] @ E @ self.maps[1]
+    def rebase(self, E):
+        """``kept`` at E = X0 - X, S = A^T A E B B^T plus 2 A^T F B^T, and
+        ``carried``: the squared residual it gives and its rounding."""
+        kept = self.kept = self.cross + self.maps[0] @ E @ self.maps[1]
+        self.carried = (self.f_sq + float(np.vdot(E, kept)),
+                        EPS * (self.f_sq + math.sqrt(np.vdot(E, E) * np.vdot(kept, kept))))
 
 
 class _Error(_Metric):
     """||X - X_star||_F^2 / ||X_star||_F^2, less each step's exact decrease
-    (``_error_drop``, or ``r s`` from ``grk_step``) between exact values.
+    (``_error_drop``, or GRK's from ``prefix``) between exact values.
     Its images are triangular Gram factors from a QR of G_I and of H_J^T,
     so ``S_I^T S_I = G_I^T G_I`` and ``T_J^T T_J = H_J H_J^T``: they give
     ``||G_I M H_J||_F`` as ``||S_I M T_J^T||_F`` without squaring the
     condition of the block. Its slack is ``DROP_RTOL`` of the decrease it
     subtracted since its last exact value, and a decrease that is negative
-    or not finite makes the next value exact. Records read it exact."""
+    or not finite makes the next value exact. Records read it exact but
+    where GRK's chunks run across them (not ``exact_on_records``)."""
 
-    exact_on_records = True
-
-    def __init__(self, state, tracking, band):
+    def __init__(self, state, tracking, band, exact_on_records):
         super().__init__(state, tracking, band)
         self.method, self.eta = state.config.method, state.eta
+        self.exact_on_records = exact_on_records
         self.xstar_sq = np.linalg.norm(state.problem.X_star, "fro") ** 2
         self.dropped = 0.0
+        self.ax = None if exact_on_records else state.problem.A @ state.problem.X_star
 
     def image(self, rows, factor):
         return np.linalg.qr(factor if rows else factor.T, mode="r")
 
     def prefix(self, rows, cols, r, s):
-        """How many of the GRK steps with sampled residuals ``r`` and
-        decreases ``r s`` to apply: up to the first whose kept value less
-        slack lies below the band, else all. ``r_k s_k = s_k^2 d_k`` is
-        never negative, so that test also stops at a decrease that is not
-        finite. The kept value after the steps applied waits for
-        ``advance_grk``."""
-        drops = np.cumsum(r * s) / self.xstar_sq
+        """As ``_Residual.prefix``, for the error: up to the first step whose
+        kept value less slack lies below the band or is not finite. Step k
+        moves X by ``s_k a_k b_k^T``, so ``||E_k||_F^2 = ||E_{k-1}||_F^2 -
+        r_k s_k - 2 s_k h_k``, with ``h = diag(A_S X* B_S) - C[i, j]`` the
+        residual of X_star, 0 if it solves the equation. Only where records
+        read ``chunk`` (not ``exact_on_records``) is h taken, from A X*."""
+        drops = r * s
+        if not self.exact_on_records:
+            C, B = self.state.problem.C, self.state.problem.B
+            drops += 2.0 * s * (np.sum(self.ax[rows] * B[:, cols].T, axis=1) - C[rows, cols])
+        drops = np.cumsum(drops) / self.xstar_sq
         values = self.value - drops
         dropped = self.dropped + drops
         fits = values - DROP_RTOL * dropped >= self.band
         c = fits.size if fits.all() else int(fits.argmin()) + 1
-        self.pending, self.dropped = float(values[c - 1]), float(dropped[c - 1])
-        self.slack = DROP_RTOL * self.dropped
+        if not self.exact_on_records:
+            self.chunk = values[:c].tolist()
+        self.pending = values, dropped
         return c
 
     def advance_grk(self, rows, cols, r):
-        return self.pending
+        values, dropped = self.pending
+        self.dropped = float(dropped[r.size - 1])
+        self.slack = DROP_RTOL * self.dropped
+        return float(values[r.size - 1])
 
     def advance(self, sampled, weighted, left, right, c):
         drop = _error_drop(self.method, sampled, weighted, left, right, c,
@@ -922,37 +918,33 @@ class _Error(_Metric):
         return _error(self.state.X, self.state.problem.X_star, self.xstar_sq)
 
 
-def _grk_steps(state, stop, rows, cols, k):
+def _grk_steps(state, metrics, rows, cols, k):
     """GRK from the pair drawn for step k on: ``(steps, bi, bj, sampled,
-    1.0)``, the steps taken, their rows of A and columns of B and the
-    residuals they sampled. While ``stop.tracking``, one ``grk_step`` call
-    runs up to ``GRK_CHUNK`` steps as a chunk (bi, bj lists, sampled an
-    array). It ends at the next multiple of ``RESYNC_EVERY``, the end of the
-    drawn pairs or ``max_iters``, with ``X_star`` also at the next record,
-    and after the first step whose kept value less its slack or rounding
-    bound enters the band or is not finite, which then gets its exact
-    value. Without ``X_star`` every step's residual comes from the chunk
-    (``_Residual.prefix``); the records inside it and ``max_seconds`` see
-    the time at its end. X is within 1e-13 relative of the steps one by one,
-    with equal iteration counts and termination unless an exact value lies
-    within rounding of ``re_tolerance``. Otherwise one step runs, on the
-    row and column ``_cache_block`` keeps."""
-    drawn = k % DRAW_CHUNK
+    1.0)``, the steps taken, their rows of A and columns of B (lists) and
+    the residuals they sampled (an array). ``metrics`` holds the stop metric
+    and, if kept, the residual beside the error. While the stop metric is
+    tracked, one ``grk_step`` call runs up to ``GRK_CHUNK`` steps as a
+    chunk. It ends at the next multiple of ``RESYNC_EVERY``, the end of the
+    drawn pairs or ``max_iters``, at the next record if the stop metric is
+    ``exact_on_records``, and at the earlier of the cuts each kept metric's
+    ``prefix`` proposes: after the first step whose kept value less its
+    slack or rounding bound enters the band or is not finite, which then
+    gets its exact value. The records inside a chunk, and ``max_seconds``,
+    see the time at its end. Otherwise one step runs."""
+    drawn, stop = k % DRAW_CHUNK, metrics[0]
     if stop.tracking:
-        size = min(GRK_CHUNK, len(rows) - drawn, RESYNC_EVERY - k % RESYNC_EVERY)
-        if stop.exact_on_records:  # with X_star, a record's error is exact
-            size = min(size, state.config.trace_every - k % state.config.trace_every)
+        cut = state.config.trace_every if stop.exact_on_records else RESYNC_EVERY
+        size = min(GRK_CHUNK, len(rows) - drawn, RESYNC_EVERY - k % RESYNC_EVERY, cut - k % cut)
         sampled = grk_step(state, rows[drawn:drawn + size], cols[drawn:drawn + size],
-                           _prefix=stop.prefix)
-        end = drawn + sampled.size
-        return sampled.size, rows[drawn:end], cols[drawn:end], sampled, 1.0
-    bi, bj = rows[drawn], cols[drawn]  # blocks of size 1: block bi is row bi
-    a = (state.row_blocks[bi] or _cache_block(state, True, bi))[2]
-    b = (state.col_blocks[bj] or _cache_block(state, False, bj))[2]
-    return 1, bi, bj, grk_step(state, bi, bj, _blocks=(a, b)), 1.0
+                           _prefix=stop.prefix if len(metrics) == 1 else
+                           lambda *args: min(stop.prefix(*args), metrics[1].prefix(*args)))
+    else:
+        sampled = np.array([grk_step(state, rows[drawn], cols[drawn])])
+    end = drawn + sampled.size
+    return sampled.size, rows[drawn:end], cols[drawn:end], sampled, 1.0
 
 
-def _block_steps(state, stop, rows, cols, k):
+def _block_steps(state, metrics, rows, cols, k):
     """One GRBK or GRABK step at the blocks drawn for step k, as
     ``_grk_steps`` returns it; c is GRABK's stepsize. An adaptive step's L
     goes to ``state.stepsizes``; on a solved block it samples None.
@@ -978,6 +970,12 @@ def _block_steps(state, stop, rows, cols, k):
 def solve(problem, config):
     """Run the configured method from X0 = 0 and trace convergence.
 
+    A record's ``relative_error`` and ``relative_residual`` are each within
+    ``1e-14 max(1, exact)`` of the exact value at the run's own iterate
+    (relative on a diverging run); the error is exact but where GRK's
+    chunks run across records. Tolerance and divergence are declared on
+    exact values only.
+
     Termination uses the squared relative error against ``X_star`` when the
     problem provides a usable (nonzero) reference, otherwise the relative
     residual ||C - A X B||_F / ||C||_F. Records are kept every
@@ -999,12 +997,8 @@ def solve(problem, config):
     ``prepare_state``. Where ``_tracks_error`` says so, ``_Error`` keeps the
     error by subtracting each step's decrease. Each is exact whenever
     ``_Metric.after_step`` says so, in particular near ``re_tolerance``, so
-    tolerance and divergence are declared on exact values only, and
     iterates, iteration counts and termination are those of an exact stop
-    metric on every step (up to ``_grk_steps``' chunks). A record's
-    ``relative_error`` is exact; its ``relative_residual`` is within
-    ``1e-14 max(1, exact)`` of the exact one: absolute while the residual is
-    at most ``||C||_F``, relative on a diverging run.
+    metric on every step (up to the rounding of ``_grk_steps``' chunks).
     """
     state = prepare_state(problem, config)
     use_re = problem.X_star is not None and np.linalg.norm(problem.X_star, "fro") > 0.0
@@ -1012,8 +1006,10 @@ def solve(problem, config):
     # without X_star the residual is the stop metric; with it, only records read it
     form = _keeps_residual(problem, config, use_re)
     residual = (form or _Residual)(state, form is not None, -math.inf if use_re else band)
-    stop = _Error(state, _tracks_error(problem, config, use_re), band) if use_re else residual
-    kept = use_re and residual.tracking
+    kept = use_re and residual.tracking  # GRK's chunks then run across records
+    stop = (_Error(state, _tracks_error(problem, config, use_re), band,
+                   config.method != GRK or not kept) if use_re else residual)
+    metrics = (stop, residual) if kept else (stop,)
     step = _grk_steps if config.method == GRK else _block_steps
     every = config.trace_every
     records = []
@@ -1029,7 +1025,7 @@ def solve(problem, config):
             if k % DRAW_CHUNK == 0:
                 rows, cols = sample_block(state.dist_rows, state.rng, state.dist_cols,
                                           min(DRAW_CHUNK, config.max_iters - k))
-            steps, bi, bj, sampled, c = step(state, stop, rows, cols, k)
+            steps, bi, bj, sampled, c = step(state, metrics, rows, cols, k)
             first, k = k, k + steps
             elapsed = time.perf_counter() - t0
             record = k % every == 0 or k == config.max_iters
@@ -1043,8 +1039,10 @@ def solve(problem, config):
                 termination = "time_limit"
             if kept:
                 residual.after_step(k, bool(termination or record), bi, bj, sampled, c)
-            if steps > 1 and not use_re:  # the records inside a chunk (with X_star, none)
-                records.extend(TraceRecord(it, None, stop.chunk[it - first - 1], elapsed)
+            if steps > 1 and (k - 1) // every > first // every:  # records inside a chunk
+                errors, resids = stop.chunk if use_re else [None] * steps, residual.chunk
+                records.extend(TraceRecord(it, errors[it - first - 1], resids[it - first - 1],
+                                           elapsed)
                                for it in range(first - first % every + every, k, every))
             if termination or record:
                 resid = residual.exact() if use_re and not kept else residual.value

@@ -77,11 +77,15 @@ def grk_oracle(problem, config):
     """``solve`` for GRK with ``X_star``, one step at a time: per step one
     row then one column draw and the scalar update, and the stop rules of
     the tracked error. Where ``_tracks_error`` says so, the error is kept
-    by subtracting each step's decrease ``r^2 / (||A_i||^2 ||B_j||^2)``; it
-    is exact at X0, every ``RESYNC_EVERY`` steps, on records, when the kept
-    value less ``DROP_RTOL`` of the decrease since the last exact value lies
-    below ``re_tolerance + CONFIRM_BAND``, and from the first exact value
-    below that on. ``max_seconds`` is ignored."""
+    by subtracting each step's decrease ``r s``, ``s = r / (||A_i||^2
+    ||B_j||^2)``; it is exact at X0, every ``RESYNC_EVERY`` steps, on
+    records where ``_keeps_residual`` recomputes the residual, when the
+    kept value less ``DROP_RTOL`` of the decrease since the last exact
+    value lies below ``re_tolerance + CONFIRM_BAND``, and from the first
+    exact value below that on. Where the residual is kept, records do not
+    make the error exact, and the decrease takes in ``2 s h``, with ``h =
+    A_i X* B_j - C_ij`` the residual of X_star. The records hold the exact
+    error and residual. ``max_seconds`` is ignored."""
     state = solvers.prepare_state(problem, config)
     A, B, C, X_star, X = problem.A, problem.B, problem.C, problem.X_star, state.X
     xstar_sq, c_norm = np.linalg.norm(X_star) ** 2, np.linalg.norm(C)
@@ -89,6 +93,7 @@ def grk_oracle(problem, config):
     errors = [float(np.linalg.norm(X - X_star) ** 2 / xstar_sq)]
     value, dropped = errors[0], 0.0
     tracking = solvers._tracks_error(problem, config, True) and value >= band
+    records_exact = solvers._keeps_residual(problem, config, True) is None
     termination = "tolerance" if value < config.re_tolerance else None
     records, exact_at, k = [], [0], 0
     while termination is None and k < config.max_iters:
@@ -101,21 +106,24 @@ def grk_oracle(problem, config):
         k += 1
         errors.append(float(np.linalg.norm(X - X_star) ** 2 / xstar_sq))
         record = k % config.trace_every == 0 or k == config.max_iters
-        if tracking and k % solvers.RESYNC_EVERY and not record:
-            drop = r * r / d / xstar_sq
-            value, dropped = value - drop, dropped + drop
-            if value - solvers.DROP_RTOL * dropped >= band:
-                continue
-        value, dropped = errors[-1], 0.0
-        exact_at.append(k)
-        tracking = tracking and value >= band
-        if not math.isfinite(value):
-            termination = "diverged"
-        elif value < config.re_tolerance:
-            termination = "tolerance"
+        exact = not (tracking and k % solvers.RESYNC_EVERY and not (record and records_exact))
+        if not exact:
+            drop = r * r / d
+            if not records_exact:
+                drop += 2.0 * (r / d) * (a @ X_star @ b - C[i, j])
+            value, dropped = value - drop / xstar_sq, dropped + drop / xstar_sq
+            exact = not value - solvers.DROP_RTOL * dropped >= band
+        if exact:
+            value, dropped = errors[-1], 0.0
+            exact_at.append(k)
+            tracking = tracking and value >= band
+            if not math.isfinite(value):
+                termination = "diverged"
+            elif value < config.re_tolerance:
+                termination = "tolerance"
         if termination or record:
             resid = np.linalg.norm(C - (A @ X) @ B) / c_norm
-            records.append((k, value, float(resid)))
+            records.append((k, errors[-1], float(resid)))
     return GrkRun(X, k, termination or "max_iters", records, errors, exact_at)
 
 

@@ -46,6 +46,10 @@ FAILING = {
                         "no fewer sample_block calls than the 40.0 steps"),
     "full residuals": (_output(values={"solvers.residual.per_iter": 0.01}),
                        "0.01 full residuals per step: the kept residual fell back"),
+    # blur-cli before its library GRK ran in chunks: 45103 calls for 106 draws
+    "grk one step a call": (_output(values={"solvers.step.calls.grk": 45103.0,
+                                            "sampling.sample_block.calls": 106.0}),
+                            "45103.0 grk_step calls for 106.0 draws: GRK ran one step a call"),
 }
 
 
@@ -56,6 +60,15 @@ def test_each_rule_fails_its_run(rule, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     assert check_traced.main(["check_traced.py", "residual-default"]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_grk_chunks_pass_below_64_calls_per_draw():
+    # dense-kernels and residual-default read 13.3 and 12.1 before GRK ran
+    # in chunks with X_star on every schedule
+    for calls in (13.3 * 106, 63.9 * 106):
+        text = _output(values={"solvers.step.calls.grk": calls,
+                               "sampling.sample_block.calls": 106.0})
+        assert check_traced.problems("blur-cli", text) == []
 
 
 def test_full_residuals_pass_outside_residual_default():

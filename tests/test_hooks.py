@@ -120,10 +120,10 @@ def test_tracer_counts_grk_chunks_without_x_star():
 # every step, with X_star and a quiet trace, and without X_star. Each row
 # is (iterations, step calls, sample_block calls, residual calls, pinv
 # calls), pinned so that a change to the loop that adds or drops a hooked
-# call shows here. GRK runs one step a call with X_star and trace_every=1,
-# in chunks otherwise; GRBK builds one pinv for each of its 2 + 2 blocks.
+# call shows here. GRK runs its steps in chunks on all three; GRBK builds
+# one pinv for each of its 2 + 2 blocks.
 HOOK_COUNTS = {
-    (GRK, True, 1): (1100, 1100, 2, 4, 0),
+    (GRK, True, 1): (1100, 18, 2, 4, 0),
     (GRK, True, 10**6): (1100, 18, 2, 1, 0),
     (GRK, False, 1): (1100, 18, 2, 5, 0),
     (GRBK, True, 1): (49, 49, 1, 0, 4),

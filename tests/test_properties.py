@@ -105,13 +105,13 @@ def _tracked_steps(instance, method):
             return out
         return wrapper
 
-    def grk_chunks(state, i, j, _blocks=None, _prefix=None):
+    def grk_chunks(state, i, j, _prefix=None):
         def prefix(rows, cols, r, s):
             c = _prefix(rows, cols, r, s)
             for drop in (r * s)[:c]:  # a step whose exact error comes from the oracle
                 events.extend([("step", None), ("drop", drop)])
             return c
-        return step(state, i, j, _blocks, _prefix and prefix)
+        return step(state, i, j, _prefix and prefix)
 
     config = SolverConfig(method=method, tau1=tau1, tau2=tau2, seed=3, max_iters=STEPS,
                           re_tolerance=1e-300, trace_every=10**6, weight_scheme=weights)

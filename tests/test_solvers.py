@@ -505,17 +505,34 @@ def test_solve_max_iters_termination():
     assert report.iterations == 3
 
 
-def test_solve_time_limit_termination():
+def test_solve_time_limit_termination(monkeypatch):
     prob = small_problem(18)
-    report = solve(prob, SolverConfig(method=GRK, max_seconds=0.0, max_iters=1000))
-    assert report.termination == "time_limit"
-    assert report.iterations == 1
-    # with a quiet trace the error is tracked and GRK runs its steps in
-    # chunks, checking the clock after each; the time-limit record is exact
-    report = solve(prob, SolverConfig(method=GRK, max_seconds=0.0, max_iters=1000,
-                                      trace_every=10**6))
-    assert (report.termination, report.iterations) == ("time_limit", solvers.GRK_CHUNK)
-    assert report.records[-1].relative_error == relative_error(report.X, prob.X_star)
+    report = solve(prob, SolverConfig(method=GRBK, tau1=2, tau2=2, max_seconds=0.0,
+                                      max_iters=1000))
+    assert (report.termination, report.iterations) == ("time_limit", 1)
+    # GRK with X_star tracks its error and runs its steps in chunks,
+    # checking the clock after each, so it stops at the end of its first
+    # chunk. With a quiet trace records recompute the residual and the
+    # time-limit record's error is exact; with a record on every step the
+    # residual is kept, and the record reads the error kept beside it
+    chunks, step = [], solvers.grk_step
+
+    def counted_step(*args, **kwargs):
+        out = step(*args, **kwargs)
+        chunks.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(solvers, "grk_step", counted_step)
+    for trace_every in (10**6, 1):
+        chunks.clear()
+        report = solve(prob, SolverConfig(method=GRK, max_seconds=0.0, max_iters=1000,
+                                          trace_every=trace_every))
+        assert (report.termination, report.iterations) == ("time_limit", chunks[0])
+        assert len(chunks) == 1 and 1 < chunks[0] <= solvers.GRK_CHUNK
+        exact = relative_error(report.X, prob.X_star)
+        if trace_every > 1:
+            assert report.records[-1].relative_error == exact
+        assert abs(report.records[-1].relative_error - exact) <= 1e-14
 
 
 def test_solve_residual_fallback_without_reference():
@@ -539,6 +556,18 @@ def test_solve_reproducible_and_seed_sensitive():
     assert [rec.relative_error for rec in r1.records] == [rec.relative_error for rec in r2.records]
     r3 = solve(prob, SolverConfig(method=GRABK_ADAPTIVE, tau1=2, tau2=2, seed=10, max_iters=200))
     assert not np.array_equal(r1.X, r3.X)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", 2**64, np.float64(2.0)])
+def test_config_rejects_a_seed_that_would_replay_another(seed):
+    # each once constructed and failed only inside solve, by the rule of
+    # SeededRng, which the config now applies; integer seeds in range are
+    # kept as Python ints
+    with pytest.raises(ValueError, match="seed"):
+        SolverConfig(method=GRBK, seed=seed)
+    for ok in (0, 2**64 - 1, np.int64(7)):
+        config = SolverConfig(method=GRBK, seed=ok)
+        assert type(config.seed) is int and config.seed == ok
 
 
 @pytest.mark.parametrize("seed", [1.5, -1])
@@ -761,11 +790,11 @@ def test_chunked_grk_matches_step_by_step_oracle(case, trace_every, budget, resi
     # GRK with X_star runs its steps in chunks wherever it tracks the error;
     # against the same steps run one at a time under the same stop rules,
     # X is within 1e-13 relative, iterations, termination and record
-    # iterations are equal, a record's error is within 1e-13 and its
-    # residual within 1e-14 max(1, exact), and the error is exact after the
-    # same steps: resyncs, records and the first step in the band. With a
-    # record on every step nothing is tracked and the run is the oracle's,
-    # bit for bit
+    # iterations are equal, a record's error and residual are within 1e-14
+    # max(1, exact), and the error is exact after the same steps: resyncs,
+    # records where the residual is recomputed, and the first step in the
+    # band. With a record on every step and the residual recomputed nothing
+    # is tracked and the run is the oracle's, bit for bit
     monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: RESIDUAL_FORMS[residual])
     steps, exact_at = [0], []
     step, error = solvers.grk_step, solvers._error
@@ -785,12 +814,12 @@ def test_chunked_grk_matches_step_by_step_oracle(case, trace_every, budget, resi
     assert (report.iterations, report.termination) == (oracle.iterations, oracle.termination)
     assert exact_at == oracle.exact_at
     assert report.termination == budget.replace("mid-chunk", "max_iters")
-    if trace_every == 1:
+    if trace_every == 1 and residual == "recomputed":
         np.testing.assert_array_equal(report.X, oracle.X)
     assert np.linalg.norm(report.X - oracle.X) <= 1e-13 * np.linalg.norm(oracle.X)
     assert [r.iteration for r in report.records] == [k for k, _, _ in oracle.records]
     for r, (_, error, resid) in zip(report.records, oracle.records):
-        assert abs(r.relative_error - error) <= 1e-13
+        assert abs(r.relative_error - error) <= 1e-14 * max(1.0, error)
         assert abs(r.relative_residual - resid) <= 1e-14 * max(1.0, resid)
 
 
@@ -934,16 +963,24 @@ def test_kept_residual_tracks_recomputed_residual(method, reference, form, monke
         monkeypatch.setattr(solvers, step_name, step)
 
 
-def test_split_reads_the_residual_from_a_reference_off_the_solution(monkeypatch):
-    # X_star need only solve the equation to 1e-8, and the split takes it as
-    # its reference X0: here one off by 1e-10 leaves F = C - A X0 B nonzero,
-    # and with it the cross term 2 A^T F B^T. Every record, down to
-    # residuals near 1e-15, stays within 1e-14 of the exact residual
-    base = make_problem(*gen_type1(TypeISpec(14, 7, 7, 7, 15, 7, seed=31)), seed=32)
+def _off_solution(base):
+    """``base`` with its X_star moved off the solution by 1e-10 relative,
+    which ``Problem`` accepts: X_star need only solve the equation to
+    1e-8."""
     noise = np.random.default_rng(33).standard_normal(base.X_star.shape)
     X0 = base.X_star + 1e-10 * np.linalg.norm(base.X_star) * noise / np.linalg.norm(noise)
     prob = Problem(A=base.A, B=base.B, C=base.C, X_star=X0)
     assert np.linalg.norm(prob.C - prob.A @ X0 @ prob.B) > 1e-12 * np.linalg.norm(prob.C)
+    return prob
+
+
+def test_split_reads_the_residual_from_a_reference_off_the_solution(monkeypatch):
+    # the split takes X_star as its reference X0: one off the solution
+    # leaves F = C - A X0 B nonzero, and with it the cross term 2 A^T F
+    # B^T. Every record, down to residuals near 1e-15, stays within 1e-14
+    # of the exact residual
+    prob = _off_solution(make_problem(*gen_type1(TypeISpec(14, 7, 7, 7, 15, 7, seed=31)),
+                                      seed=32))
     exact = []
 
     def recording_step(state, *args, **kwargs):
@@ -960,6 +997,39 @@ def test_split_reads_the_residual_from_a_reference_off_the_solution(monkeypatch)
     assert min(exact) < 1e-13
     for r in report.records:
         assert abs(r.relative_residual - exact[r.iteration - 1]) <= 1e-14, r
+
+
+@pytest.mark.parametrize("residual", ["kept", "split"])
+@pytest.mark.parametrize("trace_every", [1, 7])
+def test_grk_records_read_the_error_of_an_x_star_off_the_solution(trace_every, residual,
+                                                                 monkeypatch):
+    # beside a kept residual GRK's chunks run across records, which read the
+    # error it keeps. With X_star off the solution, a step's decrease of
+    # ||X - X*||_F^2 is r s + 2 s h, h = a X* b - C_ij the residual of X*
+    # at its entry; every record stays within 1e-14 max(1, exact) of the
+    # exact error (4e-16 here; leaving out 2 s h puts it 1.1e-11 off)
+    monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: RESIDUAL_FORMS[residual])
+    prob = _off_solution(ORACLE_CASES["slow"])
+    config = SolverConfig(method=GRK, seed=3, max_iters=6000, re_tolerance=1e-300,
+                          trace_every=trace_every)
+    report, oracle = solve(prob, config), grk_oracle(prob, config)
+    assert [r.iteration for r in report.records] == [k for k, _, _ in oracle.records]
+    for r, (_, error, resid) in zip(report.records, oracle.records):
+        assert abs(r.relative_error - error) <= 1e-14 * max(1.0, error)
+        assert abs(r.relative_residual - resid) <= 1e-14 * max(1.0, resid)
+
+
+def test_split_carries_its_squared_residual_from_the_start():
+    # beside X_star nothing makes the split exact at iteration 0, so it
+    # carries the squared residual at X = 0 and its rounding from its
+    # construction, as an exact value there gives them; GRK's first chunk
+    # reads them (the split rows of the oracle test above run it with a
+    # record on every step)
+    split = solvers._Split(prepare_state(ORACLE_CASES["full-rank"], SolverConfig(method=GRK)),
+                           True, -math.inf)
+    carried = split.carried
+    split.exact()
+    assert carried is not None and split.carried == carried
 
 
 def _problem_of_shape(m, p, q, n, sparse=False):
@@ -1046,8 +1116,16 @@ def _xstar_problem(p, q):
     ("GRABK-adaptive, small", _xstar_problem(20, 20),
      SolverConfig(method=GRABK_ADAPTIVE, tau1=4, tau2=4, trace_every=10**6), False),
     ("GRK, small", _xstar_problem(5, 5), SolverConfig(method=GRK, trace_every=10), True),
-    # every step is a record
-    ("trace every step", _xstar_problem(40, 40), SolverConfig(method=GRK), False),
+    # every step is a record: a block method's reads the exact error, and
+    # GRK's chunks run across records while the residual is kept, not
+    # where each record recomputes it (q = 1: a full residual costs m q
+    # (p + n) = 150 flops, a kept R 2 m n + m = 210)
+    ("GRBK, trace every step", _xstar_problem(200, 200),
+     SolverConfig(method=GRBK, tau1=50, tau2=50), False),
+    ("GRK, trace every step, residual kept", _xstar_problem(40, 40), SolverConfig(method=GRK),
+     True),
+    ("GRK, trace every step, residual recomputed", _xstar_problem(5, 1),
+     SolverConfig(method=GRK), False),
 ])
 def test_tracks_error_decision_table(label, problem, config, tracks):
     assert solvers._tracks_error(problem, config, True) is tracks, label
@@ -1139,8 +1217,7 @@ def test_kept_residual_hands_off_to_recompute_near_tolerance(form, monkeypatch):
 
     monkeypatch.setattr(solvers, "_relative_residual", counted("full", full))
     monkeypatch.setattr(solvers, "grbk_step", counted("step", step))
-    monkeypatch.setattr(solvers, "blas", SimpleNamespace(
-        dgemm=counted("update", blas.dgemm), dger=counted("update", blas.dger)))
+    monkeypatch.setattr(solvers, "blas", SimpleNamespace(dgemm=counted("update", blas.dgemm)))
     monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: RESIDUAL_FORMS[form])
     _, prob = next(_residual_cases())
     prob = Problem(A=prob.A, B=prob.B, C=prob.C)
@@ -1211,8 +1288,8 @@ def test_solve_prepares_each_block_once(method, residual, reference, monkeypatch
     # step checks caller weights: solve hands the GRABK steps prepared hats.
     # The split takes pinv(A) and pinv(B) once each for its reference
     # pinv(A) C pinv(B), and none with X_star, which it takes instead. GRK
-    # chunks without X_star build no block: the kept residual stacks the
-    # factors of every row and column once
+    # builds no block: its steps read rows of A and columns of B, and a kept
+    # residual stacks the factors of every row and column once
     monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: RESIDUAL_FORMS[residual])
     built, pinvs, indexed = [], [], []
     block = solvers._block
@@ -1247,7 +1324,7 @@ def test_solve_prepares_each_block_once(method, residual, reference, monkeypatch
     assert report.iterations == 400
     n_blocks = math.ceil(40 / config.tau1) + math.ceil(42 / config.tau2)
     assert len(built) == len(set(built)) <= n_blocks
-    assert built or (method == GRK and reference == "residual" and residual != "recomputed")
+    assert bool(built) == (method != GRK)
     assert len(indexed) <= n_blocks
     factor_pinvs = [shape for shape in pinvs if shape in (prob.A.shape, prob.B.shape)]
     split_pinvs = residual == "split" and reference == "residual"
