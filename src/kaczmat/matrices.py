@@ -3,7 +3,7 @@
 Every helper works on float64 row-major numpy arrays: it takes array-likes
 and scipy sparse matrices alike, and densifies and validates its input once
 at entry through :func:`as_dense`. :func:`as_csr` is the canonical CSR form
-of the Matrix Market reader's output.
+the Matrix Market reader gives a coordinate file.
 """
 
 import numpy as np

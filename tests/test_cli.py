@@ -6,6 +6,7 @@ import filecmp
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from kaczmat import cli
 from kaczmat.cli import (
@@ -17,6 +18,7 @@ from kaczmat.cli import (
     main,
 )
 from kaczmat.images import GrayImage, read_pgm, write_pgm
+from kaczmat.mmio import write_matrix_market
 from kaczmat.solvers import SolverConfig, solve
 
 
@@ -91,6 +93,45 @@ def test_generate_blur(tmp_path):
     assert manifest["max_value"] == 255.0
     prob = load_problem_dir(str(out))
     assert prob.shape == (10, 10, 10, 10)
+
+
+def test_generate_blur_writes_sparse_factors_as_coordinates(tmp_path):
+    # a 64x64 blur's A and B are about 11% nonzero, C and X_star dense
+    img = make_pgm(tmp_path, side=64)
+    out = tmp_path / "pb"
+    assert run("generate", "--blur", "--image", str(img), "--out", str(out)) == 0
+    for name, fmt in [("A.mtx", "coordinate"), ("B.mtx", "coordinate"),
+                      ("C.mtx", "array"), ("X_star.mtx", "array")]:
+        with open(out / name) as fh:
+            assert fh.readline() == f"%%MatrixMarket matrix {fmt} real general\n", name
+
+
+def test_coordinate_problem_dir_loads_and_solves_as_its_array_twin(tmp_path):
+    # a directory written before dense matrices were stored as arrays holds
+    # C and X_star as coordinates; it must load and solve as the new form
+    new, old = tmp_path / "new", tmp_path / "old"
+    assert run("generate", "--blur", "--image", str(make_pgm(tmp_path, side=16)),
+               "--r", "1", "--out", str(new)) == 0
+    old.mkdir()
+    for name in ("A.mtx", "B.mtx", "manifest.json"):
+        (old / name).write_bytes((new / name).read_bytes())
+    prob = load_problem_dir(str(new))
+    for key in ("C", "X_star"):
+        write_matrix_market(sp.csr_array(getattr(prob, key)), old / cli.MATRIX_FILES[key])
+    for name in ("C.mtx", "X_star.mtx"):
+        assert (new / name).read_text().split("\n")[0].split()[2] == "array"
+        assert (old / name).read_text().split("\n")[0].split()[2] == "coordinate"
+    twin = load_problem_dir(str(old))
+    for key in ("A", "B", "C", "X_star"):
+        a, b = getattr(prob, key), getattr(twin, key)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), key
+    rows = {}
+    for label, path in (("new", new), ("old", old)):
+        trace = tmp_path / f"{label}.csv"
+        assert run("solve", str(path), "--method", "grbk", "--tau1", "4", "--tau2", "4",
+                   "--seed", "3", "--max-iters", "60", "--out", str(trace)) == 2
+        rows[label] = [row[:3] for row in read_csv(trace)]  # without elapsed_seconds
+    assert len(rows["new"]) == 61 and rows["new"] == rows["old"]
 
 
 def test_generate_rejects_bad_rank(tmp_path, capsys):

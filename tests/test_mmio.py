@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kaczmat.mmio import MatrixMarketError, load_matrix_market, write_matrix_market
 
@@ -75,7 +77,7 @@ def test_load_symmetric_expands_triangle(tmp_path):
     [
         ("junk\n1 1 0\n", 1),
         ("%%MatrixMarket vector coordinate real general\n1 1 1\n1 1 0\n", 1),
-        ("%%MatrixMarket matrix array real general\n1 1\n1\n", 1),
+        ("%%MatrixMarket matrix array real symmetric\n1 1\n1\n", 1),
         ("%%MatrixMarket matrix coordinate complex general\n1 1 1\n1 1 0 0\n", 1),
         ("%%MatrixMarket matrix coordinate real skew-symmetric\n1 1 1\n1 1 0\n", 1),
         ("%%MatrixMarket matrix coordinate real\n1 1 1\n1 1 0\n", 1),
@@ -87,6 +89,17 @@ def test_load_symmetric_expands_triangle(tmp_path):
         ("%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n", 3),
         ("%%MatrixMarket matrix coordinate real general\n2 2 1\n0 1 1.0\n", 3),
         ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n2 2 1.0\n", 4),
+        ("%%MatrixMarket matrix array real general\n2 1\n1.0\n", 3),
+        ("%%MatrixMarket matrix array real general\n2 1\n1.0\n% c\n2.0\n\n3.0\n", 7),
+        ("%%MatrixMarket matrix array real general\n2 1\n1.0\n1.0abc\n", 4),
+        ("%%MatrixMarket matrix array real general\n2 1\n1.0 2.0\n", 3),
+        ("%%MatrixMarket matrix array real general\n2 1\n1.0 2.0\n3.0\n", 3),
+        ("%%MatrixMarket matrix array real general\n2 1\nnan\n1.0\n", 3),
+        ("%%MatrixMarket matrix array real general\n2 1\n1.0\n-inf\n", 4),
+        ("%%MatrixMarket matrix array real general\n2 1 2\n1.0\n2.0\n", 2),
+        ("%%MatrixMarket matrix array real general\n2 -1\n", 2),
+        ("%%MatrixMarket matrix array real general\n% only a comment\n", 2),
+        ("%%MatrixMarket matrix array integer symmetric\n1 1\n1\n", 1),
     ],
 )
 def test_load_error_line_numbers(tmp_path, body, line):
@@ -115,6 +128,43 @@ def test_load_rejects_non_ascii_byte_with_its_line(tmp_path):
     with pytest.raises(MatrixMarketError, match="non-ASCII byte") as exc:
         load_matrix_market(path)
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("values,found", [("1\n2\n3\n", 3), ("1\n2\n3\n4\n5\n", 5)])
+def test_load_array_value_count(tmp_path, values, found):
+    path = write_text(tmp_path, f"%%MatrixMarket matrix array real general\n2 2\n{values}")
+    with pytest.raises(MatrixMarketError, match=f"declared 4 values, found {found}"):
+        load_matrix_market(path)
+
+
+def test_load_array_rejects_bad_value_with_its_kind(tmp_path):
+    head = "%%MatrixMarket matrix array real general\n1 2\n1.5\n"
+    with pytest.raises(MatrixMarketError, match="malformed value '0x1p3'"):
+        load_matrix_market(write_text(tmp_path, head + "0x1p3\n"))
+    with pytest.raises(MatrixMarketError, match="non-finite value 'inf'"):
+        load_matrix_market(write_text(tmp_path, head + "inf\n"))
+
+
+def test_load_array_header_claiming_more_values_than_lines(tmp_path):
+    # the value count is checked before anything is allocated for the
+    # declared 10^22 values
+    path = write_text(tmp_path, "%%MatrixMarket matrix array real general\n"
+                                "99999999999 99999999999\n1.0\n2.0\n")
+    with pytest.raises(MatrixMarketError, match="declared 9999999999800000000001 values, "
+                                                "found 2") as exc:
+        load_matrix_market(path)
+    assert exc.value.line == 4
+
+
+def test_load_array_is_column_major(tmp_path):
+    path = write_text(
+        tmp_path,
+        "%%MatrixMarket matrix array integer general\n% comment\n2 3\n1\n2\n\n3\n"
+        "% between values\n4\n 5 \n1_000\n",
+    )
+    M = load_matrix_market(path)
+    assert type(M) is np.ndarray and M.dtype == np.float64 and M.flags.c_contiguous
+    np.testing.assert_array_equal(M, [[1.0, 3.0, 5.0], [2.0, 4.0, 1000.0]])
 
 
 def test_load_too_few_entries(tmp_path):
@@ -153,8 +203,56 @@ def test_roundtrip_dense_input(tmp_path):
     M = np.array([[0.0, 1.25], [-3.5, 0.0], [0.0, 1e-17]])
     path = tmp_path / "d.mtx"
     write_matrix_market(M, path)
+    assert path.read_text().startswith("%%MatrixMarket matrix array real general\n")
     back = load_matrix_market(path)
-    np.testing.assert_array_equal(back.toarray(), M)
+    assert type(back) is np.ndarray
+    np.testing.assert_array_equal(back, M)
+
+
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+VALUES = st.one_of(st.sampled_from(EXTREMES), st.integers(-10**6, 10**6).map(float),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def matrices(draw):
+    m = draw(st.sampled_from([1, 2, 5]))
+    n = draw(st.sampled_from([1, 3, 4]))
+    values = draw(st.lists(VALUES, min_size=m * n, max_size=m * n))
+    return np.array(values, dtype=np.float64).reshape(m, n)
+
+
+def bits(M):
+    return M.shape, M.view(np.uint64).tobytes()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(matrices())
+@example(np.array([[-0.0, 5e-324, -1.7976931348623157e308]]))
+@example(np.array([[-0.0], [0.0], [0.0], [1.0]]))
+def test_roundtrip_dense_bitwise(tmp_path_factory, M):
+    # an array file keeps every value's bits, the sign of zero included; a
+    # coordinate file (dense input under a third nonzero) drops -0.0
+    path = tmp_path_factory.mktemp("rt") / "m.mtx"
+    write_matrix_market(M, path)
+    back = load_matrix_market(path)
+    if 3 * np.count_nonzero(M) >= M.size:
+        assert path.read_text().startswith("%%MatrixMarket matrix array real general\n")
+        assert type(back) is np.ndarray and back.flags.c_contiguous
+        assert bits(back) == bits(M)
+    else:
+        assert path.read_text().startswith("%%MatrixMarket matrix coordinate real general\n")
+        assert bits(back.toarray()) == bits(M + 0.0)  # -0.0 + 0.0 is 0.0
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_write_rejects_non_finite_before_opening(tmp_path, sparse):
+    # the reader refuses nan and inf, so the writer must not write them
+    M = np.array([[1.0, np.nan], [np.inf, 2.0]])
+    path = tmp_path / "bad.mtx"
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        write_matrix_market(sp.csr_array(M) if sparse else M, path)
+    assert not path.exists()
 
 
 def test_write_is_deterministic(tmp_path):
@@ -170,12 +268,13 @@ def test_write_comment_and_header(tmp_path):
     path = tmp_path / "c.mtx"
     write_matrix_market(np.eye(2), path, comment="made by a test\nsecond line")
     lines = path.read_text().splitlines()
-    assert lines[0] == "%%MatrixMarket matrix coordinate real general"
+    assert lines[0] == "%%MatrixMarket matrix array real general"
     assert lines[1] == "% made by a test"
     assert lines[2] == "% second line"
-    assert lines[3] == "2 2 2"
+    assert lines[3:] == ["2 2", "1", "0", "0", "1"]
     back = load_matrix_market(path)
-    np.testing.assert_array_equal(back.toarray(), np.eye(2))
+    assert type(back) is np.ndarray
+    np.testing.assert_array_equal(back, np.eye(2))
 
 
 def test_write_rejects_non_2d():

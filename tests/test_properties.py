@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from kaczmat import cli, solvers
 from kaczmat.images import GrayImage, write_pgm
-from kaczmat.matrices import pinv
+from kaczmat.matrices import as_dense, pinv
 from kaczmat.mmio import load_matrix_market
 from kaczmat.problems import TypeISpec, gen_type1, make_problem, min_norm_solution
 from kaczmat.solvers import (
@@ -257,9 +257,9 @@ def test_dense_and_csr_factors_agree_and_kept_residuals_are_exact(instance):
 @pytest.mark.parametrize("trace_every", [1, 7])
 @pytest.mark.parametrize("reference", ["xstar", "residual"])
 def test_blur_directory_solves_as_its_dense_problem(tmp_path, reference, trace_every):
-    # kaczmat solve's path: the CSR files of a 64x64 blur problem, read by
-    # load_problem_dir, give bitwise the GRBK run of the same matrices
-    # handed over dense
+    # kaczmat solve's path: the files of a 64x64 blur problem (coordinate
+    # A and B, array C and X_star), read by load_problem_dir, give bitwise
+    # the GRBK run of the same matrices handed over dense
     bands = np.indices((64, 64)).sum(axis=0) // 8 % 2
     write_pgm(GrayImage(np.where(bands == 0, 220.0, 35.0)), str(tmp_path / "image.pgm"))
     out = tmp_path / "blur"
@@ -268,7 +268,7 @@ def test_blur_directory_solves_as_its_dense_problem(tmp_path, reference, trace_e
     if reference == "residual":
         (out / "X_star.mtx").unlink()
     loaded = cli.load_problem_dir(str(out))
-    dense = Problem(**{key: load_matrix_market(str(out / name)).toarray()
+    dense = Problem(**{key: as_dense(load_matrix_market(str(out / name)))
                        for key, name in cli.MATRIX_FILES.items() if (out / name).exists()})
     config = SolverConfig(method=GRBK, tau1=32, tau2=32, seed=5, max_iters=40,
                           re_tolerance=1e-300, trace_every=trace_every)
