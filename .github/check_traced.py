@@ -3,7 +3,8 @@
 Usage: python3 perfbench/run.py --workload W --trace 1 ... > traced.out
        python3 .github/check_traced.py W < traced.out
 
-The run must report no absent tracer hooks and no failed operation, every
+The run must end with its JSON result line (its last line) and report no
+absent tracer hooks and no failed operation, every
 required span must have fired, ``solve`` must draw the block pairs of a
 chunk of steps with one ``sample_block`` call, GRK must run its steps in
 chunks: fewer than 64 ``grk_step`` calls per draw of 1024 steps, and on
@@ -38,7 +39,10 @@ def problems(workload, text):
     found = []
     if "absent hooks: 0" not in lines:
         found.append("a tracer hook is missing")
-    run = json.loads(lines[-1])
+    try:
+        run = json.loads(lines[-1])
+    except (IndexError, ValueError):  # no output, or a last line not JSON
+        return found + ["no result line"]
     print("failed:", run["failed"])
     if run["failed"] != 0:
         found.append(f"{run['failed']} failed operations")

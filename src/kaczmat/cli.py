@@ -49,6 +49,7 @@ CLI_METHODS = {
 }
 # methods whose stepsize flag means anything
 ETA_METHODS = ("grabk-c", "grabk-a")
+MAX_ETA_POINTS = 1000  # the most stepsizes one --eta-grid sweeps
 
 TRACE_HEADER = ("iteration", "relative_error", "relative_residual",
                 "elapsed_seconds")
@@ -230,8 +231,11 @@ def _parse_eta_grid(text):
         raise ValueError(f"--eta-grid bounds must be finite, got {text!r}")
     if step <= 0 or stop < start:
         raise ValueError(f"bad --eta-grid range {text!r}")
-    n_steps = int(round((stop - start) / step))
-    values = [start + k * step for k in range(n_steps + 1)]
+    spans = (stop - start) / step  # inf where the ratio overflows
+    if not spans + 1 <= MAX_ETA_POINTS:
+        raise ValueError(f"--eta-grid {text!r} asks for {spans + 1:.3g} stepsizes, "
+                         f"more than {MAX_ETA_POINTS}")
+    values = [start + k * step for k in range(int(round(spans)) + 1)]
     return [v for v in values if v <= stop + 1e-12]
 
 

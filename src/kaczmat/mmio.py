@@ -214,12 +214,14 @@ def write_matrix_market(M, path, comment=None):
     fmt = "coordinate"
     if sp.issparse(M):
         coo = M.tocoo()
+        m, n = coo.shape
         order = np.lexsort((coo.col, coo.row))
         rows, cols, vals = coo.row[order], coo.col[order], coo.data[order]
     else:
         dense = np.asarray(M, dtype=np.float64)
         if dense.ndim != 2:
             raise ValueError(f"expected a 2-D matrix, got shape {dense.shape}")
+        m, n = dense.shape
         if 3 * np.count_nonzero(dense) >= dense.size:
             fmt, vals = "array", dense.ravel(order="F")
         else:
@@ -227,7 +229,6 @@ def write_matrix_market(M, path, comment=None):
             vals = dense[rows, cols]
     if not np.all(np.isfinite(vals)):
         raise ValueError("matrix contains NaN or Inf entries")
-    m, n = M.shape
     with open(path, "wt", encoding="ascii", newline="\n") as fh:
         fh.write(f"{BANNER} matrix {fmt} real general\n")
         if comment:

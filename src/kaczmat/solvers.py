@@ -356,34 +356,25 @@ def _sampled_blocks(state, I, J, method):
 
 def grk_step(state, i, j, _prefix=None):
     """GRK steps at rows i of A and columns j of B, in order; returns the
-    sampled residuals r = C_ij - A_i X B_j they applied.
+    array of sampled residuals r = C_ij - A_i X B_j they applied.
 
     X <- X + A_i^T (C_ij - A_i X B_j) B_j^T / (||A_i||^2 ||B_j||^2)
 
-    For scalar i and j this is one step and r is a scalar. For index arrays
-    of length K it runs the K steps as one chunk. Sampling does not depend
-    on X, so with ``a_k = A[i_k]``, ``b_k = B[:, j_k]``, ``d_k = ||a_k||^2
-    ||b_k||^2`` and ``s_k = r_k / d_k``, step k's residual is ``C[i_k, j_k]
-    - a_k X b_k - sum_{l<k} s_l (a_k . a_l)(b_l . b_k)``, X the iterate
-    before the chunk: s solves one lower-triangular K x K system, the
-    Hadamard product of the Gram matrices of ``A_S = A[i]`` and ``B_S =
-    B[:, j]`` with diagonal d. Then ``X += A_S[:c]^T diag(s[:c]) B_S[:,
-    :c]^T`` applies the first c steps, and r[:c] = s[:c] d[:c] comes back.
-    c is K, or ``_prefix(i, j, r, s)``, which ``_Error.prefix`` and
-    ``_Residual.prefix`` read each step's value from. The chunk runs as a
-    few BLAS-3 calls what its steps run as about 2K BLAS-2 calls, and
-    rounds otherwise: X is within 1e-13 relative of the steps run one by
-    one (about 1e-15 on well-conditioned problems).
+    Index arrays of length K run K steps as one chunk; scalar i and j are a
+    chunk of one. Sampling does not depend on X, so with ``a_k = A[i_k]``,
+    ``b_k = B[:, j_k]``, ``d_k = ||a_k||^2 ||b_k||^2`` and ``s_k = r_k /
+    d_k``, step k's residual is ``C[i_k, j_k] - a_k X b_k - sum_{l<k} s_l
+    (a_k . a_l)(b_l . b_k)``, X the iterate before the chunk: s solves one
+    lower-triangular K x K system, the Hadamard product of the Gram
+    matrices of ``A_S = A[i]`` and ``B_S = B[:, j]`` with diagonal d. Then
+    ``X += A_S[:c]^T diag(s[:c]) B_S[:, :c]^T`` applies the first c steps,
+    and r[:c] = s[:c] d[:c] comes back. c is K, or ``_prefix(i, j, r, s)``,
+    which ``_Error.prefix`` and ``_Residual.prefix`` read each step's value
+    from. The chunk runs as a few BLAS-3 calls what its steps run as about
+    2K BLAS-2 calls, and rounds otherwise: X is within 1e-13 relative of
+    the steps run one by one (about 1e-15 on well-conditioned problems).
     """
-    if isinstance(i, int) or np.ndim(i) == 0:
-        d = state.row_norms_sq[i] * state.col_norms_sq[j]
-        if d == 0.0:
-            raise ValueError("sampled row of A or column of B is zero")
-        a, b = state.problem.A[i], np.ascontiguousarray(state.problem.B[:, j])
-        r = state.problem.C[i, j] - a @ state.X @ b
-        state.X += (r / d) * (a[:, None] * b)
-        return r
-    i, j = np.asarray(i), np.asarray(j)
+    i, j = np.atleast_1d(i), np.atleast_1d(j)
     rns, cns = state.row_norms_sq[i], state.col_norms_sq[j]
     if not (rns.all() and cns.all()):
         raise ValueError("sampled row of A or column of B is zero")
@@ -618,7 +609,7 @@ class _Metric:
         metric that does not stop the run."""
         if self.tracking and k % RESYNC_EVERY and not (due and self.exact_on_records):
             if isinstance(bi, list):
-                value = self.advance_grk(bi, bj, sampled)
+                value = self.advance_grk(sampled)
             else:
                 if self.rows[bi] is None:  # from the factor the step cached
                     self.rows[bi] = self.image(True, self.state.row_blocks[bi][3])
@@ -758,23 +749,16 @@ class _Residual(_Metric):
         t0 = np.einsum("ij,ij->i", left @ self.kept, right)
         return sq, t0, EPS * sq, root, 2.0 * root, None
 
-    def advance_grk(self, rows, cols, r):
-        """One rank-len(r) update of ``kept`` by the stacked images of GRK
-        steps; the value after the last of them where ``prefix`` read the
-        chunk's, else None."""
+    def advance_grk(self, r):
+        """One rank-len(r) update of ``kept`` by the stacked images of the
+        GRK steps ``prefix`` read, and the value after the last of them."""
         n = r.size
-        if self.pending is None:
-            _, _, left, right, _, _, sizes = self.grk_stacks(rows, cols)
-            self.moved += float(np.vdot(r * r, sizes))
-            value = None
-        else:
-            left, right, moved, sq, base, sums = self.pending
-            left, right, self.moved = left[:n], right[:n], float(moved[n - 1])
-            self.carried = float(sq[n - 1]), base + EPS * float(sums[n - 1])
-            value, self.pending = self.chunk[n - 1], None
-        blas.dgemm(-1.0, right * r[:, None], left, trans_a=1, beta=1.0, c=self.kept.T,
-                   overwrite_c=True)
-        return value
+        left, right, moved, sq, base, sums = self.pending
+        self.moved = float(moved[n - 1])
+        self.carried = float(sq[n - 1]), base + EPS * float(sums[n - 1])
+        blas.dgemm(-1.0, right[:n] * r[:, None], left[:n], trans_a=1, beta=1.0,
+                   c=self.kept.T, overwrite_c=True)
+        return self.chunk[n - 1]
 
     def norm(self):
         if not self.moved <= self.moved_limit:
@@ -783,7 +767,7 @@ class _Residual(_Metric):
         return float(tracked / self.unit)
 
     def exact(self):
-        self.moved, self.pending = 0.0, None
+        self.moved = 0.0
         value, R = _relative_residual(self.state.problem, self.state.X, self.unit)
         if self.tracking:
             self.kept = np.ascontiguousarray(R)
@@ -843,7 +827,7 @@ class _Split(_Residual):
                 0.0, 1.0 / np.sqrt(d))
 
     def exact(self):
-        self.moved, self.pending = 0.0, None
+        self.moved = 0.0
         value = _relative_residual(self.state.problem, self.state.X, self.unit)[0]
         if self.tracking:
             self.rebase(np.subtract(self.X0, self.state.X, out=self.E))
@@ -900,7 +884,7 @@ class _Error(_Metric):
         self.pending = values, dropped
         return c
 
-    def advance_grk(self, rows, cols, r):
+    def advance_grk(self, r):
         values, dropped = self.pending
         self.dropped = float(dropped[r.size - 1])
         self.slack = DROP_RTOL * self.dropped
@@ -922,24 +906,24 @@ def _grk_steps(state, metrics, rows, cols, k):
     """GRK from the pair drawn for step k on: ``(steps, bi, bj, sampled,
     1.0)``, the steps taken, their rows of A and columns of B (lists) and
     the residuals they sampled (an array). ``metrics`` holds the stop metric
-    and, if kept, the residual beside the error. While the stop metric is
-    tracked, one ``grk_step`` call runs up to ``GRK_CHUNK`` steps as a
-    chunk. It ends at the next multiple of ``RESYNC_EVERY``, the end of the
-    drawn pairs or ``max_iters``, at the next record if the stop metric is
-    ``exact_on_records``, and at the earlier of the cuts each kept metric's
-    ``prefix`` proposes: after the first step whose kept value less its
-    slack or rounding bound enters the band or is not finite, which then
-    gets its exact value. The records inside a chunk, and ``max_seconds``,
-    see the time at its end. Otherwise one step runs."""
-    drawn, stop = k % DRAW_CHUNK, metrics[0]
+    and, if kept, the residual beside the error. One ``grk_step`` call runs
+    the steps as a chunk: one step unless the stop metric is tracked, else
+    up to ``GRK_CHUNK``, ending at the next multiple of ``RESYNC_EVERY``,
+    the end of the drawn pairs or ``max_iters``, and at the next record if
+    the stop metric is ``exact_on_records``. Each metric still tracked
+    reads its steps' values from the chunk (``prefix``), which ends at the
+    earliest cut they propose: after the first step whose kept value less
+    its slack or rounding bound enters the band or is not finite, which
+    then gets its exact value. The records inside a chunk, and
+    ``max_seconds``, see the time at its end."""
+    drawn, stop, size = k % DRAW_CHUNK, metrics[0], 1
     if stop.tracking:
         cut = state.config.trace_every if stop.exact_on_records else RESYNC_EVERY
         size = min(GRK_CHUNK, len(rows) - drawn, RESYNC_EVERY - k % RESYNC_EVERY, cut - k % cut)
-        sampled = grk_step(state, rows[drawn:drawn + size], cols[drawn:drawn + size],
-                           _prefix=stop.prefix if len(metrics) == 1 else
-                           lambda *args: min(stop.prefix(*args), metrics[1].prefix(*args)))
-    else:
-        sampled = np.array([grk_step(state, rows[drawn], cols[drawn])])
+    prefixes = [metric.prefix for metric in metrics if metric.tracking]
+    sampled = grk_step(state, rows[drawn:drawn + size], cols[drawn:drawn + size],
+                       _prefix=lambda *args: min((prefix(*args) for prefix in prefixes),
+                                                 default=size))
     end = drawn + sampled.size
     return sampled.size, rows[drawn:end], cols[drawn:end], sampled, 1.0
 

@@ -2,9 +2,8 @@
 classical row-action on the materialized system kron(B^T, A) vec(X) = vec(C),
 and GRK run one step at a time, stopped by the error or by the residual.
 
-The solvers never build the product system nor run GRK's steps one by one
-while they keep the stop metric; these exist only to check them on small
-instances.
+The solvers never build the product system nor run GRK's rank-1 update one
+step at a time; these exist only to check them on small instances.
 """
 
 import math
@@ -166,3 +165,15 @@ def grk_chunk_iterates(problem, X, i, j, r):
         a, b = problem.A[row], problem.B[:, col]
         X += (r_k / ((a @ a) * (b @ b))) * np.outer(a, b)
         yield X.copy()
+
+
+def grk_step_oracle(problem, X, i, j):
+    """GRK steps at rows ``i`` of A and columns ``j`` of B from X, one
+    rank-1 update at a time: the residuals ``C_ij - A_i X B_j`` they sample
+    and the iterate after each."""
+    r, iterates = [], []
+    for row, col in zip(i, j):
+        r.append(problem.C[row, col] - problem.A[row] @ X @ problem.B[:, col])
+        X, = grk_chunk_iterates(problem, X, [row], [col], r[-1:])
+        iterates.append(X)
+    return r, iterates

@@ -62,6 +62,20 @@ def test_each_rule_fails_its_run(rule, monkeypatch, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, found", [
+    ("", ["a tracer hook is missing", "no result line"]),
+    ("pass 1 done\nabsent hooks: 0\nTraceback (most recent call last):\n",
+     ["no result line"]),
+])
+def test_a_run_without_a_result_line_fails(text, found, monkeypatch, capsys):
+    # a run that died before printing its metrics: empty output, or a last
+    # line that is not JSON
+    assert check_traced.problems("dense-kernels", text) == found
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert check_traced.main(["check_traced.py", "dense-kernels"]) == 1
+    assert "no result line" in capsys.readouterr().err
+
+
 def test_grk_chunks_pass_below_64_calls_per_draw():
     # dense-kernels and residual-default read 13.3 and 12.1 before GRK ran
     # in chunks with X_star on every schedule

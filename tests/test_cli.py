@@ -430,12 +430,23 @@ def test_benchmark_rejects_both_type_flags(capsys):
 
 
 def test_benchmark_rejects_bad_eta_grid(capsys):
-    # a non-finite bound must not overflow nor yield an empty sweep
-    for grid in ("1.0:0.5", "2.0:0.5:1.0", "0.5:1:inf", "0.5:inf:1"):
+    # a non-finite bound must not overflow nor yield an empty sweep, and a
+    # step too small for the range is refused before the grid is built:
+    # 1e-320 overflows the point count, 1e-12 asks for 1.9e12 stepsizes
+    for grid in ("1.0:0.5", "2.0:0.5:1.0", "0.5:1:inf", "0.5:inf:1", "0:1e-320:1.9",
+                 "0:1e-12:1.9", "0:0.001:1"):
         assert run(*bench_args(["--eta-grid", grid])) == 1
         captured = capsys.readouterr()
         assert "error:" in captured.err
         assert captured.out == ""
+
+
+def test_eta_grid_takes_up_to_its_cap():
+    grid = cli._parse_eta_grid("0:0.001:0.999")
+    assert len(grid) == cli.MAX_ETA_POINTS
+    assert (grid[0], grid[-1]) == (0.0, pytest.approx(0.999))
+    with pytest.raises(ValueError, match="more than 1000"):
+        cli._parse_eta_grid("0:0.001:1")
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -153,3 +153,26 @@ def test_hook_call_counts_are_pinned(method, x_star, trace_every):
               tracer.calls["sampling.sample_block"], tracer.calls["solvers.residual"],
               tracer.calls["matrices.pinv"])
     assert counts == HOOK_COUNTS[method, x_star, trace_every]
+
+
+@pytest.mark.parametrize("x_star", [True, False])
+def test_grk_with_a_recomputed_residual_runs_one_step_a_call(x_star, monkeypatch):
+    # with the residual recomputed, a record on every step with X_star and
+    # every step without it read the exact stop metric, so nothing is
+    # tracked: each grk_step call is a chunk of one step, handed index
+    # arrays of length 1
+    A, B = gen_type1(TypeISpec(SIDE, SIDE, SIDE, SIDE, SIDE, SIDE, seed=1))
+    problem = make_problem(A, B, seed=2)
+    if not x_star:
+        problem = Problem(A=A, B=B, C=problem.C)
+    monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: None)
+    shapes, step = [], solvers.grk_step
+    monkeypatch.setattr(solvers, "grk_step", lambda state, i, j, **kwargs: (
+        shapes.append((np.shape(i), np.shape(j))) or step(state, i, j, **kwargs)))
+    tracer = Tracer()
+    with tracer.installed():
+        report = solvers.solve(problem, SolverConfig(method=GRK, seed=5, max_iters=300))
+    assert tracer.absent == []
+    assert report.iterations == 300
+    assert tracer.calls["solvers.step.grk"] == len(shapes) == report.iterations
+    assert set(shapes) == {((1,), (1,))}

@@ -209,6 +209,15 @@ def test_roundtrip_dense_input(tmp_path):
     np.testing.assert_array_equal(back, M)
 
 
+@pytest.mark.parametrize("M", [[[1.0, 2.0]], [[0.0, 0.0, 0.0], [0.0, 0.0, 4.5]]])
+def test_roundtrip_nested_list(tmp_path, M):
+    # dense array-likes that are not ndarrays, in array and coordinate format
+    path = tmp_path / "l.mtx"
+    write_matrix_market(M, path)
+    back = load_matrix_market(path)
+    np.testing.assert_array_equal(back.toarray() if sp.issparse(back) else back, M)
+
+
 EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
 VALUES = st.one_of(st.sampled_from(EXTREMES), st.integers(-10**6, 10**6).map(float),
                    st.floats(allow_nan=False, allow_infinity=False))
