@@ -30,7 +30,7 @@ from .problems import (
     min_norm_solution,
     psnr,
 )
-from .sampling import RNG_ALGORITHM
+from .sampling import RNG_ALGORITHM, check_count
 from .solvers import (
     GRABK_ADAPTIVE,
     GRABK_CONST,
@@ -240,10 +240,8 @@ def _parse_eta_grid(text):
 
 
 def cmd_benchmark(args):
-    if args.repeats < 1:
-        raise ValueError("--repeats must be at least 1")
-    if args.parallel_repeats < 1:
-        raise ValueError("--parallel-repeats must be at least 1")
+    check_count("--repeats", args.repeats, 1)
+    check_count("--parallel-repeats", args.parallel_repeats, 1)
     problem, _ = _typed_problem(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:

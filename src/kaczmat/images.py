@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sampling import check_real
+
 MAX_SUPPORTED_MAXVAL = 65535
 
 
@@ -43,8 +45,7 @@ class GrayImage:
             raise ValueError(f"pixels must be 2-D, got shape {self.pixels.shape}")
         if not np.isfinite(self.pixels).all():
             raise ValueError("pixels must be finite")
-        if not (self.max_value > 0):
-            raise ValueError(f"max_value must be positive, got {self.max_value}")
+        check_real("max_value", self.max_value)
 
     @property
     def height(self):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .images import GrayImage
 from .matrices import pinv
-from .sampling import SeededRng
+from .sampling import SeededRng, check_count, check_real
 from .solvers import Problem
 
 __all__ = [
@@ -37,17 +37,6 @@ class InconsistentSystemWarning(UserWarning):
     """The right-hand side is not (numerically) in the solvable set."""
 
 
-def _check_positive(sizes, sigma=1.0):
-    """Raise unless every size (label -> value) is at least 1 and the
-    Gaussian width ``sigma`` is positive; the default passes for callers
-    without one."""
-    for label, v in sizes.items():
-        if v < 1:
-            raise ValueError(f"{label} must be at least 1, got {v}")
-    if not (sigma > 0):
-        raise ValueError(f"sigma must be positive, got {sigma}")
-
-
 @dataclass(frozen=True)
 class TypeISpec:
     """Dimensions, ranks, and seed for a rank-controlled instance pair."""
@@ -61,16 +50,10 @@ class TypeISpec:
     seed: int = 0
 
     def __post_init__(self):
-        _check_positive({"m": self.m, "p": self.p, "q": self.q, "n": self.n,
-                         "r1": self.r1, "r2": self.r2})
-        if self.r1 > min(self.m, self.p):
-            raise ValueError(
-                f"r1={self.r1} exceeds min(m, p)={min(self.m, self.p)}"
-            )
-        if self.r2 > min(self.q, self.n):
-            raise ValueError(
-                f"r2={self.r2} exceeds min(q, n)={min(self.q, self.n)}"
-            )
+        for name in ("m", "p", "q", "n"):
+            check_count(name, getattr(self, name), 1)
+        check_count("r1", self.r1, 1, min(self.m, self.p))
+        check_count("r2", self.r2, 1, min(self.q, self.n))
 
 
 @dataclass(frozen=True)
@@ -82,7 +65,9 @@ class BlurSpec:
     sigma: float = 7.0
 
     def __post_init__(self):
-        _check_positive({"image side": self.n, "bandwidth": self.r}, self.sigma)
+        check_count("image side", self.n, 1)
+        check_count("bandwidth", self.r, 1)
+        check_real("sigma", self.sigma)
 
 
 def _orthonormal_columns(G):
@@ -117,7 +102,8 @@ def gen_type1(spec):
 
 def gen_type2(m, p, q, n, seed=0):
     """Full standard-normal pair A (m x p) and B (q x n)."""
-    _check_positive({"m": m, "p": p, "q": q, "n": n})
+    for name, size in zip("mpqn", (m, p, q, n)):
+        check_count(name, size, 1)
     rng = SeededRng(seed)
     return rng.standard_normal((m, p)), rng.standard_normal((q, n))
 
@@ -160,7 +146,8 @@ def min_norm_solution(A, B, C):
 
 def uniform_toeplitz(n, r):
     """Banded matrix with value 1/(2r - 1) where |i - j| <= r, else 0."""
-    _check_positive({"n": n, "r": r})
+    check_count("n", n, 1)
+    check_count("r", r, 1)
     idx = np.arange(n)
     band = np.abs(idx[:, None] - idx[None, :]) <= r
     return band / (2 * r - 1)
@@ -169,7 +156,9 @@ def uniform_toeplitz(n, r):
 def gaussian_toeplitz(n, r, sigma):
     """Banded matrix with entries exp(-(i-j)^2 / (2 sigma^2)) / (sigma sqrt(2 pi))
     where |i - j| <= r, else 0. Symmetric."""
-    _check_positive({"n": n, "r": r}, sigma)
+    check_count("n", n, 1)
+    check_count("r", r, 1)
+    check_real("sigma", sigma)
     idx = np.arange(n)
     diff = idx[:, None] - idx[None, :]
     band = np.abs(diff) <= r

@@ -1,4 +1,5 @@
-"""Contiguous block partitions and reproducible Frobenius-weighted block sampling."""
+"""Contiguous block partitions, reproducible Frobenius-weighted block sampling,
+and the checks of scalar and weight inputs that every public boundary runs."""
 
 import math
 import operator
@@ -9,6 +10,41 @@ import numpy as np
 from .matrices import col_norms, row_norms
 
 RNG_ALGORITHM = "philox4x64"
+
+
+def check_count(name, value, low=0, high=None):
+    """``value`` as a Python int; ValueError naming ``name`` unless it is an
+    integer (Python or numpy, not a float or string) in [low, high]."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < low or high is not None and value > high:
+        bound = f"at least {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return value
+
+
+def check_real(name, value, positive=True):
+    """ValueError naming ``name`` unless ``value`` is a finite real number,
+    above 0 when ``positive``."""
+    try:
+        finite = math.isfinite(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a real number, got {value!r}") from None
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value}")
+    if positive and not value > 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
+def check_weights(name, w, tol):
+    """ValueError naming ``name`` unless the array ``w`` is finite and
+    nonnegative and sums to 1 within ``tol``."""
+    if not np.all(np.isfinite(w) & (w >= 0)):
+        raise ValueError(f"{name} must be finite and nonnegative")
+    if abs(float(w.sum()) - 1.0) > tol:
+        raise ValueError(f"{name} must sum to 1, got {w.sum()!r}")
 
 
 class SeededRng:
@@ -30,18 +66,15 @@ class SeededRng:
     algorithm = RNG_ALGORITHM
 
     def __init__(self, seed, stream=0):
-        try:
-            self.seed, self.stream = operator.index(seed), operator.index(stream)
-        except TypeError:
-            raise ValueError(f"seed and stream must be integers, got {seed!r} and "
-                             f"{stream!r}") from None
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        if self.stream < 0:
-            raise ValueError("stream must be nonnegative")
+        self.seed, self.stream = self.valid_seed(seed), check_count("stream", stream)
         key = self.seed | (self.stream << 64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
         self.position = 0  # scalars drawn so far
+
+    @staticmethod
+    def valid_seed(seed):
+        """``seed`` as a Python int, by ``check_count``'s rule in [0, 2**64)."""
+        return check_count("seed", seed, 0, 2**64 - 1)
 
     def uniform(self):
         """One uniform draw in [0, 1)."""
@@ -105,12 +138,8 @@ def make_partition(dim, tau):
     The final block covers the remainder and may be shorter. Raises
     ValueError unless 1 <= tau <= dim.
     """
-    dim = int(dim)
-    tau = int(tau)
-    if dim < 1:
-        raise ValueError(f"dim must be positive, got {dim}")
-    if tau < 1 or tau > dim:
-        raise ValueError(f"block size must satisfy 1 <= tau <= {dim}, got {tau}")
+    dim = check_count("dim", dim, 1)
+    tau = check_count("tau", tau, 1, dim)
     bounds = np.arange(0, dim, tau)
     bounds = np.append(bounds, dim)
     return BlockPartition(dim=dim, block_size=tau, bounds=bounds)
@@ -124,11 +153,7 @@ class CategoricalDistribution:
     cumulative: np.ndarray
 
     def __post_init__(self):
-        p = self.probabilities
-        if not np.all(np.isfinite(p) & (p >= 0)):
-            raise ValueError("probabilities must be finite and nonnegative")
-        if abs(float(p.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {p.sum()}, expected 1")
+        check_weights("probabilities", self.probabilities, 1e-12)
 
 
 def categorical(probabilities):

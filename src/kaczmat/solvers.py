@@ -16,7 +16,6 @@ probabilities proportional to squared Frobenius norms.
 """
 
 import math
-import operator
 import time
 from dataclasses import dataclass, field
 
@@ -27,6 +26,9 @@ from .matrices import as_dense, col_norms, pinv, row_norms
 from .rates import beta_max, gamma_max
 from .sampling import (
     SeededRng,
+    check_count,
+    check_real,
+    check_weights,
     frobenius_block_probs,
     make_partition,
     sample_block,
@@ -152,34 +154,20 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r}; pick one of {METHODS}")
         if self.weight_scheme not in (WEIGHT_FROBENIUS, WEIGHT_UNIFORM):
             raise ValueError(f"unknown weight scheme {self.weight_scheme!r}")
-        for name in ("tau1", "tau2", "max_iters", "trace_every"):
-            value = getattr(self, name)
-            try:
-                setattr(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
-        self.seed = SeededRng(self.seed).seed  # SeededRng's rule: an int in [0, 2**64)
-        for name in ("eta", "re_tolerance", "max_seconds"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.re_tolerance <= 0:
-            raise ValueError("re_tolerance must be positive")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
-        if self.trace_every < 1:
-            raise ValueError("trace_every must be at least 1")
-        if self.tau1 < 1 or self.tau2 < 1:
-            raise ValueError("block sizes must be at least 1")
+        for name, low in (("tau1", 1), ("tau2", 1), ("max_iters", 0), ("trace_every", 1)):
+            setattr(self, name, check_count(name, getattr(self, name), low))
+        self.seed = SeededRng.valid_seed(self.seed)
+        check_real("re_tolerance", self.re_tolerance)
+        if self.max_seconds is not None:
+            check_real("max_seconds", self.max_seconds, positive=False)
         if self.method == GRK:
             self.tau1 = self.tau2 = 1
         eta = self.resolved_eta()
-        if self.method in (GRABK_CONST, GRABK_ADAPTIVE):
-            if eta <= 0:
-                raise ValueError(f"eta must be positive, got {eta}")
-            if eta >= 2 and not self.unsafe_stepsize:
-                raise ValueError(f"eta={eta} is outside (0, 2); set unsafe_stepsize=True "
-                                 "(CLI: --unsafe-stepsize) to force it")
+        grabk = self.method in (GRABK_CONST, GRABK_ADAPTIVE)
+        check_real("eta", eta, positive=grabk)
+        if grabk and eta >= 2 and not self.unsafe_stepsize:
+            raise ValueError(f"eta={eta} is outside (0, 2); set unsafe_stepsize=True "
+                             "(CLI: --unsafe-stepsize) to force it")
 
     def resolved_eta(self):
         if self.eta is not None:
@@ -258,14 +246,11 @@ def _hat_weights(u, norms_sq):
 
 def _caller_hats(u, norms_sq, label):
     """``_hat_weights`` of caller-given weights u on one block, after checking
-    that u is nonnegative, sums to 1 and puts no weight on a zero row/column."""
+    that u is a weight vector with no weight on a zero row/column."""
     u = np.asarray(u, dtype=np.float64)
     if u.shape != norms_sq.shape:
         raise ValueError(f"{label} has length {u.size}, expected {norms_sq.size}")
-    if np.any(u < 0):
-        raise ValueError(f"{label} must be nonnegative")
-    if abs(float(u.sum()) - 1.0) > 1e-10:
-        raise ValueError(f"{label} must sum to 1, got {u.sum()!r}")
+    check_weights(label, u, 1e-10)
     if np.any((norms_sq == 0.0) & (u > 0.0)):
         raise ValueError(f"{label}: positive weight on a zero row/column")
     return _hat_weights(u, norms_sq)
@@ -498,21 +483,21 @@ def _keeps_residual(problem, config, use_re):
     return min(costs, key=costs.get)
 
 
-def _tracks_error(problem, config, use_re):
+def _tracks_error(problem, config, use_re, form):
     """Whether ``solve`` tracks ``||X - X_star||_F^2`` by the decrease of
     each step between exact checks instead of computing it on every step.
 
     It does only with ``X_star``: GRK unless every step is a record that
-    recomputes the residual; a block method, whose records read the exact
-    error, with ``trace_every > 1`` when a decrease costs less than the
-    exact error, which reads the ``p q`` entries of X. GRABK-adaptive's
-    reads ``t1 t2`` numbers; GRBK's and GRABK-constant's run two small
-    products, about ``t1 t2 (min(t1, p) + min(t2, q))`` flops, which BLAS
-    runs about 8 times faster per flop than the error reads an entry. Each
-    block decrease also pays ``DECREASE_OVERHEAD`` in calls.
+    recomputes the residual (``_keeps_residual``'s ``form`` is None); a
+    block method, whose records read the exact error, with ``trace_every >
+    1`` when a decrease costs less than the exact error, which reads the
+    ``p q`` entries of X. GRABK-adaptive's reads ``t1 t2`` numbers; GRBK's
+    and GRABK-constant's run two small products, about ``t1 t2 (min(t1, p)
+    + min(t2, q))`` flops, which BLAS runs about 8 times faster per flop
+    than the error reads an entry. Each block decrease also pays
+    ``DECREASE_OVERHEAD`` in calls.
     """
-    if not use_re or config.trace_every == 1 and (
-            config.method != GRK or _keeps_residual(problem, config, use_re) is None):
+    if not use_re or config.trace_every == 1 and (config.method != GRK or form is None):
         return False
     if config.method == GRK:
         return True
@@ -991,7 +976,7 @@ def solve(problem, config):
     form = _keeps_residual(problem, config, use_re)
     residual = (form or _Residual)(state, form is not None, -math.inf if use_re else band)
     kept = use_re and residual.tracking  # GRK's chunks then run across records
-    stop = (_Error(state, _tracks_error(problem, config, use_re), band,
+    stop = (_Error(state, _tracks_error(problem, config, use_re, form), band,
                    config.method != GRK or not kept) if use_re else residual)
     metrics = (stop, residual) if kept else (stop,)
     step = _grk_steps if config.method == GRK else _block_steps

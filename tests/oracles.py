@@ -91,8 +91,9 @@ def grk_oracle(problem, config):
     band = config.re_tolerance + solvers.CONFIRM_BAND
     errors = [float(np.linalg.norm(X - X_star) ** 2 / xstar_sq)]
     value, dropped = errors[0], 0.0
-    tracking = solvers._tracks_error(problem, config, True) and value >= band
-    records_exact = solvers._keeps_residual(problem, config, True) is None
+    form = solvers._keeps_residual(problem, config, True)
+    tracking = solvers._tracks_error(problem, config, True, form) and value >= band
+    records_exact = form is None
     termination = "tolerance" if value < config.re_tolerance else None
     records, exact_at, k = [], [0], 0
     while termination is None and k < config.max_iters:

@@ -229,7 +229,7 @@ def test_solve_rejects_zero_block_size(tmp_path, capsys, flag):
     code = run("solve", str(out), "--method", "grbk", flag, "0",
                "--max-iters", "50")
     assert code == 1
-    assert "block sizes must be at least 1" in capsys.readouterr().err
+    assert f"{flag[2:]} must be at least 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [
@@ -378,7 +378,7 @@ def test_benchmark_rejects_zero_block_size(capsys, flag):
     code = run(*bench_args(["--methods", "grbk", "--repeats", "1", flag, "0"]))
     assert code == 1
     captured = capsys.readouterr()
-    assert "block sizes must be at least 1" in captured.err
+    assert f"{flag[2:]} must be at least 1" in captured.err
     assert captured.out == ""  # no CSV rows under a block size that never ran
 
 

@@ -22,17 +22,18 @@ from kaczmat.solvers import GRABK_ADAPTIVE, GRABK_CONST, GRBK, GRK, Problem, Sol
 
 from oracles import grk_residual_oracle
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / ".github")]
+import check_traced  # noqa: E402
 from tracing import Tracer, _grbk_counts, _grk_counts  # noqa: E402
 
 SIDE, TAU = 16, 8  # the blur image and GRBK's blocks, which TAU divides
 
-# spans whose calls the traced smoke runs require to be above 0
-REQUIRED = [f"solvers.step.{method}" for method in
-            (GRK, GRBK, GRABK_CONST, GRABK_ADAPTIVE)] + [
-    "rates.beta_max", "rates.gamma_max", "sampling.frobenius_block_probs",
-    "sampling.sample_block", "solvers.residual", "mmio.load_matrix_market",
-    "images.read_pgm", "images.write_pgm", "cli.load_problem_dir", "problems.blur_problem"]
+# the spans behind the metrics that the traced smoke runs require to be
+# above 0: perfbench names a span's time "{span}.s", its calls
+# "{span}.calls" and a step's calls "solvers.step.calls.{method}"
+REQUIRED = [name.replace("step.calls.", "step.").removesuffix(".s").removesuffix(".calls")
+            for name in check_traced.REQUIRED]
 
 
 def test_tracer_sees_every_layer(tmp_path, capsys):

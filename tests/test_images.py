@@ -23,6 +23,13 @@ def test_gray_image_validation():
         GrayImage(np.zeros((2, 2)), max_value=0.0)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_gray_image_max_value_must_be_finite(bad):
+    # max_value = inf was accepted, and write_pgm then raised OverflowError
+    with pytest.raises(ValueError, match="^max_value must be finite"):
+        GrayImage(np.zeros((2, 2)), max_value=bad)
+
+
 def test_gray_image_clamped_copy():
     img = GrayImage(np.array([[-5.0, 100.0], [300.0, 255.0]]))
     c = img.clamped()

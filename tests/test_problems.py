@@ -242,6 +242,37 @@ def test_blur_problem_shape_errors():
         blur_problem(square, BlurSpec(n=5))
 
 
+def test_blur_bandwidth_must_be_an_integer():
+    # a bandwidth of 2.5 once built a band |i - j| <= 2.5 scaled by 1/(2r - 1) = 1/4
+    with pytest.raises(ValueError, match="^bandwidth must be an integer, got 2.5"):
+        BlurSpec(n=8, r=2.5)
+    with pytest.raises(ValueError, match="^r must be an integer, got 2.5"):
+        uniform_toeplitz(8, 2.5)
+    with pytest.raises(ValueError, match="^r must be an integer, got 2.5"):
+        gaussian_toeplitz(8, 2.5, 7.0)
+    np.testing.assert_array_equal(uniform_toeplitz(8, np.int64(2)), uniform_toeplitz(8, 2))
+
+
+def test_generator_sizes_must_be_integers():
+    # m = 2.5 once failed inside numpy with a TypeError that named no input
+    with pytest.raises(ValueError, match="^m must be an integer, got 2.5"):
+        TypeISpec(m=2.5, p=4, r1=2, q=4, n=6, r2=2)
+    with pytest.raises(ValueError, match="^m must be an integer, got 2.5"):
+        gen_type2(2.5, 4, 4, 6)
+    with pytest.raises(ValueError, match="^n must be an integer"):
+        gen_type2(6, 4, 4, "6")
+
+
+def test_blur_sigma_must_be_finite():
+    # sigma = inf was accepted, and gaussian_toeplitz then was all zeros
+    with pytest.raises(ValueError, match="^sigma must be finite, got inf"):
+        BlurSpec(n=8, sigma=math.inf)
+    with pytest.raises(ValueError, match="^sigma must be finite, got inf"):
+        gaussian_toeplitz(8, 3, math.inf)
+    with pytest.raises(ValueError, match="^sigma must be finite, got nan"):
+        gaussian_toeplitz(8, 3, math.nan)
+
+
 def test_blur_spec_validation():
     with pytest.raises(ValueError):
         BlurSpec(n=0)

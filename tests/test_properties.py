@@ -120,7 +120,7 @@ def _tracked_steps(instance, method):
                       grk_chunks if method == GRK else recorded("step", step))
         patch.setattr(solvers, "_error", recorded("exact", error))
         patch.setattr(solvers, "_error_drop", recorded("drop", error_drop))
-        patch.setattr(solvers, "_tracks_error", lambda problem, config, use_re: use_re)
+        patch.setattr(solvers, "_tracks_error", lambda problem, config, use_re, form: use_re)
         solve(prob, config)
         oracle = iter(grk_oracle(prob, config).errors[1:] if method == GRK else ())
 

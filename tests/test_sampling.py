@@ -1,5 +1,6 @@
 """Seeded RNG streams, block partitions, and block sampling distributions."""
 
+import math
 import warnings
 
 import numpy as np
@@ -12,6 +13,9 @@ from kaczmat.sampling import (
     CategoricalDistribution,
     SeededRng,
     categorical,
+    check_count,
+    check_real,
+    check_weights,
     frobenius_block_probs,
     make_partition,
     sample_block,
@@ -54,7 +58,7 @@ def test_rng_negative_stream_rejected():
 def test_rng_rejects_a_seed_or_stream_that_would_replay_another(seed, stream):
     # each of these once replayed other draws: seed 1.5 those of 1, "3" of
     # 3, -1 of 2**64 - 1, 2**64 of 0, and stream 0.5 those of stream 0
-    with pytest.raises(ValueError, match="seed"):
+    with pytest.raises(ValueError, match="seed" if stream == 0 else "stream"):
         SeededRng(seed, stream)
 
 
@@ -144,6 +148,55 @@ def test_make_partition_invalid():
         make_partition(5, 6)
     with pytest.raises(ValueError):
         make_partition(0, 1)
+
+
+@pytest.mark.parametrize("dim, tau, name", [("3", 1, "dim"), (10, 2.5, "tau"),
+                                            (10.0, 2, "dim"), (10, "2", "tau")])
+def test_make_partition_rejects_a_non_integral_count(dim, tau, name):
+    # int() once took "3" as 3 and ran tau = 2.5 as 2
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        make_partition(dim, tau)
+    p = make_partition(np.int64(10), np.int64(4))
+    assert type(p.dim) is int and type(p.block_size) is int
+    np.testing.assert_array_equal(p.bounds, make_partition(10, 4).bounds)
+
+
+def test_check_count_takes_integers_in_range():
+    value = check_count("k", np.int64(3), 1)
+    assert type(value) is int and value == 3
+    assert check_count("k", 5, 1, 5) == 5
+    for bad, high, message in [(2.5, None, "k must be an integer, got 2.5"),
+                               ("3", None, "k must be an integer"),
+                               (0, None, "k must be at least 1, got 0"),
+                               (6, 5, r"k must be in \[1, 5\], got 6")]:
+        with pytest.raises(ValueError, match=message):
+            check_count("k", bad, 1, high)
+
+
+def test_check_real_takes_finite_reals():
+    for ok in (1, 0.5, np.float64(2.0), np.float32(1e-3), np.array(1.5)):
+        check_real("x", ok)
+    check_real("x", 0.0, positive=False)
+    check_real("x", -1.5, positive=False)
+    for bad, positive, message in [(0.0, True, "x must be positive, got 0.0"),
+                                   (-1, True, "x must be positive"),
+                                   (math.inf, False, "x must be finite, got inf"),
+                                   (math.nan, True, "x must be finite"),
+                                   ("1.0", True, "x must be a real number"),
+                                   (1j, True, "x must be a real number"),
+                                   (None, False, "x must be a real number")]:
+        with pytest.raises(ValueError, match=message):
+            check_real("x", bad, positive)
+
+
+def test_check_weights_tolerance_is_the_callers():
+    w = np.array([0.5, 0.5 + 1e-11])
+    check_weights("w", w, 1e-10)
+    with pytest.raises(ValueError, match="w must sum to 1"):
+        check_weights("w", w, 1e-12)
+    for bad in ([np.nan, 1.0], [-0.5, 1.5], [np.inf, 0.0]):
+        with pytest.raises(ValueError, match="w must be finite and nonnegative"):
+            check_weights("w", np.array(bad), 1e-10)
 
 
 def test_categorical_validation():

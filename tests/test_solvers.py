@@ -335,6 +335,19 @@ def test_grabk_step_weight_validation():
         grabk_step(state, I, J, [0.5, 0.6], [0.5, 0.5], 1.0)  # sum != 1
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_grabk_caller_weights_must_be_finite(bad):
+    # a NaN weight once passed both the sign and the sum check: grabk_step
+    # made X non-finite and adaptive_stepsize returned (nan, nan)
+    state = prepare_state(small_problem(8), SolverConfig(method=GRABK_ADAPTIVE, tau1=2, tau2=2))
+    I, J = np.array([0, 1]), np.array([0, 1])
+    with pytest.raises(ValueError, match="row weights must be finite"):
+        grabk_step(state, I, J, [bad, 1.0], [0.5, 0.5], 1.0)
+    with pytest.raises(ValueError, match="column weights must be finite"):
+        adaptive_stepsize(state, I, J, [0.5, 0.5], [1.0, bad])
+    assert not state.X.any()
+
+
 def test_grabk_weights_reject_weight_on_a_zero_row():
     A = np.eye(4)
     A[1] = 0.0  # row block {0, 1} holds a zero row
@@ -729,7 +742,7 @@ def test_solve_matches_public_step_loop(method, case, reference, schedule, resid
     # within 1e-13 relative, a record's error within 1e-13 and its residual
     # within 1e-14 of the step-by-step run's
     monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: RESIDUAL_FORMS[residual])
-    monkeypatch.setattr(solvers, "_tracks_error", lambda problem, config, use_re: use_re)
+    monkeypatch.setattr(solvers, "_tracks_error", lambda problem, config, use_re, form: use_re)
     prob, tau1, tau2 = GOLDEN_CASES[case]
     if reference == "residual":
         prob = Problem(A=prob.A, B=prob.B, C=prob.C)
@@ -1059,10 +1072,10 @@ _CSR_BLUR = Problem(A=sp.csr_array(sp.eye(64) + sp.eye(64, k=1) + sp.eye(64, k=-
      SolverConfig(method=GRK, trace_every=10**6), True, None),
     # residual-default: the residual is the stop metric on every step, and
     # p q is a ninth of m n. GRBK at tau 15 splits (400 steps: 13 ms split,
-    # 18 ms kept, 32 ms recomputed); a GRK step is so small that the
-    # split's extra calls outweigh its flops (5000 steps: medians 87 ms
-    # kept, 96 ms split, the split ahead in 6 of 25 pairs; 1 thread,
-    # process CPU)
+    # 18 ms kept, 32 ms recomputed). GRK's chunked steps run both forms at
+    # about one speed (4 instances to 1e-6, medians of 8 alternating
+    # rounds: 0.176 s kept, 0.182 s split, the same iterations; 1 thread,
+    # process CPU), and SPLIT_MARGIN and SPLIT_OVERHEAD keep R
     ("residual-only GRK", _problem_of_shape(60, 20, 20, 60),
      SolverConfig(method=GRK), False, solvers._Residual),
     ("residual-only GRBK", _problem_of_shape(150, 40, 40, 150),
@@ -1134,8 +1147,19 @@ def _xstar_problem(p, q):
      SolverConfig(method=GRK), False),
 ])
 def test_tracks_error_decision_table(label, problem, config, tracks):
-    assert solvers._tracks_error(problem, config, True) is tracks, label
-    assert solvers._tracks_error(problem, config, False) is False, label
+    form = solvers._keeps_residual(problem, config, True)
+    assert solvers._tracks_error(problem, config, True, form) is tracks, label
+    assert solvers._tracks_error(problem, config, False, form) is False, label
+
+
+def test_solve_decides_the_residual_form_once(monkeypatch):
+    # _tracks_error takes the form solve picked; GRK with X_star and a
+    # record on every step once had it pick the form a second time
+    keeps, forms = solvers._keeps_residual, []
+    monkeypatch.setattr(solvers, "_keeps_residual",
+                        lambda *args: forms.append(keeps(*args)) or forms[-1])
+    solve(small_problem(3), SolverConfig(method=GRK, seed=1, max_iters=20))
+    assert len(forms) == 1
 
 
 def test_tracked_error_skips_a_solved_adaptive_block(monkeypatch):
@@ -1155,7 +1179,7 @@ def test_tracked_error_skips_a_solved_adaptive_block(monkeypatch):
         return drop
 
     monkeypatch.setattr(solvers, "_error_drop", recorded)
-    monkeypatch.setattr(solvers, "_tracks_error", lambda problem, config, use_re: use_re)
+    monkeypatch.setattr(solvers, "_tracks_error", lambda problem, config, use_re, form: use_re)
     report = solve(prob, SolverConfig(method=GRABK_ADAPTIVE, tau1=2, tau2=2, seed=1,
                                       trace_every=10**6))
     assert report.termination == "tolerance"
@@ -1274,7 +1298,7 @@ def test_tracked_error_recomputes_only_to_anchor_and_confirm(method, tol, max_it
 
     monkeypatch.setattr(solvers, "_error", counting)
     monkeypatch.setattr(solvers, step_name, banding_step)
-    monkeypatch.setattr(solvers, "_tracks_error", lambda problem, config, use_re: use_re)
+    monkeypatch.setattr(solvers, "_tracks_error", lambda problem, config, use_re, form: use_re)
     config = SolverConfig(method=method, tau1=4, tau2=4, seed=5, max_iters=max_iters,
                           re_tolerance=tol, trace_every=10**6)
     report = solve(prob, config)
