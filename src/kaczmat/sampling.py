@@ -132,14 +132,15 @@ class BlockPartition:
             )
 
 
-def make_partition(dim, tau):
+def make_partition(dim, tau, name="tau"):
     """Partition range(dim) into ceil(dim/tau) contiguous blocks of size tau.
 
     The final block covers the remainder and may be shorter. Raises
-    ValueError unless 1 <= tau <= dim.
+    ValueError unless 1 <= tau <= dim, naming tau as ``name`` (the setting
+    it came from, such as ``tau1``).
     """
     dim = check_count("dim", dim, 1)
-    tau = check_count("tau", tau, 1, dim)
+    tau = check_count(name, tau, 1, dim)
     bounds = np.arange(0, dim, tau)
     bounds = np.append(bounds, dim)
     return BlockPartition(dim=dim, block_size=tau, bounds=bounds)

@@ -290,14 +290,8 @@ def prepare_state(problem, config):
         col_norms_sq=cns,
         stepsizes=[] if config.method == GRABK_ADAPTIVE else None,
     )
-    tau1, tau2 = config.tau1, config.tau2
-    if tau1 > m or tau2 > n:
-        raise ValueError(
-            f"block sizes tau1={tau1}, tau2={tau2} exceed matrix dimensions "
-            f"m={m}, n={n}"
-        )
-    state.partition_rows = make_partition(m, tau1)
-    state.partition_cols = make_partition(n, tau2)
+    state.partition_rows = make_partition(m, config.tau1, "tau1")
+    state.partition_cols = make_partition(n, config.tau2, "tau2")
     state.dist_rows = frobenius_block_probs(A, state.partition_rows, "rows", rns)
     state.dist_cols = frobenius_block_probs(B, state.partition_cols, "cols", cns)
     state.row_blocks = [None] * state.partition_rows.n_blocks
@@ -323,20 +317,53 @@ def prepare_state(problem, config):
 
 
 def _block(state, rows, index, method):
-    """Row block ``index`` of A (``rows``) or column block of B and its
-    factor in the update ``G_I M H_J`` of ``method``: ``pinv`` for GRBK and
-    the transpose for GRABK. Raises ValueError on a zero block."""
+    """Row block ``index`` of A (``rows``) or column block of B, its factor
+    in the update ``G_I M H_J`` of ``method`` (``pinv`` for GRBK, the
+    transpose for GRABK) and, for GRABK-adaptive, whose stepsize reads it,
+    the factor's ``_gram_factor`` (None for the others). Raises ValueError
+    on a zero block."""
     block = state.problem.A[index] if rows else state.problem.B[:, index]
     if not block.any():
         raise ValueError("sampled block of A or B is zero")
-    return block, (pinv(block) if method == GRBK else block.T)
+    factor = pinv(block) if method == GRBK else block.T
+    return block, factor, (_gram_factor(rows, factor) if method == GRABK_ADAPTIVE else None)
+
+
+def _gram_factor(rows, factor):
+    """The triangular Gram factor of a block factor: the R of a QR of G_I
+    (``rows``) or of H_J^T, so that ``S_I^T S_I = G_I^T G_I`` and ``T_J^T
+    T_J = H_J H_J^T``. These give ``||G_I M H_J||_F`` as ``||S_I M
+    T_J^T||_F`` (``_gram_sq``), tau-sized and without squaring the
+    condition of the block."""
+    return np.linalg.qr(factor if rows else factor.T, mode="r")
 
 
 def _sampled_blocks(state, I, J, method):
-    """``(A_I, G_I, B_J, H_J, C_IJ)`` for the index arrays I and J, as
-    ``solve`` hands them to the GRBK and GRABK kernels."""
+    """``(A_I, G_I, S_I, B_J, H_J, T_J, C_IJ)`` for the index arrays I and
+    J, as ``solve`` hands them to the GRBK and GRABK kernels (S_I and T_J
+    None but for GRABK-adaptive)."""
     return (*_block(state, True, I, method), *_block(state, False, J, method),
             state.problem.C[np.ix_(I, J)])
+
+
+def _gram_sq(left, M, right):
+    """``||G_I M H_J||_F^2`` from the Gram factors ``left`` = S_I and
+    ``right`` = T_J of the blocks: ``||S_I M T_J^T||_F^2``, tau-sized."""
+    image = left @ M @ right.T
+    return float(np.vdot(image, image))
+
+
+def _move(X, c, left, M, right):
+    """``X += c (left M) right`` in place: one dgemm into the Fortran view
+    X.T, handed ``right`` as whichever of it and its transpose is Fortran-
+    ordered, so that no operand is copied and no p x q product is formed."""
+    XT = X.T
+    right, trans = (right, 1) if right.flags.f_contiguous else (right.T, 0)
+    # beta 1, c, trans_a, trans_b and overwrite_c passed by position, which
+    # saves about 0.6 us a call over keywords: small steps pay for calls
+    out = blas.dgemm(c, right, (left @ M).T, 1.0, XT, trans, 0, 1)
+    if out is not XT:  # X is not C-ordered: BLAS updated a copy
+        X[...] = out.T
 
 
 def grk_step(state, i, j, _prefix=None):
@@ -381,48 +408,54 @@ def grbk_step(state, I, J, _blocks=None):
 
     X <- X + pinv(A_I) (C_IJ - A_I X B_J) pinv(B_J)
 
-    ``_blocks`` is ``(A_I, pinv(A_I), B_J, pinv(B_J), C_IJ)`` as ``solve``
-    keeps them per block; without it they are computed here.
+    ``_blocks`` is ``(A_I, pinv(A_I), S_I, B_J, pinv(B_J), T_J, C_IJ)`` as
+    ``solve`` keeps them per block; without it they are computed here. X
+    takes the update in place (``_move``).
     """
-    A_I, pa, B_J, pb, C_IJ = _blocks or _sampled_blocks(state, np.asarray(I),
-                                                        np.asarray(J), GRBK)
+    A_I, pa, _, B_J, pb, _, C_IJ = _blocks or _sampled_blocks(state, np.asarray(I),
+                                                              np.asarray(J), GRBK)
     R = C_IJ - A_I @ state.X @ B_J
-    state.X += pa @ R @ pb
+    _move(state.X, 1.0, pa, R, pb)
     return R
 
 
 def _grabk(state, I, J, u, v, blocks, hats, adaptive):
-    """The body of every GRABK kernel: ``(R, U, L)`` with R the sampled
-    residual block, U = A_I^T (u_hat R v_hat) B_J^T the update direction
-    and, when ``adaptive``, L = u_hat (R o R) v_hat / ||U||_F^2, None when U
-    is zero (every sampled residual is). ``blocks`` and ``hats`` are as
-    ``solve`` keeps them; without ``hats`` the caller's weights u and v are
-    checked and hatted here."""
+    """The body of every GRABK kernel: ``(R, W, L, G_I, H_J)`` with R the
+    sampled residual block, W = u_hat R v_hat, so that the step moves X by c
+    U with U = G_I W H_J = A_I^T W B_J^T, and, when ``adaptive``, L = u_hat
+    (R o R) v_hat / ||U||_F^2, None when U is zero (every sampled residual
+    is). U is never formed: ``||U||_F^2`` is ``||S_I W T_J^T||_F^2`` from
+    the blocks' Gram factors, and the caller adds c U to X by ``_move``.
+    ``blocks`` and ``hats`` are as ``solve`` keeps them; without ``hats``
+    the caller's weights u and v are checked and hatted here."""
     I = np.asarray(I)
     J = np.asarray(J)
     u_hat, v_hat = hats or (_caller_hats(u, state.row_norms_sq[I], "row weights"),
                             _caller_hats(v, state.col_norms_sq[J], "column weights"))
-    A_I, G_I, B_J, H_J, C_IJ = blocks or _sampled_blocks(state, I, J, GRABK_CONST)
+    A_I, G_I, S_I, B_J, H_J, T_J, C_IJ = blocks or _sampled_blocks(
+        state, I, J, GRABK_ADAPTIVE if adaptive else GRABK_CONST)
     R = C_IJ - A_I @ state.X @ B_J
-    U = G_I @ (u_hat[:, None] * R * v_hat[None, :]) @ H_J
+    W = u_hat[:, None] * R * v_hat[None, :]
     if not adaptive:
-        return R, U, None
-    denom = float(np.sum(U * U))
-    return R, U, (float(u_hat @ (R * R) @ v_hat) / denom if denom != 0.0 else None)
+        return R, W, None, G_I, H_J
+    denom = _gram_sq(S_I, W, T_J)
+    L = float(u_hat @ (R * R) @ v_hat) / denom if denom != 0.0 else None
+    return R, W, L, G_I, H_J
 
 
 def grabk_step(state, I, J, u, v, alpha, _blocks=None, _hats=None):
     """Weighted-average update over all pairs (i, j) in the sampled blocks.
 
     Equivalent to summing the rank-1 single-index updates scaled by
-    u_i v_j, but computed in compact matrix form. Weights must each sum
-    to 1 over their block. Returns the sampled residual block R_IJ.
+    u_i v_j, but computed in compact matrix form: X += alpha A_I^T W B_J^T
+    with W = u_hat R_IJ v_hat, as one in-place product. Weights must each
+    sum to 1 over their block. Returns the sampled residual block R_IJ.
 
-    ``_blocks`` is ``(A_I, A_I^T, B_J, B_J^T, C_IJ)`` and ``_hats`` the
-    prepared ``(u_hat, v_hat)``, as ``solve`` keeps them.
+    ``_blocks`` is ``(A_I, A_I^T, S_I, B_J, B_J^T, T_J, C_IJ)`` and
+    ``_hats`` the prepared ``(u_hat, v_hat)``, as ``solve`` keeps them.
     """
-    R, U, _ = _grabk(state, I, J, u, v, _blocks, _hats, False)
-    state.X += alpha * U
+    R, W, _, G_I, H_J = _grabk(state, I, J, u, v, _blocks, _hats, False)
+    _move(state.X, alpha, G_I, W, H_J)
     return R
 
 
@@ -439,12 +472,13 @@ def adaptive_stepsize(state, I, J, u, v):
 
 
 def _grabk_adaptive_apply(state, I, J, u_hat, v_hat, _blocks=None):
-    """Fused adaptive step; returns (L, R_IJ), with L None when the block is
-    solved and X left unchanged. ``_blocks`` is as for ``grabk_step``."""
-    R, U, L = _grabk(state, I, J, None, None, _blocks, (u_hat, v_hat), True)
+    """Fused adaptive step; returns (L, R_IJ, W) with W = u_hat R_IJ v_hat,
+    and L None when the block is solved and X left unchanged. ``_blocks``
+    is as for ``grabk_step``."""
+    R, W, L, G_I, H_J = _grabk(state, I, J, None, None, _blocks, (u_hat, v_hat), True)
     if L is not None:
-        state.X += (state.eta * L) * U
-    return L, R
+        _move(state.X, state.eta * L, G_I, W, H_J)
+    return L, R, W
 
 
 def _relative_residual(problem, X, unit):
@@ -512,7 +546,7 @@ def _tracks_error(problem, config, use_re, form):
 def _cache_block(state, rows, b):
     """Fill and return the entry of row block ``b`` of A (``rows``) or of
     column block ``b`` of B: its index array and slice, then ``_block``'s
-    ``(A_I, G_I)`` or ``(B_J, H_J)``."""
+    ``(A_I, G_I, S_I)`` or ``(B_J, H_J, T_J)``."""
     partition = state.partition_rows if rows else state.partition_cols
     index = partition.block(b)
     entry = (index, partition.block_slice(b),
@@ -528,9 +562,10 @@ def _error(X, X_star, xstar_sq):
 
 def _error_drop(method, sampled, weighted, gram_r, gram_c, c, eta):
     """||X - X*||_F^2 before a step minus after it, from what the step
-    sampled: the residual ``sampled`` (None for a solved adaptive block),
-    for GRABK also ``weighted`` = u_hat R v_hat, the stepsize ``c`` and the
-    Gram factors S_I, T_J of the sampled blocks (see ``_Error``).
+    handed over: the residual ``sampled`` (None for a solved adaptive
+    block), for GRABK also ``weighted`` = W = u_hat R v_hat, the stepsize
+    ``c`` and the cached Gram factors S_I, T_J of the sampled blocks
+    (``_block``), which give ``||G_I M H_J||_F^2`` as ``_gram_sq``.
 
     GRBK projects X orthogonally onto a set that holds X*, so the error
     falls by ||G_I R H_J||_F^2 = ||S_I R T_J^T||_F^2 (GRK's comes from
@@ -542,22 +577,22 @@ def _error_drop(method, sampled, weighted, gram_r, gram_c, c, eta):
     if sampled is None:
         return 0.0
     if method == GRBK:
-        image = gram_r @ sampled @ gram_c.T
-        return np.vdot(image, image)
+        return _gram_sq(gram_r, sampled, gram_c)
     num = np.vdot(weighted, sampled)
     if method == GRABK_ADAPTIVE:
         return c * (2.0 - eta) * num
-    image = gram_r @ weighted @ gram_c.T  # ||image||_F = ||U||_F
-    return c * (2.0 * num - c * np.vdot(image, image))
+    return c * (2.0 * num - c * _gram_sq(gram_r, weighted, gram_c))
 
 
 class _Metric:
     """A stop metric kept from one step to the next between exact values.
 
     A subclass caches an ``image`` of each block factor G_I or H_J when its
-    block is first drawn, moves its value by one block step (``advance``,
-    from the residual M the step sampled) or by GRK steps (``advance_grk``,
-    with the values ``prefix`` proposed for a chunk), recomputes it
+    block is first drawn, from the block's cache entry, moves its value by
+    one block step (``advance``, from the residual R the step sampled and
+    the M of its update ``c G_I M H_J``, which the step hands over) or by
+    GRK steps (``advance_grk``, with the values ``prefix`` proposed for a
+    chunk), recomputes it
     (``exact``) and keeps ``slack``, how far it may lie above the exact one.
     ``after_step`` holds the one rule for when a value is exact: every
     ``RESYNC_EVERY`` steps; on the steps ``due`` for a record when
@@ -585,24 +620,22 @@ class _Metric:
             self.tracking = False
         return value
 
-    def after_step(self, k, due, bi, bj, sampled, c):
+    def after_step(self, k, due, bi, bj, sampled, weighted, c):
         """The value after step ``k``, which sampled ``sampled`` from row
-        block ``bi`` and column block ``bj`` and moved X by ``c`` times its
-        update; or after the GRK steps that ended at step ``k``, at the
-        rows ``bi`` and columns ``bj`` (lists), with residuals ``sampled``.
-        None when nothing reads it: a step not ``due`` for a record, of a
-        metric that does not stop the run."""
+        block ``bi`` and column block ``bj`` and moved X by ``c G_I M H_J``
+        with M = ``weighted`` (R for GRBK, u_hat R v_hat for GRABK); or
+        after the GRK steps that ended at step ``k``, at the rows ``bi`` and
+        columns ``bj`` (lists), with residuals ``sampled``. None when
+        nothing reads it: a step not ``due`` for a record, of a metric that
+        does not stop the run."""
         if self.tracking and k % RESYNC_EVERY and not (due and self.exact_on_records):
             if isinstance(bi, list):
                 value = self.advance_grk(sampled)
             else:
-                if self.rows[bi] is None:  # from the factor the step cached
-                    self.rows[bi] = self.image(True, self.state.row_blocks[bi][3])
+                if self.rows[bi] is None:  # from the entry the step cached
+                    self.rows[bi] = self.image(True, self.state.row_blocks[bi])
                 if self.cols[bj] is None:
-                    self.cols[bj] = self.image(False, self.state.col_blocks[bj][3])
-                weighted, hats = sampled, self.state.row_weights_hat  # empty but for GRABK
-                if hats and sampled is not None:  # u_hat R v_hat
-                    weighted = hats[bi][:, None] * sampled * self.state.col_weights_hat[bj]
+                    self.cols[bj] = self.image(False, self.state.col_blocks[bj])
                 value = self.advance(sampled, weighted, self.rows[bi], self.cols[bj], c)
             if not (due or self.read_every_step):
                 return None
@@ -646,7 +679,8 @@ class _Residual(_Metric):
         self.stacks = None  # GRK's factors and images of every row and column
         self.pending = None  # per step prefix proposed: images, moved, squares, rounding
 
-    def image(self, rows, factor):
+    def image(self, rows, entry):
+        factor = entry[3]
         image = self.maps[0] @ factor if rows else np.asfortranarray(self.maps[1] @ factor.T)
         return image, float(np.vdot(image, image))
 
@@ -829,13 +863,13 @@ class _Split(_Residual):
 class _Error(_Metric):
     """||X - X_star||_F^2 / ||X_star||_F^2, less each step's exact decrease
     (``_error_drop``, or GRK's from ``prefix``) between exact values.
-    Its images are triangular Gram factors from a QR of G_I and of H_J^T,
-    so ``S_I^T S_I = G_I^T G_I`` and ``T_J^T T_J = H_J H_J^T``: they give
-    ``||G_I M H_J||_F`` as ``||S_I M T_J^T||_F`` without squaring the
-    condition of the block. Its slack is ``DROP_RTOL`` of the decrease it
-    subtracted since its last exact value, and a decrease that is negative
-    or not finite makes the next value exact. Records read it exact but
-    where GRK's chunks run across them (not ``exact_on_records``)."""
+    Its images are the triangular Gram factors S_I and T_J of the block
+    factors (``_gram_factor``): read from the block's cache entry where
+    GRABK-adaptive's step took them, else taken here once per block. Its
+    slack is ``DROP_RTOL`` of the decrease it subtracted since its last
+    exact value, and a decrease that is negative or not finite makes the
+    next value exact. Records read it exact but where GRK's chunks run
+    across them (not ``exact_on_records``)."""
 
     def __init__(self, state, tracking, band, exact_on_records):
         super().__init__(state, tracking, band)
@@ -845,8 +879,8 @@ class _Error(_Metric):
         self.dropped = 0.0
         self.ax = None if exact_on_records else state.problem.A @ state.problem.X_star
 
-    def image(self, rows, factor):
-        return np.linalg.qr(factor if rows else factor.T, mode="r")
+    def image(self, rows, entry):
+        return _gram_factor(rows, entry[3]) if entry[4] is None else entry[4]
 
     def prefix(self, rows, cols, r, s):
         """As ``_Residual.prefix``, for the error: up to the first step whose
@@ -889,9 +923,9 @@ class _Error(_Metric):
 
 def _grk_steps(state, metrics, rows, cols, k):
     """GRK from the pair drawn for step k on: ``(steps, bi, bj, sampled,
-    1.0)``, the steps taken, their rows of A and columns of B (lists) and
-    the residuals they sampled (an array). ``metrics`` holds the stop metric
-    and, if kept, the residual beside the error. One ``grk_step`` call runs
+    None, 1.0)``, the steps taken, their rows of A and columns of B (lists)
+    and the residuals they sampled (an array). ``metrics`` holds the stop
+    metric and, if kept, the residual beside the error. One ``grk_step`` call runs
     the steps as a chunk: one step unless the stop metric is tracked, else
     up to ``GRK_CHUNK``, ending at the next multiple of ``RESYNC_EVERY``,
     the end of the drawn pairs or ``max_iters``, and at the next record if
@@ -910,30 +944,36 @@ def _grk_steps(state, metrics, rows, cols, k):
                        _prefix=lambda *args: min((prefix(*args) for prefix in prefixes),
                                                  default=size))
     end = drawn + sampled.size
-    return sampled.size, rows[drawn:end], cols[drawn:end], sampled, 1.0
+    return sampled.size, rows[drawn:end], cols[drawn:end], sampled, None, 1.0
 
 
 def _block_steps(state, metrics, rows, cols, k):
     """One GRBK or GRABK step at the blocks drawn for step k, as
-    ``_grk_steps`` returns it; c is GRABK's stepsize. An adaptive step's L
-    goes to ``state.stepsizes``; on a solved block it samples None.
-    ``_cache_block`` keeps each block and its factor from its first draw (at
-    most ``2(mp + qn)`` floats) for the later steps and metrics."""
+    ``_grk_steps`` returns it, with the M of the step's update ``c G_I M
+    H_J`` in place of None: R for GRBK, W = u_hat R v_hat for GRABK (as
+    ``_grabk_adaptive_apply`` hands it over, formed here from the hats for
+    GRABK-constant, whose public ``grabk_step`` returns R alone); c is
+    GRABK's stepsize. An adaptive step's L goes to ``state.stepsizes``; on
+    a solved block it samples None. ``_cache_block`` keeps each block, its
+    factor and GRABK-adaptive's tau x tau Gram factor from its first draw
+    (at most ``2(mp + qn)`` floats, plus ``tau1 m + tau2 n`` for the Gram
+    factors) for the later steps and metrics."""
     bi, bj = rows[k % DRAW_CHUNK], cols[k % DRAW_CHUNK]
-    I, si, A_I, G_I = state.row_blocks[bi] or _cache_block(state, True, bi)
-    J, sj, B_J, H_J = state.col_blocks[bj] or _cache_block(state, False, bj)
-    blocks = (A_I, G_I, B_J, H_J, state.problem.C[si, sj])
+    I, si, A_I, G_I, S_I = state.row_blocks[bi] or _cache_block(state, True, bi)
+    J, sj, B_J, H_J, T_J = state.col_blocks[bj] or _cache_block(state, False, bj)
+    blocks = (A_I, G_I, S_I, B_J, H_J, T_J, state.problem.C[si, sj])
     if state.config.method == GRBK:
-        return 1, bi, bj, grbk_step(state, I, J, _blocks=blocks), 1.0
+        R = grbk_step(state, I, J, _blocks=blocks)
+        return 1, bi, bj, R, R, 1.0
     hats = (state.row_weights_hat[bi], state.col_weights_hat[bj])
     if state.config.method == GRABK_CONST:
-        return 1, bi, bj, grabk_step(state, I, J, None, None, state.alpha_const,
-                                     _blocks=blocks, _hats=hats), state.alpha_const
-    L, sampled = _grabk_adaptive_apply(state, I, J, *hats, _blocks=blocks)
+        R = grabk_step(state, I, J, None, None, state.alpha_const, _blocks=blocks, _hats=hats)
+        return 1, bi, bj, R, hats[0][:, None] * R * hats[1][None, :], state.alpha_const
+    L, R, W = _grabk_adaptive_apply(state, I, J, *hats, _blocks=blocks)
     if L is None:
-        return 1, bi, bj, None, 1.0
+        return 1, bi, bj, None, None, 1.0
     state.stepsizes.append(L)
-    return 1, bi, bj, sampled, state.eta * L
+    return 1, bi, bj, R, W, state.eta * L
 
 
 def solve(problem, config):
@@ -994,12 +1034,12 @@ def solve(problem, config):
             if k % DRAW_CHUNK == 0:
                 rows, cols = sample_block(state.dist_rows, state.rng, state.dist_cols,
                                           min(DRAW_CHUNK, config.max_iters - k))
-            steps, bi, bj, sampled, c = step(state, metrics, rows, cols, k)
+            steps, bi, bj, sampled, weighted, c = step(state, metrics, rows, cols, k)
             first, k = k, k + steps
             elapsed = time.perf_counter() - t0
             record = k % every == 0 or k == config.max_iters
             past = config.max_seconds is not None and elapsed > config.max_seconds
-            metric = stop.after_step(k, record or past, bi, bj, sampled, c)
+            metric = stop.after_step(k, record or past, bi, bj, sampled, weighted, c)
             if not math.isfinite(metric):
                 termination = "diverged"
             elif metric < config.re_tolerance:
@@ -1007,7 +1047,8 @@ def solve(problem, config):
             elif past:
                 termination = "time_limit"
             if kept:
-                residual.after_step(k, bool(termination or record), bi, bj, sampled, c)
+                residual.after_step(k, bool(termination or record), bi, bj, sampled, weighted,
+                                    c)
             if steps > 1 and (k - 1) // every > first // every:  # records inside a chunk
                 errors, resids = stop.chunk if use_re else [None] * steps, residual.chunk
                 records.extend(TraceRecord(it, errors[it - first - 1], resids[it - first - 1],

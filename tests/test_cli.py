@@ -392,8 +392,7 @@ def test_benchmark_reports_failed_runs(capsys, mode):
     captured = capsys.readouterr()
     failed = [line for line in captured.err.splitlines() if line.startswith("run failed")]
     assert failed == [
-        f"run failed ({method}, seed {seed}): block sizes tau1=20, tau2=3 "
-        "exceed matrix dimensions m=12, n=12"
+        f"run failed ({method}, seed {seed}): tau1 must be in [1, 12], got 20"
         for method in ("grbk", "grabk-a") for seed in (4, 5)
     ]
     rows = list(csv.reader(captured.out.strip().splitlines()))

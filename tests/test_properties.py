@@ -201,6 +201,51 @@ def test_constant_stepsize_bounds_every_block(instance, eta):
     assert state.alpha_const * lam_a * lam_b <= eta * (1.0 + 1e-12) < 2.0
 
 
+@st.composite
+def scaled_blocks(draw):
+    """A gen_type1 pair A, B of small random shape and rank, its rows of A
+    and columns of B scaled down to 1e-4 or not, and block sizes that may
+    leave a short last block."""
+    m, p, q, n = (draw(st.integers(2, 12)) for _ in range(4))
+    r1 = draw(st.integers(1, min(m, p)))
+    r2 = draw(st.integers(1, min(q, n)))
+    A, B = gen_type1(TypeISpec(m, p, r1, q, n, r2, seed=draw(st.integers(0, 2**16))))
+    if draw(st.booleans()):
+        A = A * np.logspace(0, -4, m)[:, None]
+        B = B * np.logspace(0, -4, n)[None, :]
+    return A, B, draw(st.integers(1, m)), draw(st.integers(1, n))
+
+
+# the largest gaps seen over 3000 random draws of these shapes were 2.4e-14
+# for the transposes and 8.2e-13 for the pseudoinverses of row-scaled blocks
+GRAM_RTOL = {GRABK_ADAPTIVE: 1e-12, GRBK: 1e-10}
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(blocks=scaled_blocks(), method=st.sampled_from([GRABK_ADAPTIVE, GRBK]),
+       seed=st.integers(0, 2**16))
+def test_gram_factors_give_the_update_norm(blocks, method, seed):
+    # the triangular Gram factors of the block factors give ||G_I W H_J||_F^2
+    # as ||S_I W T_J^T||_F^2, on rank-deficient, row-scaled and short last
+    # blocks alike: G_I = A_I^T, H_J = B_J^T for GRABK, whose adaptive
+    # stepsize reads the ones its block cache holds, and the pseudoinverses
+    # for GRBK, whose tracked error takes them (as it does GRABK-constant's)
+    A, B, tau1, tau2 = blocks
+    state = solvers.prepare_state(Problem(A=A, B=B, C=np.zeros((A.shape[0], B.shape[1]))),
+                                  SolverConfig(method=method, tau1=tau1, tau2=tau2))
+    rng = np.random.default_rng(seed)
+    for bi in range(state.partition_rows.n_blocks):
+        _, _, A_I, G_I, S_I = solvers._cache_block(state, True, bi)
+        S_I = solvers._gram_factor(True, G_I) if S_I is None else S_I
+        for bj in range(state.partition_cols.n_blocks):
+            _, _, B_J, H_J, T_J = solvers._cache_block(state, False, bj)
+            T_J = solvers._gram_factor(False, H_J) if T_J is None else T_J
+            W = rng.standard_normal((A_I.shape[0], B_J.shape[1]))
+            direct = np.linalg.norm(G_I @ W @ H_J, "fro") ** 2
+            assert solvers._gram_sq(S_I, W, T_J) == pytest.approx(direct,
+                                                                   rel=GRAM_RTOL[method])
+
+
 @settings(max_examples=12, derandomize=True, deadline=None)
 @given(instance=instances(), method=st.sampled_from(METHODS), steps=st.integers(1, 300))
 def test_iterates_stay_in_the_range_of_a_transpose_and_b(instance, method, steps):

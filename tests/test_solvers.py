@@ -1,7 +1,7 @@
 """Solver steps, stepsizes, and the solve() driver."""
 
 import math
-from types import SimpleNamespace
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -632,7 +632,7 @@ def test_grabk_adaptive_step_lowers_error_by_exact_amount():
         drops = {}
         for eta in grid:
             state.X, state.eta = X0.copy(), eta
-            L, R_IJ = _grabk_adaptive_apply(state, I, J, u_hat, v_hat)
+            L, R_IJ, _ = _grabk_adaptive_apply(state, I, J, u_hat, v_hat)
             np.testing.assert_array_equal(R_IJ, R)
             drops[eta] = err0 - np.linalg.norm(state.X - prob.X_star) ** 2
             assert drops[eta] == pytest.approx(eta * (2 - eta) * num * L, rel=1e-10)
@@ -1212,6 +1212,65 @@ def test_kept_residual_recomputes_only_to_resync_and_confirm(monkeypatch):
     assert len(calls) <= report.iterations / solvers.RESYNC_EVERY + 3
 
 
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("method", [GRBK, GRABK_CONST])
+def test_block_step_updates_an_iterate_of_any_layout_in_place(method, layout):
+    # the in-place update writes through the caller's own X: a Fortran-ordered
+    # or strided state.X (which BLAS updates as a copy) takes the same step
+    # X + c G_I M H_J as a C-ordered one
+    prob = small_problem(9, m=9, p=6, q=5, n=8)
+    state = prepare_state(prob, SolverConfig(method=method, tau1=3, tau2=3))
+    X0 = np.random.default_rng(10).standard_normal((6, 5))
+    base = {"C": np.array(X0), "F": np.asfortranarray(X0),
+            "strided": np.zeros((12, 5))[::2]}[layout]
+    base[...] = X0
+    state.X = base
+    I, J = np.array([0, 2, 6]), np.array([1, 4, 7])
+    A, B = prob.A, prob.B
+    R = prob.C[np.ix_(I, J)] - A[I] @ X0 @ B[:, J]
+    if method == GRBK:
+        grbk_step(state, I, J)
+        expect = X0 + pinv(A[I]) @ R @ pinv(B[:, J])
+    else:
+        u, v, alpha = np.array([0.5, 0.2, 0.3]), np.array([0.6, 0.1, 0.3]), 1.3
+        grabk_step(state, I, J, u, v, alpha)
+        W = (u / state.row_norms_sq[I])[:, None] * R * (v / state.col_norms_sq[J])[None, :]
+        expect = X0 + alpha * A[I].T @ W @ B[:, J].T
+    assert state.X is base
+    np.testing.assert_allclose(base, expect, rtol=1e-13, atol=1e-14)
+
+
+@pytest.mark.parametrize("method", [GRBK, GRABK_CONST, GRABK_ADAPTIVE])
+def test_block_step_allocates_less_than_one_iterate(method):
+    # a block step updates X in place and forms no p x q direction: at
+    # p = q = 200 and tau 10 it allocates less than one p x q array
+    prob = make_problem(*gen_type1(TypeISpec(20, 200, 20, 200, 20, 20, seed=40)), seed=41)
+    state = prepare_state(prob, SolverConfig(method=method, tau1=10, tau2=10))
+
+    def step(bi, bj):
+        I, si, *row = solvers._cache_block(state, True, bi)
+        J, sj, *col = solvers._cache_block(state, False, bj)
+        blocks = (*row, *col, prob.C[si, sj])
+        if method == GRBK:
+            return grbk_step(state, I, J, _blocks=blocks)
+        hats = (state.row_weights_hat[bi], state.col_weights_hat[bj])
+        if method == GRABK_CONST:
+            grabk_step(state, I, J, None, None, state.alpha_const, _blocks=blocks, _hats=hats)
+        else:
+            _grabk_adaptive_apply(state, I, J, *hats, _blocks=blocks)
+
+    step(1, 0)  # first calls
+    X = state.X.copy()
+    tracemalloc.start()
+    try:
+        step(0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not np.array_equal(state.X, X)
+    assert peak < state.X.nbytes
+
+
 @pytest.mark.parametrize("form", ["kept", "split"])
 def test_kept_residual_reads_its_norm_only_on_records(form, monkeypatch):
     # with X_star the error stops the run and only records read the kept
@@ -1237,7 +1296,8 @@ def test_kept_residual_hands_off_to_recompute_near_tolerance(form, monkeypatch):
     # resyncs only that hand-off step does both. Recomputing from the start
     # updates nothing
     events = []
-    full, step, blas = solvers._relative_residual, solvers.grbk_step, solvers.blas
+    full, step = solvers._relative_residual, solvers.grbk_step
+    advance, advance_grk = solvers._Residual.advance, solvers._Residual.advance_grk
 
     def counted(event, fn):
         def wrapper(*args, **kwargs):
@@ -1247,7 +1307,10 @@ def test_kept_residual_hands_off_to_recompute_near_tolerance(form, monkeypatch):
 
     monkeypatch.setattr(solvers, "_relative_residual", counted("full", full))
     monkeypatch.setattr(solvers, "grbk_step", counted("step", step))
-    monkeypatch.setattr(solvers, "blas", SimpleNamespace(dgemm=counted("update", blas.dgemm)))
+    # the kept residual's own update (the split inherits it), not every dgemm:
+    # the steps update X by dgemm too
+    monkeypatch.setattr(solvers._Residual, "advance", counted("update", advance))
+    monkeypatch.setattr(solvers._Residual, "advance_grk", counted("update", advance_grk))
     monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: RESIDUAL_FORMS[form])
     _, prob = next(_residual_cases())
     prob = Problem(A=prob.A, B=prob.B, C=prob.C)
