@@ -7,6 +7,7 @@ predicted geometric envelopes. Each public function densifies and validates
 its matrices once at entry through ``as_dense``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,21 +26,35 @@ def _dense_blocks(M, partition, axis):
         yield b, (M[sl, :] if axis == "rows" else M[:, sl])
 
 
+def _sigma_max_sq(block):
+    """The largest squared singular value of a block: the largest eigenvalue
+    of its smaller Gram matrix (tau x tau for a block of tau rows or
+    columns), which ``eigvalsh`` gets to within a few eps relative. Callers
+    scale the block to entries of at most 1 first, so that the Gram matrix
+    neither overflows nor underflows."""
+    rows, cols = block.shape
+    return float(np.linalg.eigvalsh(block @ block.T if rows <= cols else block.T @ block)[-1])
+
+
 def beta_max(M, partition, axis):
     """Largest ratio sigma_max(block) / ||block||_F over the partition blocks.
 
-    Always in (0, 1]; equals 1 when every block is a single row or column.
-    Zero blocks, which Frobenius sampling never draws, are skipped, as in
-    ``weighting_sigma_min``. Raises ValueError for a zero matrix.
+    Each ratio is the root of the largest eigenvalue of the smaller Gram
+    matrix of the block over its Frobenius norm (``_sigma_max_sq``).
+    Always in (0, 1]: a ratio that rounds above 1 counts as 1, which is
+    exact for a rank-1 block, so every block of a single row or column
+    gives 1. Zero blocks, which Frobenius sampling never draws, are
+    skipped, as in ``weighting_sigma_min``. Raises ValueError for a zero
+    matrix.
     """
     worst = 0.0
     for _, block in _dense_blocks(M, partition, axis):
         fro = np.linalg.norm(block, "fro")
         if fro > 0.0:
-            worst = max(worst, np.linalg.svd(block, compute_uv=False)[0] / fro)
+            worst = max(worst, min(math.sqrt(_sigma_max_sq(block / fro)), 1.0))
     if worst == 0.0:
         raise ValueError("beta_max undefined for the zero matrix")
-    return float(worst)
+    return worst
 
 
 def gamma_max(M, partition, axis, per_index=False):
@@ -47,11 +62,12 @@ def gamma_max(M, partition, axis, per_index=False):
     normalization.
 
     For a row partition each block row is scaled to unit norm; for a column
-    partition each block column is. With ``per_index``, the largest
-    ``gamma_b^2 / |b|`` instead: under uniform weights, the largest
-    ``sigma_max^2(D^{1/2} M_b)`` with ``D`` the hatted weights
-    ``1 / (|b| ||row||^2)``, which bounds GRABK-constant's stepsize. Raises
-    ValueError on a zero row/column inside any block.
+    partition each block column is. gamma_b^2 is the largest eigenvalue of
+    the normalized block's smaller Gram matrix (``_sigma_max_sq``). With
+    ``per_index``, the largest ``gamma_b^2 / |b|`` instead: under uniform
+    weights, the largest ``sigma_max^2(D^{1/2} M_b)`` with ``D`` the hatted
+    weights ``1 / (|b| ||row||^2)``, which bounds GRABK-constant's stepsize.
+    Raises ValueError on a zero row/column inside any block.
     """
     across = 1 if axis == "rows" else 0  # a row's norm sums across columns
     worst = 0.0
@@ -59,8 +75,8 @@ def gamma_max(M, partition, axis, per_index=False):
         norms = np.sqrt(np.sum(block * block, axis=across, keepdims=True))
         if np.any(norms == 0.0):
             raise ValueError(f"zero {axis[:-1]} inside block {b}")
-        gamma = np.linalg.svd(block / norms, compute_uv=False)[0]
-        worst = max(worst, gamma * gamma / norms.size if per_index else gamma)
+        gamma_sq = _sigma_max_sq(block / norms)
+        worst = max(worst, gamma_sq / norms.size if per_index else math.sqrt(gamma_sq))
     return float(worst)
 
 

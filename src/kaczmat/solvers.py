@@ -236,6 +236,7 @@ class IterationState:
     row_blocks: list = field(default_factory=list)  # (I, slice, A_I, G_I) or None
     col_blocks: list = field(default_factory=list)  # (J, slice, B_J, H_J) or None
     stepsizes: list | None = None  # GRABK-adaptive's L, from _block_steps
+    weighted: np.ndarray | None = None  # W = u_hat R v_hat of the last grabk_step
 
 
 def _hat_weights(u, norms_sq):
@@ -452,10 +453,12 @@ def grabk_step(state, I, J, u, v, alpha, _blocks=None, _hats=None):
     sum to 1 over their block. Returns the sampled residual block R_IJ.
 
     ``_blocks`` is ``(A_I, A_I^T, S_I, B_J, B_J^T, T_J, C_IJ)`` and
-    ``_hats`` the prepared ``(u_hat, v_hat)``, as ``solve`` keeps them.
+    ``_hats`` the prepared ``(u_hat, v_hat)``, as ``solve`` keeps them. W
+    is left in ``state.weighted`` for the stop metrics of ``solve``.
     """
     R, W, _, G_I, H_J = _grabk(state, I, J, u, v, _blocks, _hats, False)
     _move(state.X, alpha, G_I, W, H_J)
+    state.weighted = W
     return R
 
 
@@ -968,7 +971,7 @@ def _block_steps(state, metrics, rows, cols, k):
     hats = (state.row_weights_hat[bi], state.col_weights_hat[bj])
     if state.config.method == GRABK_CONST:
         R = grabk_step(state, I, J, None, None, state.alpha_const, _blocks=blocks, _hats=hats)
-        return 1, bi, bj, R, hats[0][:, None] * R * hats[1][None, :], state.alpha_const
+        return 1, bi, bj, R, state.weighted, state.alpha_const
     L, R, W = _grabk_adaptive_apply(state, I, J, *hats, _blocks=blocks)
     if L is None:
         return 1, bi, bj, None, None, 1.0

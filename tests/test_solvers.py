@@ -660,6 +660,81 @@ def test_solve_adaptive_records_stepsizes():
     assert report_c.stepsizes is None
 
 
+def _adaptive_reference(prob, config, steps):
+    """GRABK-adaptive as ``X += c U`` with U = A_I^T (u_hat R v_hat) B_J^T
+    formed, on the draws ``solve`` makes: each step's L and the full
+    residual ||C - A X B||_F before it."""
+    state = prepare_state(prob, config)
+    A, B, C = prob.A, prob.B, prob.C
+    X = np.zeros_like(state.X)
+    stepsizes, residuals = [], []
+    for k in range(steps):
+        if k % DRAW_CHUNK == 0:
+            rows, cols = sample_block(state.dist_rows, state.rng, state.dist_cols,
+                                      min(DRAW_CHUNK, config.max_iters - k))
+        bi, bj = rows[k % DRAW_CHUNK], cols[k % DRAW_CHUNK]
+        I, J = state.partition_rows.block(bi), state.partition_cols.block(bj)
+        u_hat, v_hat = state.row_weights_hat[bi], state.col_weights_hat[bj]
+        R = C[np.ix_(I, J)] - A[I] @ X @ B[:, J]
+        U = A[I].T @ (u_hat[:, None] * R * v_hat[None, :]) @ B[:, J].T
+        L = float(u_hat @ (R * R) @ v_hat) / float(np.vdot(U, U))
+        stepsizes.append(L)
+        residuals.append(np.linalg.norm(C - A @ X @ B))
+        X += state.eta * L * U
+    return np.array(stepsizes), np.array(residuals)
+
+
+@pytest.mark.parametrize("reference", ["xstar", "residual"])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("shape,tau", [((60, 20, 20, 20, 60, 20), 5),
+                                       ((40, 12, 6, 12, 40, 6), 4),
+                                       ((150, 40, 40, 40, 150, 40), 15)])
+def test_adaptive_stepsizes_stay_within_a_reordering_bound(shape, tau, seed, reference):
+    # solve adds c G_I W H_J to X in place, which rounds otherwise than
+    # forming U and adding c U; L reads R = C - A X B, which cancels as the
+    # run converges and magnifies that last-bit difference by ||C|| / ||R||.
+    # So each step's L is within 64 eps (||C||_F / ||R_k||_F) L of the
+    # reference's, with R_k the full residual before step k (the largest
+    # constant seen on these shapes was 29)
+    A, B = gen_type1(TypeISpec(*shape, seed=seed))
+    prob = make_problem(A, B, seed=seed + 1)
+    if reference == "residual":
+        prob = Problem(A=prob.A, B=prob.B, C=prob.C)
+    config = SolverConfig(method=GRABK_ADAPTIVE, tau1=tau, tau2=tau, seed=seed + 2,
+                          re_tolerance=1e-8, max_iters=10**5)
+    report = solve(prob, config)
+    assert report.termination == "tolerance"
+    assert len(report.stepsizes) == report.iterations  # no block was solved
+    expected, residuals = _adaptive_reference(prob, config, report.iterations)
+    stepsizes = np.array(report.stepsizes)
+    bound = 64 * solvers.EPS * np.linalg.norm(prob.C) / residuals * stepsizes
+    assert np.all(np.abs(stepsizes - expected) <= bound)
+
+
+def test_grabk_const_hands_the_metrics_the_w_of_its_step(monkeypatch):
+    # a GRABK-constant step forms W = u_hat R v_hat once: the stop metric
+    # reads the array the step moved X by, not a second product
+    formed, handed = [], []
+    grabk, after_step = solvers._grabk, solvers._Metric.after_step
+
+    def recording_grabk(*args):
+        out = grabk(*args)
+        formed.append(out[1])
+        return out
+
+    def recording_after_step(self, k, due, bi, bj, sampled, weighted, c):
+        handed.append(weighted)
+        return after_step(self, k, due, bi, bj, sampled, weighted, c)
+
+    monkeypatch.setattr(solvers, "_grabk", recording_grabk)
+    monkeypatch.setattr(solvers._Metric, "after_step", recording_after_step)
+    base = small_problem(24)
+    report = solve(Problem(A=base.A, B=base.B, C=base.C),
+                   SolverConfig(method=GRABK_CONST, tau1=3, tau2=3, seed=2, max_iters=30))
+    assert report.iterations == len(formed) == len(handed) == 30
+    assert all(W is weighted for W, weighted in zip(formed, handed))
+
+
 def _sparsified(prob):
     A, B = (np.where(np.abs(M) < 0.5, 0.0, M) for M in (prob.A, prob.B))
     return make_problem(sp.csr_array(A), sp.csr_array(B), seed=1)
