@@ -50,6 +50,7 @@ from .solvers import (
     ConvergenceReport,
     Problem,
     SolverConfig,
+    Trace,
     TraceRecord,
     adaptive_stepsize,
     grabk_step,

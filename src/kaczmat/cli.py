@@ -15,6 +15,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
+from itertools import chain
 
 import numpy as np
 
@@ -76,20 +77,33 @@ def _fmt_mean(values):
     return _fmt(float(np.mean(values)) if values else None)
 
 
+def _csv_file(path):
+    """``path`` opened for CSV text, or stdout if None."""
+    return (nullcontext(sys.stdout) if path is None
+            else open(path, "wt", encoding="ascii", newline=""))
+
+
 def _write_csv(path, header, rows):
     """Write a header and rows as CSV to ``path``, or to stdout if None."""
-    with (nullcontext(sys.stdout) if path is None
-          else open(path, "wt", encoding="ascii", newline="")) as fh:
+    with _csv_file(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
 
 
 def write_trace_csv(report, path):
-    _write_csv(path, TRACE_HEADER, (
-        [rec.iteration, _fmt(rec.relative_error), _fmt(rec.relative_residual),
-         _fmt(rec.elapsed)]
-        for rec in report.records))
+    """Write ``report.trace`` as CSV to ``path``, or to stdout if None: the
+    bytes ``_write_csv`` writes for its records (``\\r\\n`` line ends, no
+    field quoted), formatted from the columns in one block."""
+    trace = report.trace
+    columns, specs = [trace.iteration], ["%d"]
+    for column in (trace.relative_error, trace.relative_residual, trace.elapsed):
+        floats = None not in column  # else each entry as _fmt gives it, "" for None
+        columns.append(column if floats else list(map(_fmt, column)))
+        specs.append("%.12e" if floats else "%s")
+    rows = (",".join(specs) + "\r\n") * len(trace.iteration)
+    with _csv_file(path) as fh:
+        fh.write(",".join(TRACE_HEADER) + "\r\n" + rows % tuple(chain.from_iterable(zip(*columns))))
 
 
 def _final_error(report):
@@ -99,7 +113,7 @@ def _final_error(report):
 
 
 def _elapsed(report):
-    return report.records[-1].elapsed if report.records else 0.0
+    return report.trace.elapsed[-1] if report.trace.elapsed else 0.0
 
 
 def _finish(args, report, **fields):

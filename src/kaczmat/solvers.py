@@ -184,22 +184,47 @@ class TraceRecord:
 
 
 @dataclass
-class ConvergenceReport:
-    """Outcome of one solve: final iterate, trace, and termination reason."""
+class Trace:
+    """A run's records as four equal-length columns, one entry per record:
+    its iteration, squared relative error (None without ``X_star``),
+    relative residual and the loop's wall time at it."""
 
-    records: list
+    iteration: list = field(default_factory=list)
+    relative_error: list = field(default_factory=list)
+    relative_residual: list = field(default_factory=list)
+    elapsed: list = field(default_factory=list)
+
+
+@dataclass
+class ConvergenceReport:
+    """Outcome of one solve: final iterate, trace, and termination reason.
+
+    ``trace`` holds the records as columns. ``records`` is the same history
+    as a list of ``TraceRecord``, built from the columns on first read and
+    kept, so a run that reads only the columns builds no record object."""
+
+    trace: Trace
     termination: str  # "tolerance" | "max_iters" | "time_limit" | "diverged"
     X: np.ndarray
     iterations: int
     stepsizes: list | None = None  # adaptive L_k of each step that moved X, else None
+    _records: list | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def records(self):
+        if self._records is None:
+            trace = self.trace
+            self._records = list(map(TraceRecord, trace.iteration, trace.relative_error,
+                                     trace.relative_residual, trace.elapsed))
+        return self._records
 
     @property
     def final_relative_error(self):
-        return self.records[-1].relative_error if self.records else None
+        return self.trace.relative_error[-1] if self.trace.iteration else None
 
     @property
     def final_relative_residual(self):
-        return self.records[-1].relative_residual if self.records else None
+        return self.trace.relative_residual[-1] if self.trace.iteration else None
 
 
 def relative_error(X, X_star):
@@ -237,6 +262,8 @@ class IterationState:
     col_blocks: list = field(default_factory=list)  # (J, slice, B_J, H_J) or None
     stepsizes: list | None = None  # GRABK-adaptive's L, from _block_steps
     weighted: np.ndarray | None = None  # W = u_hat R v_hat of the last grabk_step
+    cols_t: np.ndarray | None = None  # GRK's B^T, C-ordered: B's columns are its rows
+    gathered: tuple | None = None  # (B_S, C_S) of the last grk_step chunk
 
 
 def _hat_weights(u, norms_sq):
@@ -290,6 +317,7 @@ def prepare_state(problem, config):
         row_norms_sq=rns,
         col_norms_sq=cns,
         stepsizes=[] if config.method == GRABK_ADAPTIVE else None,
+        cols_t=np.ascontiguousarray(B.T) if config.method == GRK else None,
     )
     state.partition_rows = make_partition(m, config.tau1, "tau1")
     state.partition_cols = make_partition(n, config.tau2, "tau2")
@@ -383,19 +411,26 @@ def grk_step(state, i, j, _prefix=None):
     ``X += A_S[:c]^T diag(s[:c]) B_S[:, :c]^T`` applies the first c steps,
     and r[:c] = s[:c] d[:c] comes back. c is K, or ``_prefix(i, j, r, s)``,
     which ``_Error.prefix`` and ``_Residual.prefix`` read each step's value
-    from. The chunk runs as a few BLAS-3 calls what its steps run as about
-    2K BLAS-2 calls, and rounds otherwise: X is within 1e-13 relative of
-    the steps run one by one (about 1e-15 on well-conditioned problems).
+    from; ``state.gathered`` holds B_S and ``C_S = C[i, j]`` for them. Rows
+    are gathered by ``take``, B's columns as rows of ``state.cols_t``, the
+    C-ordered B^T of a GRK run (the F-ordered view B^T on another state),
+    which gives the same F-ordered q x K array as ``B[:, j]``. The chunk
+    runs as a few BLAS-3 calls what its steps run as about 2K BLAS-2 calls,
+    and rounds otherwise: X is within 1e-13 relative of the steps run one
+    by one (about 1e-15 on well-conditioned problems).
     """
     i, j = np.atleast_1d(i), np.atleast_1d(j)
-    rns, cns = state.row_norms_sq[i], state.col_norms_sq[j]
+    rns, cns = state.row_norms_sq.take(i), state.col_norms_sq.take(j)
     if not (rns.all() and cns.all()):
         raise ValueError("sampled row of A or column of B is zero")
     d = rns * cns
-    A_S, B_S = state.problem.A[i], state.problem.B[:, j]
+    cols_t = state.problem.B.T if state.cols_t is None else state.cols_t
+    A_S, B_S = state.problem.A.take(i, axis=0), cols_t.take(j, axis=0).T
+    C_S = state.problem.C[i, j]
+    state.gathered = B_S, C_S
     gram = (A_S @ A_S.T) * (B_S.T @ B_S)
     gram.flat[::d.size + 1] = d
-    rhs = state.problem.C[i, j] - np.sum((A_S @ state.X) * B_S.T, axis=1)
+    rhs = C_S - np.sum((A_S @ state.X) * B_S.T, axis=1)
     s = blas.dtrsv(gram.T, rhs, lower=1)  # gram is symmetric: gram.T is its Fortran view
     r = s * d
     c = d.size if _prefix is None else _prefix(i, j, r, s)
@@ -713,8 +748,9 @@ class _Residual(_Metric):
                            fb @ np.linalg.qr(B.T, mode="r").T, np.sum(left * left, axis=1),
                            np.sum(right * right, axis=1))
         fa, fb, left, right, gram_left, gram_right, left_sq, right_sq = self.stacks
-        return (fa[rows], fb[cols], left[rows], right[cols], gram_left[rows],
-                gram_right[cols], left_sq[rows] * right_sq[cols])
+        return (fa.take(rows, axis=0), fb.take(cols, axis=0), left.take(rows, axis=0),
+                right.take(cols, axis=0), gram_left.take(rows, axis=0),
+                gram_right.take(cols, axis=0), left_sq.take(rows) * right_sq.take(cols))
 
     def prefix(self, rows, cols, r, s):
         """How many of the GRK steps at the rows ``rows`` of A and columns
@@ -891,11 +927,12 @@ class _Error(_Metric):
         moves X by ``s_k a_k b_k^T``, so ``||E_k||_F^2 = ||E_{k-1}||_F^2 -
         r_k s_k - 2 s_k h_k``, with ``h = diag(A_S X* B_S) - C[i, j]`` the
         residual of X_star, 0 if it solves the equation. Only where records
-        read ``chunk`` (not ``exact_on_records``) is h taken, from A X*."""
+        read ``chunk`` (not ``exact_on_records``) is h taken, from A X* and
+        the B_S and C_S that ``grk_step`` gathered."""
         drops = r * s
         if not self.exact_on_records:
-            C, B = self.state.problem.C, self.state.problem.B
-            drops += 2.0 * s * (np.sum(self.ax[rows] * B[:, cols].T, axis=1) - C[rows, cols])
+            B_S, C_S = self.state.gathered
+            drops += 2.0 * s * (np.sum(self.ax.take(rows, axis=0) * B_S.T, axis=1) - C_S)
         drops = np.cumsum(drops) / self.xstar_sq
         values = self.value - drops
         dropped = self.dropped + drops
@@ -1001,7 +1038,12 @@ def solve(problem, config):
     the stop metric by the steps taken (``_Metric.after_step``), ending the
     run on a non-finite value (``diverged``), one below ``re_tolerance`` or
     past ``max_seconds``; moves the residual that records read beside the
-    error, if kept; and appends the records of the steps taken.
+    error, if kept; and adds the records of the steps taken to the columns
+    of ``report.trace`` (``Trace``): one ``append`` per column for a record
+    at the end of the steps, one ``extend`` per column for those inside a
+    GRK chunk, from every ``trace_every``-th of the values its metrics
+    proposed. No ``TraceRecord`` is built here; ``report.records`` builds
+    them from the columns on first read.
 
     Where ``_keeps_residual`` says so, ``_Residual`` keeps C - A X B up to
     date, or ``_Split`` a p x q matrix that gives its norm; ``_Split`` takes
@@ -1024,7 +1066,9 @@ def solve(problem, config):
     metrics = (stop, residual) if kept else (stop,)
     step = _grk_steps if config.method == GRK else _block_steps
     every = config.trace_every
-    records = []
+    trace = Trace()
+    iterations, errors, residuals, times = (trace.iteration, trace.relative_error,
+                                            trace.relative_residual, trace.elapsed)
 
     # A diverging run ends as "diverged"; the overflow on its way there is
     # not also raised as a warning.
@@ -1053,16 +1097,21 @@ def solve(problem, config):
                 residual.after_step(k, bool(termination or record), bi, bj, sampled, weighted,
                                     c)
             if steps > 1 and (k - 1) // every > first // every:  # records inside a chunk
-                errors, resids = stop.chunk if use_re else [None] * steps, residual.chunk
-                records.extend(TraceRecord(it, errors[it - first - 1], resids[it - first - 1],
-                                           elapsed)
-                               for it in range(first - first % every + every, k, every))
+                inside = range(first - first % every + every, k, every)
+                # the record at iteration it reads entry it - first - 1 of a chunk
+                values = slice(inside[0] - first - 1, steps - 1, every)
+                iterations.extend(inside)
+                errors.extend(stop.chunk[values] if use_re else [None] * len(inside))
+                residuals.extend(residual.chunk[values])
+                times.extend([elapsed] * len(inside))
             if termination or record:
-                resid = residual.exact() if use_re and not kept else residual.value
-                records.append(TraceRecord(k, metric if use_re else None, resid, elapsed))
+                iterations.append(k)
+                errors.append(metric if use_re else None)
+                residuals.append(residual.exact() if use_re and not kept else residual.value)
+                times.append(elapsed)
 
     return ConvergenceReport(
-        records=records,
+        trace=trace,
         termination=termination or "max_iters",
         X=state.X.copy(),
         iterations=k,

@@ -1,17 +1,20 @@
 """Desk-scale test oracles: vec/unvec, a size-capped Kronecker product,
 classical row-action on the materialized system kron(B^T, A) vec(X) = vec(C),
-and GRK run one step at a time, stopped by the error or by the residual.
+GRK run one step at a time, stopped by the error or by the residual, and
+the trace CSV as ``csv.writer`` writes it over the records.
 
 The solvers never build the product system nor run GRK's rank-1 update one
 step at a time; these exist only to check them on small instances.
 """
 
+import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from kaczmat import solvers
+from kaczmat.cli import TRACE_HEADER, _fmt
 from kaczmat.matrices import as_dense
 from kaczmat.sampling import sample_block
 
@@ -178,3 +181,14 @@ def grk_step_oracle(problem, X, i, j):
         X, = grk_chunk_iterates(problem, X, [row], [col], r[-1:])
         iterates.append(X)
     return r, iterates
+
+
+def write_trace_csv_oracle(report, path):
+    """The trace CSV of ``report`` as ``csv.writer`` writes it, one row per
+    ``TraceRecord`` of ``report.records``: the reference for
+    ``cli.write_trace_csv``, which formats the trace's columns instead."""
+    with open(path, "wt", encoding="ascii", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRACE_HEADER)
+        writer.writerows([rec.iteration, _fmt(rec.relative_error), _fmt(rec.relative_residual),
+                          _fmt(rec.elapsed)] for rec in report.records)

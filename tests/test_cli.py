@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from kaczmat import cli
+from kaczmat import cli, solvers
 from kaczmat.cli import (
     BENCH_HEADER,
     TRACE_HEADER,
@@ -19,7 +19,10 @@ from kaczmat.cli import (
 )
 from kaczmat.images import GrayImage, read_pgm, write_pgm
 from kaczmat.mmio import write_matrix_market
-from kaczmat.solvers import SolverConfig, solve
+from kaczmat.problems import TypeISpec, gen_type1, make_problem
+from kaczmat.solvers import Problem, SolverConfig, solve
+
+from oracles import write_trace_csv_oracle
 
 
 def run(*argv):
@@ -284,6 +287,69 @@ def test_solve_trace_matches_library(tmp_path):
     assert len(rows) - 1 == len(report.records)
     assert int(rows[-1][0]) == report.iterations
     assert float(rows[-1][1]) == pytest.approx(report.final_relative_error, rel=1e-12)
+
+
+TRACE_CASES = {  # (X_star given, termination, SolverConfig settings)
+    "x_star": (True, "tolerance", dict(method="grk")),
+    "residual": (False, "tolerance", dict(method="grbk", tau1=5, tau2=5)),
+    "every-7": (True, "tolerance", dict(method="grk", trace_every=7)),
+    "no-steps": (True, "max_iters", dict(method="grk", max_iters=0)),
+    "diverged": (True, "diverged", dict(method="grabk_const", tau1=10, tau2=10, eta=20.0,
+                                        unsafe_stepsize=True)),
+}
+
+
+@pytest.mark.parametrize("case", TRACE_CASES)
+def test_trace_csv_is_the_bytes_of_csv_writer_over_records(tmp_path, case, capsys):
+    # write_trace_csv formats the trace's columns in one block; its bytes
+    # are csv.writer's over the records: \r\n line ends, an empty field
+    # for None, %.12e floats (nan and inf when diverged), header only
+    # without a step, on a file or on stdout
+    x_star, termination, settings = TRACE_CASES[case]
+    A, B = gen_type1(TypeISpec(m=30, p=10, r1=10, q=10, n=30, r2=10, seed=21))
+    prob = make_problem(A, B, seed=22)
+    if not x_star:
+        prob = Problem(A=prob.A, B=prob.B, C=prob.C)
+    report = solve(prob, SolverConfig(**{"seed": 2, "max_iters": 2000, **settings}))
+    assert report.termination == termination
+    assert len(report.trace.iteration) == (0 if case == "no-steps" else len(report.records))
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    cli.write_trace_csv(report, str(new))
+    write_trace_csv_oracle(report, str(old))
+    lines = new.read_bytes().splitlines(keepends=True)  # a failure names its first line
+    assert lines == old.read_bytes().splitlines(keepends=True)
+    capsys.readouterr()
+    cli.write_trace_csv(report, None)
+    assert capsys.readouterr().out.encode("ascii").splitlines(keepends=True) == lines
+
+
+def _without_elapsed(path):
+    return [row[:3] for row in read_csv(path)]
+
+
+def test_commands_read_the_trace_columns_not_records(tmp_path, monkeypatch):
+    # solve, deblur and benchmark read report.trace: with TraceRecord
+    # raising they exit and write their files as without it
+    prob, img = tmp_path / "prob", make_pgm(tmp_path)
+    assert run(*gen_args(prob, seed=11)) == 0
+
+    def outputs(out):
+        out.mkdir()
+        codes = [run("solve", str(prob), "--method", "grk", "--trace-every", "7",
+                     "--seed", "5", "--out", str(out / "trace.csv")),
+                 run("deblur", str(img), "--max-iters", "50", "--out", str(out / "db")),
+                 run(*bench_args(("--repeats", "1", "--methods", "grk,grbk")))]
+        return codes, (_without_elapsed(out / "trace.csv"), _without_elapsed(out / "db" / "trace.csv"),
+                       (out / "db" / "blurred.pgm").read_bytes(),
+                       (out / "db" / "restored.pgm").read_bytes())
+
+    expected = outputs(tmp_path / "plain")
+
+    def refuse(*args):
+        raise AssertionError("a command built a TraceRecord")
+
+    monkeypatch.setattr(solvers, "TraceRecord", refuse)
+    assert outputs(tmp_path / "patched") == expected
 
 
 # ---------------------------------------------------------------- benchmark

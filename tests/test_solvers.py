@@ -515,6 +515,51 @@ def test_solve_trace_every_thins_records():
     assert last.iteration == report.iterations
 
 
+@pytest.mark.parametrize("trace_every", [1, 7, 10**6])
+@pytest.mark.parametrize("x_star", [True, False], ids=["x_star", "residual"])
+@pytest.mark.parametrize("method", METHODS)
+def test_solve_builds_no_record_object(method, x_star, trace_every):
+    # solve fills the trace's four columns and builds no TraceRecord, also
+    # for the records inside GRK's chunks (trace_every 7 with a kept
+    # residual); report.records, built on first read and kept, holds the
+    # columns' values bitwise
+    A, B = gen_type1(TypeISpec(m=30, p=10, r1=10, q=10, n=30, r2=10, seed=21))
+    prob = make_problem(A, B, seed=22)
+    if not x_star:
+        prob = Problem(A=prob.A, B=prob.B, C=prob.C)
+    built = []
+
+    class Counted(solvers.TraceRecord):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    config = SolverConfig(method=method, tau1=5, tau2=5, seed=3, trace_every=trace_every,
+                          max_iters=20000)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "TraceRecord", Counted)
+        report = solve(prob, config)
+    assert built == []
+    trace = report.trace
+    columns = (trace.iteration, trace.relative_error, trace.relative_residual, trace.elapsed)
+    assert len({len(column) for column in columns}) == 1
+    assert trace.iteration[-1] == report.iterations
+
+    def hexed(value):
+        return None if value is None else float(value).hex()
+
+    records = report.records
+    assert records is report.records and len(records) == len(trace.iteration)
+    assert all(type(r) is solvers.TraceRecord for r in records)
+    assert ([(r.iteration, hexed(r.relative_error), hexed(r.relative_residual), hexed(r.elapsed))
+             for r in records]
+            == [(it, hexed(e), hexed(res), hexed(t)) for it, e, res, t in zip(*columns)])
+    assert (report.final_relative_error, report.final_relative_residual) == (
+        records[-1].relative_error, records[-1].relative_residual)
+    with pytest.raises(AttributeError):
+        report.records = []
+
+
 def test_solve_max_iters_termination():
     prob = small_problem(17)
     report = solve(prob, SolverConfig(method=GRK, max_iters=3, seed=0))
