@@ -51,7 +51,6 @@ from .solvers import (
     Problem,
     SolverConfig,
     Trace,
-    TraceRecord,
     adaptive_stepsize,
     grabk_step,
     grbk_step,

@@ -176,14 +176,6 @@ class SolverConfig:
 
 
 @dataclass
-class TraceRecord:
-    iteration: int
-    relative_error: float | None
-    relative_residual: float | None
-    elapsed: float
-
-
-@dataclass
 class Trace:
     """A run's records as four equal-length columns, one entry per record:
     its iteration, squared relative error (None without ``X_star``),
@@ -197,26 +189,13 @@ class Trace:
 
 @dataclass
 class ConvergenceReport:
-    """Outcome of one solve: final iterate, trace, and termination reason.
-
-    ``trace`` holds the records as columns. ``records`` is the same history
-    as a list of ``TraceRecord``, built from the columns on first read and
-    kept, so a run that reads only the columns builds no record object."""
+    """Outcome of one solve: final iterate, trace, and termination reason."""
 
     trace: Trace
     termination: str  # "tolerance" | "max_iters" | "time_limit" | "diverged"
     X: np.ndarray
     iterations: int
     stepsizes: list | None = None  # adaptive L_k of each step that moved X, else None
-    _records: list | None = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def records(self):
-        if self._records is None:
-            trace = self.trace
-            self._records = list(map(TraceRecord, trace.iteration, trace.relative_error,
-                                     trace.relative_residual, trace.elapsed))
-        return self._records
 
     @property
     def final_relative_error(self):
@@ -237,7 +216,7 @@ def relative_error(X, X_star):
     denom = np.linalg.norm(X_star, "fro") ** 2
     if denom == 0.0:
         raise ValueError("relative error undefined for a zero reference solution")
-    return float(np.linalg.norm(X - X_star, "fro") ** 2 / denom)
+    return _error(X, X_star, denom)
 
 
 @dataclass
@@ -263,7 +242,7 @@ class IterationState:
     stepsizes: list | None = None  # GRABK-adaptive's L, from _block_steps
     weighted: np.ndarray | None = None  # W = u_hat R v_hat of the last grabk_step
     cols_t: np.ndarray | None = None  # GRK's B^T, C-ordered: B's columns are its rows
-    gathered: tuple | None = None  # (B_S, C_S) of the last grk_step chunk
+    gathered: tuple | None = None  # (B_S, C_S, d) of the last grk_step chunk
 
 
 def _hat_weights(u, norms_sq):
@@ -411,13 +390,13 @@ def grk_step(state, i, j, _prefix=None):
     ``X += A_S[:c]^T diag(s[:c]) B_S[:, :c]^T`` applies the first c steps,
     and r[:c] = s[:c] d[:c] comes back. c is K, or ``_prefix(i, j, r, s)``,
     which ``_Error.prefix`` and ``_Residual.prefix`` read each step's value
-    from; ``state.gathered`` holds B_S and ``C_S = C[i, j]`` for them. Rows
-    are gathered by ``take``, B's columns as rows of ``state.cols_t``, the
-    C-ordered B^T of a GRK run (the F-ordered view B^T on another state),
-    which gives the same F-ordered q x K array as ``B[:, j]``. The chunk
-    runs as a few BLAS-3 calls what its steps run as about 2K BLAS-2 calls,
-    and rounds otherwise: X is within 1e-13 relative of the steps run one
-    by one (about 1e-15 on well-conditioned problems).
+    from; ``state.gathered`` holds B_S, ``C_S = C[i, j]`` and d for them.
+    Rows are gathered by ``take``, B's columns as rows of ``state.cols_t``,
+    the C-ordered B^T of a GRK run (the F-ordered view B^T on another
+    state), which gives the same F-ordered q x K array as ``B[:, j]``. The
+    chunk runs as a few BLAS-3 calls what its steps run as about 2K BLAS-2
+    calls, and rounds otherwise: X is within 1e-13 relative of the steps
+    run one by one (about 1e-15 on well-conditioned problems).
     """
     i, j = np.atleast_1d(i), np.atleast_1d(j)
     rns, cns = state.row_norms_sq.take(i), state.col_norms_sq.take(j)
@@ -427,7 +406,7 @@ def grk_step(state, i, j, _prefix=None):
     cols_t = state.problem.B.T if state.cols_t is None else state.cols_t
     A_S, B_S = state.problem.A.take(i, axis=0), cols_t.take(j, axis=0).T
     C_S = state.problem.C[i, j]
-    state.gathered = B_S, C_S
+    state.gathered = B_S, C_S, d
     gram = (A_S @ A_S.T) * (B_S.T @ B_S)
     gram.flat[::d.size + 1] = d
     rhs = C_S - np.sum((A_S @ state.X) * B_S.T, axis=1)
@@ -634,14 +613,14 @@ class _Metric:
     (``exact``) and keeps ``slack``, how far it may lie above the exact one.
     ``after_step`` holds the one rule for when a value is exact: every
     ``RESYNC_EVERY`` steps; on the steps ``due`` for a record when
-    ``exact_on_records``; whenever the kept value less ``slack`` is below
+    ``records_exact``; whenever the kept value less ``slack`` is below
     ``band`` or NaN; and from the first exact value below ``band`` on. With
     ``tracking`` False from the start, every value is exact. A metric with
     the band ``-inf`` never stops the run, so only records read it: between
     them it moves without reading its value.
     """
 
-    exact_on_records = False
+    records_exact = False
     slack = 0.0
 
     def __init__(self, state, tracking, band):
@@ -666,7 +645,7 @@ class _Metric:
         columns ``bj`` (lists), with residuals ``sampled``. None when
         nothing reads it: a step not ``due`` for a record, of a metric that
         does not stop the run."""
-        if self.tracking and k % RESYNC_EVERY and not (due and self.exact_on_records):
+        if self.tracking and k % RESYNC_EVERY and not (due and self.records_exact):
             if isinstance(bi, list):
                 value = self.advance_grk(sampled)
             else:
@@ -774,7 +753,7 @@ class _Residual(_Metric):
         the band, whose bound could pass ``DRIFT_LIMIT``, or whose value is
         not finite; that step's value is NaN, so it gets the exact one."""
         fa, fb, left, right, gram_left, gram_right, sizes = self.grk_stacks(rows, cols)
-        sq0, t0, base, size, e0, z = self.chunk_terms(fa, fb, left, right, rows, cols)
+        sq0, t0, base, size, e0, z = self.chunk_terms(fa, fb, left, right)
         gram = (gram_left @ gram_left.T) * (gram_right @ gram_right.T)
         g = gram.diagonal().copy()
         gram.flat[::g.size + 1] = 0.0  # gram is symmetric: gram.T is its Fortran view
@@ -796,7 +775,7 @@ class _Residual(_Metric):
         self.pending = left, right, moved, sq, base, sums
         return c
 
-    def chunk_terms(self, fa, fb, left, right, rows, cols):
+    def chunk_terms(self, fa, fb, left, right):
         """For the images U and V of a chunk's steps in R's space: the
         squared residual before it, diag(U^T R_0 V), and for ``prefix``'s
         bound the rounding of that squared residual, ``size``, ``e0`` and
@@ -871,15 +850,16 @@ class _Split(_Residual):
             return math.nan
         return float(math.sqrt(sq) / self.unit)
 
-    def chunk_terms(self, fa, fb, left, right, rows, cols):
+    def chunk_terms(self, fa, fb, left, right):
         """``_Residual.chunk_terms`` from the factors F_a and F_b: U^T R_0 V
         = F_a (A^T R_0 B^T) F_b^T, with ``A^T R_0 B^T = kept - cross / 2``.
         The squared residual and its rounding carry over from the last
         chunk or exact value, not from ``norm``: E = X0 - X rounds
         otherwise than ``kept`` moves, and the chunk's sums would magnify
-        the difference."""
+        the difference. Each step's d, for ``z``, is the one ``grk_step``
+        gathered."""
         half = self.kept - 0.5 * self.cross
-        d = self.state.row_norms_sq[rows] * self.state.col_norms_sq[cols]
+        d = self.state.gathered[2]
         size = math.sqrt(np.vdot(self.kept, self.kept)) + self.cross_norm / 2.0
         return (self.carried[0], np.einsum("ij,ij->i", fa @ half, fb), self.carried[1], size,
                 0.0, 1.0 / np.sqrt(d))
@@ -908,15 +888,15 @@ class _Error(_Metric):
     slack is ``DROP_RTOL`` of the decrease it subtracted since its last
     exact value, and a decrease that is negative or not finite makes the
     next value exact. Records read it exact but where GRK's chunks run
-    across them (not ``exact_on_records``)."""
+    across them (not ``records_exact``)."""
 
-    def __init__(self, state, tracking, band, exact_on_records):
+    def __init__(self, state, tracking, band, records_exact):
         super().__init__(state, tracking, band)
         self.method, self.eta = state.config.method, state.eta
-        self.exact_on_records = exact_on_records
+        self.records_exact = records_exact
         self.xstar_sq = np.linalg.norm(state.problem.X_star, "fro") ** 2
         self.dropped = 0.0
-        self.ax = None if exact_on_records else state.problem.A @ state.problem.X_star
+        self.ax = None if records_exact else state.problem.A @ state.problem.X_star
 
     def image(self, rows, entry):
         return _gram_factor(rows, entry[3]) if entry[4] is None else entry[4]
@@ -927,18 +907,18 @@ class _Error(_Metric):
         moves X by ``s_k a_k b_k^T``, so ``||E_k||_F^2 = ||E_{k-1}||_F^2 -
         r_k s_k - 2 s_k h_k``, with ``h = diag(A_S X* B_S) - C[i, j]`` the
         residual of X_star, 0 if it solves the equation. Only where records
-        read ``chunk`` (not ``exact_on_records``) is h taken, from A X* and
+        read ``chunk`` (not ``records_exact``) is h taken, from A X* and
         the B_S and C_S that ``grk_step`` gathered."""
         drops = r * s
-        if not self.exact_on_records:
-            B_S, C_S = self.state.gathered
+        if not self.records_exact:
+            B_S, C_S, _ = self.state.gathered
             drops += 2.0 * s * (np.sum(self.ax.take(rows, axis=0) * B_S.T, axis=1) - C_S)
         drops = np.cumsum(drops) / self.xstar_sq
         values = self.value - drops
         dropped = self.dropped + drops
         fits = values - DROP_RTOL * dropped >= self.band
         c = fits.size if fits.all() else int(fits.argmin()) + 1
-        if not self.exact_on_records:
+        if not self.records_exact:
             self.chunk = values[:c].tolist()
         self.pending = values, dropped
         return c
@@ -969,7 +949,7 @@ def _grk_steps(state, metrics, rows, cols, k):
     the steps as a chunk: one step unless the stop metric is tracked, else
     up to ``GRK_CHUNK``, ending at the next multiple of ``RESYNC_EVERY``,
     the end of the drawn pairs or ``max_iters``, and at the next record if
-    the stop metric is ``exact_on_records``. Each metric still tracked
+    the stop metric is ``records_exact``. Each metric still tracked
     reads its steps' values from the chunk (``prefix``), which ends at the
     earliest cut they propose: after the first step whose kept value less
     its slack or rounding bound enters the band or is not finite, which
@@ -977,7 +957,7 @@ def _grk_steps(state, metrics, rows, cols, k):
     ``max_seconds``, see the time at its end."""
     drawn, stop, size = k % DRAW_CHUNK, metrics[0], 1
     if stop.tracking:
-        cut = state.config.trace_every if stop.exact_on_records else RESYNC_EVERY
+        cut = state.config.trace_every if stop.records_exact else RESYNC_EVERY
         size = min(GRK_CHUNK, len(rows) - drawn, RESYNC_EVERY - k % RESYNC_EVERY, cut - k % cut)
     prefixes = [metric.prefix for metric in metrics if metric.tracking]
     sampled = grk_step(state, rows[drawn:drawn + size], cols[drawn:drawn + size],
@@ -991,9 +971,9 @@ def _block_steps(state, metrics, rows, cols, k):
     """One GRBK or GRABK step at the blocks drawn for step k, as
     ``_grk_steps`` returns it, with the M of the step's update ``c G_I M
     H_J`` in place of None: R for GRBK, W = u_hat R v_hat for GRABK (as
-    ``_grabk_adaptive_apply`` hands it over, formed here from the hats for
-    GRABK-constant, whose public ``grabk_step`` returns R alone); c is
-    GRABK's stepsize. An adaptive step's L goes to ``state.stepsizes``; on
+    ``_grabk_adaptive_apply`` hands it over, or as GRABK-constant's
+    ``grabk_step`` leaves it in ``state.weighted``); c is GRABK's
+    stepsize. An adaptive step's L goes to ``state.stepsizes``; on
     a solved block it samples None. ``_cache_block`` keeps each block, its
     factor and GRABK-adaptive's tau x tau Gram factor from its first draw
     (at most ``2(mp + qn)`` floats, plus ``tau1 m + tau2 n`` for the Gram
@@ -1042,8 +1022,7 @@ def solve(problem, config):
     of ``report.trace`` (``Trace``): one ``append`` per column for a record
     at the end of the steps, one ``extend`` per column for those inside a
     GRK chunk, from every ``trace_every``-th of the values its metrics
-    proposed. No ``TraceRecord`` is built here; ``report.records`` builds
-    them from the columns on first read.
+    proposed.
 
     Where ``_keeps_residual`` says so, ``_Residual`` keeps C - A X B up to
     date, or ``_Split`` a p x q matrix that gives its norm; ``_Split`` takes

@@ -1,7 +1,7 @@
 """Desk-scale test oracles: vec/unvec, a size-capped Kronecker product,
 classical row-action on the materialized system kron(B^T, A) vec(X) = vec(C),
 GRK run one step at a time, stopped by the error or by the residual, and
-the trace CSV as ``csv.writer`` writes it over the records.
+the trace CSV as ``csv.writer`` writes it, one row per record.
 
 The solvers never build the product system nor run GRK's rank-1 update one
 step at a time; these exist only to check them on small instances.
@@ -185,10 +185,14 @@ def grk_step_oracle(problem, X, i, j):
 
 def write_trace_csv_oracle(report, path):
     """The trace CSV of ``report`` as ``csv.writer`` writes it, one row per
-    ``TraceRecord`` of ``report.records``: the reference for
-    ``cli.write_trace_csv``, which formats the trace's columns instead."""
+    record, zipped from the columns of ``report.trace``: the reference for
+    ``cli.write_trace_csv``, which formats the columns in one block."""
+    trace = report.trace
     with open(path, "wt", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
-        writer.writerows([rec.iteration, _fmt(rec.relative_error), _fmt(rec.relative_residual),
-                          _fmt(rec.elapsed)] for rec in report.records)
+        writer.writerows([k, _fmt(error), _fmt(resid), _fmt(elapsed)]
+                         for k, error, resid, elapsed in zip(trace.iteration,
+                                                             trace.relative_error,
+                                                             trace.relative_residual,
+                                                             trace.elapsed))

@@ -62,7 +62,7 @@ def table1_stats(table1_problem):
                                  re_tolerance=1e-30, trace_every=5, **kw)
             rep = solve(prob, probe)
             out[method]["checkpoints"].append(
-                [rec.relative_error * xstar_sq for rec in rep.records]
+                [error * xstar_sq for error in rep.trace.relative_error]
             )
             full = SolverConfig(method=method, seed=seed, max_iters=50000,
                                 re_tolerance=1e-6, trace_every=10**6, **kw)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from kaczmat import cli, solvers
+from kaczmat import cli
 from kaczmat.cli import (
     BENCH_HEADER,
     TRACE_HEADER,
@@ -284,7 +284,7 @@ def test_solve_trace_matches_library(tmp_path):
     rows = read_csv(trace)
     prob = load_problem_dir(str(out))
     report = solve(prob, SolverConfig(method="grbk", tau1=3, tau2=3, seed=5))
-    assert len(rows) - 1 == len(report.records)
+    assert len(rows) - 1 == len(report.trace.iteration)
     assert int(rows[-1][0]) == report.iterations
     assert float(rows[-1][1]) == pytest.approx(report.final_relative_error, rel=1e-12)
 
@@ -312,7 +312,8 @@ def test_trace_csv_is_the_bytes_of_csv_writer_over_records(tmp_path, case, capsy
         prob = Problem(A=prob.A, B=prob.B, C=prob.C)
     report = solve(prob, SolverConfig(**{"seed": 2, "max_iters": 2000, **settings}))
     assert report.termination == termination
-    assert len(report.trace.iteration) == (0 if case == "no-steps" else len(report.records))
+    lengths = {len(column) for column in vars(report.trace).values()}  # four equal columns
+    assert len(lengths) == 1 and (lengths == {0}) == (case == "no-steps")
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
     cli.write_trace_csv(report, str(new))
     write_trace_csv_oracle(report, str(old))
@@ -321,35 +322,6 @@ def test_trace_csv_is_the_bytes_of_csv_writer_over_records(tmp_path, case, capsy
     capsys.readouterr()
     cli.write_trace_csv(report, None)
     assert capsys.readouterr().out.encode("ascii").splitlines(keepends=True) == lines
-
-
-def _without_elapsed(path):
-    return [row[:3] for row in read_csv(path)]
-
-
-def test_commands_read_the_trace_columns_not_records(tmp_path, monkeypatch):
-    # solve, deblur and benchmark read report.trace: with TraceRecord
-    # raising they exit and write their files as without it
-    prob, img = tmp_path / "prob", make_pgm(tmp_path)
-    assert run(*gen_args(prob, seed=11)) == 0
-
-    def outputs(out):
-        out.mkdir()
-        codes = [run("solve", str(prob), "--method", "grk", "--trace-every", "7",
-                     "--seed", "5", "--out", str(out / "trace.csv")),
-                 run("deblur", str(img), "--max-iters", "50", "--out", str(out / "db")),
-                 run(*bench_args(("--repeats", "1", "--methods", "grk,grbk")))]
-        return codes, (_without_elapsed(out / "trace.csv"), _without_elapsed(out / "db" / "trace.csv"),
-                       (out / "db" / "blurred.pgm").read_bytes(),
-                       (out / "db" / "restored.pgm").read_bytes())
-
-    expected = outputs(tmp_path / "plain")
-
-    def refuse(*args):
-        raise AssertionError("a command built a TraceRecord")
-
-    monkeypatch.setattr(solvers, "TraceRecord", refuse)
-    assert outputs(tmp_path / "patched") == expected
 
 
 # ---------------------------------------------------------------- benchmark

@@ -265,8 +265,9 @@ def _fingerprint(report):
     def bits(x):
         return None if x is None else float(x).hex()
     return (report.X.tobytes(), report.iterations, report.termination,
-            [(r.iteration, bits(r.relative_error), bits(r.relative_residual))
-             for r in report.records],
+            [(k, bits(error), bits(resid)) for k, error, resid in
+             zip(report.trace.iteration, report.trace.relative_error,
+                 report.trace.relative_residual)],
             None if report.stepsizes is None else [bits(L) for L in report.stepsizes])
 
 
@@ -292,11 +293,11 @@ def test_dense_and_csr_factors_agree_and_kept_residuals_are_exact(instance):
                 report = solve(dense, config)
                 label = (method, x_star is not None, trace_every)
                 assert _fingerprint(solve(csr, config)) == _fingerprint(report), label
-                for r in report.records:
-                    X = (report.X if r.iteration == report.iterations else
-                         solve(dense, replace(config, max_iters=r.iteration)).X)
+                for k, resid in zip(report.trace.iteration, report.trace.relative_residual):
+                    X = (report.X if k == report.iterations else
+                         solve(dense, replace(config, max_iters=k)).X)
                     exact = np.linalg.norm(prob.C - A @ X @ B) / np.linalg.norm(prob.C)
-                    assert abs(r.relative_residual - exact) <= 1e-14, label
+                    assert abs(resid - exact) <= 1e-14, label
 
 
 @pytest.mark.parametrize("trace_every", [1, 7])
@@ -420,7 +421,7 @@ def test_kept_residuals_stay_exact_past_a_resync_on_inconsistent_runs(instance, 
             patch.setattr(solvers, "_keeps_residual", lambda *args, form=form: form)
             patch.setattr(solvers, step_name, recording)
             report = solve(prob, config)
-        assert report.iterations == len(exact) == len(report.records) == steps, form
-        for r in report.records:
-            target = exact[r.iteration - 1]
-            assert abs(r.relative_residual - target) <= 1e-14 * max(1.0, target), form
+        assert report.iterations == len(exact) == len(report.trace.iteration) == steps, form
+        for k, resid in zip(report.trace.iteration, report.trace.relative_residual):
+            target = exact[k - 1]
+            assert abs(resid - target) <= 1e-14 * max(1.0, target), form

@@ -161,7 +161,7 @@ def test_config_rejects_a_non_integral_count(name):
                                                       "max_iters": 20, name: count}))
                           for count in (np.int32(2), 2))
     np.testing.assert_array_equal(numpy_run.X, int_run.X)
-    assert [r.iteration for r in numpy_run.records] == [r.iteration for r in int_run.records]
+    assert numpy_run.trace.iteration == int_run.trace.iteration
 
 
 def test_config_eta_defaults_and_guard():
@@ -470,7 +470,7 @@ def test_solve_zero_rhs_terminates_immediately():
     report = solve(prob, SolverConfig(method=GRK, max_iters=100))
     assert report.iterations == 0
     assert report.termination == "tolerance"
-    assert report.records == []
+    assert report.trace.iteration == []
     np.testing.assert_array_equal(report.X, np.zeros((3, 3)))
 
 
@@ -479,8 +479,7 @@ def test_solve_full_block_converges_in_one_iteration():
     report = solve(prob, SolverConfig(method=GRBK, tau1=8, tau2=8))
     assert report.iterations == 1
     assert report.termination == "tolerance"
-    assert len(report.records) == 1
-    assert report.records[0].iteration == 1
+    assert report.trace.iteration == [1]
     assert report.final_relative_error < 1e-6
 
 
@@ -496,13 +495,13 @@ def test_solve_all_methods_converge_small():
 def test_solve_trace_schema_and_monotone_iterations():
     prob = small_problem(15)
     report = solve(prob, SolverConfig(method=GRBK, tau1=2, tau2=2, seed=1))
-    its = [r.iteration for r in report.records]
+    its = report.trace.iteration
     assert its == sorted(its) and len(set(its)) == len(its)
     assert its[-1] == report.iterations
-    elapsed = [r.elapsed for r in report.records]
+    elapsed = report.trace.elapsed
     assert all(b >= a for a, b in zip(elapsed, elapsed[1:]))
-    for r in report.records:
-        assert r.relative_error is not None and r.relative_residual is not None
+    assert None not in report.trace.relative_error
+    assert None not in report.trace.relative_residual
 
 
 def test_solve_trace_every_thins_records():
@@ -510,54 +509,32 @@ def test_solve_trace_every_thins_records():
     prob = make_problem(A, B, seed=17)
     report = solve(prob, SolverConfig(method=GRK, seed=2, trace_every=25, max_iters=20000))
     assert report.termination == "tolerance"
-    body, last = report.records[:-1], report.records[-1]
-    assert all(r.iteration % 25 == 0 for r in body)
-    assert last.iteration == report.iterations
+    body, last = report.trace.iteration[:-1], report.trace.iteration[-1]
+    assert all(k % 25 == 0 for k in body)
+    assert last == report.iterations
 
 
 @pytest.mark.parametrize("trace_every", [1, 7, 10**6])
 @pytest.mark.parametrize("x_star", [True, False], ids=["x_star", "residual"])
 @pytest.mark.parametrize("method", METHODS)
-def test_solve_builds_no_record_object(method, x_star, trace_every):
-    # solve fills the trace's four columns and builds no TraceRecord, also
-    # for the records inside GRK's chunks (trace_every 7 with a kept
-    # residual); report.records, built on first read and kept, holds the
-    # columns' values bitwise
+def test_solve_fills_equal_trace_columns(method, x_star, trace_every):
+    # solve fills the trace's four columns to one length, also for the
+    # records inside GRK's chunks (trace_every 7 with a kept residual); the
+    # last record is the last iteration, and the final values are the
+    # columns' last entries
     A, B = gen_type1(TypeISpec(m=30, p=10, r1=10, q=10, n=30, r2=10, seed=21))
     prob = make_problem(A, B, seed=22)
     if not x_star:
         prob = Problem(A=prob.A, B=prob.B, C=prob.C)
-    built = []
-
-    class Counted(solvers.TraceRecord):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
-
     config = SolverConfig(method=method, tau1=5, tau2=5, seed=3, trace_every=trace_every,
                           max_iters=20000)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solvers, "TraceRecord", Counted)
-        report = solve(prob, config)
-    assert built == []
+    report = solve(prob, config)
     trace = report.trace
     columns = (trace.iteration, trace.relative_error, trace.relative_residual, trace.elapsed)
     assert len({len(column) for column in columns}) == 1
     assert trace.iteration[-1] == report.iterations
-
-    def hexed(value):
-        return None if value is None else float(value).hex()
-
-    records = report.records
-    assert records is report.records and len(records) == len(trace.iteration)
-    assert all(type(r) is solvers.TraceRecord for r in records)
-    assert ([(r.iteration, hexed(r.relative_error), hexed(r.relative_residual), hexed(r.elapsed))
-             for r in records]
-            == [(it, hexed(e), hexed(res), hexed(t)) for it, e, res, t in zip(*columns)])
     assert (report.final_relative_error, report.final_relative_residual) == (
-        records[-1].relative_error, records[-1].relative_residual)
-    with pytest.raises(AttributeError):
-        report.records = []
+        trace.relative_error[-1], trace.relative_residual[-1])
 
 
 def test_solve_max_iters_termination():
@@ -593,8 +570,8 @@ def test_solve_time_limit_termination(monkeypatch):
         assert len(chunks) == 1 and 1 < chunks[0] <= solvers.GRK_CHUNK
         exact = relative_error(report.X, prob.X_star)
         if trace_every > 1:
-            assert report.records[-1].relative_error == exact
-        assert abs(report.records[-1].relative_error - exact) <= 1e-14
+            assert report.trace.relative_error[-1] == exact
+        assert abs(report.trace.relative_error[-1] - exact) <= 1e-14
 
 
 def test_solve_residual_fallback_without_reference():
@@ -606,7 +583,7 @@ def test_solve_residual_fallback_without_reference():
     report = solve(prob, SolverConfig(method=GRBK, tau1=3, tau2=3, re_tolerance=1e-10, seed=4))
     assert report.termination == "tolerance"
     assert report.final_relative_residual < 1e-10
-    assert all(r.relative_error is None for r in report.records)
+    assert all(error is None for error in report.trace.relative_error)
 
 
 def test_solve_reproducible_and_seed_sensitive():
@@ -615,7 +592,7 @@ def test_solve_reproducible_and_seed_sensitive():
     r1, r2 = solve(prob, cfg), solve(prob, cfg)
     np.testing.assert_array_equal(r1.X, r2.X)
     assert r1.iterations == r2.iterations
-    assert [rec.relative_error for rec in r1.records] == [rec.relative_error for rec in r2.records]
+    assert r1.trace.relative_error == r2.trace.relative_error
     r3 = solve(prob, SolverConfig(method=GRABK_ADAPTIVE, tau1=2, tau2=2, seed=10, max_iters=200))
     assert not np.array_equal(r1.X, r3.X)
 
@@ -691,7 +668,7 @@ def test_solve_grabk_error_is_monotone():
     prob = small_problem(22)
     for method in (GRABK_CONST, GRABK_ADAPTIVE):
         report = solve(prob, SolverConfig(method=method, tau1=4, tau2=4, seed=6, max_iters=300))
-        errs = [r.relative_error for r in report.records]
+        errs = report.trace.relative_error
         assert all(b <= a * (1 + 1e-12) for a, b in zip(errs, errs[1:])), method
 
 
@@ -881,13 +858,13 @@ def test_solve_matches_public_step_loop(method, case, reference, schedule, resid
     assert (report.iterations, report.termination) == (iterations, termination)
     if case == "unsafe-eta" and method == GRABK_CONST:
         assert termination == "diverged"
-    assert [r.iteration for r in report.records] == [k for k, _, _ in records]
-    errors = [r.relative_error for r in report.records]
+    assert report.trace.iteration == [k for k, _, _ in records]
+    errors = report.trace.relative_error
     if chunked and reference == "xstar":
         np.testing.assert_allclose(errors, [re for _, re, _ in records], rtol=0.0, atol=1e-13)
     else:
         assert errors == [re for _, re, _ in records]
-    residuals = [r.relative_residual for r in report.records]
+    residuals = report.trace.relative_residual
     expected = [res for _, _, res in records]
     if residual != "recomputed" or chunked:
         assert all(type(res) is float for res in residuals)
@@ -955,10 +932,12 @@ def test_chunked_grk_matches_step_by_step_oracle(case, trace_every, budget, resi
     if trace_every == 1 and residual == "recomputed":
         assert steps[0] == calls[0] == report.iterations
     assert np.linalg.norm(report.X - oracle.X) <= 1e-13 * np.linalg.norm(oracle.X)
-    assert [r.iteration for r in report.records] == [k for k, _, _ in oracle.records]
-    for r, (_, error, resid) in zip(report.records, oracle.records):
-        assert abs(r.relative_error - error) <= 1e-14 * max(1.0, error)
-        assert abs(r.relative_residual - resid) <= 1e-14 * max(1.0, resid)
+    trace = report.trace
+    assert trace.iteration == [k for k, _, _ in oracle.records]
+    for got_error, got_resid, (_, error, resid) in zip(trace.relative_error,
+                                                        trace.relative_residual, oracle.records):
+        assert abs(got_error - error) <= 1e-14 * max(1.0, error)
+        assert abs(got_resid - resid) <= 1e-14 * max(1.0, resid)
 
 
 def _inconsistent_problem():
@@ -1012,12 +991,12 @@ def test_chunked_grk_without_x_star_matches_step_by_step_oracle(case, trace_ever
     else:
         assert len(calls) < report.iterations
     assert np.linalg.norm(report.X - oracle.X) <= 1e-13 * np.linalg.norm(oracle.X)
-    assert [r.iteration for r in report.records] == [k for k, _, _ in oracle.records]
-    for r, (_, _, resid) in zip(report.records, oracle.records):
-        assert r.relative_error is None
-        assert abs(r.relative_residual - resid) <= 1e-14 * max(1.0, resid), r
-    elapsed = [r.elapsed for r in report.records]
-    assert elapsed == sorted(elapsed)
+    trace = report.trace
+    assert trace.iteration == [k for k, _, _ in oracle.records]
+    assert all(error is None for error in trace.relative_error)
+    for k, got, (_, _, resid) in zip(trace.iteration, trace.relative_residual, oracle.records):
+        assert abs(got - resid) <= 1e-14 * max(1.0, resid), (k, got)
+    assert trace.elapsed == sorted(trace.elapsed)
 
 
 def test_solve_unsafe_stepsize_ends_as_diverged():
@@ -1030,10 +1009,10 @@ def test_solve_unsafe_stepsize_ends_as_diverged():
         report = solve(reference, config)
         assert report.termination == "diverged"
         assert report.iterations < config.max_iters
-        last = report.records[-1]
-        assert last.iteration == report.iterations
-        metric = last.relative_error if reference.X_star is not None else last.relative_residual
-        assert not math.isfinite(metric)
+        trace = report.trace
+        assert trace.iteration[-1] == report.iterations
+        metric = trace.relative_error if reference.X_star is not None else trace.relative_residual
+        assert not math.isfinite(metric[-1])
 
 
 STEP_NAMES = {GRK: "grk_step", GRBK: "grbk_step", GRABK_CONST: "grabk_step",
@@ -1089,16 +1068,17 @@ def test_kept_residual_tracks_recomputed_residual(method, reference, form, monke
         if method == GRK:  # long enough to cross a resync
             assert report.iterations > solvers.RESYNC_EVERY
         assert max(exact) == report.iterations
-        assert len(report.records) == -(-report.iterations // trace_every)
+        assert len(report.trace.iteration) == -(-report.iterations // trace_every)
         assert len(exact) == report.iterations
         chunks = method == GRK and (reference == "xstar" or form != "recomputed")
         assert (len(calls) < report.iterations) if chunks else len(calls) == report.iterations
-        gaps = [abs(r.relative_residual - exact[r.iteration]) for r in report.records]
+        gaps = [abs(resid - exact[k])
+                for k, resid in zip(report.trace.iteration, report.trace.relative_residual)]
         assert max(gaps) <= 1e-14, (method, name, max(gaps))
         if form == "recomputed" and reference == "residual":
             assert max(gaps) == 0.0
         if reference == "residual":
-            assert report.records[-1].relative_residual < 1e-9
+            assert report.trace.relative_residual[-1] < 1e-9
         monkeypatch.setattr(solvers, step_name, step)
 
 
@@ -1132,10 +1112,10 @@ def test_split_reads_the_residual_from_a_reference_off_the_solution(monkeypatch)
     monkeypatch.setattr(solvers, "grbk_step", recording_step)
     report = solve(prob, SolverConfig(method=GRBK, tau1=3, tau2=3, seed=4, max_iters=2000,
                                       re_tolerance=1e-300))
-    assert len(report.records) == len(exact) == 2000
+    assert len(report.trace.iteration) == len(exact) == 2000
     assert min(exact) < 1e-13
-    for r in report.records:
-        assert abs(r.relative_residual - exact[r.iteration - 1]) <= 1e-14, r
+    for k, resid in zip(report.trace.iteration, report.trace.relative_residual):
+        assert abs(resid - exact[k - 1]) <= 1e-14, (k, resid)
 
 
 @pytest.mark.parametrize("residual", ["kept", "split"])
@@ -1152,10 +1132,12 @@ def test_grk_records_read_the_error_of_an_x_star_off_the_solution(trace_every, r
     config = SolverConfig(method=GRK, seed=3, max_iters=6000, re_tolerance=1e-300,
                           trace_every=trace_every)
     report, oracle = solve(prob, config), grk_oracle(prob, config)
-    assert [r.iteration for r in report.records] == [k for k, _, _ in oracle.records]
-    for r, (_, error, resid) in zip(report.records, oracle.records):
-        assert abs(r.relative_error - error) <= 1e-14 * max(1.0, error)
-        assert abs(r.relative_residual - resid) <= 1e-14 * max(1.0, resid)
+    trace = report.trace
+    assert trace.iteration == [k for k, _, _ in oracle.records]
+    for got_error, got_resid, (_, error, resid) in zip(trace.relative_error,
+                                                        trace.relative_residual, oracle.records):
+        assert abs(got_error - error) <= 1e-14 * max(1.0, error)
+        assert abs(got_resid - resid) <= 1e-14 * max(1.0, resid)
 
 
 def test_split_carries_its_squared_residual_from_the_start():
@@ -1323,7 +1305,7 @@ def test_kept_residual_recomputes_only_to_resync_and_confirm(monkeypatch):
     config = SolverConfig(method=GRK, seed=5, max_iters=5000, re_tolerance=1e-300)
     assert solvers._keeps_residual(prob, config, False)
     report = solve(prob, config)
-    assert report.iterations == 5000 and len(report.records) == 5000
+    assert report.iterations == 5000 and len(report.trace.iteration) == 5000
     assert len(calls) <= 5000 / solvers.RESYNC_EVERY + 2
     # run to tolerance: the confirm adds at most a call or two
     calls.clear()
@@ -1403,8 +1385,8 @@ def test_kept_residual_reads_its_norm_only_on_records(form, monkeypatch):
     prob = make_problem(*gen_type1(TypeISpec(150, 40, 40, 40, 150, 40, seed=37)), seed=38)
     report = solve(prob, SolverConfig(method=GRBK, tau1=15, tau2=15, seed=4, max_iters=700,
                                       re_tolerance=1e-300, trace_every=7))
-    assert (report.iterations, len(report.records)) == (700, 100)
-    assert 0 < len(norms) <= len(report.records)
+    assert (report.iterations, len(report.trace.iteration)) == (700, 100)
+    assert 0 < len(norms) <= len(report.trace.iteration)
 
 
 @pytest.mark.parametrize("form", RESIDUAL_FORMS)
@@ -1468,6 +1450,7 @@ def test_tracked_error_recomputes_only_to_anchor_and_confirm(method, tol, max_it
     step = getattr(solvers, step_name)
     A, B = gen_type1(TypeISpec(60, 20, 10, 20, 60, 20, seed=35))
     prob = make_problem(A, B, seed=36)
+    xstar_sq = np.linalg.norm(prob.X_star, "fro") ** 2
 
     def counting(*args):
         computed.append(1)
@@ -1475,7 +1458,8 @@ def test_tracked_error_recomputes_only_to_anchor_and_confirm(method, tol, max_it
 
     def banding_step(state, *args, **kwargs):
         out = step(state, *args, **kwargs)
-        in_band.append(relative_error(state.X, prob.X_star)
+        # relative_error itself, by the unpatched _error it returns, not counted
+        in_band.append(full(state.X, prob.X_star, xstar_sq)
                        < tol + solvers.CONFIRM_BAND + solvers.DROP_RTOL)
         return out
 
@@ -1487,7 +1471,8 @@ def test_tracked_error_recomputes_only_to_anchor_and_confirm(method, tol, max_it
     report = solve(prob, config)
     k = report.iterations
     assert report.termination == ("tolerance" if tol > 1e-300 else "max_iters")
-    assert len(computed) <= 1 + k // solvers.RESYNC_EVERY + sum(in_band) + len(report.records)
+    assert (len(computed)
+            <= 1 + k // solvers.RESYNC_EVERY + sum(in_band) + len(report.trace.iteration))
     if tol > 1e-300:
         assert len(computed) <= 4 + k // solvers.RESYNC_EVERY < k + 1
 
