@@ -54,12 +54,6 @@ DEFAULT_ETA = {GRABK_CONST: 1.95, GRABK_ADAPTIVE: 1.0}
 # rounding of a computed decrease, about eps kappa(A_I) kappa(B_J), for
 # blocks conditioned up to about 1e9. DRIFT_LIMIT caps a kept residual's
 # bound on that rounding (see _Residual) below the 1e-14 its records keep.
-# FACTOR_CACHE_MULTIPLE caps the kept residual's images against the m n
-# floats of C. SPLIT_MARGIN is how many times cheaper than the other forms a
-# ``_Split`` update must count to be chosen, as it pays once for two
-# pseudoinverses and its Gram matrices; SPLIT_OVERHEAD counts the calls it
-# makes per step beyond R's (a subtraction and a dot product, about 2 us),
-# as flops at about 4 GFLOP/s.
 # DECREASE_OVERHEAD is the call cost of a block decrease, counted as the
 # entries of X that an exact error reads in the same time (about 6 us at
 # 0.75 ns an entry, one thread).
@@ -67,9 +61,6 @@ RESYNC_EVERY = 256
 CONFIRM_BAND = 1e-12
 DROP_RTOL = 1e-6
 DRIFT_LIMIT = 5e-15
-FACTOR_CACHE_MULTIPLE = 4
-SPLIT_MARGIN = 4
-SPLIT_OVERHEAD = 8192
 DECREASE_OVERHEAD = 8192
 DRAW_CHUNK = 1024  # the block pairs of as many steps come from one draw
 GRK_CHUNK = 64  # the most GRK steps one grk_step call runs while the stop metric is kept
@@ -242,7 +233,7 @@ class IterationState:
     stepsizes: list | None = None  # GRABK-adaptive's L, from _block_steps
     weighted: np.ndarray | None = None  # W = u_hat R v_hat of the last grabk_step
     cols_t: np.ndarray | None = None  # GRK's B^T, C-ordered: B's columns are its rows
-    gathered: tuple | None = None  # (B_S, C_S, d) of the last grk_step chunk
+    gathered: tuple | None = None  # (B_S, C_S) of the last grk_step chunk
 
 
 def _hat_weights(u, norms_sq):
@@ -390,7 +381,7 @@ def grk_step(state, i, j, _prefix=None):
     ``X += A_S[:c]^T diag(s[:c]) B_S[:, :c]^T`` applies the first c steps,
     and r[:c] = s[:c] d[:c] comes back. c is K, or ``_prefix(i, j, r, s)``,
     which ``_Error.prefix`` and ``_Residual.prefix`` read each step's value
-    from; ``state.gathered`` holds B_S, ``C_S = C[i, j]`` and d for them.
+    from; ``state.gathered`` holds B_S and ``C_S = C[i, j]`` for them.
     Rows are gathered by ``take``, B's columns as rows of ``state.cols_t``,
     the C-ordered B^T of a GRK run (the F-ordered view B^T on another
     state), which gives the same F-ordered q x K array as ``B[:, j]``. The
@@ -406,7 +397,7 @@ def grk_step(state, i, j, _prefix=None):
     cols_t = state.problem.B.T if state.cols_t is None else state.cols_t
     A_S, B_S = state.problem.A.take(i, axis=0), cols_t.take(j, axis=0).T
     C_S = state.problem.C[i, j]
-    state.gathered = B_S, C_S, d
+    state.gathered = B_S, C_S
     gram = (A_S @ A_S.T) * (B_S.T @ B_S)
     gram.flat[::d.size + 1] = d
     rhs = C_S - np.sum((A_S @ state.X) * B_S.T, axis=1)
@@ -506,40 +497,32 @@ def _relative_residual(problem, X, unit):
 
 
 def _keeps_residual(problem, config, use_re):
-    """How ``solve`` has the norm of R = C - A X B when it needs it: ``None``
-    to recompute R in full, else the stop metric that keeps it up to date by
-    a low-rank update per step, ``_Residual`` (R itself, m x n) or
-    ``_Split`` (a p x q matrix).
+    """Whether ``solve`` keeps R = C - A X B up to date by a low-rank
+    update per step (``_Residual``) instead of recomputing it in full when
+    it needs its norm.
 
-    The cheapest form wins. A full residual costs ``m p q + q n m`` flops,
-    needed every step without ``X_star``, else every ``trace_every``. Each
-    step updates the kept form, ``m t1 t2 + m t2 n`` flops for R and ``p t1
-    t2 + p t2 q`` for the split, and each value read costs ``m n`` for R's
-    norm and ``2 p q`` plus ``SPLIT_OVERHEAD`` for the split's. The split's
-    flops count ``SPLIT_MARGIN`` times; so R stays where ``p q`` is not well
-    below ``m n``, and where a step is so small that its calls cost more
-    than its flops. R is never kept when its images, up to ``m^2 + n^2``
-    floats, could exceed ``FACTOR_CACHE_MULTIPLE`` times C. A tie goes to
+    It keeps R where that costs fewer flops. A full residual costs ``m p q
+    + q n m``, needed every step without ``X_star``, else every
+    ``trace_every``. The kept residual is ``m' x n'``, with ``m' = min(m,
+    p)`` and ``n' = min(q, n)``: each step updates it, ``m' t1 t2 + m' t2
+    n'`` flops, and each value read costs ``m' n'``. A tie goes to
     recomputing.
     """
     m, p = problem.A.shape
     q, n = problem.B.shape
     t1, t2 = config.tau1, config.tau2
+    rows, cols = min(m, p), min(q, n)
     every = config.trace_every if use_re else 1
-    costs = {None: m * p * q + q * n * m}
-    if m * m + n * n <= FACTOR_CACHE_MULTIPLE * m * n:
-        costs[_Residual] = every * (m * t1 * t2 + m * t2 * n) + m * n
-    costs[_Split] = (SPLIT_MARGIN * (every * (p * t1 * t2 + p * t2 * q) + 2 * p * q)
-                     + SPLIT_OVERHEAD)
-    return min(costs, key=costs.get)
+    keep = every * (rows * t1 * t2 + rows * t2 * cols) + rows * cols
+    return keep < m * p * q + q * n * m
 
 
-def _tracks_error(problem, config, use_re, form):
+def _tracks_error(problem, config, use_re, keeps):
     """Whether ``solve`` tracks ``||X - X_star||_F^2`` by the decrease of
     each step between exact checks instead of computing it on every step.
 
     It does only with ``X_star``: GRK unless every step is a record that
-    recomputes the residual (``_keeps_residual``'s ``form`` is None); a
+    recomputes the residual (``_keeps_residual``'s ``keeps`` is False); a
     block method, whose records read the exact error, with ``trace_every >
     1`` when a decrease costs less than the exact error, which reads the
     ``p q`` entries of X. GRABK-adaptive's reads ``t1 t2`` numbers; GRBK's
@@ -548,7 +531,7 @@ def _tracks_error(problem, config, use_re, form):
     than the error reads an entry. Each block decrease also pays
     ``DECREASE_OVERHEAD`` in calls.
     """
-    if not use_re or config.trace_every == 1 and (config.method != GRK or form is None):
+    if not use_re or config.trace_every == 1 and (config.method != GRK or not keeps):
         return False
     if config.method == GRK:
         return True
@@ -664,25 +647,55 @@ class _Metric:
         return self.confirm()
 
 
+def _range_basis(M):
+    """``(Q, T)`` with ``M = Q T`` and Q's orthonormal columns holding
+    range(M): the thin QR of a tall M, else ``(None, M)``, None standing for
+    the identity."""
+    return np.linalg.qr(M) if M.shape[0] > M.shape[1] else (None, M)
+
+
+def _coordinates(M, Q):
+    """``Q^T M`` and ``||M - Q Q^T M||_F^2``, the squared norm of the part
+    of M off the columns of Q; M and 0.0 for Q None (the identity)."""
+    if Q is None:
+        return M, 0.0
+    inner = Q.T @ M
+    outer = M - Q @ inner
+    return inner, float(np.vdot(outer, outer))
+
+
 class _Residual(_Metric):
-    """||C - A X B||_F / ||C||_F (or ||C - A X B||_F when C = 0), read from
-    the matrix ``kept``, which each step updates in place by rank at most
-    tau2. Here ``kept`` is R = C - A X B itself: ``R -= c (A G_I) M (H_J
-    B)``. Its images are ``A G_I`` and ``(H_J B)^T`` with their squared
-    Frobenius norms, at most ``m^2 + n^2`` floats; its kept value keeps no
-    slack.
+    """||C - A X B||_F / ||C||_F (or ||C - A X B||_F when C = 0), kept in
+    the coordinates of range(A) x range(B^T).
+
+    Every step moves A X B by ``c A G_I M H_J B``, inside that subspace, so
+    the part of R = C - A X B off it is C's own and stays put. On a tall
+    side the thin QR ``A = Q_A T_A`` (m > p) or ``B^T = Q_B T_B`` (n > q)
+    gives an orthonormal basis holding the range; on a square or wide side
+    the basis is the identity, ``T_A = A`` or ``T_B = B^T``. ``kept`` is K =
+    Q_A^T R Q_B, ``min(m, p) x min(q, n)``, and ``perp_sq`` the scalar
+    ``||R - Q_A K Q_B^T||_F^2``, so that exactly
+
+        ||R||_F^2 = perp_sq + ||K||_F^2,
+
+    a sum of two squares, which does not cancel. Where neither side is tall,
+    K is R itself and perp_sq is 0. Each step updates K in place by rank at
+    most tau2: ``K -= c (T_A G_I) M (H_J T_B^T)``. Its images are ``T_A G_I``
+    and ``(H_J T_B^T)^T`` with their squared Frobenius norms (those of ``A
+    G_I`` and ``(H_J B)^T``), at most the size of A and B; its kept value
+    keeps no slack. Each exact value projects the residual it recomputes,
+    and sums perp_sq from the two parts of R off the bases (``keep``).
 
     An update rounds by up to about eps ``|c| ||A G_I||_F ||M||_F ||H_J
     B||_F``, far above the change itself where the product cancels: an
     ill-conditioned block, or a large adaptive stepsize on an inconsistent
     C. ``moved`` sums the squares of those products since the last exact
     value; once eps times its root could move the value by ``DRIFT_LIMIT``,
-    the value is NaN, so the next one is exact. ``_Split`` keeps a p x q
-    matrix in place of R.
+    the value is NaN, so the next one is exact.
 
     GRK's chunks (``prefix``) read every step's value from the chunk's Gram
-    matrices; GRK's steps move ``kept`` by one rank-K product of images
-    stacked once for every row of A and column of B."""
+    matrices; GRK's steps move K by one product of images stacked once for
+    every row of A and column of B."""
 
     def __init__(self, state, tracking, band):
         super().__init__(state, tracking, band)
@@ -690,11 +703,22 @@ class _Residual(_Metric):
         self.unit = c_norm if c_norm > 0.0 else 1.0  # value = residual / unit
         limit = DRIFT_LIMIT * self.unit / EPS
         self.moved, self.moved_limit = 0.0, limit * limit
-        self.maps = (state.problem.A, state.problem.B.T)  # image = maps[0] G_I, maps[1] H_J^T
-        # C - A X0 B with X0 = 0, C-ordered so that kept.T takes BLAS updates in place
-        self.kept = np.array(state.problem.C, order="C") if tracking else None
-        self.stacks = None  # GRK's factors and images of every row and column
-        self.pending = None  # per step prefix proposed: images, moved, squares, rounding
+        self.kept = None
+        self.stacks = None  # GRK's images of every row and column
+        self.pending = None  # per step prefix proposed: images, moved
+        if tracking:
+            (qa, ta), (qb, tb) = _range_basis(state.problem.A), _range_basis(state.problem.B.T)
+            self.bases, self.maps = (qa, qb), (ta, tb)  # image = T_A G_I, T_B H_J^T
+            self.keep(state.problem.C.copy())  # R at X0 = 0
+
+    def keep(self, R):
+        """K and perp_sq from the full residual R: perp_sq is the squared
+        norm of R off Q_A's columns plus that of Q_A^T R off Q_B's."""
+        qa, qb = self.bases
+        rows, left_sq = _coordinates(R, qa)
+        kept, right_sq = _coordinates(rows.T, qb)
+        self.kept = np.ascontiguousarray(kept.T)  # C-ordered: kept.T takes BLAS updates in place
+        self.perp_sq = left_sq + right_sq
 
     def image(self, rows, entry):
         factor = entry[3]
@@ -709,62 +733,56 @@ class _Residual(_Metric):
             self.moved += c * c * np.vdot(weighted, weighted) * left_sq * right_sq
 
     def grk_stacks(self, rows, cols):
-        """For GRK's steps at the rows ``rows`` of A and columns ``cols`` of
-        B: their factors ``a / ||a||^2`` and ``b / ||b||^2``, stacked (K x p,
-        K x q), their images (K x m and K x n for R, K x p and K x q for the
-        split), the factors times the triangular factors of a QR of A and of
-        B^T, whose Gram matrices are those of the images in R's space (in p
-        and q, as accurate), and the products of the images' squared norms.
-        The first call makes them for every row and column; a zero row or
-        column, never drawn, gets zeros."""
+        """The images of GRK's steps at the rows ``rows`` of A and columns
+        ``cols`` of B, stacked as rows: ``T_A a / ||a||^2`` and ``T_B b /
+        ||b||^2`` for a row a of A and a column b of B. The first call makes
+        them for every row and column; a zero row or column, never drawn,
+        gets zeros."""
         if self.stacks is None:
             state = self.state
             A, B = state.problem.A, state.problem.B
             fa = A / np.where(state.row_norms_sq > 0.0, state.row_norms_sq, 1.0)[:, None]
             fb = B.T / np.where(state.col_norms_sq > 0.0, state.col_norms_sq, 1.0)[:, None]
-            left, right = fa @ self.maps[0].T, fb @ self.maps[1].T
-            self.stacks = (fa, fb, left, right, fa @ np.linalg.qr(A, mode="r").T,
-                           fb @ np.linalg.qr(B.T, mode="r").T, np.sum(left * left, axis=1),
-                           np.sum(right * right, axis=1))
-        fa, fb, left, right, gram_left, gram_right, left_sq, right_sq = self.stacks
-        return (fa.take(rows, axis=0), fb.take(cols, axis=0), left.take(rows, axis=0),
-                right.take(cols, axis=0), gram_left.take(rows, axis=0),
-                gram_right.take(cols, axis=0), left_sq.take(rows) * right_sq.take(cols))
+            self.stacks = fa @ self.maps[0].T, fb @ self.maps[1].T
+        left, right = self.stacks
+        return left.take(rows, axis=0), right.take(cols, axis=0)
 
     def prefix(self, rows, cols, r, s):
         """How many of the GRK steps at the rows ``rows`` of A and columns
         ``cols`` of B, with sampled residuals ``r``, to apply at most;
         ``chunk`` gets the value after each, ``advance_grk`` commits them.
 
-        Step k moves R by ``-r_k u_k v_k^T``, with u_k and v_k the images of
-        its row and column in R's space. So with ``G = (U^T U) o (V^T V)``
-        and ``t = diag(U^T R_0 V) - tril(G, -1) r``,
+        Step k moves K by ``-r_k u_k v_k^T``, with u_k and v_k the images of
+        its row and column. So with ``G = (U^T U) o (V^T V)`` and ``t =
+        diag(U^T K_0 V) - tril(G, -1) r``,
 
             ||R_k||_F^2 = ||R_{k-1}||_F^2 - 2 r_k t_k + r_k^2 G_kk,
 
-        from R_0's terms as ``chunk_terms`` gives them. That squared value
-        rounds by ``base``, the rounding of ||R_0||^2, plus about eps times
-        the terms it sums: ``2 |r_k| z_k size``, which bounds the products
-        in the first term of t_k, and ``|r_k|`` times ``2 |tril(G, -1)| |r|
-        + |r_k| G_kk``. The kept matrix is off by at most eps times the root
-        of ``moved``, which moves the squared value by that times ``e0 + 2
+        from ``||R_0||_F^2 = perp_sq + ||K_0||_F^2``. That squared value
+        rounds by eps times ``||R_0||_F^2`` plus about eps times the terms
+        it sums: ``2 |r_k| z_k size``, with ``z_k = sqrt(G_kk)``
+        and ``size = ||K_0||_F``, which bounds the products in the first
+        term of t_k, and ``|r_k|`` times ``2 |tril(G, -1)| |r| + |r_k|
+        G_kk``. The kept K is off by at most eps times the root of
+        ``moved``, which moves the squared value by that times ``2 size + 2
         sum_l |r_l| z_l``. That sum over the value is the value's bound. The
         chunk ends at the first step whose value, less its bound, lies below
         the band, whose bound could pass ``DRIFT_LIMIT``, or whose value is
         not finite; that step's value is NaN, so it gets the exact one."""
-        fa, fb, left, right, gram_left, gram_right, sizes = self.grk_stacks(rows, cols)
-        sq0, t0, base, size, e0, z = self.chunk_terms(fa, fb, left, right)
-        gram = (gram_left @ gram_left.T) * (gram_right @ gram_right.T)
+        left, right = self.grk_stacks(rows, cols)
+        kept_sq = float(np.vdot(self.kept, self.kept))
+        sq0, size = self.perp_sq + kept_sq, math.sqrt(kept_sq)
+        t0 = np.einsum("ij,ij->i", left @ self.kept, right)
+        gram = (left @ left.T) * (right @ right.T)
         g = gram.diagonal().copy()
         gram.flat[::g.size + 1] = 0.0  # gram is symmetric: gram.T is its Fortran view
         sq = sq0 - np.cumsum(r * (2.0 * (t0 - blas.dtrmv(gram.T, r, lower=1)) - r * g))
         root = np.sqrt(sq)
-        moved = self.moved + np.cumsum(r * r * sizes)
-        size_r = np.abs(r)
-        z = np.sqrt(g) if z is None else z
+        moved = self.moved + np.cumsum(r * r * g)
+        size_r, z = np.abs(r), np.sqrt(g)
         products = blas.dtrmv(np.abs(gram).T, size_r, lower=1)
         sums = np.cumsum(size_r * (2.0 * (size * z + products) + size_r * g))
-        rounding = base + EPS * (sums + np.sqrt(moved) * (e0 + 2.0 * np.cumsum(size_r * z)))
+        rounding = EPS * sq0 + EPS * (sums + 2.0 * np.sqrt(moved) * (size + np.cumsum(size_r * z)))
         # the bound is rounding / root: check it against the value times root
         fits = ((rounding <= (DRIFT_LIMIT * self.unit) * root)
                 & (sq - rounding >= (self.band * self.unit) * root))
@@ -772,27 +790,16 @@ class _Residual(_Metric):
         self.chunk = (root[:c] / self.unit).tolist()
         if not fits[c - 1]:
             self.chunk[-1] = math.nan
-        self.pending = left, right, moved, sq, base, sums
+        self.pending = left, right, moved
         return c
 
-    def chunk_terms(self, fa, fb, left, right):
-        """For the images U and V of a chunk's steps in R's space: the
-        squared residual before it, diag(U^T R_0 V), and for ``prefix``'s
-        bound the rounding of that squared residual, ``size``, ``e0`` and
-        ``z`` (None for sqrt(G_kk)). All come from ``kept``, so a kept R
-        off by some D gives the residual of R + D."""
-        sq = float(np.vdot(self.kept, self.kept))
-        root = math.sqrt(sq)
-        t0 = np.einsum("ij,ij->i", left @ self.kept, right)
-        return sq, t0, EPS * sq, root, 2.0 * root, None
-
     def advance_grk(self, r):
-        """One rank-len(r) update of ``kept`` by the stacked images of the
-        GRK steps ``prefix`` read, and the value after the last of them."""
+        """One update of K by the stacked images of the GRK steps ``prefix``
+        read, of rank at most len(r), and the value after the last of
+        them."""
         n = r.size
-        left, right, moved, sq, base, sums = self.pending
+        left, right, moved = self.pending
         self.moved = float(moved[n - 1])
-        self.carried = float(sq[n - 1]), base + EPS * float(sums[n - 1])
         blas.dgemm(-1.0, right[:n] * r[:, None], left[:n], trans_a=1, beta=1.0,
                    c=self.kept.T, overwrite_c=True)
         return self.chunk[n - 1]
@@ -800,83 +807,14 @@ class _Residual(_Metric):
     def norm(self):
         if not self.moved <= self.moved_limit:
             return math.nan
-        tracked = math.sqrt(np.vdot(self.kept, self.kept))
-        return float(tracked / self.unit)
+        return float(math.sqrt(self.perp_sq + np.vdot(self.kept, self.kept)) / self.unit)
 
     def exact(self):
         self.moved = 0.0
         value, R = _relative_residual(self.state.problem, self.state.X, self.unit)
         if self.tracking:
-            self.kept = np.ascontiguousarray(R)
+            self.keep(R)
         return value
-
-
-class _Split(_Residual):
-    """``_Residual``'s value, read in the p x q space. With a fixed reference
-    X0, F = C - A X0 B and E = X0 - X, exactly
-
-        ||C - A X B||_F^2 = ||F||_F^2 + <E, 2 A^T F B^T + S>,  S = A^T A E B B^T,
-
-    for any X0, so also where pinv truncates a rank-deficient factor and for
-    an inconsistent C. ``kept`` is ``2 A^T F B^T + S``. A step moves X by
-    ``c G_I M H_J``, so S by ``-c (A^T A G_I) M (H_J B B^T)``: the update of
-    R with images ``A^T A G_I`` and ``(H_J B B^T)^T``, at most ``p m + q n``
-    floats. X0 is ``X_star`` when given, else ``pinv(A) C pinv(B)``, the
-    limit of the iterates, so that E and the cancellation in the sum stay
-    small as the run converges. The rounding of S moves the squared
-    residual by at most ``||E||_F`` times its own size, so the residual by
-    that over twice the residual. Below half of ``||F||_F`` the sum cancels
-    (a run with an X_star off the solution can get there), so the value is
-    NaN and the next one exact. Each exact value recomputes S from E."""
-
-    def __init__(self, state, tracking, band):
-        super().__init__(state, False, band)  # no m x n copy of C
-        self.tracking = tracking
-        A, B, C = state.problem.A, state.problem.B, state.problem.C
-        X0 = state.problem.X_star
-        self.X0 = pinv(A) @ C @ pinv(B) if X0 is None else X0
-        F = C - (A @ self.X0) @ B
-        self.f_sq = float(np.vdot(F, F))
-        self.maps = (A.T @ A, B @ B.T)
-        self.cross = 2.0 * (A.T @ F) @ B.T
-        self.cross_norm = math.sqrt(np.vdot(self.cross, self.cross))
-        self.E = np.empty_like(self.X0)
-        self.rebase(self.X0)  # E = X0 at X = 0
-
-    def norm(self):
-        E = np.subtract(self.X0, self.state.X, out=self.E)
-        sq = max(self.f_sq + np.vdot(E, self.kept), 0.0)
-        if 4.0 * sq < self.f_sq or not np.vdot(E, E) * self.moved <= 4.0 * sq * self.moved_limit:
-            return math.nan
-        return float(math.sqrt(sq) / self.unit)
-
-    def chunk_terms(self, fa, fb, left, right):
-        """``_Residual.chunk_terms`` from the factors F_a and F_b: U^T R_0 V
-        = F_a (A^T R_0 B^T) F_b^T, with ``A^T R_0 B^T = kept - cross / 2``.
-        The squared residual and its rounding carry over from the last
-        chunk or exact value, not from ``norm``: E = X0 - X rounds
-        otherwise than ``kept`` moves, and the chunk's sums would magnify
-        the difference. Each step's d, for ``z``, is the one ``grk_step``
-        gathered."""
-        half = self.kept - 0.5 * self.cross
-        d = self.state.gathered[2]
-        size = math.sqrt(np.vdot(self.kept, self.kept)) + self.cross_norm / 2.0
-        return (self.carried[0], np.einsum("ij,ij->i", fa @ half, fb), self.carried[1], size,
-                0.0, 1.0 / np.sqrt(d))
-
-    def exact(self):
-        self.moved = 0.0
-        value = _relative_residual(self.state.problem, self.state.X, self.unit)[0]
-        if self.tracking:
-            self.rebase(np.subtract(self.X0, self.state.X, out=self.E))
-        return value
-
-    def rebase(self, E):
-        """``kept`` at E = X0 - X, S = A^T A E B B^T plus 2 A^T F B^T, and
-        ``carried``: the squared residual it gives and its rounding."""
-        kept = self.kept = self.cross + self.maps[0] @ E @ self.maps[1]
-        self.carried = (self.f_sq + float(np.vdot(E, kept)),
-                        EPS * (self.f_sq + math.sqrt(np.vdot(E, E) * np.vdot(kept, kept))))
 
 
 class _Error(_Metric):
@@ -911,7 +849,7 @@ class _Error(_Metric):
         the B_S and C_S that ``grk_step`` gathered."""
         drops = r * s
         if not self.records_exact:
-            B_S, C_S, _ = self.state.gathered
+            B_S, C_S = self.state.gathered
             drops += 2.0 * s * (np.sum(self.ax.take(rows, axis=0) * B_S.T, axis=1) - C_S)
         drops = np.cumsum(drops) / self.xstar_sq
         values = self.value - drops
@@ -1025,22 +963,22 @@ def solve(problem, config):
     proposed.
 
     Where ``_keeps_residual`` says so, ``_Residual`` keeps C - A X B up to
-    date, or ``_Split`` a p x q matrix that gives its norm; ``_Split`` takes
-    its one-time pseudoinverses and Gram matrices here, not in
-    ``prepare_state``. Where ``_tracks_error`` says so, ``_Error`` keeps the
-    error by subtracting each step's decrease. Each is exact whenever
-    ``_Metric.after_step`` says so, in particular near ``re_tolerance``, so
-    iterates, iteration counts and termination are those of an exact stop
-    metric on every step (up to the rounding of ``_grk_steps``' chunks).
+    date in the coordinates of range(A) x range(B^T), taking the QR of a
+    tall A or B^T here, not in ``prepare_state``. Where ``_tracks_error``
+    says so, ``_Error`` keeps the error by subtracting each step's
+    decrease. Each is exact whenever ``_Metric.after_step`` says so, in
+    particular near ``re_tolerance``, so iterates, iteration counts and
+    termination are those of an exact stop metric on every step (up to the
+    rounding of ``_grk_steps``' chunks).
     """
     state = prepare_state(problem, config)
     use_re = problem.X_star is not None and np.linalg.norm(problem.X_star, "fro") > 0.0
     band = config.re_tolerance + CONFIRM_BAND
     # without X_star the residual is the stop metric; with it, only records read it
-    form = _keeps_residual(problem, config, use_re)
-    residual = (form or _Residual)(state, form is not None, -math.inf if use_re else band)
-    kept = use_re and residual.tracking  # GRK's chunks then run across records
-    stop = (_Error(state, _tracks_error(problem, config, use_re, form), band,
+    keeps = _keeps_residual(problem, config, use_re)
+    residual = _Residual(state, keeps, -math.inf if use_re else band)
+    kept = use_re and keeps  # GRK's chunks then run across records
+    stop = (_Error(state, _tracks_error(problem, config, use_re, keeps), band,
                    config.method != GRK or not kept) if use_re else residual)
     metrics = (stop, residual) if kept else (stop,)
     step = _grk_steps if config.method == GRK else _block_steps

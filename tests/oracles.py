@@ -94,9 +94,9 @@ def grk_oracle(problem, config):
     band = config.re_tolerance + solvers.CONFIRM_BAND
     errors = [float(np.linalg.norm(X - X_star) ** 2 / xstar_sq)]
     value, dropped = errors[0], 0.0
-    form = solvers._keeps_residual(problem, config, True)
-    tracking = solvers._tracks_error(problem, config, True, form) and value >= band
-    records_exact = form is None
+    keeps = solvers._keeps_residual(problem, config, True)
+    tracking = solvers._tracks_error(problem, config, True, keeps) and value >= band
+    records_exact = not keeps
     termination = "tolerance" if value < config.re_tolerance else None
     records, exact_at, k = [], [0], 0
     while termination is None and k < config.max_iters:

@@ -104,7 +104,7 @@ def test_tracer_counts_grk_chunks_without_x_star():
     A, B = gen_type1(TypeISpec(SIDE, SIDE, SIDE, SIDE, SIDE, SIDE, seed=1))
     problem = Problem(A=A, B=B, C=make_problem(A, B, seed=2).C)
     config = SolverConfig(method=GRK, seed=5)
-    assert solvers._keeps_residual(problem, config, False) is solvers._Residual
+    assert solvers._keeps_residual(problem, config, False) is True
     tracer = Tracer()
     with tracer.installed():
         report = solvers.solve(problem, config)
@@ -166,7 +166,7 @@ def test_grk_with_a_recomputed_residual_runs_one_step_a_call(x_star, monkeypatch
     problem = make_problem(A, B, seed=2)
     if not x_star:
         problem = Problem(A=A, B=B, C=problem.C)
-    monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: None)
+    monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: False)
     shapes, step = [], solvers.grk_step
     monkeypatch.setattr(solvers, "grk_step", lambda state, i, j, **kwargs: (
         shapes.append((np.shape(i), np.shape(j))) or step(state, i, j, **kwargs)))

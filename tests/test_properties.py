@@ -120,7 +120,7 @@ def _tracked_steps(instance, method):
                       grk_chunks if method == GRK else recorded("step", step))
         patch.setattr(solvers, "_error", recorded("exact", error))
         patch.setattr(solvers, "_error_drop", recorded("drop", error_drop))
-        patch.setattr(solvers, "_tracks_error", lambda problem, config, use_re, form: use_re)
+        patch.setattr(solvers, "_tracks_error", lambda problem, config, use_re, keeps: use_re)
         solve(prob, config)
         oracle = iter(grk_oracle(prob, config).errors[1:] if method == GRK else ())
 
@@ -378,25 +378,24 @@ def inconsistent(draw):
 
 
 # large adaptive stepsizes: there the rounding of the updates alone moved a
-# kept value by 1e-12 to 3e-11 within these steps, in either form, until
-# solve took the value exact once that rounding could show
+# kept value by 1e-12 to 3e-11 within these steps, until solve took the
+# value exact once that rounding could show
 @example(instance=(_inconsistent(7, 6, 1, 6, 5, 2, seed=34544, scale=1.0), 7, 2),
          method=GRABK_ADAPTIVE)
 @example(instance=(_inconsistent(4, 3, 2, 4, 3, 1, seed=24530, scale=1.0), 1, 3),
          method=GRABK_ADAPTIVE)
-# GRK keeping either form reads every step's residual from its chunk
+# GRK keeping the residual reads every step's residual from its chunk
 @example(instance=(_inconsistent(7, 6, 1, 6, 5, 2, seed=34544, scale=1.0), 1, 1), method=GRK)
 @example(instance=(_inconsistent(6, 5, 3, 4, 7, 4, seed=911, scale=1e-6), 1, 1), method=GRK)
 @settings(max_examples=10, derandomize=True, deadline=None)
 @given(instance=inconsistent(), method=st.sampled_from(METHODS))
 def test_kept_residuals_stay_exact_past_a_resync_on_inconsistent_runs(instance, method):
     # the run stalls above the least-squares floor, so a kept residual is
-    # kept on every step and passes a resync; whether solve recomputes it,
-    # keeps R or keeps its p x q split (whose reference pinv(A) C pinv(B)
-    # is truncated and leaves C - A X0 B nonzero), every record is within
-    # 1e-14 max(1, exact) of the residual recomputed from its iterate. GRK
-    # keeping a form runs its steps in chunks: the iterate after a step
-    # inside one is the one its steps reach one at a time
+    # kept on every step and passes a resync; whether solve recomputes it
+    # or keeps it (its part off range(A) x range(B^T) nonzero here), every
+    # record is within 1e-14 max(1, exact) of the residual recomputed from
+    # its iterate. GRK keeping it runs its steps in chunks: the iterate after
+    # a step inside one is the one its steps reach one at a time
     prob, tau1, tau2 = instance
     A, B, C = prob.A, prob.B, prob.C
     floor = np.linalg.norm(C - A @ (pinv(A) @ C @ pinv(B)) @ B) / np.linalg.norm(C)
@@ -404,7 +403,7 @@ def test_kept_residuals_stay_exact_past_a_resync_on_inconsistent_runs(instance, 
     step_name = STEP_NAMES[method]
     step = getattr(solvers, step_name)
     steps = solvers.RESYNC_EVERY + 200
-    for form in (None, solvers._Residual, solvers._Split):
+    for keeps in (False, True):
         exact = []
 
         def recording(state, *args, **kwargs):
@@ -418,10 +417,55 @@ def test_kept_residuals_stay_exact_past_a_resync_on_inconsistent_runs(instance, 
         config = SolverConfig(method=method, tau1=tau1, tau2=tau2, seed=3, max_iters=steps,
                               re_tolerance=1e-300)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(solvers, "_keeps_residual", lambda *args, form=form: form)
+            patch.setattr(solvers, "_keeps_residual", lambda *args, keeps=keeps: keeps)
             patch.setattr(solvers, step_name, recording)
             report = solve(prob, config)
-        assert report.iterations == len(exact) == len(report.trace.iteration) == steps, form
+        assert report.iterations == len(exact) == len(report.trace.iteration) == steps, keeps
         for k, resid in zip(report.trace.iteration, report.trace.relative_residual):
             target = exact[k - 1]
-            assert abs(resid - target) <= 1e-14 * max(1.0, target), form
+            assert abs(resid - target) <= 1e-14 * max(1.0, target), keeps
+
+
+@st.composite
+def residual_shapes(draw):
+    """A pair tall, wide or square on each side, of random ranks, its A's
+    rows scaled from 1 down to 1e-4 or not, C consistent or with noise of
+    1e-6 or 1 times its norm; and the iterates to take exact values at: X0
+    = 0, a random X and pinv(A) C pinv(B)."""
+    m, p, q, n = (draw(st.integers(1, 9)) for _ in range(4))
+    r1, r2 = draw(st.integers(1, min(m, p))), draw(st.integers(1, min(q, n)))
+    seed = draw(st.integers(0, 2**16))
+    A, B = gen_type1(TypeISpec(m, p, r1, q, n, r2, seed=seed))
+    if draw(st.booleans()):
+        A = A * np.logspace(0, -4, m)[:, None]
+    rng = np.random.default_rng(seed + 1)
+    C = A @ rng.standard_normal((p, q)) @ B
+    noise = rng.standard_normal((m, n))
+    scale = draw(st.sampled_from([0.0, 1e-6, 1.0]))
+    C = C + scale * np.linalg.norm(C) / np.linalg.norm(noise) * noise
+    prob = Problem(A=A, B=B, C=C)
+    return prob, [np.zeros((p, q)), rng.standard_normal((p, q)), pinv(A) @ C @ pinv(B)]
+
+
+@example(shapes=(_inconsistent(7, 6, 1, 6, 5, 2, seed=34544, scale=1.0),
+                 [np.zeros((6, 6)), np.ones((6, 6))]))
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(shapes=residual_shapes())
+def test_kept_residual_coordinates_give_the_exact_residual(shapes):
+    # the kept residual holds K = Q_A^T R Q_B and perp_sq = ||R - Q_A K
+    # Q_B^T||_F^2: after each exact value, sqrt(perp_sq + ||K||_F^2) / unit
+    # is within 1e-14 max(1, exact) of it, on every shape. Where neither
+    # factor is tall, K is R itself and perp_sq is 0
+    prob, iterates = shapes
+    (m, p), (q, n) = prob.A.shape, prob.B.shape
+    state = solvers.prepare_state(prob, SolverConfig(method=GRK))
+    residual = solvers._Residual(state, True, -np.inf)
+    assert residual.kept.shape == (min(m, p), min(q, n))
+    for X in iterates:
+        state.X = X
+        exact = residual.exact()
+        kept = np.sqrt(residual.perp_sq + np.vdot(residual.kept, residual.kept)) / residual.unit
+        assert abs(kept - exact) <= 1e-14 * max(1.0, exact)
+        if m <= p and n <= q:
+            np.testing.assert_array_equal(residual.kept, prob.C - (prob.A @ X) @ prob.B)
+            assert residual.perp_sq == 0.0

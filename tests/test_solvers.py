@@ -44,9 +44,18 @@ from oracles import (
 )
 
 
-# the forms of _keeps_residual's answer: recompute C - A X B in full, keep
-# it (m x n), or keep its p x q split
-RESIDUAL_FORMS = {"recomputed": None, "kept": solvers._Residual, "split": solvers._Split}
+# the forms of the residual: recompute C - A X B in full, keep it in the
+# coordinates of range(A) x range(B^T) (a QR basis on a tall side, the
+# identity on a square or wide one), or keep it in QR coordinates on every
+# side, so that each case runs the projected arithmetic tall factors get
+RESIDUAL_FORMS = {"recomputed": False, "kept": True, "kept-qr": True}
+KEPT_FORMS = [form for form, keeps in RESIDUAL_FORMS.items() if keeps]
+
+
+def use_residual_form(monkeypatch, form):
+    monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: RESIDUAL_FORMS[form])
+    if form == "kept-qr":
+        monkeypatch.setattr(solvers, "_range_basis", np.linalg.qr)
 
 
 def small_problem(seed=0, m=8, p=5, q=5, n=8):
@@ -831,15 +840,15 @@ def test_solve_matches_public_step_loop(method, case, reference, schedule, resid
     # golden trace: solve() (its chunked draws, its per-block cache of dense
     # blocks and factors, the fused adaptive kernel, one stop metric per
     # iteration) must give the same bits as the public steps over scalar
-    # draws, whether it keeps C - A X B or its p x q split up to date or
-    # recomputes it, and whether it tracks the error between exact checks
+    # draws, whether it keeps C - A X B up to date or recomputes it, and
+    # whether it tracks the error between exact checks
     # (wherever it can) or not; a kept residual is within 1e-14 of the
     # exact one. GRK tracking its error, or keeping its residual without
     # X_star, runs its steps in chunks, which round otherwise: there X is
     # within 1e-13 relative, a record's error within 1e-13 and its residual
     # within 1e-14 of the step-by-step run's
-    monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: RESIDUAL_FORMS[residual])
-    monkeypatch.setattr(solvers, "_tracks_error", lambda problem, config, use_re, form: use_re)
+    use_residual_form(monkeypatch, residual)
+    monkeypatch.setattr(solvers, "_tracks_error", lambda problem, config, use_re, keeps: use_re)
     prob, tau1, tau2 = GOLDEN_CASES[case]
     if reference == "residual":
         prob = Problem(A=prob.A, B=prob.B, C=prob.C)
@@ -909,7 +918,7 @@ def test_chunked_grk_matches_step_by_step_oracle(case, trace_every, budget, resi
     # records where the residual is recomputed, and the first step in the
     # band. With a record on every step and the residual recomputed nothing
     # is tracked and every chunk is one step
-    monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: RESIDUAL_FORMS[residual])
+    use_residual_form(monkeypatch, residual)
     steps, calls, exact_at = [0], [0], []
     step, error = solvers.grk_step, solvers._error
 
@@ -948,10 +957,21 @@ def _inconsistent_problem():
     return Problem(A=A, B=B, C=C + 1e-6 * np.linalg.norm(C) / np.linalg.norm(noise) * noise)
 
 
+def _row_scaled_problem(m, p, r1, q, n, r2, seed):
+    # a wide A (p > m) whose rows scale from 1 down to 1e-4, without X_star:
+    # the part of C - A X B off range(A) x range(B^T) is 0, and K is m x
+    # min(q, n)
+    A, B = gen_type1(TypeISpec(m, p, r1, q, n, r2, seed=seed))
+    prob = make_problem(A * np.logspace(0, -4, m)[:, None], B, seed=seed + 1)
+    return Problem(A=prob.A, B=prob.B, C=prob.C)
+
+
 RESIDUAL_ORACLE_CASES = {
     **{case: Problem(A=prob.A, B=prob.B, C=prob.C) for case, prob in ORACLE_CASES.items()
        if case in ("full-rank", "rank-deficient", "slow")},
     "inconsistent": _inconsistent_problem(),
+    "wide row-scaled 2x27": _row_scaled_problem(2, 27, 2, 7, 11, 7, seed=8),
+    "wide row-scaled 10x26": _row_scaled_problem(10, 26, 10, 20, 3, 3, seed=5),
 }
 # (re_tolerance, max_iters): full-rank reaches 1e-8 after about 2500 steps,
 # rank-deficient after 78, the others run to max_iters; or stop mid-chunk
@@ -964,7 +984,7 @@ RESIDUAL_ORACLE_BUDGETS = {"tolerance": (1e-8, 12000), "mid-chunk": (1e-300, 303
 @pytest.mark.parametrize("case", RESIDUAL_ORACLE_CASES)
 def test_chunked_grk_without_x_star_matches_step_by_step_oracle(case, trace_every, budget,
                                                                 residual, monkeypatch):
-    # without X_star a kept residual (R or its split) is GRK's stop metric,
+    # without X_star a kept residual is GRK's stop metric,
     # and GRK runs its steps in chunks that read every step's residual from
     # their Gram matrices. Against the same steps run one at a time with the
     # residual recomputed after each, X is within 1e-13 relative (and each
@@ -972,7 +992,7 @@ def test_chunked_grk_without_x_star_matches_step_by_step_oracle(case, trace_ever
     # and record iterations are equal, every record's residual is within
     # 1e-14 max(1, exact), and the records' times never fall. Draws of 100
     # pairs end chunks early, as do resyncs and max_iters
-    monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: RESIDUAL_FORMS[residual])
+    use_residual_form(monkeypatch, residual)
     monkeypatch.setattr(solvers, "DRAW_CHUNK", 100)
     calls = []
     step = solvers.grk_step
@@ -1030,15 +1050,15 @@ def _residual_cases():
 @pytest.mark.parametrize("reference", ["residual", "xstar"])
 @pytest.mark.parametrize("method", METHODS)
 def test_kept_residual_tracks_recomputed_residual(method, reference, form, monkeypatch):
-    # the relative residual of every record, read from the kept R or its
-    # p x q split, is within 1e-14 of a full recompute at the same iterate,
-    # all the way to a residual of 1e-9 (an error of 1e-18 with X_star);
-    # with X_star and a record every 7 steps, GRK moves R or the split by a
-    # chunk of steps at once, and without X_star it reads every step's
+    # the relative residual of every record, read from the kept residual,
+    # is within 1e-14 of a full recompute at the same iterate, all the way
+    # to a residual of 1e-9 (an error of 1e-18 with X_star); with X_star and
+    # a record every 7 steps, GRK moves the kept residual by a chunk of
+    # steps at once, and without X_star it reads every step's
     # residual from a chunk: the iterate after a step inside a chunk is the
     # one its steps reach one at a time, and after its last step the one
     # the chunk reached
-    monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: RESIDUAL_FORMS[form])
+    use_residual_form(monkeypatch, form)
     trace_every, tol = (1, 1e-9) if reference == "residual" else (7, 1e-18)
     for name, prob in _residual_cases():
         if reference == "residual":
@@ -1093,11 +1113,10 @@ def _off_solution(base):
     return prob
 
 
-def test_split_reads_the_residual_from_a_reference_off_the_solution(monkeypatch):
-    # the split takes X_star as its reference X0: one off the solution
-    # leaves F = C - A X0 B nonzero, and with it the cross term 2 A^T F
-    # B^T. Every record, down to residuals near 1e-15, stays within 1e-14
-    # of the exact residual
+def test_kept_residual_reads_records_beside_an_x_star_off_the_solution(monkeypatch):
+    # an X_star off the solution stops the run on the error, and every
+    # record reads the kept residual beside it: down to residuals near
+    # 1e-15, each stays within 1e-14 of the exact residual
     prob = _off_solution(make_problem(*gen_type1(TypeISpec(14, 7, 7, 7, 15, 7, seed=31)),
                                       seed=32))
     exact = []
@@ -1108,7 +1127,7 @@ def test_split_reads_the_residual_from_a_reference_off_the_solution(monkeypatch)
         exact.append(float(np.linalg.norm(R, "fro") / np.linalg.norm(prob.C, "fro")))
         return out
 
-    monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: solvers._Split)
+    monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: True)
     monkeypatch.setattr(solvers, "grbk_step", recording_step)
     report = solve(prob, SolverConfig(method=GRBK, tau1=3, tau2=3, seed=4, max_iters=2000,
                                       re_tolerance=1e-300))
@@ -1118,16 +1137,16 @@ def test_split_reads_the_residual_from_a_reference_off_the_solution(monkeypatch)
         assert abs(resid - exact[k - 1]) <= 1e-14, (k, resid)
 
 
-@pytest.mark.parametrize("residual", ["kept", "split"])
+@pytest.mark.parametrize("form", KEPT_FORMS)
 @pytest.mark.parametrize("trace_every", [1, 7])
-def test_grk_records_read_the_error_of_an_x_star_off_the_solution(trace_every, residual,
-                                                                 monkeypatch):
+def test_grk_records_read_the_error_of_an_x_star_off_the_solution(trace_every, form,
+                                                                  monkeypatch):
     # beside a kept residual GRK's chunks run across records, which read the
     # error it keeps. With X_star off the solution, a step's decrease of
     # ||X - X*||_F^2 is r s + 2 s h, h = a X* b - C_ij the residual of X*
     # at its entry; every record stays within 1e-14 max(1, exact) of the
     # exact error (4e-16 here; leaving out 2 s h puts it 1.1e-11 off)
-    monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: RESIDUAL_FORMS[residual])
+    use_residual_form(monkeypatch, form)
     prob = _off_solution(ORACLE_CASES["slow"])
     config = SolverConfig(method=GRK, seed=3, max_iters=6000, re_tolerance=1e-300,
                           trace_every=trace_every)
@@ -1138,19 +1157,6 @@ def test_grk_records_read_the_error_of_an_x_star_off_the_solution(trace_every, r
                                                         trace.relative_residual, oracle.records):
         assert abs(got_error - error) <= 1e-14 * max(1.0, error)
         assert abs(got_resid - resid) <= 1e-14 * max(1.0, resid)
-
-
-def test_split_carries_its_squared_residual_from_the_start():
-    # beside X_star nothing makes the split exact at iteration 0, so it
-    # carries the squared residual at X = 0 and its rounding from its
-    # construction, as an exact value there gives them; GRK's first chunk
-    # reads them (the split rows of the oracle test above run it with a
-    # record on every step)
-    split = solvers._Split(prepare_state(ORACLE_CASES["full-rank"], SolverConfig(method=GRK)),
-                           True, -math.inf)
-    carried = split.carried
-    split.exact()
-    assert carried is not None and split.carried == carried
 
 
 def _problem_of_shape(m, p, q, n, sparse=False):
@@ -1166,58 +1172,58 @@ _CSR_BLUR = Problem(A=sp.csr_array(sp.eye(64) + sp.eye(64, k=1) + sp.eye(64, k=-
                     C=np.ones((64, 64)))
 
 
-@pytest.mark.parametrize("label, problem, config, use_re, form", [
+@pytest.mark.parametrize("label, problem, config, use_re, keeps", [
     # dense-kernels: X_star known, trace_every at or above the budget
     ("X_star, quiet trace", _problem_of_shape(500, 200, 200, 500),
-     SolverConfig(method=GRBK, tau1=50, tau2=50, trace_every=10**6), True, None),
+     SolverConfig(method=GRBK, tau1=50, tau2=50, trace_every=10**6), True, False),
     ("GRK, X_star, quiet trace", _problem_of_shape(100, 40, 40, 100),
-     SolverConfig(method=GRK, trace_every=10**6), True, None),
-    # residual-default: the residual is the stop metric on every step, and
-    # p q is a ninth of m n. GRBK at tau 15 splits (400 steps: 13 ms split,
-    # 18 ms kept, 32 ms recomputed). GRK's chunked steps run both forms at
-    # about one speed (4 instances to 1e-6, medians of 8 alternating
-    # rounds: 0.176 s kept, 0.182 s split, the same iterations; 1 thread,
-    # process CPU), and SPLIT_MARGIN and SPLIT_OVERHEAD keep R
+     SolverConfig(method=GRK, trace_every=10**6), True, False),
+    # residual-default: the residual is the stop metric on every step. The
+    # tall factors keep it p x q: GRBK at tau 15, 400 steps, 26 us a step
+    # kept against 74 us recomputed (best of 8 alternating rounds; 1 thread,
+    # process CPU)
     ("residual-only GRK", _problem_of_shape(60, 20, 20, 60),
-     SolverConfig(method=GRK), False, solvers._Residual),
+     SolverConfig(method=GRK), False, True),
     ("residual-only GRBK", _problem_of_shape(150, 40, 40, 150),
-     SolverConfig(method=GRBK, tau1=15, tau2=15), False, solvers._Split),
+     SolverConfig(method=GRBK, tau1=15, tau2=15), False, True),
     # blur-cli's library runs: records read the residual on every step
-    ("X_star, trace every step, p q below m n", _problem_of_shape(100, 40, 40, 100),
-     SolverConfig(method=GRBK, tau1=10, tau2=10), True, solvers._Split),
-    # p q = m n: the split's update costs what R's does, so R stays (GRBK
-    # at tau 32, 250 steps on the 64x64 blur operator: 11.5 ms kept, 12.7
-    # ms split, 18 ms recomputed)
+    ("X_star, trace every step, tall factors", _problem_of_shape(100, 40, 40, 100),
+     SolverConfig(method=GRBK, tau1=10, tau2=10), True, True),
+    # square factors keep R itself (GRBK at tau 32, 250 steps on the 64x64
+    # blur operator: 11.5 ms kept, 18 ms recomputed)
     ("X_star, trace every step", _problem_of_shape(64, 64, 64, 64),
-     SolverConfig(method=GRBK, tau1=32, tau2=32), True, solvers._Residual),
+     SolverConfig(method=GRBK, tau1=32, tau2=32), True, True),
     # a banded blur operator given as CSR is densified by Problem and
     # counts at that size
-    ("CSR blur", _CSR_BLUR, SolverConfig(method=GRBK, tau1=32, tau2=32), False,
-     solvers._Residual),
-    # a tall factor: the m^2 images of R would dwarf C, the split's are p m
-    ("tall factor", _problem_of_shape(400, 10, 10, 10),
-     SolverConfig(method=GRK), False, solvers._Split),
+    ("CSR blur", _CSR_BLUR, SolverConfig(method=GRBK, tau1=32, tau2=32), False, True),
+    # a tall factor: the kept residual is p x n, its images p m and n n
+    ("tall factor", _problem_of_shape(400, 10, 10, 10), SolverConfig(method=GRK), False, True),
     ("tall CSR factor", _problem_of_shape(400, 10, 10, 10, sparse=True),
-     SolverConfig(method=GRK), False, solvers._Split),
-    # wide factors, p > m and q > n: p q is above m n, so the split loses
+     SolverConfig(method=GRK), False, True),
+    # GRK without X_star on gen_type1 100x3 / 3x5 keeps a 3 x 3 residual: 413
+    # steps to 1e-10 at 4.7 us a step, against 34 us recomputed (best of 10
+    # alternating rounds; 1 thread, process CPU)
+    ("thin tall factors, GRK", _problem_of_shape(100, 3, 3, 5), SolverConfig(method=GRK),
+     False, True),
+    # wide factors, p > m and q > n: the kept residual is R itself
     ("wide factors", _problem_of_shape(10, 40, 40, 10),
-     SolverConfig(method=GRK), False, solvers._Residual),
+     SolverConfig(method=GRK), False, True),
     ("wide factors, blocks", _problem_of_shape(20, 60, 60, 20),
-     SolverConfig(method=GRBK, tau1=5, tau2=5), False, solvers._Residual),
+     SolverConfig(method=GRBK, tau1=5, tau2=5), False, True),
     # kaczmat solve on the blur operator with X_star: a record on every
     # step keeps R (13 against 17 ms for 300 steps); one every 300 steps
     # recomputes it (10-12 against 14 ms; 1 thread, process CPU)
     ("CSR blur, X_star, trace every step", _CSR_BLUR,
-     SolverConfig(method=GRBK, tau1=32, tau2=32), True, solvers._Residual),
+     SolverConfig(method=GRBK, tau1=32, tau2=32), True, True),
     ("CSR blur, X_star, trace every 300", _CSR_BLUR,
-     SolverConfig(method=GRBK, tau1=32, tau2=32, trace_every=300), True, None),
+     SolverConfig(method=GRBK, tau1=32, tau2=32, trace_every=300), True, False),
 ])
-def test_keeps_residual_decision_table(label, problem, config, use_re, form):
-    assert solvers._keeps_residual(problem, config, use_re) is form, label
+def test_keeps_residual_decision_table(label, problem, config, use_re, keeps):
+    assert solvers._keeps_residual(problem, config, use_re) is keeps, label
 
 
-def _xstar_problem(p, q):
-    prob = _problem_of_shape(10, p, q, 10)
+def _xstar_problem(p, q, m=10, n=10):
+    prob = _problem_of_shape(m, p, q, n)
     return Problem(A=prob.A, B=prob.B, C=prob.C, X_star=np.zeros((p, q)))
 
 
@@ -1239,29 +1245,32 @@ def _xstar_problem(p, q):
     ("GRK, small", _xstar_problem(5, 5), SolverConfig(method=GRK, trace_every=10), True),
     # every step is a record: a block method's reads the exact error, and
     # GRK's chunks run across records while the residual is kept, not
-    # where each record recomputes it (q = 1: a full residual costs m q
-    # (p + n) = 150 flops, a kept R 2 m n + m = 210)
+    # where each record recomputes it. At 10x5 / 1x10 a full residual costs
+    # m q (p + n) = 150 flops, a kept 5 x 1 one m' (1 + 2 n') = 15; only at
+    # 1x1 / 1x1 does recomputing cost less, 2 flops against 3
     ("GRBK, trace every step", _xstar_problem(200, 200),
      SolverConfig(method=GRBK, tau1=50, tau2=50), False),
     ("GRK, trace every step, residual kept", _xstar_problem(40, 40), SolverConfig(method=GRK),
      True),
-    ("GRK, trace every step, residual recomputed", _xstar_problem(5, 1),
+    ("GRK, trace every step, thin residual kept", _xstar_problem(5, 1),
+     SolverConfig(method=GRK), True),
+    ("GRK, trace every step, residual recomputed", _xstar_problem(1, 1, m=1, n=1),
      SolverConfig(method=GRK), False),
 ])
 def test_tracks_error_decision_table(label, problem, config, tracks):
-    form = solvers._keeps_residual(problem, config, True)
-    assert solvers._tracks_error(problem, config, True, form) is tracks, label
-    assert solvers._tracks_error(problem, config, False, form) is False, label
+    keeps = solvers._keeps_residual(problem, config, True)
+    assert solvers._tracks_error(problem, config, True, keeps) is tracks, label
+    assert solvers._tracks_error(problem, config, False, keeps) is False, label
 
 
 def test_solve_decides_the_residual_form_once(monkeypatch):
     # _tracks_error takes the form solve picked; GRK with X_star and a
     # record on every step once had it pick the form a second time
-    keeps, forms = solvers._keeps_residual, []
+    keeps, answers = solvers._keeps_residual, []
     monkeypatch.setattr(solvers, "_keeps_residual",
-                        lambda *args: forms.append(keeps(*args)) or forms[-1])
+                        lambda *args: answers.append(keeps(*args)) or answers[-1])
     solve(small_problem(3), SolverConfig(method=GRK, seed=1, max_iters=20))
-    assert len(forms) == 1
+    assert len(answers) == 1
 
 
 def test_tracked_error_skips_a_solved_adaptive_block(monkeypatch):
@@ -1281,7 +1290,7 @@ def test_tracked_error_skips_a_solved_adaptive_block(monkeypatch):
         return drop
 
     monkeypatch.setattr(solvers, "_error_drop", recorded)
-    monkeypatch.setattr(solvers, "_tracks_error", lambda problem, config, use_re, form: use_re)
+    monkeypatch.setattr(solvers, "_tracks_error", lambda problem, config, use_re, keeps: use_re)
     report = solve(prob, SolverConfig(method=GRABK_ADAPTIVE, tau1=2, tau2=2, seed=1,
                                       trace_every=10**6))
     assert report.termination == "tolerance"
@@ -1373,15 +1382,14 @@ def test_block_step_allocates_less_than_one_iterate(method):
     assert peak < state.X.nbytes
 
 
-@pytest.mark.parametrize("form", ["kept", "split"])
+@pytest.mark.parametrize("form", KEPT_FORMS)
 def test_kept_residual_reads_its_norm_only_on_records(form, monkeypatch):
     # with X_star the error stops the run and only records read the kept
     # residual: it moves on every step, but reads its norm (and checks its
     # drift) once per record at most, none on a record that resyncs it
-    monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: RESIDUAL_FORMS[form])
-    kind = RESIDUAL_FORMS[form]
-    norms, norm = [], kind.norm
-    monkeypatch.setattr(kind, "norm", lambda self: norms.append(1) or norm(self))
+    use_residual_form(monkeypatch, form)
+    norms, norm = [], solvers._Residual.norm
+    monkeypatch.setattr(solvers._Residual, "norm", lambda self: norms.append(1) or norm(self))
     prob = make_problem(*gen_type1(TypeISpec(150, 40, 40, 40, 150, 40, seed=37)), seed=38)
     report = solve(prob, SolverConfig(method=GRBK, tau1=15, tau2=15, seed=4, max_iters=700,
                                       re_tolerance=1e-300, trace_every=7))
@@ -1394,7 +1402,7 @@ def test_kept_residual_hands_off_to_recompute_near_tolerance(form, monkeypatch):
     # re_tolerance = 1e-300 leaves the residual at machine precision, inside
     # [re_tolerance, re_tolerance + CONFIRM_BAND), for most of the run: from
     # the step whose tracked value enters that band on, solve recomputes
-    # instead of updating R (or its split) and recomputing, so apart from
+    # instead of updating the kept residual and recomputing, so apart from
     # resyncs only that hand-off step does both. Recomputing from the start
     # updates nothing
     events = []
@@ -1409,11 +1417,11 @@ def test_kept_residual_hands_off_to_recompute_near_tolerance(form, monkeypatch):
 
     monkeypatch.setattr(solvers, "_relative_residual", counted("full", full))
     monkeypatch.setattr(solvers, "grbk_step", counted("step", step))
-    # the kept residual's own update (the split inherits it), not every dgemm:
+    # the kept residual's own update, not every dgemm:
     # the steps update X by dgemm too
     monkeypatch.setattr(solvers._Residual, "advance", counted("update", advance))
     monkeypatch.setattr(solvers._Residual, "advance_grk", counted("update", advance_grk))
-    monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: RESIDUAL_FORMS[form])
+    use_residual_form(monkeypatch, form)
     _, prob = next(_residual_cases())
     prob = Problem(A=prob.A, B=prob.B, C=prob.C)
     config = SolverConfig(method=GRBK, tau1=3, tau2=3, seed=4, max_iters=2000,
@@ -1465,7 +1473,7 @@ def test_tracked_error_recomputes_only_to_anchor_and_confirm(method, tol, max_it
 
     monkeypatch.setattr(solvers, "_error", counting)
     monkeypatch.setattr(solvers, step_name, banding_step)
-    monkeypatch.setattr(solvers, "_tracks_error", lambda problem, config, use_re, form: use_re)
+    monkeypatch.setattr(solvers, "_tracks_error", lambda problem, config, use_re, keeps: use_re)
     config = SolverConfig(method=method, tau1=4, tau2=4, seed=5, max_iters=max_iters,
                           re_tolerance=tol, trace_every=10**6)
     report = solve(prob, config)
@@ -1484,11 +1492,10 @@ def test_solve_prepares_each_block_once(method, residual, reference, monkeypatch
     # every method builds each row block of A and column block of B once
     # per run, with its index array, GRBK takes each block pinv once, and no
     # step checks caller weights: solve hands the GRABK steps prepared hats.
-    # The split takes pinv(A) and pinv(B) once each for its reference
-    # pinv(A) C pinv(B), and none with X_star, which it takes instead. GRK
-    # builds no block: its steps read rows of A and columns of B, and a kept
-    # residual stacks the factors of every row and column once
-    monkeypatch.setattr(solvers, "_keeps_residual", lambda *args: RESIDUAL_FORMS[residual])
+    # No pinv of a whole factor is taken. GRK builds no block: its steps
+    # read rows of A and columns of B, and a kept residual stacks the
+    # images of every row and column once
+    use_residual_form(monkeypatch, residual)
     built, pinvs, indexed = [], [], []
     block = solvers._block
     index_block = BlockPartition.block
@@ -1524,13 +1531,10 @@ def test_solve_prepares_each_block_once(method, residual, reference, monkeypatch
     assert len(built) == len(set(built)) <= n_blocks
     assert bool(built) == (method != GRK)
     assert len(indexed) <= n_blocks
-    factor_pinvs = [shape for shape in pinvs if shape in (prob.A.shape, prob.B.shape)]
-    split_pinvs = residual == "split" and reference == "residual"
-    assert factor_pinvs == ([prob.A.shape, prob.B.shape] if split_pinvs else [])
-    block_pinvs = len(pinvs) - len(factor_pinvs)
-    assert block_pinvs <= n_blocks
+    assert prob.A.shape not in pinvs and prob.B.shape not in pinvs
+    assert len(pinvs) <= n_blocks
     if method == GRBK:
-        assert block_pinvs == len(built)
+        assert len(pinvs) == len(built)
 
 
 def test_prepare_state_hands_its_norms_to_the_probabilities(monkeypatch):
