@@ -8,9 +8,9 @@ absent tracer hooks and no failed operation, every
 required span must have fired, ``solve`` must draw the block pairs of a
 chunk of steps with one ``sample_block`` call, GRK must run its steps in
 chunks: fewer than 64 ``grk_step`` calls per draw of 1024 steps, and on
-``residual-default`` the kept residual must stand in for the full one:
-fewer than 0.01 full residuals per step. Prints the values it checks; exits nonzero, naming what
-failed, if any check fails.
+``residual-default`` the kept residual must stand in for the exact one:
+fewer than 0.01 exact residuals per step. Prints the values it checks;
+exits nonzero, naming what failed, if any check fails.
 """
 
 import json
@@ -19,7 +19,7 @@ import sys
 METHODS = ("grk", "grbk", "grabk_const", "grabk_adaptive")
 STEP_CALLS = [f"solvers.step.calls.{method}" for method in METHODS]
 # spans whose numbers must be above 0: the steps, the set-up layers, the
-# draws, the full residual and the data layer (the readers, writer and
+# draws, the exact residual and the data layer (the readers, writer and
 # problem builder of the commands)
 REQUIRED = STEP_CALLS + [
     "rates.beta_max.s", "rates.gamma_max.s", "sampling.frobenius_block_probs.s",
@@ -27,7 +27,7 @@ REQUIRED = STEP_CALLS + [
     f"{name}.s" for name in ("mmio.load_matrix_market", "images.read_pgm",
                              "images.write_pgm", "cli.load_problem_dir",
                              "problems.blur_problem")]
-MAX_RESIDUALS_PER_STEP = 0.01  # on residual-default
+MAX_RESIDUALS_PER_STEP = 0.01  # exact residuals per step, on residual-default
 # a draw covers 1024 steps; one grk_step call a step makes 1024 calls per
 # draw, chunks of up to 64 steps at least 16 (about 12 on the workloads)
 MAX_GRK_CALLS_PER_DRAW = 64

@@ -489,11 +489,13 @@ def _grabk_adaptive_apply(state, I, J, u_hat, v_hat, _blocks=None):
     return L, R, W
 
 
-def _relative_residual(problem, X, unit):
-    """||C - A X B||_F / unit, with ``unit`` = ||C||_F (1 when C = 0), and
-    the residual matrix C - A X B."""
-    R = problem.C - (problem.A @ X) @ problem.B
-    return float(np.linalg.norm(R, "fro") / unit), R
+def _relative_residual(residual, X):
+    """The exact value ||C - A X B||_F / unit of the ``_Residual``
+    ``residual`` at X, and its K = K_C - T_A X T_B^T: C - (A X) B where both
+    bases are the identity, and no m x n array where A and B^T are tall."""
+    K = (residual.maps[0] @ X) @ residual.maps[1].T
+    np.subtract(residual.base, K, out=K)
+    return residual.read(K), K
 
 
 def _keeps_residual(problem, config, use_re):
@@ -672,19 +674,21 @@ class _Residual(_Metric):
     the part of R = C - A X B off it is C's own and stays put. On a tall
     side the thin QR ``A = Q_A T_A`` (m > p) or ``B^T = Q_B T_B`` (n > q)
     gives an orthonormal basis holding the range; on a square or wide side
-    the basis is the identity, ``T_A = A`` or ``T_B = B^T``. ``kept`` is K =
-    Q_A^T R Q_B, ``min(m, p) x min(q, n)``, and ``perp_sq`` the scalar
-    ``||R - Q_A K Q_B^T||_F^2``, so that exactly
+    the basis is the identity, ``T_A = A`` or ``T_B = B^T``. ``base`` is
+    K_C = Q_A^T C Q_B, ``min(m, p) x min(q, n)``, and ``perp_sq`` the scalar
+    ``||C - Q_A K_C Q_B^T||_F^2``, both taken once. ``kept`` is K = Q_A^T R
+    Q_B = K_C - T_A X T_B^T, so that exactly
 
         ||R||_F^2 = perp_sq + ||K||_F^2,
 
-    a sum of two squares, which does not cancel. Where neither side is tall,
-    K is R itself and perp_sq is 0. Each step updates K in place by rank at
-    most tau2: ``K -= c (T_A G_I) M (H_J T_B^T)``. Its images are ``T_A G_I``
-    and ``(H_J T_B^T)^T`` with their squared Frobenius norms (those of ``A
-    G_I`` and ``(H_J B)^T``), at most the size of A and B; its kept value
-    keeps no slack. Each exact value projects the residual it recomputes,
-    and sums perp_sq from the two parts of R off the bases (``keep``).
+    a sum of two squares, which does not cancel (``read``). Where neither
+    side is tall, K is R itself and perp_sq is 0. Each step updates K in
+    place by rank at most tau2: ``K -= c (T_A G_I) M (H_J T_B^T)``. Its
+    images are ``T_A G_I`` and ``(H_J T_B^T)^T`` with their squared
+    Frobenius norms (those of ``A G_I`` and ``(H_J B)^T``), at most the
+    size of A and B; its kept value keeps no slack. Each exact value forms
+    K afresh from K_C (``_relative_residual``). A residual that is not kept
+    takes no QR, so its exact values are C - (A X) B.
 
     An update rounds by up to about eps ``|c| ||A G_I||_F ||M||_F ||H_J
     B||_F``, far above the change itself where the product cancels: an
@@ -703,22 +707,16 @@ class _Residual(_Metric):
         self.unit = c_norm if c_norm > 0.0 else 1.0  # value = residual / unit
         limit = DRIFT_LIMIT * self.unit / EPS
         self.moved, self.moved_limit = 0.0, limit * limit
-        self.kept = None
         self.stacks = None  # GRK's images of every row and column
         self.pending = None  # per step prefix proposed: images, moved
-        if tracking:
-            (qa, ta), (qb, tb) = _range_basis(state.problem.A), _range_basis(state.problem.B.T)
-            self.bases, self.maps = (qa, qb), (ta, tb)  # image = T_A G_I, T_B H_J^T
-            self.keep(state.problem.C.copy())  # R at X0 = 0
-
-    def keep(self, R):
-        """K and perp_sq from the full residual R: perp_sq is the squared
-        norm of R off Q_A's columns plus that of Q_A^T R off Q_B's."""
-        qa, qb = self.bases
-        rows, left_sq = _coordinates(R, qa)
-        kept, right_sq = _coordinates(rows.T, qb)
-        self.kept = np.ascontiguousarray(kept.T)  # C-ordered: kept.T takes BLAS updates in place
-        self.perp_sq = left_sq + right_sq
+        basis = _range_basis if tracking else lambda M: (None, M)
+        (qa, ta), (qb, tb) = basis(state.problem.A), basis(state.problem.B.T)
+        self.maps = ta, tb  # image = T_A G_I, T_B H_J^T
+        rows, left_sq = _coordinates(state.problem.C, qa)
+        base, right_sq = _coordinates(rows.T, qb)
+        self.base, self.perp_sq = base.T, left_sq + right_sq
+        # K at X0 = 0, C-ordered: kept.T takes BLAS updates in place
+        self.kept = self.base.copy() if tracking else None
 
     def image(self, rows, entry):
         factor = entry[3]
@@ -804,16 +802,16 @@ class _Residual(_Metric):
                    c=self.kept.T, overwrite_c=True)
         return self.chunk[n - 1]
 
+    def read(self, K):
+        """sqrt(perp_sq + ||K||_F^2) / unit, the value at coordinates K."""
+        return math.sqrt(self.perp_sq + np.vdot(K, K)) / self.unit
+
     def norm(self):
-        if not self.moved <= self.moved_limit:
-            return math.nan
-        return float(math.sqrt(self.perp_sq + np.vdot(self.kept, self.kept)) / self.unit)
+        return self.read(self.kept) if self.moved <= self.moved_limit else math.nan
 
     def exact(self):
         self.moved = 0.0
-        value, R = _relative_residual(self.state.problem, self.state.X, self.unit)
-        if self.tracking:
-            self.keep(R)
+        value, self.kept = _relative_residual(self, self.state.X)
         return value
 
 
@@ -964,7 +962,8 @@ def solve(problem, config):
 
     Where ``_keeps_residual`` says so, ``_Residual`` keeps C - A X B up to
     date in the coordinates of range(A) x range(B^T), taking the QR of a
-    tall A or B^T here, not in ``prepare_state``. Where ``_tracks_error``
+    tall A or B^T here, not in ``prepare_state``, and forms its exact values
+    there too; else each value is C - (A X) B. Where ``_tracks_error``
     says so, ``_Error`` keeps the error by subtracting each step's
     decrease. Each is exact whenever ``_Metric.after_step`` says so, in
     particular near ``re_tolerance``, so iterates, iteration counts and

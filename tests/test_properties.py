@@ -452,20 +452,25 @@ def residual_shapes(draw):
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(shapes=residual_shapes())
 def test_kept_residual_coordinates_give_the_exact_residual(shapes):
-    # the kept residual holds K = Q_A^T R Q_B and perp_sq = ||R - Q_A K
-    # Q_B^T||_F^2: after each exact value, sqrt(perp_sq + ||K||_F^2) / unit
-    # is within 1e-14 max(1, exact) of it, on every shape. Where neither
-    # factor is tall, K is R itself and perp_sq is 0
+    # the kept residual holds K = K_C - T_A X T_B^T and perp_sq = ||C - Q_A
+    # K_C Q_B^T||_F^2: each exact value, sqrt(perp_sq + ||K||_F^2) / unit, is
+    # within 1e-14 max(1, exact) of ||C - (A X) B||_F / unit, on every shape.
+    # Where neither factor is tall, K is R itself and perp_sq is 0. K stays
+    # C-ordered: advance and advance_grk drop the return of their in-place
+    # dgemm into K^T, so a K of another layout would lose its updates
     prob, iterates = shapes
     (m, p), (q, n) = prob.A.shape, prob.B.shape
     state = solvers.prepare_state(prob, SolverConfig(method=GRK))
     residual = solvers._Residual(state, True, -np.inf)
     assert residual.kept.shape == (min(m, p), min(q, n))
+    assert residual.kept.flags.c_contiguous
     for X in iterates:
         state.X = X
         exact = residual.exact()
-        kept = np.sqrt(residual.perp_sq + np.vdot(residual.kept, residual.kept)) / residual.unit
-        assert abs(kept - exact) <= 1e-14 * max(1.0, exact)
+        assert residual.kept.flags.c_contiguous
+        R = prob.C - (prob.A @ X) @ prob.B
+        direct = np.linalg.norm(R, "fro") / residual.unit
+        assert abs(exact - direct) <= 1e-14 * max(1.0, direct)
         if m <= p and n <= q:
-            np.testing.assert_array_equal(residual.kept, prob.C - (prob.A @ X) @ prob.B)
+            np.testing.assert_array_equal(residual.kept, R)
             assert residual.perp_sq == 0.0

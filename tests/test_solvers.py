@@ -1382,6 +1382,37 @@ def test_block_step_allocates_less_than_one_iterate(method):
     assert peak < state.X.nbytes
 
 
+def test_exact_residual_of_tall_factors_forms_no_m_by_n_array():
+    # on a tall A and B^T the kept residual's exact value is read from K =
+    # K_C - T_A X T_B^T, p x q here, and allocates less than one m x n array;
+    # a residual that is not kept takes no QR and no copy of C, and its
+    # exact value is the full C - (A X) B, bitwise
+    prob = make_problem(*gen_type1(TypeISpec(300, 30, 30, 30, 300, 30, seed=42)), seed=43)
+    A, B, C = prob.A, prob.B, prob.C
+    state = prepare_state(prob, SolverConfig(method=GRBK, tau1=10, tau2=10))
+    state.X = np.random.default_rng(44).standard_normal((30, 30))
+    kept = solvers._Residual(state, True, -np.inf)
+    kept.exact()  # a first call, so that one-time allocations do not count
+    tracemalloc.start()
+    try:
+        value = kept.exact()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kept.kept.shape == (30, 30)
+    assert peak < C.nbytes
+    tracemalloc.start()
+    try:
+        recomputed = solvers._Residual(state, False, -np.inf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < C.nbytes
+    direct = float(np.linalg.norm(C - (A @ state.X) @ B, "fro") / recomputed.unit)
+    assert recomputed.exact() == direct
+    assert abs(value - direct) <= 1e-14 * max(1.0, direct)
+
+
 @pytest.mark.parametrize("form", KEPT_FORMS)
 def test_kept_residual_reads_its_norm_only_on_records(form, monkeypatch):
     # with X_star the error stops the run and only records read the kept
