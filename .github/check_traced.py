@@ -66,7 +66,7 @@ def problems(workload, text):
     per_iter = metrics["solvers.residual.per_iter"]["value"]
     print("solvers.residual.per_iter:", per_iter)
     if workload == "residual-default" and not per_iter < MAX_RESIDUALS_PER_STEP:
-        found.append(f"{per_iter} full residuals per step: the kept residual fell back")
+        found.append(f"{per_iter} exact residuals per step: the kept residual fell back")
     return found
 
 

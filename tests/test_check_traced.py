@@ -17,7 +17,7 @@ _SPEC.loader.exec_module(check_traced)
 def _output(absent=0, failed=0, values=None):
     """A traced run's output: a log line, the absent hooks line and the
     metrics line, every metric at 1 unless ``values`` names it, with 40
-    steps, 2 draws and 0.004 full residuals per step."""
+    steps, 2 draws and 0.004 exact residuals per step."""
     metrics = {name: 1.0 for name in check_traced.REQUIRED}
     metrics.update({name: 10.0 for name in check_traced.STEP_CALLS})
     metrics.update({"sampling.sample_block.calls": 2.0, "solvers.residual.per_iter": 0.004})
@@ -44,8 +44,8 @@ FAILING = {
                   "hooks that never fired: ['solvers.step.calls.grk']"),
     "a draw per step": (_output(values={"sampling.sample_block.calls": 40.0}),
                         "no fewer sample_block calls than the 40.0 steps"),
-    "full residuals": (_output(values={"solvers.residual.per_iter": 0.01}),
-                       "0.01 full residuals per step: the kept residual fell back"),
+    "exact residuals": (_output(values={"solvers.residual.per_iter": 0.01}),
+                        "0.01 exact residuals per step: the kept residual fell back"),
     # blur-cli before its library GRK ran in chunks: 45103 calls for 106 draws
     "grk one step a call": (_output(values={"solvers.step.calls.grk": 45103.0,
                                             "sampling.sample_block.calls": 106.0}),
@@ -85,7 +85,7 @@ def test_grk_chunks_pass_below_64_calls_per_draw():
         assert check_traced.problems("blur-cli", text) == []
 
 
-def test_full_residuals_pass_outside_residual_default():
+def test_exact_residuals_pass_outside_residual_default():
     # only residual-default runs without X_star, where every step reads the
     # residual
     text = _output(values={"solvers.residual.per_iter": 0.5})

@@ -1,11 +1,14 @@
 """Matrix Market reader/writer: round trips and line-numbered failures."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kaczmat import mmio
 from kaczmat.mmio import MatrixMarketError, load_matrix_market, write_matrix_market
 
 
@@ -297,3 +300,133 @@ def test_write_all_zero_matrix(tmp_path):
     back = load_matrix_market(path)
     assert back.shape == (2, 3)
     assert back.nnz == 0
+
+
+COORD = "%%MatrixMarket matrix coordinate real general\n"
+ARRAY = "%%MatrixMarket matrix array real general\n"
+
+
+@pytest.mark.parametrize("body,line,message", [
+    # three tokens a line, not 3 nnz tokens in all: the first short line fails
+    (COORD + "2 2 2\n1 1\n2 2 1.0 5\n", 3, "entry needs 'row col value', got '1 1'"),
+    # lines end at "\n" only: "\x0c" is whitespace inside a line
+    (COORD + "2 2 2\n1 1 1.5\x0c2 2 2.5\n", 3, "entry needs 'row col value'"),
+    (ARRAY + "2 1\n1.5\x0c2.5\n3\n", 3, "malformed value '1.5\\x0c2.5'"),
+    # a lone CR ends a line, as CRLF does
+    (COORD.replace("\n", "\r") + "2 2 2\r1 1 1.5\r2 3 2.5\r", 4, "index (2, 3) outside 2x2"),
+    (ARRAY.replace("\n", "\r\n") + "2 1\r\n1.5\r\nx\r\n", 4, "malformed value 'x'"),
+    # exactly nnz (m n) lines follow, one of them a comment or blank
+    (COORD + "2 2 2\n1 1 1.5\n% c\n", 4, "declared 2 entries, found 1"),
+    (COORD + "2 2 2\n1 1 1.5\n\n", 4, "declared 2 entries, found 1"),
+    (ARRAY + "2 1\n1.5\n% c\n", 4, "declared 2 values, found 1"),
+    (ARRAY + "2 1\n\n1.5\n", 4, "declared 2 values, found 1"),
+    # an index past int64 is outside the matrix, not an overflow
+    (COORD + "2 2 1\n99999999999999999999 1 1.0\n", 3, "index (99999999999999999999, 1)"),
+])
+def test_load_error_names_the_first_bad_line(tmp_path, body, line, message):
+    path = tmp_path / "m.mtx"
+    path.write_bytes(body.encode("ascii"))
+    with pytest.raises(MatrixMarketError, match=f"^line {line}: ") as exc:
+        load_matrix_market(path)
+    assert exc.value.line == line
+    assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("body,expect", [
+    (COORD + "2 2 2\n1\x0c1 1.5\n2 2\x0b2.5\x1c\n", [[1.5, 0.0], [0.0, 2.5]]),
+    (COORD.replace("\n", "\r\n") + "2 2 2\r\n1 1 1.5\r\n2 2 2.5\r\n", [[1.5, 0.0], [0.0, 2.5]]),
+    (COORD.replace("\n", "\r") + "2 2 2\r1 1 1.5\r2 2 2.5\r", [[1.5, 0.0], [0.0, 2.5]]),
+    (COORD + "2 10 2\n+1 1_0 1_0.5\n2 +2 +3\n", [[0.0] * 9 + [10.5], [0.0, 3.0] + [0.0] * 8]),
+    (ARRAY + "2 1\n\x1c1.5\n2.5\x0b\n", [[1.5], [2.5]]),
+    (ARRAY.replace("\n", "\r") + "2 1\r% c\r1.5\r\r2.5\r", [[1.5], [2.5]]),
+])
+def test_load_reads_odd_whitespace_line_ends_and_tokens(tmp_path, body, expect):
+    path = tmp_path / "m.mtx"
+    path.write_bytes(body.encode("ascii"))
+    M = load_matrix_market(path)
+    np.testing.assert_array_equal(M.toarray() if sp.issparse(M) else M, expect)
+
+
+@pytest.mark.parametrize("entry", ["99999999999999999998 1 1.0", "1 1 1.0"])
+def test_load_rejects_a_size_past_int64(tmp_path, entry):
+    # no sparse array takes such a shape, and its indices may pass int64
+    path = write_text(tmp_path, f"{COORD}% c\n99999999999999999999 1 1\n{entry}\n")
+    with pytest.raises(MatrixMarketError, match="size past the int64 index range") as exc:
+        load_matrix_market(path)
+    assert exc.value.line == 3
+
+
+def test_load_names_a_bad_entry_past_the_first_slice(tmp_path):
+    nnz = mmio.ENTRY_SLICE + 5
+    entries = [f"{k % 3 + 1} {k % 2 + 1} {k}.5" for k in range(nnz)]
+    entries[mmio.ENTRY_SLICE + 2] = "1 1 1.0abc"
+    path = write_text(tmp_path, f"{COORD}% c\n3 2 {nnz}\n" + "\n".join(entries) + "\n")
+    with pytest.raises(MatrixMarketError, match="malformed entry '1 1 1.0abc'") as exc:
+        load_matrix_market(path)
+    assert exc.value.line == 3 + mmio.ENTRY_SLICE + 3
+
+
+def test_load_symmetric_expands_in_file_order(tmp_path):
+    # each off-diagonal entry is followed by its mirror, so duplicates sum in
+    # that order: at (2, 1) 1e16 + 1 - 1e16 is 0.0 (stored), not 1.0
+    path = write_text(tmp_path, "%%MatrixMarket matrix coordinate real symmetric\n"
+                                "2 2 4\n1 1 2\n2 1 1e16\n1 2 1\n2 1 -1e16\n")
+    M = load_matrix_market(path)
+    assert M.indptr.tolist() == [0, 2, 3]
+    assert M.indices.tolist() == [0, 1, 0]
+    assert M.data.tolist() == [2.0, 0.0, 0.0]
+
+
+@st.composite
+def csr_matrices(draw):
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)),
+                          max_size=m * n, unique=True))
+    values = draw(st.lists(VALUES, min_size=len(cells), max_size=len(cells)))
+    rows, cols = [i for i, _ in cells], [j for _, j in cells]
+    return sp.csr_array((np.array(values, dtype=np.float64), (rows, cols)), shape=(m, n))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(csr_matrices())
+def test_roundtrip_csr_bitwise(tmp_path_factory, M):
+    # explicit zeros, -0.0 and subnormals come back as they were stored
+    path = tmp_path_factory.mktemp("rt") / "m.mtx"
+    write_matrix_market(M, path)
+    back = load_matrix_market(path)
+    assert back.shape == M.shape
+    for name in ("indptr", "indices"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(M, name))
+    assert back.data.view(np.uint64).tobytes() == M.data.view(np.uint64).tobytes()
+
+
+def test_write_coordinate_bytes(tmp_path):
+    # pinned: the bytes the writer gave when it wrote one entry at a time
+    S = sp.coo_array((np.array([7.0, 1 / 3, 1.5, 0.0, -2e-300]),
+                      (np.array([2, 1, 0, 1, 0]), np.array([3, 0, 1, 2, 3]))), shape=(3, 4))
+    write_matrix_market(S, tmp_path / "s.mtx")
+    assert (tmp_path / "s.mtx").read_bytes() == (
+        b"%%MatrixMarket matrix coordinate real general\n3 4 5\n1 2 1.5\n"
+        b"1 4 -2.0000000000000001e-300\n2 1 0.33333333333333331\n2 3 0\n3 4 7\n")
+    D = np.array([[0.0, 0.1, 0.0, 0.0], [0.0, 0.0, 0.0, -1e300], [5e-324, 0.0, 0.0, 0.0]])
+    write_matrix_market(D, tmp_path / "d.mtx", comment="dense under a third")
+    assert (tmp_path / "d.mtx").read_bytes() == (
+        b"%%MatrixMarket matrix coordinate real general\n% dense under a third\n3 4 3\n"
+        b"1 2 0.10000000000000001\n2 4 -1.0000000000000001e+300\n"
+        b"3 1 4.9406564584124654e-324\n")
+
+
+def test_load_coordinate_peak_memory(tmp_path):
+    # the entries are converted a slice at a time: tokens for the whole file
+    # at once, or a Python object per token kept, would take more
+    M = sp.random_array((2000, 2000), density=50_000 / 4e6, rng=np.random.default_rng(5))
+    path = tmp_path / "big.mtx"
+    write_matrix_market(M, path)
+    tracemalloc.start()
+    try:
+        back = load_matrix_market(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.nnz == 50_000
+    assert peak < 8 * path.stat().st_size
