@@ -18,12 +18,12 @@ import sys
 
 METHODS = ("grk", "grbk", "grabk_const", "grabk_adaptive")
 STEP_CALLS = [f"solvers.step.calls.{method}" for method in METHODS]
-# spans whose numbers must be above 0: the steps, the set-up layers, the
-# draws, the exact residual and the data layer (the readers, writer and
-# problem builder of the commands)
+# spans whose numbers must be above 0: the steps, the set-up layers (GRBK's
+# block factors among them), the draws, the exact residual and the data
+# layer (the readers, writer and problem builder of the commands)
 REQUIRED = STEP_CALLS + [
     "rates.beta_max.s", "rates.gamma_max.s", "sampling.frobenius_block_probs.s",
-    "sampling.sample_block.calls", "solvers.residual.calls"] + [
+    "matrices.pinv.s", "sampling.sample_block.calls", "solvers.residual.calls"] + [
     f"{name}.s" for name in ("mmio.load_matrix_market", "images.read_pgm",
                              "images.write_pgm", "cli.load_problem_dir",
                              "problems.blur_problem")]

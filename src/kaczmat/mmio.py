@@ -1,6 +1,6 @@
 """Matrix Market reader and writer, coordinate and array formats.
 
-Supports real (and integer) general or symmetric coordinate files and real
+Supports real (and integer) general or (square) symmetric coordinate files and real
 (and integer) general array files; complex, pattern, skew-symmetric and
 symmetric array files are rejected. Duplicate coordinate entries are summed,
 the standard convention. A coordinate file reads into canonical CSR, an
@@ -210,6 +210,8 @@ def _load_coordinate(lines, symmetric):
     head, (m, n, declared) = _parse_size(lines, ("rows", "cols", "nnz"))
     if max(m, n) > np.iinfo(np.int64).max:  # no sparse array indexes it
         raise MatrixMarketError("size past the int64 index range", head)
+    if symmetric and m != n:  # the format stores only square matrices as symmetric
+        raise MatrixMarketError(f"symmetric matrix must be square, got {m}x{n}", head)
     entries = lines[head:]
     if len(entries) != declared:  # blank or comment lines among the entries
         entries = _data_text(entries)

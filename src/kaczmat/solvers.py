@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import blas
+from scipy.linalg import blas, lapack
 
 from .matrices import as_dense, col_norms, pinv, row_norms
 from .rates import beta_max, gamma_max
@@ -204,7 +204,7 @@ def relative_error(X, X_star):
     X_star = np.asarray(X_star, dtype=np.float64)
     if X.shape != X_star.shape:
         raise ValueError(f"X has shape {X.shape}, X_star {X_star.shape}")
-    denom = np.linalg.norm(X_star, "fro") ** 2
+    denom = float(np.linalg.norm(X_star, "fro") ** 2)
     if denom == 0.0:
         raise ValueError("relative error undefined for a zero reference solution")
     return _error(X, X_star, denom)
@@ -227,6 +227,7 @@ class IterationState:
     dist_cols: object = None
     row_weights_hat: list = field(default_factory=list)  # u_i / ||A_i||^2
     col_weights_hat: list = field(default_factory=list)  # v_j / ||B_j||^2
+    row_hat_columns: list = field(default_factory=list)  # row_weights_hat shaped (tau1, 1)
     alpha_const: float | None = None
     row_blocks: list = field(default_factory=list)  # (I, slice, A_I, G_I) or None
     col_blocks: list = field(default_factory=list)  # (J, slice, B_J, H_J) or None
@@ -301,6 +302,8 @@ def prepare_state(problem, config):
                                             config.weight_scheme)
         state.col_weights_hat = _block_hats(cns, state.partition_cols,
                                             config.weight_scheme)
+        state.row_hat_columns = [None if u is None else u[:, None]
+                                 for u in state.row_weights_hat]
     if config.method == GRABK_CONST:
         # ||U||_F^2 <= lam_A lam_B u_hat (R o R) v_hat, with lam_A the largest
         # sigma_max^2(D_u_hat^{1/2} A_I) over blocks, so every step lowers the
@@ -333,8 +336,11 @@ def _gram_factor(rows, factor):
     (``rows``) or of H_J^T, so that ``S_I^T S_I = G_I^T G_I`` and ``T_J^T
     T_J = H_J H_J^T``. These give ``||G_I M H_J||_F`` as ``||S_I M
     T_J^T||_F`` (``_gram_sq``), tau-sized and without squaring the
-    condition of the block."""
-    return np.linalg.qr(factor if rows else factor.T, mode="r")
+    condition of the block. It is the R of LAPACK's ``dgeqrf``, bitwise
+    that of ``np.linalg.qr(mode="r")`` for a fraction of its wrapper's
+    cost."""
+    qr = lapack.dgeqrf(factor if rows else factor.T)[0]
+    return np.triu(qr[:min(qr.shape)])
 
 
 def _sampled_blocks(state, I, J, method):
@@ -345,11 +351,15 @@ def _sampled_blocks(state, I, J, method):
             state.problem.C[np.ix_(I, J)])
 
 
+# The block steps and the kept residual multiply by ndarray.dot, not @: the
+# same dgemm, for about 0.5 us less a call at tau 15. They sum squares by
+# ndarray.dot of raveled arrays, the sum np.vdot takes, without its wrapper.
+# Small steps pay for calls, not flops.
 def _gram_sq(left, M, right):
     """``||G_I M H_J||_F^2`` from the Gram factors ``left`` = S_I and
     ``right`` = T_J of the blocks: ``||S_I M T_J^T||_F^2``, tau-sized."""
-    image = left @ M @ right.T
-    return float(np.vdot(image, image))
+    image = left.dot(M).dot(right.T).ravel()
+    return float(image.dot(image))
 
 
 def _move(X, c, left, M, right):
@@ -360,7 +370,7 @@ def _move(X, c, left, M, right):
     right, trans = (right, 1) if right.flags.f_contiguous else (right.T, 0)
     # beta 1, c, trans_a, trans_b and overwrite_c passed by position, which
     # saves about 0.6 us a call over keywords: small steps pay for calls
-    out = blas.dgemm(c, right, (left @ M).T, 1.0, XT, trans, 0, 1)
+    out = blas.dgemm(c, right, left.dot(M).T, 1.0, XT, trans, 0, 1)
     if out is not XT:  # X is not C-ordered: BLAS updated a copy
         X[...] = out.T
 
@@ -420,7 +430,7 @@ def grbk_step(state, I, J, _blocks=None):
     """
     A_I, pa, _, B_J, pb, _, C_IJ = _blocks or _sampled_blocks(state, np.asarray(I),
                                                               np.asarray(J), GRBK)
-    R = C_IJ - A_I @ state.X @ B_J
+    R = C_IJ - A_I.dot(state.X).dot(B_J)
     _move(state.X, 1.0, pa, R, pb)
     return R
 
@@ -428,24 +438,28 @@ def grbk_step(state, I, J, _blocks=None):
 def _grabk(state, I, J, u, v, blocks, hats, adaptive):
     """The body of every GRABK kernel: ``(R, W, L, G_I, H_J)`` with R the
     sampled residual block, W = u_hat R v_hat, so that the step moves X by c
-    U with U = G_I W H_J = A_I^T W B_J^T, and, when ``adaptive``, L = u_hat
-    (R o R) v_hat / ||U||_F^2, None when U is zero (every sampled residual
-    is). U is never formed: ``||U||_F^2`` is ``||S_I W T_J^T||_F^2`` from
-    the blocks' Gram factors, and the caller adds c U to X by ``_move``.
-    ``blocks`` and ``hats`` are as ``solve`` keeps them; without ``hats``
-    the caller's weights u and v are checked and hatted here."""
-    I = np.asarray(I)
-    J = np.asarray(J)
-    u_hat, v_hat = hats or (_caller_hats(u, state.row_norms_sq[I], "row weights"),
-                            _caller_hats(v, state.col_norms_sq[J], "column weights"))
+    U with U = G_I W H_J = A_I^T W B_J^T, and, when ``adaptive``, L = <W, R>
+    / ||U||_F^2 (<W, R> = u_hat (R o R) v_hat), None when U is zero (every
+    sampled residual is). U is never formed: ``||U||_F^2`` is ``||S_I W
+    T_J^T||_F^2`` from the blocks' Gram factors, and the caller adds c U to
+    X by ``_move``. ``blocks`` and ``hats`` are as ``solve`` keeps them, u_hat
+    shaped (tau1, 1) (a 1-D u_hat is reshaped); without ``hats`` the
+    caller's weights u and v are checked and hatted here."""
+    if hats is None:
+        I, J = np.asarray(I), np.asarray(J)
+        hats = (_caller_hats(u, state.row_norms_sq[I], "row weights"),
+                _caller_hats(v, state.col_norms_sq[J], "column weights"))
+    u_hat, v_hat = hats
+    if u_hat.ndim == 1:  # u_hat R would broadcast along R's rows
+        u_hat = u_hat[:, None]
     A_I, G_I, S_I, B_J, H_J, T_J, C_IJ = blocks or _sampled_blocks(
-        state, I, J, GRABK_ADAPTIVE if adaptive else GRABK_CONST)
-    R = C_IJ - A_I @ state.X @ B_J
-    W = u_hat[:, None] * R * v_hat[None, :]
+        state, np.asarray(I), np.asarray(J), GRABK_ADAPTIVE if adaptive else GRABK_CONST)
+    R = C_IJ - A_I.dot(state.X).dot(B_J)
+    W = u_hat * R * v_hat
     if not adaptive:
         return R, W, None, G_I, H_J
     denom = _gram_sq(S_I, W, T_J)
-    L = float(u_hat @ (R * R) @ v_hat) / denom if denom != 0.0 else None
+    L = float(np.vdot(W, R)) / denom if denom != 0.0 else None
     return R, W, L, G_I, H_J
 
 
@@ -558,8 +572,12 @@ def _cache_block(state, rows, b):
 
 
 def _error(X, X_star, xstar_sq):
-    """||X - X_star||_F^2 / xstar_sq, with xstar_sq = ||X_star||_F^2."""
-    return float(np.linalg.norm(X - X_star, "fro") ** 2 / xstar_sq)
+    """||X - X_star||_F^2 / xstar_sq, with xstar_sq = ||X_star||_F^2 a float:
+    bitwise ``np.linalg.norm(X - X_star, "fro") ** 2 / xstar_sq``, without
+    its wrapper. The sum runs in memory order (``ravel(order="K")``), as
+    numpy's norm sums."""
+    d = (X - X_star).ravel(order="K")
+    return math.sqrt(d.dot(d)) ** 2 / xstar_sq
 
 
 def _error_drop(method, sampled, weighted, gram_r, gram_c, c, eta):
@@ -580,7 +598,7 @@ def _error_drop(method, sampled, weighted, gram_r, gram_c, c, eta):
         return 0.0
     if method == GRBK:
         return _gram_sq(gram_r, sampled, gram_c)
-    num = np.vdot(weighted, sampled)
+    num = float(np.vdot(weighted, sampled))
     if method == GRABK_ADAPTIVE:
         return c * (2.0 - eta) * num
     return c * (2.0 * num - c * _gram_sq(gram_r, weighted, gram_c))
@@ -634,11 +652,12 @@ class _Metric:
             if isinstance(bi, list):
                 value = self.advance_grk(sampled)
             else:
-                if self.rows[bi] is None:  # from the entry the step cached
-                    self.rows[bi] = self.image(True, self.state.row_blocks[bi])
-                if self.cols[bj] is None:
-                    self.cols[bj] = self.image(False, self.state.col_blocks[bj])
-                value = self.advance(sampled, weighted, self.rows[bi], self.cols[bj], c)
+                left, right = self.rows[bi], self.cols[bj]
+                if left is None:  # from the entry the step cached
+                    left = self.rows[bi] = self.image(True, self.state.row_blocks[bi])
+                if right is None:
+                    right = self.cols[bj] = self.image(False, self.state.col_blocks[bj])
+                value = self.advance(sampled, weighted, left, right, c)
             if not (due or self.read_every_step):
                 return None
             if value is None:  # a kept residual, read from its kept matrix
@@ -725,10 +744,10 @@ class _Residual(_Metric):
 
     def advance(self, sampled, weighted, left, right, c):
         (left, left_sq), (right, right_sq) = left, right
-        if sampled is not None:
-            blas.dgemm(-c, right, (left @ weighted).T, beta=1.0, c=self.kept.T,
-                       overwrite_c=True)
-            self.moved += c * c * np.vdot(weighted, weighted) * left_sq * right_sq
+        if sampled is not None:  # by position, as _move calls dgemm
+            blas.dgemm(-c, right, left.dot(weighted).T, 1.0, self.kept.T, 0, 0, 1)
+            w = weighted.ravel()
+            self.moved += c * c * float(w.dot(w)) * left_sq * right_sq
 
     def grk_stacks(self, rows, cols):
         """The images of GRK's steps at the rows ``rows`` of A and columns
@@ -798,13 +817,13 @@ class _Residual(_Metric):
         n = r.size
         left, right, moved = self.pending
         self.moved = float(moved[n - 1])
-        blas.dgemm(-1.0, right[:n] * r[:, None], left[:n], trans_a=1, beta=1.0,
-                   c=self.kept.T, overwrite_c=True)
+        blas.dgemm(-1.0, right[:n] * r[:, None], left[:n], 1.0, self.kept.T, 1, 0, 1)
         return self.chunk[n - 1]
 
     def read(self, K):
         """sqrt(perp_sq + ||K||_F^2) / unit, the value at coordinates K."""
-        return math.sqrt(self.perp_sq + np.vdot(K, K)) / self.unit
+        K = K.ravel()
+        return math.sqrt(self.perp_sq + float(K.dot(K))) / self.unit
 
     def norm(self):
         return self.read(self.kept) if self.moved <= self.moved_limit else math.nan
@@ -830,7 +849,7 @@ class _Error(_Metric):
         super().__init__(state, tracking, band)
         self.method, self.eta = state.config.method, state.eta
         self.records_exact = records_exact
-        self.xstar_sq = np.linalg.norm(state.problem.X_star, "fro") ** 2
+        self.xstar_sq = float(np.linalg.norm(state.problem.X_star, "fro") ** 2)
         self.dropped = 0.0
         self.ax = None if records_exact else state.problem.A @ state.problem.X_star
 
@@ -918,14 +937,15 @@ def _block_steps(state, metrics, rows, cols, k):
     I, si, A_I, G_I, S_I = state.row_blocks[bi] or _cache_block(state, True, bi)
     J, sj, B_J, H_J, T_J = state.col_blocks[bj] or _cache_block(state, False, bj)
     blocks = (A_I, G_I, S_I, B_J, H_J, T_J, state.problem.C[si, sj])
-    if state.config.method == GRBK:
-        R = grbk_step(state, I, J, _blocks=blocks)
+    method = state.config.method
+    if method == GRBK:
+        R = grbk_step(state, I, J, blocks)
         return 1, bi, bj, R, R, 1.0
-    hats = (state.row_weights_hat[bi], state.col_weights_hat[bj])
-    if state.config.method == GRABK_CONST:
-        R = grabk_step(state, I, J, None, None, state.alpha_const, _blocks=blocks, _hats=hats)
+    u_hat, v_hat = state.row_hat_columns[bi], state.col_weights_hat[bj]
+    if method == GRABK_CONST:
+        R = grabk_step(state, I, J, None, None, state.alpha_const, blocks, (u_hat, v_hat))
         return 1, bi, bj, R, state.weighted, state.alpha_const
-    L, R, W = _grabk_adaptive_apply(state, I, J, *hats, _blocks=blocks)
+    L, R, W = _grabk_adaptive_apply(state, I, J, u_hat, v_hat, blocks)
     if L is None:
         return 1, bi, bj, None, None, 1.0
     state.stepsizes.append(L)
@@ -981,7 +1001,8 @@ def solve(problem, config):
                    config.method != GRK or not kept) if use_re else residual)
     metrics = (stop, residual) if kept else (stop,)
     step = _grk_steps if config.method == GRK else _block_steps
-    every = config.trace_every
+    every, max_iters, max_seconds = config.trace_every, config.max_iters, config.max_seconds
+    tolerance = config.re_tolerance
     trace = Trace()
     iterations, errors, residuals, times = (trace.iteration, trace.relative_error,
                                             trace.relative_residual, trace.elapsed)
@@ -992,20 +1013,20 @@ def solve(problem, config):
         t0 = time.perf_counter()
         k = 0
         metric = stop.confirm()
-        termination = "tolerance" if metric < config.re_tolerance else None
-        while termination is None and k < config.max_iters:
+        termination = "tolerance" if metric < tolerance else None
+        while termination is None and k < max_iters:
             if k % DRAW_CHUNK == 0:
                 rows, cols = sample_block(state.dist_rows, state.rng, state.dist_cols,
-                                          min(DRAW_CHUNK, config.max_iters - k))
+                                          min(DRAW_CHUNK, max_iters - k))
             steps, bi, bj, sampled, weighted, c = step(state, metrics, rows, cols, k)
             first, k = k, k + steps
             elapsed = time.perf_counter() - t0
-            record = k % every == 0 or k == config.max_iters
-            past = config.max_seconds is not None and elapsed > config.max_seconds
+            record = k % every == 0 or k == max_iters
+            past = max_seconds is not None and elapsed > max_seconds
             metric = stop.after_step(k, record or past, bi, bj, sampled, weighted, c)
             if not math.isfinite(metric):
                 termination = "diverged"
-            elif metric < config.re_tolerance:
+            elif metric < tolerance:
                 termination = "tolerance"
             elif past:
                 termination = "time_limit"

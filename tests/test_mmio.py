@@ -377,6 +377,29 @@ def test_load_symmetric_expands_in_file_order(tmp_path):
     assert M.data.tolist() == [2.0, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("size", ["2 3 1", "3 2 1"])
+def test_load_rejects_symmetric_non_square_at_its_size_line(tmp_path, size):
+    # symmetric storage holds square matrices only; an entry past the smaller
+    # side must not reach scipy's bare ValueError
+    path = write_text(tmp_path, "%%MatrixMarket matrix coordinate real symmetric\n"
+                                f"% c\n{size}\n1 3 1.0\n")
+    with pytest.raises(MatrixMarketError, match="square") as exc:
+        load_matrix_market(path)
+    assert exc.value.line == 3
+
+
+def test_load_symmetric_square_is_its_general_form_bitwise(tmp_path):
+    sym = write_text(tmp_path, "%%MatrixMarket matrix coordinate real symmetric\n"
+                               "% c\n3 3 3\n1 1 0.1\n3 1 -2.5e-300\n2 2 7\n", "s.mtx")
+    full = write_text(tmp_path, "%%MatrixMarket matrix coordinate real general\n"
+                                "3 3 4\n1 1 0.1\n1 3 -2.5e-300\n2 2 7\n3 1 -2.5e-300\n",
+                      "g.mtx")
+    M, expect = load_matrix_market(sym), load_matrix_market(full)
+    for name in ("indptr", "indices"):
+        np.testing.assert_array_equal(getattr(M, name), getattr(expect, name))
+    assert M.data.tobytes() == expect.data.tobytes()
+
+
 @st.composite
 def csr_matrices(draw):
     m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))

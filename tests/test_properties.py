@@ -474,3 +474,31 @@ def test_kept_residual_coordinates_give_the_exact_residual(shapes):
         if m <= p and n <= q:
             np.testing.assert_array_equal(residual.kept, R)
             assert residual.perp_sq == 0.0
+
+
+@st.composite
+def weighted_blocks(draw):
+    """Hats u and v on a t1 x t2 block (t1, t2 up to 20), rows of R to zero
+    and a seed for R."""
+    t1, t2 = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    hats = st.floats(1e-8, 1.0)
+    return (draw(st.lists(hats, min_size=t1, max_size=t1)),
+            draw(st.lists(hats, min_size=t2, max_size=t2)),
+            draw(st.sets(st.integers(0, t1 - 1))), draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(block=weighted_blocks())
+@example(block=([1e-8], [1.0], set(), 0))
+@example(block=([0.5], [0.25], {0}, 1))
+def test_adaptive_numerator_matches_the_weighted_residual_energy(block):
+    # GRABK-adaptive's numerator <W, R>, W = u_hat R v_hat, against u_hat (R o
+    # R) v_hat: both sum t1 t2 nonnegative terms, each rounded at most three
+    # times, so they agree within (2 t1 t2 + 8) eps in any summation order
+    u, v, zero, seed = block
+    u_hat, v_hat = np.array(u), np.array(v)
+    R = np.random.default_rng(seed).standard_normal((u_hat.size, v_hat.size))
+    R[sorted(zero)] = 0.0
+    W = u_hat[:, None] * R * v_hat[None, :]
+    new, old = float(np.vdot(W, R)), float(u_hat @ (R * R) @ v_hat)
+    assert abs(new - old) <= (2 * R.size + 8) * solvers.EPS * old

@@ -201,6 +201,24 @@ def test_relative_error_examples():
         relative_error(np.zeros(4), X)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (40, 40), (17, 2)])
+@pytest.mark.parametrize("orders", ["CC", "FF", "CF", "FC"])
+@pytest.mark.parametrize("zero", [False, True])
+def test_error_is_bitwise_the_norm_expression(shape, orders, zero):
+    # the exact error sums in memory order, as np.linalg.norm does, so a
+    # Fortran-ordered pair sums in the same order as before
+    rng = np.random.default_rng(sum(shape) + 7 * zero)
+    X_star = np.asarray(rng.standard_normal(shape), order=orders[1])
+    X = np.zeros(shape, order=orders[0])
+    if not zero:
+        X[...] = X_star + 1e-3 * rng.standard_normal(shape)
+    xstar_sq = float(np.linalg.norm(X_star, "fro") ** 2)
+    expect = float(np.linalg.norm(X - X_star, "fro") ** 2 / xstar_sq)
+    value = solvers._error(X, X_star, xstar_sq)
+    assert type(value) is float and value == expect
+    assert relative_error(X, X_star) == expect
+
+
 # ---------------------------------------------------------------- single steps
 
 
