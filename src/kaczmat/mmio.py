@@ -24,7 +24,8 @@ the checkout with::
     mmio.write_matrix_market(sp.csr_array(D), 'm.mtx')" "mmio.load_matrix_market('m.mtx')"
 
 and with ``D`` in place of ``sp.csr_array(D)`` for the array form. So the
-writer stores dense matrices as arrays.
+writer stores a dense matrix as an array where at least half its entries
+are nonzero, and as coordinates below that.
 """
 
 import math
@@ -109,12 +110,6 @@ def _data_lines(lines, first):
             yield lineno, text
 
 
-def _data_text(lines):
-    """The stripped text of the data lines of ``lines``: the filter of
-    ``_data_lines`` without line numbers, at about two thirds of its cost."""
-    return [t for t in map(str.strip, lines) if t and not t.startswith("%")]
-
-
 def _floats(values):
     """``values`` as a float64 array, or None if one is malformed or not
     finite. np.array takes and refuses the strings float() does, with or
@@ -134,7 +129,7 @@ def _load_array(lines):
     # line among them fails the conversion
     X = _floats(lines[head:]) if len(lines) - head == m * n else None
     if X is None:
-        values = _data_text(lines[head:])
+        values = [text for _, text in _data_lines(lines, head)]
         if len(values) != m * n:  # before any allocation sized by the header
             line = len(lines)
             if len(values) > m * n:
@@ -214,7 +209,7 @@ def _load_coordinate(lines, symmetric):
         raise MatrixMarketError(f"symmetric matrix must be square, got {m}x{n}", head)
     entries = lines[head:]
     if len(entries) != declared:  # blank or comment lines among the entries
-        entries = _data_text(entries)
+        entries = [text for _, text in _data_lines(lines, head)]
     # converted only at the declared count: a header's nnz sizes no array
     found = _entries(entries, (m, n)) if len(entries) == declared else None
     if found is None:
@@ -262,17 +257,15 @@ def load_matrix_market(path):
 def write_matrix_market(M, path, comment=None):
     """Write a matrix as real general, deterministically.
 
-    Dense input with at least a third of its entries nonzero is written in
+    Dense input with at least half of its entries nonzero is written in
     array format: every value, one a line, column-major. Sparse input and
     sparser dense input are written in coordinate format: the (stored or
     nonzero) entries, 1-based, row-major. An array value costs the reader
     about half a coordinate entry (see the module docstring), so reading
-    breaks even near half the entries nonzero; the threshold stays at a
-    third, so that the files ``kaczmat generate`` writes keep their format.
-    Regenerating
-    with the same data gives byte-identical files. Values are printed with
-    17 significant digits and round-trip exactly. Non-finite values raise
-    ValueError before the file is opened.
+    breaks even near half the entries nonzero. Regenerating with the same
+    data gives byte-identical files. Values are printed with 17 significant
+    digits and round-trip exactly. Non-finite values raise ValueError before
+    the file is opened.
     """
     fmt = "coordinate"
     if sp.issparse(M):
@@ -285,7 +278,7 @@ def write_matrix_market(M, path, comment=None):
         if dense.ndim != 2:
             raise ValueError(f"expected a 2-D matrix, got shape {dense.shape}")
         m, n = dense.shape
-        if 3 * np.count_nonzero(dense) >= dense.size:
+        if 2 * np.count_nonzero(dense) >= dense.size:
             fmt, vals = "array", dense.ravel(order="F")
         else:
             rows, cols = np.nonzero(dense)

@@ -54,9 +54,9 @@ DEFAULT_ETA = {GRABK_CONST: 1.95, GRABK_ADAPTIVE: 1.0}
 # rounding of a computed decrease, about eps kappa(A_I) kappa(B_J), for
 # blocks conditioned up to about 1e9. DRIFT_LIMIT caps a kept residual's
 # bound on that rounding (see _Residual) below the 1e-14 its records keep.
-# DECREASE_OVERHEAD is the call cost of a block decrease, counted as the
-# entries of X that an exact error reads in the same time (about 6 us at
-# 0.75 ns an entry, one thread).
+# DECREASE_OVERHEAD is the call cost of GRBK's or GRABK-constant's error
+# decrease, counted as the entries of X that an exact error reads in the same
+# time (about 6 us at 0.75 ns an entry, one thread).
 RESYNC_EVERY = 256
 CONFIRM_BAND = 1e-12
 DROP_RTOL = 1e-6
@@ -65,6 +65,17 @@ DECREASE_OVERHEAD = 8192
 DRAW_CHUNK = 1024  # the block pairs of as many steps come from one draw
 GRK_CHUNK = 64  # the most GRK steps one grk_step call runs while the stop metric is kept
 EPS = np.finfo(np.float64).eps
+
+
+def _check_scale(name, M):
+    """Raise ValueError if the float64 array M is nonzero but its squared
+    Frobenius norm is subnormal or overflows: the solvers divide by such
+    norms and stop on squared values, which would then read 0 or inf."""
+    with np.errstate(over="ignore"):
+        sq = float(np.vdot(M, M))
+    if not np.finfo(np.float64).tiny <= sq < math.inf and M.any():
+        raise ValueError(f"{name} is nonzero but ||{name}||_F^2 = {sq:.3g} is outside "
+                         "float64's normal range; rescale the problem")
 
 
 @dataclass
@@ -79,7 +90,8 @@ class Problem:
     relative-error termination; it must satisfy the equation to 1e-8
     relative accuracy. ``X_drawn`` is the matrix C was built from when the
     problem is synthetic; it differs from ``X_star`` when A or B is
-    rank-deficient.
+    rank-deficient. A, B, C and ``X_star`` must each be zero or have a
+    squared Frobenius norm in float64's normal range (``_check_scale``).
     """
 
     A: object
@@ -100,12 +112,15 @@ class Problem:
                 f"C has shape {self.C.shape}, expected {(m, n)} from A {self.A.shape} "
                 f"and B {self.B.shape}"
             )
+        for name in "ABC":
+            _check_scale(name, getattr(self, name))
         if self.X_star is not None:
             self.X_star = as_dense(self.X_star)
             if self.X_star.shape != (p, q):
                 raise ValueError(
                     f"X_star has shape {self.X_star.shape}, expected {(p, q)}"
                 )
+            _check_scale("X_star", self.X_star)
             resid = np.linalg.norm(self.A @ self.X_star @ self.B - self.C, "fro")
             if resid > 1e-8 * np.linalg.norm(self.C, "fro") + 1e-300:
                 raise ValueError(
@@ -234,7 +249,6 @@ class IterationState:
     stepsizes: list | None = None  # GRABK-adaptive's L, from _block_steps
     weighted: np.ndarray | None = None  # W = u_hat R v_hat of the last grabk_step
     cols_t: np.ndarray | None = None  # GRK's B^T, C-ordered: B's columns are its rows
-    gathered: tuple | None = None  # (B_S, C_S) of the last grk_step chunk
 
 
 def _hat_weights(u, norms_sq):
@@ -389,15 +403,15 @@ def grk_step(state, i, j, _prefix=None):
     lower-triangular K x K system, the Hadamard product of the Gram
     matrices of ``A_S = A[i]`` and ``B_S = B[:, j]`` with diagonal d. Then
     ``X += A_S[:c]^T diag(s[:c]) B_S[:, :c]^T`` applies the first c steps,
-    and r[:c] = s[:c] d[:c] comes back. c is K, or ``_prefix(i, j, r, s)``,
-    which ``_Error.prefix`` and ``_Residual.prefix`` read each step's value
-    from; ``state.gathered`` holds B_S and ``C_S = C[i, j]`` for them.
-    Rows are gathered by ``take``, B's columns as rows of ``state.cols_t``,
-    the C-ordered B^T of a GRK run (the F-ordered view B^T on another
-    state), which gives the same F-ordered q x K array as ``B[:, j]``. The
-    chunk runs as a few BLAS-3 calls what its steps run as about 2K BLAS-2
-    calls, and rounds otherwise: X is within 1e-13 relative of the steps
-    run one by one (about 1e-15 on well-conditioned problems).
+    and r[:c] = s[:c] d[:c] comes back. c is K, or ``_prefix(i, j, r, s,
+    B_S, C_S)`` with ``C_S = C[i, j]``, which ``_Error.prefix`` and
+    ``_Residual.prefix`` read each step's value from. Rows are gathered by
+    ``take``, B's columns as rows of ``state.cols_t``, the C-ordered B^T of
+    a GRK run (the F-ordered view B^T on another state), which gives the
+    same F-ordered q x K array as ``B[:, j]``. The chunk runs as a few
+    BLAS-3 calls what its steps run as about 2K BLAS-2 calls, and rounds
+    otherwise: X is within 1e-13 relative of the steps run one by one
+    (about 1e-15 on well-conditioned problems).
     """
     i, j = np.atleast_1d(i), np.atleast_1d(j)
     rns, cns = state.row_norms_sq.take(i), state.col_norms_sq.take(j)
@@ -407,13 +421,12 @@ def grk_step(state, i, j, _prefix=None):
     cols_t = state.problem.B.T if state.cols_t is None else state.cols_t
     A_S, B_S = state.problem.A.take(i, axis=0), cols_t.take(j, axis=0).T
     C_S = state.problem.C[i, j]
-    state.gathered = B_S, C_S
     gram = (A_S @ A_S.T) * (B_S.T @ B_S)
     gram.flat[::d.size + 1] = d
     rhs = C_S - np.sum((A_S @ state.X) * B_S.T, axis=1)
     s = blas.dtrsv(gram.T, rhs, lower=1)  # gram is symmetric: gram.T is its Fortran view
     r = s * d
-    c = d.size if _prefix is None else _prefix(i, j, r, s)
+    c = d.size if _prefix is None else _prefix(i, j, r, s, B_S, C_S)
     state.X += (A_S[:c].T * s[:c]) @ B_S[:, :c].T
     return r[:c]
 
@@ -537,26 +550,24 @@ def _tracks_error(problem, config, use_re, keeps):
     """Whether ``solve`` tracks ``||X - X_star||_F^2`` by the decrease of
     each step between exact checks instead of computing it on every step.
 
-    It does only with ``X_star``: GRK unless every step is a record that
-    recomputes the residual (``_keeps_residual``'s ``keeps`` is False); a
-    block method, whose records read the exact error, with ``trace_every >
-    1`` when a decrease costs less than the exact error, which reads the
-    ``p q`` entries of X. GRABK-adaptive's reads ``t1 t2`` numbers; GRBK's
-    and GRABK-constant's run two small products, about ``t1 t2 (min(t1, p)
-    + min(t2, q))`` flops, which BLAS runs about 8 times faster per flop
-    than the error reads an entry. Each block decrease also pays
-    ``DECREASE_OVERHEAD`` in calls.
+    It does only with ``X_star``, and only where some step is not a record
+    that reads the exact error: a block method's records read it, and so
+    do GRK's where every step is a record that recomputes the residual
+    (``_keeps_residual``'s ``keeps`` is False). GRK's and GRABK-adaptive's
+    decreases come free from numbers the step computed, so they track
+    wherever that leaves a step. GRBK's and GRABK-constant's run two small
+    products, about ``t1 t2 (min(t1, p) + min(t2, q))`` flops, which BLAS
+    runs about 8 times faster per flop than the exact error reads an entry
+    of X, plus ``DECREASE_OVERHEAD`` in calls; they track when that costs
+    less than reading the ``p q`` entries of X.
     """
     if not use_re or config.trace_every == 1 and (config.method != GRK or not keeps):
         return False
-    if config.method == GRK:
+    if config.method in (GRK, GRABK_ADAPTIVE):
         return True
     p, q = problem.X_star.shape
     t1, t2 = config.tau1, config.tau2
-    work = t1 * t2
-    if config.method != GRABK_ADAPTIVE:
-        work = work * (min(t1, p) + min(t2, q)) // 8
-    return work + DECREASE_OVERHEAD < p * q
+    return t1 * t2 * (min(t1, p) + min(t2, q)) // 8 + DECREASE_OVERHEAD < p * q
 
 
 def _cache_block(state, rows, b):
@@ -643,13 +654,12 @@ class _Metric:
     def after_step(self, k, due, bi, bj, sampled, weighted, c):
         """The value after step ``k``, which sampled ``sampled`` from row
         block ``bi`` and column block ``bj`` and moved X by ``c G_I M H_J``
-        with M = ``weighted`` (R for GRBK, u_hat R v_hat for GRABK); or
-        after the GRK steps that ended at step ``k``, at the rows ``bi`` and
-        columns ``bj`` (lists), with residuals ``sampled``. None when
-        nothing reads it: a step not ``due`` for a record, of a metric that
-        does not stop the run."""
+        with M = ``weighted`` (R for GRBK, u_hat R v_hat for GRABK); or,
+        with ``bi`` None, after the GRK steps that ended at step ``k``, with
+        residuals ``sampled``. None when nothing reads it: a step not ``due``
+        for a record, of a metric that does not stop the run."""
         if self.tracking and k % RESYNC_EVERY and not (due and self.records_exact):
-            if isinstance(bi, list):
+            if bi is None:
                 value = self.advance_grk(sampled)
             else:
                 left, right = self.rows[bi], self.cols[bj]
@@ -764,9 +774,10 @@ class _Residual(_Metric):
         left, right = self.stacks
         return left.take(rows, axis=0), right.take(cols, axis=0)
 
-    def prefix(self, rows, cols, r, s):
+    def prefix(self, rows, cols, r, s, B_S, C_S):
         """How many of the GRK steps at the rows ``rows`` of A and columns
-        ``cols`` of B, with sampled residuals ``r``, to apply at most;
+        ``cols`` of B, with sampled residuals ``r``, to apply at most (``s``,
+        ``B_S`` and ``C_S`` as ``grk_step`` hands them, unread here);
         ``chunk`` gets the value after each, ``advance_grk`` commits them.
 
         Step k moves K by ``-r_k u_k v_k^T``, with u_k and v_k the images of
@@ -845,28 +856,26 @@ class _Error(_Metric):
     next value exact. Records read it exact but where GRK's chunks run
     across them (not ``records_exact``)."""
 
-    def __init__(self, state, tracking, band, records_exact):
+    def __init__(self, state, tracking, band, records_exact, xstar_sq):
         super().__init__(state, tracking, band)
         self.method, self.eta = state.config.method, state.eta
-        self.records_exact = records_exact
-        self.xstar_sq = float(np.linalg.norm(state.problem.X_star, "fro") ** 2)
+        self.records_exact, self.xstar_sq = records_exact, xstar_sq
         self.dropped = 0.0
         self.ax = None if records_exact else state.problem.A @ state.problem.X_star
 
     def image(self, rows, entry):
         return _gram_factor(rows, entry[3]) if entry[4] is None else entry[4]
 
-    def prefix(self, rows, cols, r, s):
+    def prefix(self, rows, cols, r, s, B_S, C_S):
         """As ``_Residual.prefix``, for the error: up to the first step whose
         kept value less slack lies below the band or is not finite. Step k
         moves X by ``s_k a_k b_k^T``, so ``||E_k||_F^2 = ||E_{k-1}||_F^2 -
         r_k s_k - 2 s_k h_k``, with ``h = diag(A_S X* B_S) - C[i, j]`` the
         residual of X_star, 0 if it solves the equation. Only where records
         read ``chunk`` (not ``records_exact``) is h taken, from A X* and
-        the B_S and C_S that ``grk_step`` gathered."""
+        the chunk's columns ``B_S = B[:, cols]`` and ``C_S = C[rows, cols]``."""
         drops = r * s
         if not self.records_exact:
-            B_S, C_S = self.state.gathered
             drops += 2.0 * s * (np.sum(self.ax.take(rows, axis=0) * B_S.T, axis=1) - C_S)
         drops = np.cumsum(drops) / self.xstar_sq
         values = self.value - drops
@@ -897,19 +906,20 @@ class _Error(_Metric):
 
 
 def _grk_steps(state, metrics, rows, cols, k):
-    """GRK from the pair drawn for step k on: ``(steps, bi, bj, sampled,
-    None, 1.0)``, the steps taken, their rows of A and columns of B (lists)
-    and the residuals they sampled (an array). ``metrics`` holds the stop
-    metric and, if kept, the residual beside the error. One ``grk_step`` call runs
-    the steps as a chunk: one step unless the stop metric is tracked, else
-    up to ``GRK_CHUNK``, ending at the next multiple of ``RESYNC_EVERY``,
-    the end of the drawn pairs or ``max_iters``, and at the next record if
-    the stop metric is ``records_exact``. Each metric still tracked
-    reads its steps' values from the chunk (``prefix``), which ends at the
-    earliest cut they propose: after the first step whose kept value less
-    its slack or rounding bound enters the band or is not finite, which
-    then gets its exact value. The records inside a chunk, and
-    ``max_seconds``, see the time at its end."""
+    """GRK from the pair drawn for step k on: ``(steps, None, None,
+    sampled, None, 1.0)``, the steps taken and the residuals they sampled
+    (an array); the Nones in place of blocks mark a GRK chunk. ``metrics``
+    holds the stop metric and, if kept, the residual beside the error. One
+    ``grk_step`` call runs the steps as a chunk: one step unless the stop
+    metric is tracked, else up to ``GRK_CHUNK``, ending at the next multiple
+    of ``RESYNC_EVERY``, the end of the drawn pairs or ``max_iters``, and at
+    the next record if the stop metric is ``records_exact``. Each metric
+    still tracked reads its steps' values from the chunk (``prefix``, handed
+    the chunk's operands by ``grk_step``), which ends at the earliest cut
+    they propose: after the first step whose kept value less its slack or
+    rounding bound enters the band or is not finite, which then gets its
+    exact value. The records inside a chunk, and ``max_seconds``, see the
+    time at its end."""
     drawn, stop, size = k % DRAW_CHUNK, metrics[0], 1
     if stop.tracking:
         cut = state.config.trace_every if stop.records_exact else RESYNC_EVERY
@@ -918,8 +928,7 @@ def _grk_steps(state, metrics, rows, cols, k):
     sampled = grk_step(state, rows[drawn:drawn + size], cols[drawn:drawn + size],
                        _prefix=lambda *args: min((prefix(*args) for prefix in prefixes),
                                                  default=size))
-    end = drawn + sampled.size
-    return sampled.size, rows[drawn:end], cols[drawn:end], sampled, None, 1.0
+    return sampled.size, None, None, sampled, None, 1.0
 
 
 def _block_steps(state, metrics, rows, cols, k):
@@ -991,14 +1000,15 @@ def solve(problem, config):
     rounding of ``_grk_steps``' chunks).
     """
     state = prepare_state(problem, config)
-    use_re = problem.X_star is not None and np.linalg.norm(problem.X_star, "fro") > 0.0
+    xstar_sq = 0.0 if problem.X_star is None else float(np.linalg.norm(problem.X_star) ** 2)
+    use_re = xstar_sq > 0.0
     band = config.re_tolerance + CONFIRM_BAND
     # without X_star the residual is the stop metric; with it, only records read it
     keeps = _keeps_residual(problem, config, use_re)
     residual = _Residual(state, keeps, -math.inf if use_re else band)
     kept = use_re and keeps  # GRK's chunks then run across records
     stop = (_Error(state, _tracks_error(problem, config, use_re, keeps), band,
-                   config.method != GRK or not kept) if use_re else residual)
+                   config.method != GRK or not kept, xstar_sq) if use_re else residual)
     metrics = (stop, residual) if kept else (stop,)
     step = _grk_steps if config.method == GRK else _block_steps
     every, max_iters, max_seconds = config.trace_every, config.max_iters, config.max_seconds

@@ -106,8 +106,8 @@ def _tracked_steps(instance, method):
         return wrapper
 
     def grk_chunks(state, i, j, _prefix=None):
-        def prefix(rows, cols, r, s):
-            c = _prefix(rows, cols, r, s)
+        def prefix(*args):
+            c, (r, s) = _prefix(*args), args[2:4]
             for drop in (r * s)[:c]:  # a step whose exact error comes from the oracle
                 events.extend([("step", None), ("drop", drop)])
             return c

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,34 @@ def test_problem_rejects_wrong_reference_solution():
     X = rng.standard_normal((3, 3))
     with pytest.raises(ValueError):
         Problem(A=A, B=B, C=A @ X @ B, X_star=X + 1.0)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-158, 1e155])
+@pytest.mark.parametrize("x_star", [False, True], ids=["residual", "x_star"])
+def test_problem_rejects_a_squared_norm_outside_the_normal_range(scale, x_star):
+    # with C (and X_star) scaled so, ||C||_F^2 underflows to 0 (every run
+    # stopped "tolerance" at X = 0), is subnormal (runs stopped early) or
+    # overflows (runs ended "diverged" after one step, or raised numpy's
+    # overflow warning under -W error)
+    A, B = gen_type1(TypeISpec(20, 10, 10, 10, 20, 10, seed=1))
+    base = make_problem(A, B, seed=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"C is nonzero .* rescale the problem"):
+            Problem(A=A, B=B, C=base.C * scale, X_star=base.X_star * scale if x_star else None)
+        Problem(A=A, B=B, C=base.C * 1e-150, X_star=base.X_star * 1e-150)
+        Problem(A=A, B=B, C=np.zeros((20, 20)), X_star=np.zeros((10, 10)))
+
+
+@pytest.mark.parametrize("name, matrices", [
+    ("A", {"A": [[1e-160]], "B": [[1.0]], "C": [[0.0]]}),
+    ("B", {"A": [[1.0]], "B": [[1e160]], "C": [[0.0]]}),
+    # a CSR X_star is checked once densified
+    ("X_star", {"A": [[1e154]], "B": [[1.0]], "C": [[1.0]], "X_star": sp.csr_array([[1e-154]])}),
+])
+def test_problem_names_the_matrix_outside_the_normal_range(name, matrices):
+    with pytest.raises(ValueError, match=rf"^{name} is nonzero but"):
+        Problem(**matrices)
 
 
 def _assert_dense_c_float64(M):
@@ -256,8 +285,8 @@ def test_grk_step_over_index_arrays_runs_the_steps_in_order():
     # K steps as one chunk give the X and residuals of K rank-1 steps run
     # one at a time to 1e-13 relative, hand _prefix the steps' rows,
     # columns, residuals r and r / (||A_i||^2 ||B_j||^2), whose product is
-    # each step's decrease, and apply the prefix it returns; a scalar pair
-    # is a chunk of one
+    # each step's decrease, and the gathered B[:, j] and C[i, j], and apply
+    # the prefix it returns; a scalar pair is a chunk of one
     prob = small_problem(8)
     i, j = [3, 0, 3, 7, 1, 5, 3, 2], [4, 4, 1, 0, 4, 6, 1, 2]  # with repeats
     state = prepare_state(prob, SolverConfig(method=GRK))
@@ -267,8 +296,10 @@ def test_grk_step_over_index_arrays_runs_the_steps_in_order():
         chunk = prepare_state(prob, SolverConfig(method=GRK))
         drops = []
         out = grk_step(chunk, i, j, _prefix=lambda *args, c=applied: drops.append(args) or c)
-        rows, cols, rs, s = drops[0]
+        rows, cols, rs, s, B_S, C_S = drops[0]
         assert (rows.tolist(), cols.tolist()) == (i, j)
+        np.testing.assert_array_equal(B_S, prob.B[:, j])
+        np.testing.assert_array_equal(C_S, prob.C[i, j])
         np.testing.assert_allclose(rs, r, rtol=1e-13)
         np.testing.assert_allclose(rs * s, np.square(r) / d, rtol=1e-13)
         np.testing.assert_allclose(out, r[:applied], rtol=1e-13)
@@ -280,6 +311,17 @@ def test_grk_step_over_index_arrays_runs_the_steps_in_order():
     assert out.shape == (1,)
     np.testing.assert_allclose(out, r[:1], rtol=1e-13)
     assert np.linalg.norm(state.X - iterates[0]) <= 1e-13 * np.linalg.norm(iterates[0])
+
+
+def test_grk_step_leaves_the_state_but_x_as_it_was():
+    # a chunk hands its operands to _prefix by argument, not on the state
+    state = prepare_state(small_problem(8), SolverConfig(method=GRK))
+    before = dict(vars(state))
+    X = state.X.copy()
+    grk_step(state, [3, 0, 7], [4, 4, 1], _prefix=lambda *args: 2)
+    assert vars(state).keys() == before.keys()
+    assert all(vars(state)[name] is value for name, value in before.items())
+    assert not np.array_equal(state.X, X)
 
 
 def test_grbk_full_block_is_direct_solve():
@@ -1257,9 +1299,15 @@ def _xstar_problem(p, q, m=10, n=10):
      SolverConfig(method=GRABK_ADAPTIVE, tau1=50, tau2=50, trace_every=10**6), True),
     ("GRBK command, tau 32", _xstar_problem(64, 64),
      SolverConfig(method=GRBK, tau1=32, tau2=32, trace_every=300), False),
-    # a small iterate: the calls of a block decrease cost more than the error
+    # a small iterate: the calls of GRBK's decrease (16 flop-entries plus
+    # DECREASE_OVERHEAD) cost more than the 400 entries of the error;
+    # GRABK-adaptive's decrease is free, as GRK's is, and tracked: 1-4%
+    # faster to 1e-8 on 60x20 / 20x60 at tau 4, 7-9% on 100x40 / 40x100 at
+    # tau 10 (median CPU time over alternating pairs, 1 BLAS thread)
+    ("GRBK, small", _xstar_problem(20, 20),
+     SolverConfig(method=GRBK, tau1=4, tau2=4, trace_every=10**6), False),
     ("GRABK-adaptive, small", _xstar_problem(20, 20),
-     SolverConfig(method=GRABK_ADAPTIVE, tau1=4, tau2=4, trace_every=10**6), False),
+     SolverConfig(method=GRABK_ADAPTIVE, tau1=4, tau2=4, trace_every=10**6), True),
     ("GRK, small", _xstar_problem(5, 5), SolverConfig(method=GRK, trace_every=10), True),
     # every step is a record: a block method's reads the exact error, and
     # GRK's chunks run across records while the residual is kept, not
@@ -1289,6 +1337,18 @@ def test_solve_decides_the_residual_form_once(monkeypatch):
                         lambda *args: answers.append(keeps(*args)) or answers[-1])
     solve(small_problem(3), SolverConfig(method=GRK, seed=1, max_iters=20))
     assert len(answers) == 1
+
+
+def test_small_adaptive_run_tracks_its_error(monkeypatch):
+    # GRABK-adaptive's decrease is free, so on a 20x20 iterate at tau 4 the
+    # exact error runs to resync and to confirm, not on every step
+    calls, error = [], solvers._error
+    monkeypatch.setattr(solvers, "_error", lambda *args: calls.append(1) or error(*args))
+    prob = make_problem(*gen_type1(TypeISpec(60, 20, 20, 20, 60, 20, seed=5)), seed=6)
+    report = solve(prob, SolverConfig(method=GRABK_ADAPTIVE, tau1=4, tau2=4, seed=3,
+                                      trace_every=10**6, re_tolerance=1e-8))
+    assert report.termination == "tolerance"
+    assert 10 * len(calls) < report.iterations
 
 
 def test_tracked_error_skips_a_solved_adaptive_block(monkeypatch):
