@@ -12,23 +12,33 @@ failures report the offending line number, and because ``mmread`` (scipy
 and ``1 1 1.0 extra`` as 1.0, and it stops at a ``%`` comment line between
 entries (``Invalid integer value``), which this reader skips. It converts in
 bulk: an array file's values with one ``np.array`` call, a coordinate file's
-entry lines ``ENTRY_SLICE`` at a time, with one call for each column of a
-slice. When a bulk check fails, one rescan of the lines names the first bad
-one. For a dense 64x64 matrix, reading its 106 KB coordinate form takes
-2.6-2.9 ms and its 83 KB array form 1.2-1.3 ms (process CPU, best of 5, in
-each of four runs, shared 2-core x86-64 host, 1 BLAS thread), measured from
-the checkout with::
+entry lines with one ``np.loadtxt`` call into the structured dtype
+``ENTRY``. Coordinate entries with a blank or comment line among them, or
+with a token that Python's ``int`` or ``float`` takes and numpy's text
+reader refuses (``1_0``), are read one line at a time instead; a bad line
+fails the bulk path, and the line-by-line one names it. A failed bulk check of
+an array file is followed by one rescan that names the first bad line. For
+a dense 64x64 matrix, reading its 106 KB coordinate form takes 2.2-2.6 ms
+and its 83 KB array form 1.5-1.8 ms (process CPU, best of 5, 1 BLAS
+thread, shared 2-core x86-64 host; in about half of 32 runs, 16 of each
+form in alternation, the host ran slower and each read took 1.6-2 times
+as long), measured from the checkout with::
 
     PYTHONPATH=src python3 -m timeit -p -s "import numpy as np, scipy.sparse as sp; \
     from kaczmat import mmio; D = np.random.default_rng(0).standard_normal((64, 64)); \
     mmio.write_matrix_market(sp.csr_array(D), 'm.mtx')" "mmio.load_matrix_market('m.mtx')"
 
-and with ``D`` in place of ``sp.csr_array(D)`` for the array form. So the
-writer stores a dense matrix as an array where at least half its entries
-are nonzero, and as coordinates below that.
+and with ``D`` in place of ``sp.csr_array(D)`` for the array form. So an
+array value costs the reader about 0.7 of a coordinate entry, and the two
+forms of one matrix read alike at 30-40% of its entries nonzero (two
+interleaved sweeps of 64x64 matrices from 20% to all nonzero). The writer
+stores a dense matrix as an array where at least half its entries are
+nonzero, and as coordinates below that.
 """
 
 import math
+import warnings
+from array import array
 from itertools import islice
 
 import numpy as np
@@ -44,9 +54,9 @@ _QUALIFIERS = {
     "field": ("real", "integer"),
     "symmetry": ("general", "symmetric"),
 }
-# coordinate entry lines converted per np.array call; the token lists of one
-# slice are all that is held at once
-ENTRY_SLICE = 8192
+# a coordinate entry line as numpy's text reader converts it: 1-based row and
+# column, then the value
+ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("val", np.float64)])
 
 
 class MatrixMarketError(ValueError):
@@ -149,38 +159,32 @@ def _load_array(lines):
 
 def _entries(lines, shape):
     """The 0-based int64 rows and columns and the float64 values of the
-    coordinate entry ``lines``, or None if a line fails a check."""
-    nnz = len(lines)
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    vals = np.empty(nnz, dtype=np.float64)
-    for start in range(0, nnz, ENTRY_SLICE):
-        chunk = lines[start:start + ENTRY_SLICE]
-        stop = start + len(chunk)
-        # every fourth token is a ";" only if each line has three tokens; a
-        # ";" of a line's own lands in a column and fails its conversion
-        tokens = " ; ".join(chunk).split()
-        if len(tokens) != 4 * len(chunk) - 1 or tokens[3::4].count(";") != len(chunk) - 1:
-            return None
-        try:
-            rows[start:stop] = np.array(tokens[0::4], dtype=np.int64)
-            cols[start:stop] = np.array(tokens[1::4], dtype=np.int64)
-            vals[start:stop] = np.array(tokens[2::4], dtype=np.float64)
-        except (ValueError, OverflowError):  # OverflowError: an index past int64
-            return None
+    nonempty coordinate entry ``lines``, or None if a line fails a check or
+    numpy's reader refuses or warns on it."""
+    try:
+        # a warning, such as an older numpy's on a float string in an
+        # integer field, fails the conversion too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            found = np.loadtxt(lines, dtype=ENTRY, comments=None, ndmin=1)
+    except (ValueError, Warning):  # ValueError also for an index past int64
+        return None
+    rows, cols, vals = found["row"], found["col"], found["val"]
     m, n = shape
-    if not (np.all(np.isfinite(vals)) and np.all((rows >= 1) & (rows <= m))
-            and np.all((cols >= 1) & (cols <= n))):
+    # loadtxt skips blank lines: each line must give one entry
+    if not (found.size == len(lines) and np.all(np.isfinite(vals))
+            and np.all((rows >= 1) & (rows <= m)) and np.all((cols >= 1) & (cols <= n))):
         return None
     rows -= 1
     cols -= 1
     return rows, cols, vals
 
 
-def _first_bad_entry(lines, head, shape, declared):
-    """Raise the error of the first entry line after line ``head`` that fails
-    a check, else that of the entry count."""
-    seen = 0
+def _entries_by_line(lines, head, shape, declared):
+    """The entries after line ``head``, as ``_entries`` gives them, read one
+    line at a time past blank and comment lines. Raises the error of the
+    first line that fails a check, else that of the entry count."""
+    rows, cols, vals = array("q"), array("q"), array("d")  # no object per entry
     for lineno, text in _data_lines(lines, head):
         parts = text.split()
         if len(parts) != 3:
@@ -194,10 +198,15 @@ def _first_bad_entry(lines, head, shape, declared):
             raise MatrixMarketError(f"non-finite value in entry {text!r}", lineno)
         if not (1 <= i <= shape[0]) or not (1 <= j <= shape[1]):
             raise MatrixMarketError(f"index ({i}, {j}) outside {shape[0]}x{shape[1]}", lineno)
-        seen += 1
-        if seen > declared:
+        if len(vals) == declared:
             raise MatrixMarketError(f"more than the declared {declared} entries", lineno)
-    raise MatrixMarketError(f"declared {declared} entries, found {seen}", len(lines))
+        rows.append(i - 1)
+        cols.append(j - 1)
+        vals.append(v)
+    if len(vals) != declared:
+        raise MatrixMarketError(f"declared {declared} entries, found {len(vals)}", len(lines))
+    return (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64),
+            np.asarray(vals, dtype=np.float64))
 
 
 def _load_coordinate(lines, symmetric):
@@ -207,13 +216,11 @@ def _load_coordinate(lines, symmetric):
         raise MatrixMarketError("size past the int64 index range", head)
     if symmetric and m != n:  # the format stores only square matrices as symmetric
         raise MatrixMarketError(f"symmetric matrix must be square, got {m}x{n}", head)
-    entries = lines[head:]
-    if len(entries) != declared:  # blank or comment lines among the entries
-        entries = [text for _, text in _data_lines(lines, head)]
-    # converted only at the declared count: a header's nnz sizes no array
-    found = _entries(entries, (m, n)) if len(entries) == declared else None
-    if found is None:
-        _first_bad_entry(lines, head, (m, n), declared)
+    # in bulk only at the declared count, so that a header's nnz sizes no
+    # array, and not at 0, on which loadtxt warns
+    found = _entries(lines[head:], (m, n)) if len(lines) - head == declared > 0 else None
+    if found is None:  # blank or comment lines among the entries, or a bad line
+        found = _entries_by_line(lines, head, (m, n), declared)
     rows, cols, vals = found
     if symmetric:  # each off-diagonal entry followed by its mirror, in file order
         reps = 1 + (rows != cols)
@@ -261,11 +268,11 @@ def write_matrix_market(M, path, comment=None):
     array format: every value, one a line, column-major. Sparse input and
     sparser dense input are written in coordinate format: the (stored or
     nonzero) entries, 1-based, row-major. An array value costs the reader
-    about half a coordinate entry (see the module docstring), so reading
-    breaks even near half the entries nonzero. Regenerating with the same
-    data gives byte-identical files. Values are printed with 17 significant
-    digits and round-trip exactly. Non-finite values raise ValueError before
-    the file is opened.
+    about 0.7 of a coordinate entry (see the module docstring), so reading
+    breaks even at 30-40% of the entries nonzero, below the writer's half.
+    Regenerating with the same data gives byte-identical files. Values are
+    printed with 17 significant digits and round-trip exactly. Non-finite
+    values raise ValueError before the file is opened.
     """
     fmt = "coordinate"
     if sp.issparse(M):

@@ -414,6 +414,9 @@ def grk_step(state, i, j, _prefix=None):
     (about 1e-15 on well-conditioned problems).
     """
     i, j = np.atleast_1d(i), np.atleast_1d(j)
+    if _prefix is None and not (i.ndim == 1 and i.shape == j.shape and i.size):
+        raise ValueError("i and j must be nonempty 1-D index arrays of one length, "
+                         f"got shapes {i.shape} and {j.shape}")
     rns, cns = state.row_norms_sq.take(i), state.col_norms_sq.take(j)
     if not (rns.all() and cns.all()):
         raise ValueError("sampled row of A or column of B is zero")
@@ -488,6 +491,8 @@ def grabk_step(state, I, J, u, v, alpha, _blocks=None, _hats=None):
     ``_hats`` the prepared ``(u_hat, v_hat)``, as ``solve`` keeps them. W
     is left in ``state.weighted`` for the stop metrics of ``solve``.
     """
+    if _hats is None:
+        check_real("alpha", alpha, positive=False)
     R, W, _, G_I, H_J = _grabk(state, I, J, u, v, _blocks, _hats, False)
     _move(state.X, alpha, G_I, W, H_J)
     state.weighted = W

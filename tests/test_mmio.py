@@ -8,7 +8,6 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kaczmat import mmio
 from kaczmat.mmio import MatrixMarketError, load_matrix_market, write_matrix_market
 
 
@@ -357,14 +356,31 @@ def test_load_rejects_a_size_past_int64(tmp_path, entry):
     assert exc.value.line == 3
 
 
-def test_load_names_a_bad_entry_past_the_first_slice(tmp_path):
-    nnz = mmio.ENTRY_SLICE + 5
+def test_load_names_a_bad_entry_deep_in_a_large_file(tmp_path):
+    nnz = 8197
     entries = [f"{k % 3 + 1} {k % 2 + 1} {k}.5" for k in range(nnz)]
-    entries[mmio.ENTRY_SLICE + 2] = "1 1 1.0abc"
+    entries[8194] = "1 1 1.0abc"
     path = write_text(tmp_path, f"{COORD}% c\n3 2 {nnz}\n" + "\n".join(entries) + "\n")
     with pytest.raises(MatrixMarketError, match="malformed entry '1 1 1.0abc'") as exc:
         load_matrix_market(path)
-    assert exc.value.line == 3 + mmio.ENTRY_SLICE + 3
+    assert exc.value.line == 3 + 8195
+
+
+def test_load_large_file_with_a_comment_among_its_entries_bitwise(tmp_path):
+    # a comment line among the entries sends them through the line-by-line
+    # reader, which must give what the bulk reader gives without it
+    nnz = 8200
+    entries = [f"{k % 7 + 1} {k % 5 + 1} {(k - 4100) / 3:.17g}" for k in range(nnz)]
+    plain = write_text(tmp_path, f"{COORD}7 5 {nnz}\n" + "\n".join(entries) + "\n", "p.mtx")
+    entries.insert(5000, "% a comment among the entries")
+    commented = write_text(tmp_path, f"{COORD}7 5 {nnz}\n" + "\n".join(entries) + "\n",
+                           "c.mtx")
+    M, expect = load_matrix_market(commented), load_matrix_market(plain)
+    assert type(M) is type(expect) and M.shape == expect.shape
+    for name in ("indptr", "indices"):
+        assert getattr(M, name).dtype == getattr(expect, name).dtype
+        np.testing.assert_array_equal(getattr(M, name), getattr(expect, name))
+    assert M.data.tobytes() == expect.data.tobytes()
 
 
 def test_load_symmetric_expands_in_file_order(tmp_path):
@@ -441,8 +457,8 @@ def test_write_coordinate_bytes(tmp_path):
 
 
 def test_load_coordinate_peak_memory(tmp_path):
-    # the entries are converted a slice at a time: tokens for the whole file
-    # at once, or a Python object per token kept, would take more
+    # numpy's text reader converts the entries into one structured array: a
+    # Python object per token, as splitting the whole file makes, would take more
     M = sp.random_array((2000, 2000), density=50_000 / 4e6, rng=np.random.default_rng(5))
     path = tmp_path / "big.mtx"
     write_matrix_market(M, path)

@@ -1,6 +1,7 @@
 """Solver steps, stepsizes, and the solve() driver."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -281,6 +282,15 @@ def test_grk_step_zero_row_raises():
         grk_step(state, [0, 1], [0, 0])
 
 
+@pytest.mark.parametrize("i,j", [([0, 1], [0]), ([], []), ([[0, 1]], [[0, 1]])])
+def test_grk_step_rejects_index_arrays_of_no_one_length(i, j):
+    state = prepare_state(small_problem(2), SolverConfig(method=GRK))
+    shapes = f"{np.shape(i)} and {np.shape(j)}"
+    with pytest.raises(ValueError, match=re.escape(f"got shapes {shapes}")):
+        grk_step(state, i, j)
+    assert not state.X.any()
+
+
 def test_grk_step_over_index_arrays_runs_the_steps_in_order():
     # K steps as one chunk give the X and residuals of K rank-1 steps run
     # one at a time to 1e-13 relative, hand _prefix the steps' rows,
@@ -414,6 +424,17 @@ def test_grabk_caller_weights_must_be_finite(bad):
         grabk_step(state, I, J, [bad, 1.0], [0.5, 0.5], 1.0)
     with pytest.raises(ValueError, match="column weights must be finite"):
         adaptive_stepsize(state, I, J, [0.5, 0.5], [1.0, bad])
+    assert not state.X.any()
+
+
+@pytest.mark.parametrize("alpha,message", [(math.nan, "alpha must be finite"),
+                                           (math.inf, "alpha must be finite"),
+                                           ("1", "alpha must be a real number")])
+def test_grabk_step_rejects_a_bad_alpha(alpha, message):
+    # a NaN alpha once made X non-finite, and a string reached BLAS
+    state = prepare_state(small_problem(8), SolverConfig(method=GRABK_CONST, tau1=2, tau2=2))
+    with pytest.raises(ValueError, match=message):
+        grabk_step(state, [0, 1], [0], [0.5, 0.5], [1.0], alpha)
     assert not state.X.any()
 
 
